@@ -16,33 +16,110 @@
 open Cmdliner
 module T = Msccl_topology
 module H = Msccl_harness
+module I = Msccl_interop.Ingest
 open Msccl_core
 
+(* ------------------------------------------------------------------ *)
+(* Exit codes and the input layer                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* One exit-code scheme for every subcommand: 0 ok; 1 findings (the IR
+   is wrong, a simulation failed, a fuzz oracle or a benign chaos plan
+   failed); 2 unusable input (a rejected file, an unknown algorithm or
+   topology, no input at all). Cmdliner itself exits 124 on usage
+   errors. *)
 let ok = 0
 
-let user_error = 1
+let findings = 1
 
-(* lint/verify distinguish what CI needs to distinguish: findings (the IR
-   is wrong) exit 1, while unusable input (parse errors, unknown
-   algorithms) exits 2. *)
-let finding_error = 1
+let unusable = 2
 
-let input_error = 2
+(* Raised by the input layer with the message to print on stderr (empty
+   when the problem is already reported); the command then exits 2. *)
+exception Unusable of string
 
-(* External XML enters through the tolerant Ingest boundary: attribute
-   aliases and reordering are accepted, warnings go to stderr, and a
-   rejection prints every positioned diagnostic (JSON on [--json]) so a
-   third-party file is debuggable from one run. *)
-let ingest_file ?(json = false) f =
-  let module I = Msccl_interop.Ingest in
-  match I.load f with
-  | Ok (ir, warns) ->
-      List.iter (fun d -> prerr_endline (I.diag_to_string d)) warns;
-      Some ir
-  | Error ds ->
-      if json then print_endline (I.diags_json ds)
-      else prerr_endline (I.diags_to_string ds);
-      None
+let unusable_input fmt = Printf.ksprintf (fun m -> raise (Unusable m)) fmt
+
+(* Every subcommand's term yields a thunk, run under the exit-code
+   scheme. *)
+let command name ~doc term =
+  Cmd.v (Cmd.info name ~doc)
+    (Term.map
+       (fun run ->
+         try run ()
+         with Unusable m ->
+           if m <> "" then prerr_endline m;
+           unusable)
+       term)
+
+(* Where a program comes from: an XML file in any dialect Ingest
+   accepts, or a registry build. *)
+type source = File of string | Algo of string * H.Registry.params
+
+(* Registry builds. With [~sym], trace only the representative slice,
+   replicate by index arithmetic and certify the hint's permutation post
+   hoc: the IR is the same (a failed certification falls back to the
+   full pipeline), only compile cost changes. *)
+let build ?(sym = false) name params =
+  let spec =
+    match H.Registry.find name with
+    | Some spec -> spec
+    | None ->
+        unusable_input "unknown algorithm %S; try: %s" name
+          (String.concat ", " (H.Registry.names ()))
+  in
+  let replicated (c : H.Registry.sym_case) =
+    let module S = Msccl_analysis.Sym_compile in
+    let report, outcome =
+      S.compile ~name ~proto:params.H.Registry.proto
+        ~instances:params.H.Registry.instances
+        ~verify:params.H.Registry.verify ~hint:c.H.Registry.sym_hint
+        c.H.Registry.sym_coll c.H.Registry.sym_program
+    in
+    (match outcome with
+    | S.Replicated s ->
+        Printf.eprintf
+          "symmetry-aware compile: replicated (certified %s, %d orbit(s))\n"
+          (match s.Msccl_analysis.Symmetry.s_generators with
+          | g :: _ -> g.Msccl_analysis.Symmetry.g_name
+          | [] -> "?")
+          (Orbit.num_orbits s.Msccl_analysis.Symmetry.s_orbit)
+    | S.Fell_back m -> Printf.eprintf "symmetry-aware compile fell back: %s\n" m);
+    report.Compile.ir
+  in
+  try
+    match spec.H.Registry.sym with
+    | Some case when sym -> replicated (case params)
+    | None when sym ->
+        Printf.eprintf
+          "%s declares no symmetry hint; using the full pipeline\n" name;
+        spec.H.Registry.build params
+    | _ -> spec.H.Registry.build params
+  with
+  | Program.Trace_error m -> unusable_input "trace error: %s" m
+  | Schedule.Scheduling_error m -> unusable_input "scheduling error: %s" m
+  | Failure m | Invalid_argument m -> raise (Unusable m)
+
+(* The one loader. Files enter through the tolerant Ingest boundary:
+   warnings go to stderr, and a rejection prints every positioned
+   diagnostic (the JSON array on [~json]) so a third-party file is
+   debuggable from one run. *)
+let load ?(json = false) = function
+  | Algo (name, params) -> build name params
+  | File f -> (
+      match I.load f with
+      | Ok (ir, warns) ->
+          List.iter (fun d -> prerr_endline (I.diag_to_string d)) warns;
+          ir
+      | Error ds ->
+          if json then print_endline (I.diags_json ds)
+          else prerr_endline (I.diags_to_string ds);
+          raise (Unusable ""))
+
+let topology s =
+  match H.Registry.parse_topology s with
+  | Ok t -> t
+  | Error m -> raise (Unusable m)
 
 (* ------------------------------------------------------------------ *)
 (* Shared argument definitions                                         *)
@@ -143,18 +220,48 @@ let build_params nodes gpus channels instances proto chunk_factor no_verify =
     verify = not no_verify;
   }
 
-let build_ir name params =
-  match H.Registry.find name with
-  | None ->
-      Error
-        (Printf.sprintf "unknown algorithm %S; try: %s" name
-           (String.concat ", " (H.Registry.names ())))
-  | Some spec -> (
-      try Ok (spec.H.Registry.build params) with
-      | Program.Trace_error m -> Error ("trace error: " ^ m)
-      | Schedule.Scheduling_error m -> Error ("scheduling error: " ^ m)
-      | Failure m -> Error m
-      | Invalid_argument m -> Error m)
+(* Registry parameters shaped by a topology (nodes x GPUs per node). *)
+let params_on topology channels instances proto chunk_factor =
+  build_params (T.Topology.num_nodes topology)
+    (T.Topology.gpus_per_node topology)
+    channels instances proto chunk_factor true
+
+(* The FILE / --algo / --all / --json input selection of verify, lint
+   and analyze. *)
+type selection = {
+  file : string option;
+  algo : string option;
+  all : bool;
+  json : bool;
+}
+
+let selection_term ~verb ~all_doc
+    ?(json_doc = "Emit machine-readable JSON instead of text.") () =
+  let file =
+    let doc = Printf.sprintf "MSCCL-IR XML file to %s." verb in
+    Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
+  in
+  let algo =
+    let doc =
+      Printf.sprintf
+        "%s a registered algorithm (compiled in-process) instead of a file."
+        (String.capitalize_ascii verb)
+    in
+    Arg.(value & opt (some string) None & info [ "algo"; "a" ] ~docv:"ALGO" ~doc)
+  in
+  let all = Arg.(value & flag & info [ "all" ] ~doc:all_doc) in
+  let json = Arg.(value & flag & info [ "json" ] ~doc:json_doc) in
+  Term.(
+    const (fun file algo all json -> { file; algo; all; json })
+    $ file $ algo $ all $ json)
+
+(* The program a FILE/--algo selection names; [params] shape a registry
+   build. *)
+let source_of sel params =
+  match (sel.file, sel.algo) with
+  | Some f, _ -> File f
+  | None, Some a -> Algo (a, params ())
+  | None, None -> unusable_input "need an XML file, --algo NAME, or --all"
 
 (* ------------------------------------------------------------------ *)
 (* Subcommands                                                         *)
@@ -172,50 +279,8 @@ let list_cmd =
     print_endline "Protocols:  Simple  LL  LL128  SCCL";
     ok
   in
-  Cmd.v (Cmd.info "list" ~doc:"List algorithms, topologies and protocols")
-    Term.(const run $ const ())
-
-(* Symmetry-aware build: trace only the representative slice, replicate
-   by index arithmetic, certify the hint's permutation post hoc. Output
-   is the same IR as [build_ir] (a failed certification silently falls
-   back to the full pipeline), only compile cost changes. *)
-let build_ir_sym algo params =
-  match H.Registry.find algo with
-  | None ->
-      Error
-        (Printf.sprintf "unknown algorithm %S; try: %s" algo
-           (String.concat ", " (H.Registry.names ())))
-  | Some { H.Registry.sym = None; _ } ->
-      Printf.eprintf
-        "%s declares no symmetry hint; using the full pipeline\n" algo;
-      build_ir algo params
-  | Some { H.Registry.sym = Some case; _ } -> (
-      let c = case params in
-      try
-        let report, outcome =
-          Msccl_analysis.Sym_compile.compile ~name:algo
-            ~proto:params.H.Registry.proto
-            ~instances:params.H.Registry.instances
-            ~verify:params.H.Registry.verify ~hint:c.H.Registry.sym_hint
-            c.H.Registry.sym_coll c.H.Registry.sym_program
-        in
-        (match outcome with
-        | Msccl_analysis.Sym_compile.Replicated s ->
-            Printf.eprintf
-              "symmetry-aware compile: replicated (certified %s, %d \
-               orbit(s))\n"
-              (match s.Msccl_analysis.Symmetry.s_generators with
-              | g :: _ -> g.Msccl_analysis.Symmetry.g_name
-              | [] -> "?")
-              (Orbit.num_orbits s.Msccl_analysis.Symmetry.s_orbit)
-        | Msccl_analysis.Sym_compile.Fell_back m ->
-            Printf.eprintf "symmetry-aware compile fell back: %s\n" m);
-        Ok report.Compile.ir
-      with
-      | Program.Trace_error m -> Error ("trace error: " ^ m)
-      | Schedule.Scheduling_error m -> Error ("scheduling error: " ^ m)
-      | Failure m -> Error m
-      | Invalid_argument m -> Error m)
+  command "list" ~doc:"List algorithms, topologies and protocols"
+    Term.(const run)
 
 let compile_cmd =
   let output_arg =
@@ -238,56 +303,42 @@ let compile_cmd =
     Arg.(value & flag & info [ "sym-compile" ] ~doc)
   in
   let run algo nodes gpus channels instances proto chunk_factor no_verify
-      lint sym_compile output =
-    let params =
-      build_params nodes gpus channels instances proto chunk_factor no_verify
+      lint sym output () =
+    let ir =
+      build ~sym algo
+        (build_params nodes gpus channels instances proto chunk_factor
+           no_verify)
     in
-    match (if sym_compile then build_ir_sym else build_ir) algo params with
-    | Error msg ->
-        prerr_endline msg;
-        user_error
-    | Ok ir ->
-        let diagnostics = if lint then Lint.run ir else [] in
-        if diagnostics <> [] then Format.eprintf "%a" Lint.pp diagnostics;
-        if Lint.has_errors diagnostics then finding_error
-        else begin
-          Printf.eprintf "%s\n" (Ir.summary ir);
-          match output with
-          | None ->
-              print_string (Xml.to_string ir);
-              ok
-          | Some path ->
-              Xml.save ir path;
-              Printf.eprintf "wrote %s\n" path;
-              ok
-        end
+    let diagnostics = if lint then Lint.run ir else [] in
+    if diagnostics <> [] then Format.eprintf "%a" Lint.pp diagnostics;
+    if Lint.has_errors diagnostics then findings
+    else begin
+      Printf.eprintf "%s\n" (Ir.summary ir);
+      (match output with
+      | None -> print_string (Xml.to_string ir)
+      | Some path ->
+          Xml.save ir path;
+          Printf.eprintf "wrote %s\n" path);
+      ok
+    end
   in
-  Cmd.v
-    (Cmd.info "compile" ~doc:"Compile an algorithm to MSCCL-IR XML")
+  command "compile" ~doc:"Compile an algorithm to MSCCL-IR XML"
     Term.(
       const run $ algo_arg $ nodes_arg $ gpus_arg $ channels_arg
       $ instances_arg $ proto_arg $ chunk_factor_arg $ no_verify_arg
       $ lint_arg $ sym_arg $ output_arg)
 
-let xml_file_arg =
-  let doc = "MSCCL-IR XML file." in
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
-
 let verify_cmd =
-  let file_arg =
-    let doc = "MSCCL-IR XML file to verify." in
-    Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
-  in
-  let algo_opt_arg =
-    let doc = "Verify a registered algorithm (compiled in-process) instead \
-               of a file." in
-    Arg.(value & opt (some string) None & info [ "algo"; "a" ] ~docv:"ALGO" ~doc)
-  in
-  let all_arg =
-    let doc = "With $(b,--static): sweep every registered algorithm \
-               through the provenance verifier (single-node and two-node \
-               shapes)." in
-    Arg.(value & flag & info [ "all" ] ~doc)
+  let selection =
+    selection_term ~verb:"verify"
+      ~all_doc:
+        "With $(b,--static): sweep every registered algorithm through the \
+         provenance verifier (single-node and two-node shapes)."
+      ~json_doc:
+        "Emit machine-readable JSON (the same diagnostic shape as \
+         $(b,msccl lint --json): an empty array on success; with \
+         $(b,--static), the full provenance report)."
+      ()
   in
   let static_arg =
     let doc =
@@ -299,12 +350,6 @@ let verify_cmd =
        rank symmetries quotient the pass to representative ranks."
     in
     Arg.(value & flag & info [ "static" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Emit machine-readable JSON (the same diagnostic shape as \
-               $(b,msccl lint --json): an empty array on success; with \
-               $(b,--static), the full provenance report)." in
-    Arg.(value & flag & info [ "json" ] ~doc)
   in
   let mode_string = function
     | Msccl_analysis.Provenance.Full -> "full"
@@ -333,10 +378,9 @@ let verify_cmd =
       end;
       if r.r_lints <> [] then Format.printf "%a" Lint.pp r.r_lints
     end;
-    if r.r_diags <> [] || Lint.has_errors r.r_lints then finding_error
-    else ok
+    if r.r_diags <> [] || Lint.has_errors r.r_lints then findings else ok
   in
-  let static_sweep ~json () =
+  let static_sweep ~json =
     let shapes = [ (1, 8); (2, 4) ] in
     let entries = ref [] in
     let bad = ref false in
@@ -377,89 +421,63 @@ let verify_cmd =
       H.Registry.all;
     if json then
       print_endline ("[" ^ String.concat "," (List.rev !entries) ^ "]");
-    if !bad then finding_error else ok
+    if !bad then findings else ok
   in
-  let run file algo all static json =
-    let load_input () =
-      match (file, algo) with
-      | Some f, _ -> (
-          match ingest_file ~json f with
-          | Some ir -> Ok ir
-          | None -> Error "")
-      | None, Some a -> build_ir a H.Registry.default_params
-      | None, None -> Error "need an XML file, --algo NAME, or --all"
-    in
-    if all then
-      if static then static_sweep ~json ()
-      else begin
-        prerr_endline "--all requires --static";
-        input_error
-      end
+  let symbolic_one ~json ir =
+    match Verify.check ir with
+    | Ok () ->
+        if json then print_endline "[]"
+        else
+          Printf.printf "%s: OK (postcondition, deadlock-freedom, structure)\n"
+            (Ir.summary ir);
+        ok
+    | Error msg ->
+        if json then
+          print_endline
+            (Lint.to_json
+               [
+                 {
+                   Lint.d_rule = "verify";
+                   d_severity = Lint.Error;
+                   d_at = None;
+                   d_message = msg;
+                 };
+               ])
+        else Printf.eprintf "%s: FAILED\n  %s\n" (Ir.summary ir) msg;
+        findings
+  in
+  let run sel static () =
+    let json = sel.json in
+    if sel.all then
+      if static then static_sweep ~json
+      else unusable_input "--all requires --static"
     else
-      match load_input () with
-      | Error msg ->
-          if msg <> "" then prerr_endline msg;
-          input_error
-      | Ok ir ->
-          if static then static_one ~json ir
-          else (
-            match Verify.check ir with
-            | Ok () ->
-                if json then print_endline "[]"
-                else
-                  Printf.printf
-                    "%s: OK (postcondition, deadlock-freedom, structure)\n"
-                    (Ir.summary ir);
-                ok
-            | Error msg ->
-                if json then
-                  print_endline
-                    (Lint.to_json
-                       [
-                         {
-                           Lint.d_rule = "verify";
-                           d_severity = Lint.Error;
-                           d_at = None;
-                           d_message = msg;
-                         };
-                       ])
-                else Printf.eprintf "%s: FAILED\n  %s\n" (Ir.summary ir) msg;
-                finding_error)
+      let ir =
+        load ~json (source_of sel (fun () -> H.Registry.default_params))
+      in
+      if static then static_one ~json ir else symbolic_one ~json ir
   in
-  Cmd.v
-    (Cmd.info "verify"
-       ~doc:
-         "Verify an MSCCL-IR XML file: symbolic execution against the \
-          collective's postcondition by default, or ($(b,--static)) the \
-          chunk-provenance dataflow verifier with root-cause diagnostics \
-          and liveness lints. Exit 1 on findings, 2 on unusable input.")
-    Term.(const run $ file_arg $ algo_opt_arg $ all_arg $ static_arg
-          $ json_arg)
+  command "verify"
+    ~doc:
+      "Verify an MSCCL-IR XML file: symbolic execution against the \
+       collective's postcondition by default, or ($(b,--static)) the \
+       chunk-provenance dataflow verifier with root-cause diagnostics and \
+       liveness lints. Exit 1 on findings, 2 on unusable input."
+    Term.(const run $ selection $ static_arg)
 
 let lint_cmd =
-  let file_arg =
-    let doc = "MSCCL-IR XML file to lint." in
-    Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
-  in
-  let algo_opt_arg =
-    let doc = "Lint a registered algorithm (compiled in-process) instead of \
-               a file." in
-    Arg.(value & opt (some string) None & info [ "algo"; "a" ] ~docv:"ALGO" ~doc)
-  in
-  let all_arg =
-    let doc = "Sweep every registered algorithm across the NDv4/DGX-2 \
-               presets and the Simple/LL/LL128 protocols." in
-    Arg.(value & flag & info [ "all" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Emit machine-readable JSON instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
+  let selection =
+    selection_term ~verb:"lint"
+      ~all_doc:
+        "Sweep every registered algorithm across the NDv4/DGX-2 presets \
+         and the Simple/LL/LL128 protocols."
+      ()
   in
   let lint_one ~json ir =
     let ds = Lint.run ir in
     if json then print_endline (Lint.to_json ds)
     else Format.printf "%s@.%a" (Ir.summary ir) Lint.pp ds;
-    if Lint.has_errors ds then finding_error else ok
+    if Lint.has_errors ds then findings else ok
   in
   let sweep ~json ?jobs () =
     let entries = H.Lint_sweep.run ?jobs () in
@@ -491,60 +509,33 @@ let lint_cmd =
               Lint.pp (Lint.errors ds)
         | H.Lint_sweep.Clean _ | H.Lint_sweep.Build_failed _ -> ())
       entries;
-    if H.Lint_sweep.clean entries then ok else finding_error
+    if H.Lint_sweep.clean entries then ok else findings
   in
-  let run file algo all nodes gpus channels instances proto chunk_factor json
-      jobs =
-    match (all, file, algo) with
-    | true, _, _ -> sweep ~json ?jobs ()
-    | false, Some f, _ -> (
-        match ingest_file ~json f with
-        | None -> input_error
-        | Some ir -> lint_one ~json ir)
-    | false, None, Some a -> (
-        let params =
-          build_params nodes gpus channels instances proto chunk_factor true
-        in
-        match build_ir a params with
-        | Error msg ->
-            prerr_endline msg;
-            input_error
-        | Ok ir -> lint_one ~json ir)
-    | false, None, None ->
-        prerr_endline "need an XML file, --algo NAME, or --all";
-        input_error
+  let run sel nodes gpus channels instances proto chunk_factor jobs () =
+    if sel.all then sweep ~json:sel.json ?jobs ()
+    else
+      let params () =
+        build_params nodes gpus channels instances proto chunk_factor true
+      in
+      lint_one ~json:sel.json (load ~json:sel.json (source_of sel params))
   in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Static analysis of MSCCL-IR: data races between thread blocks \
-          (happens-before + footprint overlap), FIFO deadlocks, dangling \
-          dependencies, out-of-bounds accesses, dead scratch, channel \
-          contention. Exit 1 on error findings, 2 on unusable input.")
+  command "lint"
+    ~doc:
+      "Static analysis of MSCCL-IR: data races between thread blocks \
+       (happens-before + footprint overlap), FIFO deadlocks, dangling \
+       dependencies, out-of-bounds accesses, dead scratch, channel \
+       contention. Exit 1 on error findings, 2 on unusable input."
     Term.(
-      const run $ file_arg $ algo_opt_arg $ all_arg $ nodes_arg $ gpus_arg
-      $ channels_arg $ instances_arg $ proto_arg $ chunk_factor_arg
-      $ json_arg $ jobs_arg)
+      const run $ selection $ nodes_arg $ gpus_arg $ channels_arg
+      $ instances_arg $ proto_arg $ chunk_factor_arg $ jobs_arg)
 
 let analyze_cmd =
-  let file_arg =
-    let doc = "MSCCL-IR XML file to analyze." in
-    Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
-  in
-  let algo_opt_arg =
-    let doc = "Analyze a registered algorithm (compiled in-process) \
-               instead of a file." in
-    Arg.(value & opt (some string) None & info [ "algo"; "a" ] ~docv:"ALGO" ~doc)
-  in
-  let all_arg =
-    let doc = "Sweep every registered algorithm across the NDv4/DGX-2 \
-               presets and the Simple/LL/LL128 protocols, printing the \
-               efficiency table." in
-    Arg.(value & flag & info [ "all" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Emit machine-readable JSON instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
+  let selection =
+    selection_term ~verb:"analyze"
+      ~all_doc:
+        "Sweep every registered algorithm across the NDv4/DGX-2 presets \
+         and the Simple/LL/LL128 protocols, printing the efficiency table."
+      ()
   in
   let symmetry_arg =
     let doc =
@@ -564,77 +555,70 @@ let analyze_cmd =
       st.Hbgraph.st_row_hits st.Hbgraph.st_rows_built st.Hbgraph.st_dfs
   in
   let analyze_one ~json ~symmetry ~topology ~size_bytes ir =
-    match Perfcheck.lint ~topo:topology ~size_bytes ir with
-    | exception Invalid_argument m ->
-        prerr_endline m;
-        input_error
-    | report, diags ->
-        let sym =
-          if symmetry then Some (Msccl_analysis.Symmetry.infer ir) else None
-        in
-        if json then begin
-          (* Drive the race pass explicitly so the happens-before stats
-             (and, under --symmetry, the quotient counters) are real. *)
-          let hb =
-            Hbgraph.build
-              ~fifo_slots:(T.Protocol.num_slots ir.Ir.proto)
-              ir
-          in
-          let races =
-            match sym with
-            | Some s when Msccl_analysis.Symmetry.certified s ->
-                let orbit = s.Msccl_analysis.Symmetry.s_orbit in
-                Hbgraph.set_orbit hb orbit;
-                Races.find_quotient ~hb ~orbit ir
-            | _ -> Races.find ~hb ir
-          in
-          let sym_field =
-            match sym with
-            | None -> ""
-            | Some s ->
-                Printf.sprintf ",\"symmetry\":%s,\"races\":%d"
-                  (Msccl_analysis.Symmetry.report_json s)
-                  (List.length races)
-          in
-          let prov =
-            Msccl_analysis.Provenance.analyze ?symmetry:sym ir
-          in
-          Printf.printf
-            "{\"report\":%s,\"diagnostics\":%s,\"hbgraph_stats\":%s%s,\
-             \"provenance\":%s}\n"
-            (Perfcheck.report_json report)
-            (Lint.to_json diags)
-            (hb_stats_json (Hbgraph.stats hb))
-            sym_field
-            (Msccl_analysis.Provenance.report_json prov)
-        end
-        else begin
-          Format.printf "%s on %s@.%a@.%a@." (Ir.summary ir)
-            (T.Topology.name topology)
-            Analysis.pp (Analysis.analyze ir) Perfcheck.pp report;
-          (match sym with
-          | None -> ()
-          | Some s ->
-              Format.printf "%s@." (Msccl_analysis.Symmetry.report s));
-          let prov = Msccl_analysis.Provenance.analyze ?symmetry:sym ir in
-          let open Msccl_analysis.Provenance in
-          Format.printf
-            "provenance: %s (%s mode; %d step(s), %d slot(s), %d dataflow \
-             lint(s))@."
-            (if prov.r_diags = [] then "clean"
-             else Printf.sprintf "%d diagnostic(s)"
-                 (List.length prov.r_diags))
-            (match prov.r_mode with
-            | Full -> "full"
-            | Quotient { orbits; interpreted_ranks } ->
-                Printf.sprintf "quotient %d/%d" interpreted_ranks orbits)
-            prov.r_steps_interpreted prov.r_slots_checked
-            (List.length prov.r_lints);
-          List.iter (fun d -> Format.printf "  %a@." pp_diag d) prov.r_diags;
-          if prov.r_lints <> [] then Format.printf "%a" Lint.pp prov.r_lints;
-          if diags <> [] then Format.printf "%a" Lint.pp diags
-        end;
-        ok
+    let report, diags =
+      try Perfcheck.lint ~topo:topology ~size_bytes ir
+      with Invalid_argument m -> raise (Unusable m)
+    in
+    let sym =
+      if symmetry then Some (Msccl_analysis.Symmetry.infer ir) else None
+    in
+    if json then begin
+      (* Drive the race pass explicitly so the happens-before stats (and,
+         under --symmetry, the quotient counters) are real. *)
+      let hb =
+        Hbgraph.build ~fifo_slots:(T.Protocol.num_slots ir.Ir.proto) ir
+      in
+      let races =
+        match sym with
+        | Some s when Msccl_analysis.Symmetry.certified s ->
+            let orbit = s.Msccl_analysis.Symmetry.s_orbit in
+            Hbgraph.set_orbit hb orbit;
+            Races.find_quotient ~hb ~orbit ir
+        | _ -> Races.find ~hb ir
+      in
+      let sym_field =
+        match sym with
+        | None -> ""
+        | Some s ->
+            Printf.sprintf ",\"symmetry\":%s,\"races\":%d"
+              (Msccl_analysis.Symmetry.report_json s)
+              (List.length races)
+      in
+      let prov = Msccl_analysis.Provenance.analyze ?symmetry:sym ir in
+      Printf.printf
+        "{\"report\":%s,\"diagnostics\":%s,\"hbgraph_stats\":%s%s,\
+         \"provenance\":%s}\n"
+        (Perfcheck.report_json report)
+        (Lint.to_json diags)
+        (hb_stats_json (Hbgraph.stats hb))
+        sym_field
+        (Msccl_analysis.Provenance.report_json prov)
+    end
+    else begin
+      Format.printf "%s on %s@.%a@.%a@." (Ir.summary ir)
+        (T.Topology.name topology)
+        Analysis.pp (Analysis.analyze ir) Perfcheck.pp report;
+      (match sym with
+      | None -> ()
+      | Some s -> Format.printf "%s@." (Msccl_analysis.Symmetry.report s));
+      let prov = Msccl_analysis.Provenance.analyze ?symmetry:sym ir in
+      let open Msccl_analysis.Provenance in
+      Format.printf
+        "provenance: %s (%s mode; %d step(s), %d slot(s), %d dataflow \
+         lint(s))@."
+        (if prov.r_diags = [] then "clean"
+         else Printf.sprintf "%d diagnostic(s)" (List.length prov.r_diags))
+        (match prov.r_mode with
+        | Full -> "full"
+        | Quotient { orbits; interpreted_ranks } ->
+            Printf.sprintf "quotient %d/%d" interpreted_ranks orbits)
+        prov.r_steps_interpreted prov.r_slots_checked
+        (List.length prov.r_lints);
+      List.iter (fun d -> Format.printf "  %a@." pp_diag d) prov.r_diags;
+      if prov.r_lints <> [] then Format.printf "%a" Lint.pp prov.r_lints;
+      if diags <> [] then Format.printf "%a" Lint.pp diags
+    end;
+    ok
   in
   let sweep ~json ~size_bytes ?jobs () =
     let entries = H.Lint_sweep.run_perf ?jobs ~size_bytes () in
@@ -662,69 +646,47 @@ let analyze_cmd =
     else Format.printf "%a@." H.Lint_sweep.pp_perf entries;
     ok
   in
-  let run file algo all topo channels instances proto chunk_factor size json
-      symmetry jobs =
+  let run sel topo channels instances proto chunk_factor size symmetry jobs
+      () =
     let size_bytes = int_of_float size in
-    match (all, file, algo) with
-    | true, _, _ -> sweep ~json ~size_bytes ?jobs ()
-    | false, _, _ -> (
-        match H.Registry.parse_topology topo with
-        | Error msg ->
-            prerr_endline msg;
-            input_error
-        | Ok topology -> (
-            let nodes = T.Topology.num_nodes topology in
-            let gpus = T.Topology.gpus_per_node topology in
-            match (file, algo) with
-            | Some f, _ -> (
-                match ingest_file ~json f with
-                | None -> input_error
-                | Some ir -> analyze_one ~json ~symmetry ~topology ~size_bytes ir)
-            | None, Some a -> (
-                match
-                  build_ir a
-                    (build_params nodes gpus channels instances proto
-                       chunk_factor true)
-                with
-                | Error msg ->
-                    prerr_endline msg;
-                    input_error
-                | Ok ir -> analyze_one ~json ~symmetry ~topology ~size_bytes ir)
-            | None, None ->
-                prerr_endline "need an XML file, --algo NAME, or --all";
-                input_error))
+    if sel.all then sweep ~json:sel.json ~size_bytes ?jobs ()
+    else
+      let topology = topology topo in
+      let params () =
+        params_on topology channels instances proto chunk_factor
+      in
+      analyze_one ~json:sel.json ~symmetry ~topology ~size_bytes
+        (load ~json:sel.json (source_of sel params))
   in
-  Cmd.v
-    (Cmd.info "analyze"
-       ~doc:
-         "Cost-model-grounded performance analysis of MSCCL-IR: α–β–γ \
-          lower-bound certificate and efficiency ratio, per-resource \
-          congestion, thread-block imbalance, redundant sends and missed \
-          fusion opportunities. Perf findings are advisory (exit 0); \
-          unusable input exits 2.")
+  command "analyze"
+    ~doc:
+      "Cost-model-grounded performance analysis of MSCCL-IR: α–β–γ \
+       lower-bound certificate and efficiency ratio, per-resource \
+       congestion, thread-block imbalance, redundant sends and missed \
+       fusion opportunities. Perf findings are advisory (exit 0); unusable \
+       input exits 2."
     Term.(
-      const run $ file_arg $ algo_opt_arg $ all_arg $ topo_arg
-      $ channels_arg $ instances_arg $ proto_arg $ chunk_factor_arg
-      $ size_arg $ json_arg $ symmetry_arg $ jobs_arg)
+      const run $ selection $ topo_arg $ channels_arg $ instances_arg
+      $ proto_arg $ chunk_factor_arg $ size_arg $ symmetry_arg $ jobs_arg)
 
 let show_cmd =
+  let file_arg =
+    let doc = "MSCCL-IR XML file." in
+    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
+  in
   let stats_arg =
     let doc = "Print a static analysis report instead of the full IR." in
     Arg.(value & flag & info [ "stats" ] ~doc)
   in
-  let run file stats =
-    match ingest_file file with
-    | None -> input_error
-    | Some ir ->
-        if stats then
-          Format.printf "%s@.%a@." (Ir.summary ir) Analysis.pp
-            (Analysis.analyze ir)
-        else Format.printf "%a@." Ir.pp ir;
-        ok
+  let run file stats () =
+    let ir = load (File file) in
+    if stats then
+      Format.printf "%s@.%a@." (Ir.summary ir) Analysis.pp (Analysis.analyze ir)
+    else Format.printf "%a@." Ir.pp ir;
+    ok
   in
-  Cmd.v
-    (Cmd.info "show" ~doc:"Pretty-print or analyze an MSCCL-IR XML file")
-    Term.(const run $ xml_file_arg $ stats_arg)
+  command "show" ~doc:"Pretty-print or analyze an MSCCL-IR XML file"
+    Term.(const run $ file_arg $ stats_arg)
 
 let simulate_cmd =
   let file_arg =
@@ -745,65 +707,44 @@ let simulate_cmd =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
   in
   let run algo file topo channels instances proto chunk_factor size sweep
-      trace =
-    match H.Registry.parse_topology topo with
-    | Error msg ->
-        prerr_endline msg;
-        user_error
-    | Ok topology -> (
-        let nodes = T.Topology.num_nodes topology in
-        let gpus = T.Topology.gpus_per_node topology in
-        let ir_result =
-          match (file, algo) with
-          | Some f, _ -> (
-              match ingest_file f with
-              | Some ir -> Ok ir
-              | None -> Error "")
-          | None, Some a ->
-              build_ir a
-                (build_params nodes gpus channels instances proto chunk_factor
-                   true)
-          | None, None -> Error "need an algorithm name or --file"
-        in
-        match ir_result with
-        | Error msg ->
-            if msg <> "" then prerr_endline msg;
-            user_error
-        | Ok ir ->
-            let timeline = Option.map (fun _ -> Timeline.create ()) trace in
-            let one buffer_bytes =
-              let r =
-                Simulator.run_buffer ~topo:topology ~buffer_bytes ?timeline ir
-              in
-              Printf.printf
-                "%10s  %12.1f us   algbw %8.2f GB/s   (tiles=%d msgs=%d)\n"
-                (H.Sweep.pretty buffer_bytes)
-                (r.Simulator.time *. 1e6)
-                (Simulator.algbw ~buffer_bytes r /. 1e9)
-                r.Simulator.tiles r.Simulator.messages
-            in
-            Printf.printf "%s on %s (%s)\n" ir.Ir.name
-              (T.Topology.name topology)
-              (T.Protocol.name ir.Ir.proto);
-            (try
-               if sweep then
-                 List.iter one
-                   (H.Sweep.sizes ~from:1024. ~upto:(H.Sweep.gib 1.))
-               else one size;
-               (match (trace, timeline) with
-               | Some path, Some tl ->
-                   Timeline.save tl path;
-                   Printf.eprintf "wrote %d span(s) to %s\n"
-                     (Timeline.num_events tl) path
-               | _ -> ());
-               ok
-             with Simulator.Sim_error m ->
-               Printf.eprintf "simulation error: %s\n" m;
-               user_error))
+      trace () =
+    let topology = topology topo in
+    let source =
+      match (file, algo) with
+      | Some f, _ -> File f
+      | None, Some a ->
+          Algo (a, params_on topology channels instances proto chunk_factor)
+      | None, None -> unusable_input "need an algorithm name or --file"
+    in
+    let ir = load source in
+    let timeline = Option.map (fun _ -> Timeline.create ()) trace in
+    let one buffer_bytes =
+      let r = Simulator.run_buffer ~topo:topology ~buffer_bytes ?timeline ir in
+      Printf.printf "%10s  %12.1f us   algbw %8.2f GB/s   (tiles=%d msgs=%d)\n"
+        (H.Sweep.pretty buffer_bytes)
+        (r.Simulator.time *. 1e6)
+        (Simulator.algbw ~buffer_bytes r /. 1e9)
+        r.Simulator.tiles r.Simulator.messages
+    in
+    Printf.printf "%s on %s (%s)\n" ir.Ir.name (T.Topology.name topology)
+      (T.Protocol.name ir.Ir.proto);
+    try
+      if sweep then
+        List.iter one (H.Sweep.sizes ~from:1024. ~upto:(H.Sweep.gib 1.))
+      else one size;
+      (match (trace, timeline) with
+      | Some path, Some tl ->
+          Timeline.save tl path;
+          Printf.eprintf "wrote %d span(s) to %s\n" (Timeline.num_events tl)
+            path
+      | _ -> ());
+      ok
+    with Simulator.Sim_error m ->
+      Printf.eprintf "simulation error: %s\n" m;
+      findings
   in
-  Cmd.v
-    (Cmd.info "simulate"
-       ~doc:"Simulate an algorithm or IR file on a cluster topology")
+  command "simulate"
+    ~doc:"Simulate an algorithm or IR file on a cluster topology"
     Term.(
       const run $ algo_opt_arg $ file_arg $ topo_arg $ channels_arg
       $ instances_arg $ proto_arg $ chunk_factor_arg $ size_arg $ sweep_arg
@@ -814,39 +755,26 @@ let tune_cmd =
     let doc = "Collective to tune: allreduce or alltoall." in
     Arg.(value & opt string "allreduce" & info [ "collective" ] ~docv:"COLL" ~doc)
   in
-  let run topo coll =
-    match H.Registry.parse_topology topo with
-    | Error msg ->
-        prerr_endline msg;
-        user_error
-    | Ok topology -> (
-        let pick =
-          match String.lowercase_ascii coll with
-          | "allreduce" ->
-              Ok
-                ( H.Tuner.allreduce_candidates topology,
-                  Msccl_baselines.Nccl_model.allreduce topology )
-          | "alltoall" ->
-              Ok
-                ( H.Tuner.alltoall_candidates topology,
-                  Msccl_baselines.Nccl_model.alltoall topology )
-          | other -> Error (Printf.sprintf "cannot tune %S" other)
-        in
-        match pick with
-        | Error msg ->
-            prerr_endline msg;
-            user_error
-        | Ok ([], _) ->
-            prerr_endline "no candidates for this collective on this topology";
-            user_error
-        | Ok (candidates, nccl) ->
-            let table = H.Tuner.tune ~topo:topology ~nccl ~candidates () in
-            Format.printf "%a" H.Tuner.pp_table table;
-            ok)
+  let run topo coll () =
+    let topology = topology topo in
+    let candidates, nccl =
+      match String.lowercase_ascii coll with
+      | "allreduce" ->
+          ( H.Tuner.allreduce_candidates topology,
+            Msccl_baselines.Nccl_model.allreduce topology )
+      | "alltoall" ->
+          ( H.Tuner.alltoall_candidates topology,
+            Msccl_baselines.Nccl_model.alltoall topology )
+      | other -> unusable_input "cannot tune %S" other
+    in
+    if candidates = [] then
+      unusable_input "no candidates for this collective on this topology";
+    let table = H.Tuner.tune ~topo:topology ~nccl ~candidates () in
+    Format.printf "%a" H.Tuner.pp_table table;
+    ok
   in
-  Cmd.v
-    (Cmd.info "tune"
-       ~doc:"Build the size-range algorithm selection table for a topology")
+  command "tune"
+    ~doc:"Build the size-range algorithm selection table for a topology"
     Term.(const run $ topo_arg $ coll_arg)
 
 let fuzz_cmd =
@@ -927,26 +855,22 @@ let fuzz_cmd =
         (List.length r.F.Fuzz.cr_entries)
         (if F.Fuzz.corpus_ok r then "ok" else "FAILURES")
     end;
-    if F.Fuzz.corpus_ok r then ok else finding_error
+    if F.Fuzz.corpus_ok r then ok else findings
   in
-  let resolve_oracles names =
-    match names with
-    | [] -> Ok F.Oracle.all
+  let resolve_oracles = function
+    | [] -> F.Oracle.all
     | names ->
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | n :: rest -> (
-              match F.Oracle.id_of_name (String.lowercase_ascii n) with
-              | Some o -> go (o :: acc) rest
-              | None ->
-                  Error
-                    (Printf.sprintf
-                       "unknown oracle %S (expected exec, equiv, static, \
-                        symmetry, provenance, perf, roundtrip, chaos, \
-                        sym_compile or ingest)"
-                       n))
-        in
-        go [] names
+        List.map
+          (fun n ->
+            match F.Oracle.id_of_name (String.lowercase_ascii n) with
+            | Some o -> o
+            | None ->
+                unusable_input
+                  "unknown oracle %S (expected exec, equiv, static, \
+                   symmetry, provenance, perf, roundtrip, chaos, \
+                   sym_compile or ingest)"
+                  n)
+          names
   in
   let replay_files ~oracles files =
     let failed = ref false in
@@ -963,7 +887,7 @@ let fuzz_cmd =
                 Format.printf "%s: FAILED %a@." file F.Oracle.pp_failure f;
                 failed := true))
       files;
-    if !failed then finding_error else ok
+    if !failed then findings else ok
   in
   let save_failures dir (r : F.Fuzz.report) =
     (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
@@ -979,47 +903,41 @@ let fuzz_cmd =
       r.F.Fuzz.r_failures
   in
   let run seed cases oracle_names json out_dir replays mutate_fusion corpus
-      mangles jobs =
-    match resolve_oracles oracle_names with
-    | Error msg ->
-        prerr_endline msg;
-        input_error
-    | Ok oracles -> (
-        match corpus with
-        | Some dir -> run_corpus ~seed ~mangles ~json ~jobs dir
-        | None ->
-        if replays <> [] then replay_files ~oracles replays
+      mangles jobs () =
+    let oracles = resolve_oracles oracle_names in
+    match corpus with
+    | Some dir -> run_corpus ~seed ~mangles ~json ~jobs dir
+    | None when replays <> [] -> replay_files ~oracles replays
+    | None ->
+        let mutate =
+          if mutate_fusion then Some F.Mutate.break_fusion else None
+        in
+        let report = F.Fuzz.run ?jobs ?mutate ~oracles ~seed ~cases () in
+        Option.iter (fun dir -> save_failures dir report) out_dir;
+        if json then print_endline (F.Fuzz.report_json report)
         else begin
-          let mutate = if mutate_fusion then Some F.Mutate.break_fusion else None in
-          let report = F.Fuzz.run ?jobs ?mutate ~oracles ~seed ~cases () in
-          Option.iter (fun dir -> save_failures dir report) out_dir;
-          if json then print_endline (F.Fuzz.report_json report)
-          else begin
-            List.iter
-              (fun (f : F.Fuzz.failure) ->
-                Format.printf "case %d (%s):@.  %a@.  shrunk to: %s@."
-                  f.F.Fuzz.f_case.F.Case.index
-                  (F.Case.describe f.F.Fuzz.f_case)
-                  F.Oracle.pp_failure f.F.Fuzz.f_failure
-                  (F.Case.describe f.F.Fuzz.f_shrunk))
-              report.F.Fuzz.r_failures;
-            Printf.printf "fuzz seed %d: %d case(s), %d failure(s)\n" seed
-              cases
-              (List.length report.F.Fuzz.r_failures)
-          end;
-          if report.F.Fuzz.r_failures = [] then ok else finding_error
-        end)
+          List.iter
+            (fun (f : F.Fuzz.failure) ->
+              Format.printf "case %d (%s):@.  %a@.  shrunk to: %s@."
+                f.F.Fuzz.f_case.F.Case.index
+                (F.Case.describe f.F.Fuzz.f_case)
+                F.Oracle.pp_failure f.F.Fuzz.f_failure
+                (F.Case.describe f.F.Fuzz.f_shrunk))
+            report.F.Fuzz.r_failures;
+          Printf.printf "fuzz seed %d: %d case(s), %d failure(s)\n" seed cases
+            (List.length report.F.Fuzz.r_failures)
+        end;
+        if report.F.Fuzz.r_failures = [] then ok else findings
   in
-  Cmd.v
-    (Cmd.info "fuzz"
-       ~doc:
-         "Differential fuzzing: random DSL programs cross-checked against \
-          the executor (symbolic + numeric), differential compilation \
-          (fusion on/off, instances k/1), the static analyses, the \
-          chunk-provenance verifier (static verdict must equal the \
-          executor's), the perfcheck lower bound and XML round-tripping. \
-          Failing cases are shrunk and written as replayable seed files. \
-          Exit 1 on failures, 2 on unusable input.")
+  command "fuzz"
+    ~doc:
+      "Differential fuzzing: random DSL programs cross-checked against the \
+       executor (symbolic + numeric), differential compilation (fusion \
+       on/off, instances k/1), the static analyses, the chunk-provenance \
+       verifier (static verdict must equal the executor's), the perfcheck \
+       lower bound and XML round-tripping. Failing cases are shrunk and \
+       written as replayable seed files. Exit 1 on failures, 2 on unusable \
+       input."
     Term.(
       const run $ seed_arg $ cases_arg $ oracle_arg $ json_arg $ out_dir_arg
       $ replay_arg $ mutate_arg $ corpus_arg $ mangles_arg $ jobs_arg)
@@ -1063,68 +981,53 @@ let chaos_cmd =
     let doc = "Also write the JSON report to this file." in
     Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc)
   in
-  let parse_severities s =
-    let parts = String.split_on_char ',' s in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | p :: rest -> (
-          match float_of_string_opt (String.trim p) with
-          | Some v when v >= 0. && v <= 1. -> go (v :: acc) rest
-          | _ -> Error (Printf.sprintf "bad severity %S (want 0..1)" p))
-    in
-    go [] parts
+  let severity s =
+    match float_of_string_opt (String.trim s) with
+    | Some v when v >= 0. && v <= 1. -> v
+    | _ -> unusable_input "bad severity %S (want 0..1)" s
   in
-  let run quick json seed severities algos topology out size jobs =
+  let run quick json seed severities algos topology out size jobs () =
     let campaign =
       if quick then H.Chaos.quick ?jobs ()
       else
-        match Option.map parse_severities severities with
-        | Some (Error m) -> Error m
-        | Some (Ok sevs) ->
-            H.Chaos.run ?jobs
-              ?algos:(if algos = [] then None else Some algos)
-              ~severities:sevs ~seed ~size_bytes:size ~topology ()
-        | None ->
-            H.Chaos.run ?jobs
-              ?algos:(if algos = [] then None else Some algos)
-              ~seed ~size_bytes:size ~topology ()
+        H.Chaos.run ?jobs
+          ?algos:(if algos = [] then None else Some algos)
+          ?severities:
+            (Option.map
+               (fun s -> List.map severity (String.split_on_char ',' s))
+               severities)
+          ~seed ~size_bytes:size ~topology ()
     in
-    match campaign with
-    | Error m ->
-        prerr_endline m;
-        input_error
-    | Ok entries ->
-        let report = H.Chaos.to_json ~seed entries in
-        Option.iter
-          (fun file ->
-            let oc = open_out file in
-            output_string oc report;
-            output_char oc '\n';
-            close_out oc)
-          out;
-        if json then print_endline report
-        else Format.printf "%a" H.Chaos.pp entries;
-        let bad = H.Chaos.unexpected_hangs entries in
-        if bad <> [] then begin
-          List.iter
-            (fun (e : H.Chaos.entry) ->
-              Printf.eprintf
-                "unexpected hang: %s at severity %g (benign plan)\n"
-                e.H.Chaos.x_algo e.H.Chaos.x_severity)
-            bad;
-          finding_error
-        end
-        else ok
+    let entries =
+      match campaign with Ok e -> e | Error m -> raise (Unusable m)
+    in
+    let report = H.Chaos.to_json ~seed entries in
+    Option.iter
+      (fun file ->
+        let oc = open_out file in
+        output_string oc report;
+        output_char oc '\n';
+        close_out oc)
+      out;
+    if json then print_endline report
+    else Format.printf "%a" H.Chaos.pp entries;
+    match H.Chaos.unexpected_hangs entries with
+    | [] -> ok
+    | bad ->
+        List.iter
+          (fun (e : H.Chaos.entry) ->
+            Printf.eprintf "unexpected hang: %s at severity %g (benign plan)\n"
+              e.H.Chaos.x_algo e.H.Chaos.x_severity)
+          bad;
+        findings
   in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Fault-sweep campaigns over the registry: each algorithm is \
-          simulated under deterministic link-degradation plans of \
-          increasing severity and reports its completion-time degradation \
-          or the watchdog's hang diagnosis. Output is byte-identical for \
-          any $(b,--jobs). Exit 1 when a benign (severity < 1) plan \
-          hangs, 2 on unusable input.")
+  command "chaos"
+    ~doc:
+      "Fault-sweep campaigns over the registry: each algorithm is simulated \
+       under deterministic link-degradation plans of increasing severity \
+       and reports its completion-time degradation or the watchdog's hang \
+       diagnosis. Output is byte-identical for any $(b,--jobs). Exit 1 \
+       when a benign (severity < 1) plan hangs, 2 on unusable input."
     Term.(
       const run $ quick_arg $ json_arg $ seed_arg $ severities_arg
       $ algos_arg $ topology_arg $ out_arg $ size_arg $ jobs_arg)
@@ -1134,30 +1037,25 @@ let figures_cmd =
     let doc = "Figure ids to regenerate (default: all)." in
     Arg.(value & pos_all string [] & info [] ~docv:"FIG" ~doc)
   in
-  let run which =
+  let run which () =
     let known = H.Figures.all @ H.Ablations.all in
     let selected =
       match which with
       | [] -> H.Figures.all
       | ids -> List.filter (fun (id, _) -> List.mem id ids) known
     in
-    if selected = [] then begin
-      Printf.eprintf "no matching figures; known: %s\n"
+    if selected = [] then
+      unusable_input "no matching figures; known: %s"
         (String.concat " " (List.map fst known));
-      user_error
-    end
-    else begin
-      List.iter
-        (fun (_, f) ->
-          let fig = f () in
-          H.Report.print Format.std_formatter fig;
-          print_string (H.Report.summarize fig))
-        selected;
-      ok
-    end
+    List.iter
+      (fun (_, f) ->
+        let fig = f () in
+        H.Report.print Format.std_formatter fig;
+        print_string (H.Report.summarize fig))
+      selected;
+    ok
   in
-  Cmd.v
-    (Cmd.info "figures" ~doc:"Regenerate the paper's evaluation figures")
+  command "figures" ~doc:"Regenerate the paper's evaluation figures"
     Term.(const run $ which_arg)
 
 let main =

@@ -36,7 +36,7 @@ let () =
   Printf.printf "numeric check (2x4 GPUs): %s\n\n" (if !ok then "OK" else "WRONG");
 
   (* Performance vs the naive point-to-point baseline. *)
-  let cuda = B.Cuda_p2p_next.time topo in
+  let cuda = B.Nccl_model.send_next topo in
   let variants =
     List.map
       (fun r ->

@@ -14,6 +14,7 @@ type kind =
   | Overwritten_before_read of { overwriter : site }
   | Uninitialized_read of Loc.t
   | Out_of_bounds of Loc.t
+  | Missing_operand of string
   | Deadlock of string
   | Connection_mismatch of {
       src : int;
@@ -44,6 +45,7 @@ let kind_name = function
   | Overwritten_before_read _ -> "overwritten-before-read"
   | Uninitialized_read _ -> "uninitialized-read"
   | Out_of_bounds _ -> "out-of-bounds"
+  | Missing_operand _ -> "missing-operand"
   | Deadlock _ -> "deadlock"
   | Connection_mismatch _ -> "conn-mismatch"
   | Undelivered_messages _ -> "undelivered"
@@ -82,6 +84,10 @@ let pp_diag fmt d =
   | Out_of_bounds l ->
       Format.fprintf fmt "%a: access past the end of the buffer at %a"
         pp_opt_site d.dg_site Loc.pp l
+  | Missing_operand what -> (
+      match d.dg_site with
+      | Some s -> Format.fprintf fmt "%a: has no %s operand" pp_site s what
+      | None -> Format.fprintf fmt "%a: a step has no %s operand" loc () what)
   | Deadlock msg -> Format.fprintf fmt "deadlock: %s" msg
   | Connection_mismatch { src; dst; chan; sends; recvs } ->
       Format.fprintf fmt "connection %d->%d ch%d: %d send(s) vs %d receive(s)"
@@ -493,7 +499,7 @@ type engine = {
   e_n_nodes : int;
   mutable e_executed : int;
   mutable e_diags : diag list; (* reversed *)
-  e_seen : (int, unit) Hashtbl.t; (* dedup uninit/oob per node *)
+  e_seen : (int, unit) Hashtbl.t; (* dedup uninit/oob/operand per node *)
   e_events : events option;
 }
 
@@ -713,6 +719,24 @@ let write_span eng ~nid (l : Loc.t) vals =
       end)
     vals
 
+(* A step without the operand its opcode uses (ingestion accepts an rcs
+   with no destination) is reported once, where the executor raises; the
+   caller reads Poison for it and drops the write, so the FIFOs stay
+   balanced. *)
+let missing_operand eng ~nid ~rank what =
+  let key = nid + (2 * eng.e_n_nodes) in
+  if not (Hashtbl.mem eng.e_seen key) then begin
+    Hashtbl.add eng.e_seen key ();
+    add_diag eng
+      {
+        dg_kind = Missing_operand what;
+        dg_rank = rank;
+        dg_loc = None;
+        dg_site = opt_site eng nid;
+        dg_members = 1;
+      }
+  end
+
 (* ------------------------------------------------------------------ *)
 (* The round-robin abstract scheduler                                  *)
 (* ------------------------------------------------------------------ *)
@@ -748,8 +772,6 @@ let try_step eng comm (g : Ir.gpu) (tb : Ir.tb) =
     if deps_ok && recv_ok && send_ok then begin
       let nid = node_of eng rank tb.Ir.tb_id done_steps in
       let srcs = ref [] in
-      let rd l = read_span eng ~nid ~srcs l in
-      let wr l vals = write_span eng ~nid l vals in
       let pop () =
         let vals, sender = comm.c_pop g tb in
         (match eng.e_events with
@@ -759,24 +781,34 @@ let try_step eng comm (g : Ir.gpu) (tb : Ir.tb) =
       in
       let push vals = comm.c_push g tb ~nid vals in
       let red = pv_reduce ~nbytes:eng.e_nbytes ~stride:eng.e_stride in
-      let src () = Option.get step.Ir.src in
-      let dst () = Option.get step.Ir.dst in
+      let read what = function
+        | Some l -> read_span eng ~nid ~srcs l
+        | None ->
+            missing_operand eng ~nid ~rank what;
+            Array.make step.Ir.count Poison
+      in
+      let src () = read "source" step.Ir.src in
+      let wr_dst vals =
+        match step.Ir.dst with
+        | Some l -> write_span eng ~nid l vals
+        | None -> missing_operand eng ~nid ~rank "destination"
+      in
       (match step.Ir.op with
       | Instr.Nop -> ()
-      | Instr.Send -> push (rd (src ()))
-      | Instr.Recv -> wr (dst ()) (pop ())
-      | Instr.Copy -> wr (dst ()) (rd (src ()))
-      | Instr.Reduce -> wr (dst ()) (Array.map2 red (rd (dst ())) (rd (src ())))
-      | Instr.Recv_reduce_copy ->
-          wr (dst ()) (Array.map2 red (rd (src ())) (pop ()))
+      | Instr.Send -> push (src ())
+      | Instr.Recv -> wr_dst (pop ())
+      | Instr.Copy -> wr_dst (src ())
+      | Instr.Reduce ->
+          wr_dst (Array.map2 red (read "destination" step.Ir.dst) (src ()))
+      | Instr.Recv_reduce_copy -> wr_dst (Array.map2 red (src ()) (pop ()))
       | Instr.Recv_copy_send ->
           let msg = pop () in
-          wr (dst ()) msg;
+          wr_dst msg;
           push msg
-      | Instr.Recv_reduce_send -> push (Array.map2 red (rd (src ())) (pop ()))
+      | Instr.Recv_reduce_send -> push (Array.map2 red (src ()) (pop ()))
       | Instr.Recv_reduce_copy_send ->
-          let res = Array.map2 red (rd (src ())) (pop ()) in
-          wr (dst ()) res;
+          let res = Array.map2 red (src ()) (pop ()) in
+          wr_dst res;
           push res);
       (match eng.e_events with
       | Some ev -> ev.ev_srcs.(nid) <- !srcs

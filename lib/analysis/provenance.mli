@@ -68,6 +68,9 @@ type kind =
   | Out_of_bounds of Loc.t
       (** An access past the declared buffer size (kept for parity with
           executor errors on malformed IR). *)
+  | Missing_operand of string
+      (** The step has no ["source"] or ["destination"] operand although
+          its opcode uses one; the executor raises here. *)
   | Deadlock of string
       (** No thread block can make progress under FIFO semantics. *)
   | Connection_mismatch of {

@@ -511,20 +511,6 @@ let report t =
     t.s_rejected;
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let report_json t =
   let b = Buffer.create 256 in
   Buffer.add_string b
@@ -534,7 +520,7 @@ let report_json t =
   Buffer.add_string b
     (String.concat ","
        (List.map
-          (fun g -> Printf.sprintf "\"%s\"" (json_escape g.g_name))
+          (fun g -> Printf.sprintf "\"%s\"" (Lint.json_escape g.g_name))
           t.s_generators));
   Buffer.add_string b "],\"orbits\":[";
   Buffer.add_string b
@@ -551,7 +537,7 @@ let report_json t =
     (String.concat ","
        (List.map
           (fun v ->
-            Printf.sprintf "\"%s\"" (json_escape (violation_message v)))
+            Printf.sprintf "\"%s\"" (Lint.json_escape (violation_message v)))
           t.s_rejected));
   Buffer.add_string b "]}";
   Buffer.contents b

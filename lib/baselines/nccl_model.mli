@@ -44,4 +44,6 @@ val alltoall : Msccl_topology.Topology.t -> sized_time
 
 val send_next : Msccl_topology.Topology.t -> sized_time
 (** Every rank sends its whole buffer to rank+1 with one NCCL send/recv
-    pair — the naive AllToNext of §7.4. *)
+    pair — the naive, hand-written CUDA P2P AllToNext baseline of §7.4
+    (one connection, one thread block, and a single InfiniBand NIC at
+    node boundaries). *)

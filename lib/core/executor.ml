@@ -85,6 +85,13 @@ module Make (V : VALUE) = struct
         (Buffer_id.long_name l.Loc.buf) l.Loc.rank;
     Array.iteri (fun k v -> arr.(l.Loc.index + k) <- Some (V.copy v)) vals
 
+  (* Ingestion accepts a step without the operand its opcode uses (an rcs
+     with no destination); that is an execution error at the step, like a
+     read past the end. *)
+  let operand ~ctx what = function
+    | Some l -> l
+    | None -> error "%s: no %s operand" ctx what
+
   let run ?slots ?on_deliver ?on_write ~init (ir : Ir.t) =
     let slots =
       match slots with
@@ -206,8 +213,8 @@ module Make (V : VALUE) = struct
             | Some f -> f ~writer:(rank, tb.Ir.tb_id, done_steps) ~loc:l
             | None -> ()
           in
-          let src () = Option.get step.Ir.src in
-          let dst () = Option.get step.Ir.dst in
+          let src () = operand ~ctx "source" step.Ir.src in
+          let dst () = operand ~ctx "destination" step.Ir.dst in
           (match step.Ir.op with
           | Instr.Nop -> ()
           | Instr.Send -> push (rd (src ()))

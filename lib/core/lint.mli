@@ -138,8 +138,9 @@ val pp : Format.formatter -> diagnostic list -> unit
 (** All diagnostics, one per line, plus a summary line. *)
 
 val json_escape : string -> string
-(** Escapes a string for embedding in a JSON literal (shared by
-    {!to_json} and other report emitters). *)
+(** Escapes a string for embedding in a JSON literal. The repo's one
+    copy: {!to_json}, the ingest diagnostics and every other report
+    emitter use it. *)
 
 val to_json : diagnostic list -> string
 (** Machine-readable form: a JSON array of objects with [rule],

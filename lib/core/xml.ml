@@ -5,13 +5,12 @@
    carrying the message, the file label, the position and the stack of
    open elements rendered "<tag> at FILE:LINE:COL" — the ingestion layer
    (lib/interop) and the golden bad-XML corpus depend on those positions
-   being exact. *)
+   being exact. Decoding a tree back into an [Ir.t] is the ingestion
+   layer's job; this module only parses and prints. *)
 
 type pos = { line : int; col : int }
 
 let no_pos = { line = 0; col = 0 }
-
-let pp_pos fmt p = Format.fprintf fmt "%d:%d" p.line p.col
 
 type tree = {
   tag : string;
@@ -39,40 +38,6 @@ exception Parse_error of error
 let frame ~file tag p =
   if p = no_pos then Printf.sprintf "<%s>" tag
   else Printf.sprintf "<%s> at %s:%d:%d" tag file p.line p.col
-
-let error_to_string e =
-  let b = Buffer.create 128 in
-  if e.e_pos = no_pos then
-    Buffer.add_string b (Printf.sprintf "%s: %s" e.e_file e.e_message)
-  else
-    Buffer.add_string b
-      (Printf.sprintf "%s:%d:%d: %s" e.e_file e.e_pos.line e.e_pos.col
-         e.e_message);
-  List.iter (fun c -> Buffer.add_string b ("\n  in " ^ c)) e.e_context;
-  Buffer.contents b
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let error_json e =
-  Printf.sprintf
-    "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"message\":\"%s\",\"context\":[%s]}"
-    (json_escape e.e_file) e.e_pos.line e.e_pos.col (json_escape e.e_message)
-    (String.concat ","
-       (List.map (fun c -> "\"" ^ json_escape c ^ "\"") e.e_context))
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
@@ -498,195 +463,11 @@ let to_tree (ir : Ir.t) =
     @ coll_attrs)
     (Array.to_list (Array.map gpu_to_tree ir.Ir.gpus))
 
-(* ------------------------------------------------------------------ *)
-(* tree -> IR (strict: first error wins, but positioned)               *)
-(* ------------------------------------------------------------------ *)
-
-type ctx = { c_file : string; c_parents : tree list (* innermost first *) }
-
-let fail_in ctx p fmt =
-  Format.kasprintf
-    (fun m ->
-      raise
-        (Parse_error
-           {
-             e_message = m;
-             e_file = ctx.c_file;
-             e_pos = p;
-             e_context =
-               List.map
-                 (fun t -> frame ~file:ctx.c_file t.tag t.t_pos)
-                 ctx.c_parents;
-           }))
-    fmt
-
-let fail_t ctx t fmt = fail_in ctx t.t_pos fmt
-
-let push ctx t = { ctx with c_parents = t :: ctx.c_parents }
-
-let attr ctx t k =
-  match List.assoc_opt k t.attrs with
-  | Some v -> v
-  | None -> fail_t ctx t "<%s> is missing the required attribute %s" t.tag k
-
-let int_attr ctx t k =
-  let v = attr ctx t k in
-  match int_of_string_opt v with
-  | Some n -> n
-  | None ->
-      fail_in ctx (attr_pos t k) "<%s> attribute %s: %S is not an integer"
-        t.tag k v
-
-let ids_of_attr ctx t k =
-  attr ctx t k |> String.split_on_char ','
-  |> List.map (fun s ->
-         match int_of_string_opt (String.trim s) with
-         | Some v -> v
-         | None ->
-             fail_in ctx (attr_pos t k)
-               "<%s> attribute %s: bad id list %S" t.tag k (attr ctx t k))
-
-let loc_of_attrs ctx t prefix ~rank ~count =
-  match attr ctx t (prefix ^ "buf") with
-  | "n" -> None
-  | b -> (
-      match Buffer_id.of_name b with
-      | None ->
-          fail_in ctx (attr_pos t (prefix ^ "buf"))
-            "<%s> references unknown buffer %S" t.tag b
-      | Some buf ->
-          let index = int_attr ctx t (prefix ^ "off") in
-          if index < 0 then
-            fail_in ctx (attr_pos t (prefix ^ "off"))
-              "<%s> attribute %soff: negative offset %d" t.tag prefix index;
-          Some (Loc.make ~rank ~buf ~index ~count))
-
-let step_of_tree ctx ~rank t =
-  if t.tag <> "step" then fail_t ctx t "expected <step>, got <%s>" t.tag;
-  let op =
-    match Instr.opcode_of_name (attr ctx t "type") with
-    | Some op -> op
-    | None ->
-        fail_in ctx (attr_pos t "type") "<step> has unknown opcode %S"
-          (attr ctx t "type")
-  in
-  let count = int_attr ctx t "cnt" in
-  if count <= 0 then
-    fail_in ctx (attr_pos t "cnt") "<step> attribute cnt: nonpositive count %d"
-      count;
-  let depends =
-    match (ids_of_attr ctx t "depid", ids_of_attr ctx t "deps") with
-    | [ -1 ], [ -1 ] -> []
-    | tbs, steps when List.length tbs = List.length steps ->
-        List.combine tbs steps
-    | _ -> fail_in ctx (attr_pos t "deps") "<step> depid/deps length mismatch"
-  in
-  {
-    Ir.s = int_attr ctx t "s";
-    op;
-    src = loc_of_attrs ctx t "src" ~rank ~count;
-    dst = loc_of_attrs ctx t "dst" ~rank ~count;
-    count;
-    depends;
-    has_dep = attr ctx t "hasdep" = "1";
-  }
-
-let tb_of_tree ctx ~rank t =
-  if t.tag <> "tb" then fail_t ctx t "expected <tb>, got <%s>" t.tag;
-  {
-    Ir.tb_id = int_attr ctx t "id";
-    send = int_attr ctx t "send";
-    recv = int_attr ctx t "recv";
-    chan = int_attr ctx t "chan";
-    steps =
-      Array.of_list (List.map (step_of_tree (push ctx t) ~rank) t.children);
-  }
-
-let gpu_of_tree ctx t =
-  if t.tag <> "gpu" then fail_t ctx t "expected <gpu>, got <%s>" t.tag;
-  let rank = int_attr ctx t "id" in
-  {
-    Ir.gpu_id = rank;
-    input_chunks = int_attr ctx t "i_chunks";
-    output_chunks = int_attr ctx t "o_chunks";
-    scratch_chunks = int_attr ctx t "s_chunks";
-    tbs = Array.of_list (List.map (tb_of_tree (push ctx t) ~rank) t.children);
-  }
-
-let of_tree ?(file = "<string>") t =
-  let ctx = { c_file = file; c_parents = [] } in
-  if t.tag <> "algo" then fail_t ctx t "expected <algo> root, got <%s>" t.tag;
-  let num_ranks = int_attr ctx t "nranks" in
-  let chunk_factor = int_attr ctx t "chunk_factor" in
-  let inplace = attr ctx t "inplace" = "1" in
-  let kind =
-    match attr ctx t "coll" with
-    | "custom" ->
-        Collective.Custom
-          {
-            Collective.custom_name = attr ctx t "cname";
-            input_chunks = int_attr ctx t "in_chunks";
-            output_chunks = int_attr ctx t "out_chunks";
-            expected = (fun ~rank:_ ~index:_ -> None);
-            initial = None;
-          }
-    | name -> (
-        match Collective.kind_of_name name with
-        | None ->
-            fail_in ctx (attr_pos t "coll") "unknown collective %S" name
-        | Some k -> (
-            let root () = int_attr ctx t "root" in
-            match k with
-            | Collective.Broadcast _ -> Collective.Broadcast (root ())
-            | Collective.Reduce _ -> Collective.Reduce (root ())
-            | Collective.Gather _ -> Collective.Gather (root ())
-            | Collective.Scatter _ -> Collective.Scatter (root ())
-            | Collective.Allreduce | Collective.Allgather
-            | Collective.Reduce_scatter | Collective.Alltoall
-            | Collective.Alltonext | Collective.Custom _ ->
-                k))
-  in
-  let chunk_factor =
-    match kind with Collective.Custom _ -> 1 | _ -> chunk_factor
-  in
-  let proto =
-    match Msccl_topology.Protocol.of_string (attr ctx t "proto") with
-    | Some p -> p
-    | None ->
-        fail_in ctx (attr_pos t "proto") "unknown protocol %S"
-          (attr ctx t "proto")
-  in
-  let collective =
-    try Collective.make kind ~num_ranks ~chunk_factor ~inplace ()
-    with Invalid_argument m -> fail_t ctx t "invalid collective: %s" m
-  in
-  let ir =
-    {
-      Ir.name = attr ctx t "name";
-      collective;
-      proto;
-      gpus = Array.of_list (List.map (gpu_of_tree (push ctx t)) t.children);
-    }
-  in
-  (try Ir.validate ir
-   with Invalid_argument m -> fail_t ctx t "invalid program: %s" m);
-  ir
-
 let to_string ir =
   Format.asprintf "<?xml version=\"1.0\"?>@.%a@." print_tree (to_tree ir)
-
-let of_string ?file s = of_tree ?file (parse_tree ?file s)
 
 let save ir path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string ir))
-
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      of_string ~file:path (really_input_string ic n))

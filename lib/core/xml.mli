@@ -1,12 +1,14 @@
-(** MSCCL-IR XML serialization with position-tracking parsing.
+(** MSCCL-IR XML printing and a position-tracking XML tree parser.
 
     The on-disk format follows the spirit of msccl's algorithm XML files:
     an [<algo>] root with per-GPU [<gpu>] elements containing [<tb>] thread
-    blocks and [<step>] instructions. Writing then parsing an IR yields a
-    structurally identical IR, with one caveat: a [Custom] collective's
-    postcondition is a function and cannot round-trip, so parsed custom
-    collectives get a vacuous postcondition (shape-only) — built-in
-    collectives round-trip exactly.
+    blocks and [<step>] instructions. This module prints an IR and parses
+    XML text into a {!tree}; the one XML→IR decoder is
+    [Msccl_interop.Ingest], which reads {!to_string}'s output back with no
+    diagnostics into an IR satisfying [Ir.equal], with one caveat: a
+    [Custom] collective's postcondition is a function and cannot
+    round-trip, so decoded custom collectives get a vacuous postcondition
+    (shape-only) — built-in collectives round-trip exactly.
 
     The parser is the repo's hostile-input boundary: every element and
     attribute carries its 1-based [line:col] source position, and every
@@ -18,16 +20,13 @@
     duplicate attributes are rejected with their source position.
 
     A small generic XML subset (elements, attributes, comments, no text
-    nodes) is exposed for reuse; the tolerant, diagnostics-collecting
-    decoder for third-party msccl-tools files lives in
-    [Msccl_interop.Ingest] on top of {!parse_tree}. *)
+    nodes) is exposed for reuse; [Msccl_interop.Ingest] decodes it,
+    collecting every diagnostic, on top of {!parse_tree}. *)
 
 type pos = { line : int; col : int }
 (** 1-based source position. {!no_pos} ([0:0]) marks synthesized nodes. *)
 
 val no_pos : pos
-
-val pp_pos : Format.formatter -> pos -> unit
 
 type tree = {
   tag : string;
@@ -54,17 +53,8 @@ type error = {
 
 exception Parse_error of error
 
-val error_to_string : error -> string
-(** ["FILE:LINE:COL: message"] followed by one ["  in <tag> at ..."] line
-    per context frame. *)
-
-val error_json : error -> string
-(** One JSON object: [{"file", "line", "col", "message", "context"}]. *)
-
 val frame : file:string -> string -> pos -> string
 (** ["<tag> at file:line:col"] (or ["<tag>"] at {!no_pos}). *)
-
-val json_escape : string -> string
 
 val parse_tree : ?file:string -> string -> tree
 (** Parses one element (after an optional BOM, declaration and comments)
@@ -83,19 +73,8 @@ val unescape : string -> string
 
 val to_tree : Ir.t -> tree
 
-val of_tree : ?file:string -> tree -> Ir.t
-(** Strict decoding of the repo's own dialect: raises {!Parse_error} on
-    missing/ill-typed attributes, positioned at the offending element or
-    attribute with the ancestor context; the result is validated with
-    {!Ir.validate} (violations are re-raised as positioned
-    {!Parse_error}s). *)
-
 val to_string : Ir.t -> string
-
-val of_string : ?file:string -> string -> Ir.t
 
 val save : Ir.t -> string -> unit
 (** [save ir path] writes the XML file. *)
 
-val load : string -> Ir.t
-(** Raises {!Parse_error} with [e_file = path] on malformed input. *)

@@ -520,15 +520,24 @@ let check_sym_compile (c : Case.t) =
 (* ------------------------------------------------------------------ *)
 
 let check_roundtrip (ir : Ir.t) =
+  let module I = Msccl_interop.Ingest in
   let s1 = Xml.to_string ir in
-  let ir2 = Xml.of_string s1 in
-  if not (Ir.equal ir ir2) then
-    fail Roundtrip "parsed IR differs from the printed one"
-  else
-    let s2 = Xml.to_string ir2 in
-    if not (String.equal s1 s2) then
-      fail Roundtrip "second print differs from the first"
-    else Ok ()
+  match I.of_string ~file:"<printed>" s1 with
+  | Error ds ->
+      fail Roundtrip "printed IR was rejected: %s"
+        (match I.errors ds with
+        | d :: _ -> I.diag_to_string d
+        | [] -> "(no diagnostics)")
+  | Ok (_, d :: _) ->
+      fail Roundtrip "printed IR drew a diagnostic: %s" (I.diag_to_string d)
+  | Ok (ir2, []) ->
+      if not (Ir.equal ir ir2) then
+        fail Roundtrip "parsed IR differs from the printed one"
+      else
+        let s2 = Xml.to_string ir2 in
+        if not (String.equal s1 s2) then
+          fail Roundtrip "second print differs from the first"
+        else Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* Ingest: external-dialect ingestion is total and structured          *)
@@ -617,7 +626,6 @@ let run ?(mutate = Fun.id) ?(oracles = all) (c : Case.t) =
     try f () with
     | Executor.Exec_error m -> fail oracle "executor: %s" m
     | Program.Trace_error m -> fail oracle "trace: %s" m
-    | Xml.Parse_error e -> fail oracle "xml: %s" (Xml.error_to_string e)
     | Simulator.Sim_error m -> fail oracle "simulator: %s" m
     | Simulator.Hang h -> fail oracle "hang: %s" (Simulator.hang_message h)
     | Instances.Replication_error m -> fail oracle "replication: %s" m

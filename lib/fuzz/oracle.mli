@@ -35,8 +35,9 @@ type id =
       (** The simulated completion time can never beat the
           {!Msccl_core.Perfcheck} α–β–γ lower-bound certificate. *)
   | Roundtrip
-      (** [Ir -> Xml -> Ir] is lossless ({!Msccl_core.Ir.equal}) and the
-          second print is byte-identical. *)
+      (** [Ir -> Xml -> Ir] through {!Msccl_interop.Ingest} draws no
+          diagnostic, is lossless ({!Msccl_core.Ir.equal}) and the second
+          print is byte-identical. *)
   | Chaos
       (** A benign (timing-only) fault plan drawn from the case's seed
           must leave the simulation able to complete, must not make it

@@ -166,7 +166,7 @@ let fig8f () =
 let alltonext_fig ~fig_id ~title ~topo ~rs ~sizes () =
   let nodes = T.Topology.num_nodes topo in
   let g = T.Topology.gpus_per_node topo in
-  let cuda = B.Cuda_p2p_next.time topo in
+  let cuda = B.Nccl_model.send_next topo in
   let baseline = List.map (fun buffer_bytes -> cuda ~buffer_bytes) sizes in
   let variant r =
     let ir =

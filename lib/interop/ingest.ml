@@ -36,11 +36,11 @@ let diags_json ds =
     Printf.sprintf
       "{\"severity\":\"%s\",\"rule\":\"%s\",\"message\":\"%s\",\"file\":\"%s\",\
        \"line\":%d,\"col\":%d,\"context\":[%s]}"
-      (sev_name d.d_severity) (Xml.json_escape d.d_rule)
-      (Xml.json_escape d.d_message) (Xml.json_escape d.d_file)
+      (sev_name d.d_severity) (Lint.json_escape d.d_rule)
+      (Lint.json_escape d.d_message) (Lint.json_escape d.d_file)
       d.d_pos.Xml.line d.d_pos.Xml.col
       (String.concat ","
-         (List.map (fun c -> "\"" ^ Xml.json_escape c ^ "\"") d.d_context))
+         (List.map (fun c -> "\"" ^ Lint.json_escape c ^ "\"") d.d_context))
   in
   "[" ^ String.concat "," (List.map one ds) ^ "]"
 

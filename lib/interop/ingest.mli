@@ -1,12 +1,14 @@
-(** Tolerant, diagnostics-collecting ingestion of external MSCCL XML.
+(** Tolerant, diagnostics-collecting ingestion of MSCCL XML: the repo's
+    one XML→IR decoder.
 
-    {!Msccl_core.Xml.of_tree} is the strict decoder for the repo's own
-    dialect: first error wins. Real MSCCL programs come from the
-    msccl-tools/TACCL toolchain in a dialect with extra attributes
-    ([ngpus], [nchunksperloop], [nchannels], [outofplace], long opcode and
-    buffer names...) and no ordering guarantees, and a production service
-    must treat such files as untrusted input. This module is that
-    boundary: a schema-validated decoder that
+    {!Msccl_core.Xml} only parses trees and prints IR. Every reader of
+    MSCCL-IR — the CLI, the fuzz oracles, the tests — decodes through
+    this module. Real MSCCL programs come from the msccl-tools/TACCL
+    toolchain in a dialect with extra attributes ([ngpus],
+    [nchunksperloop], [nchannels], [outofplace], long opcode and buffer
+    names...) and no ordering guarantees, and a production service must
+    treat such files as untrusted input. This module is that boundary: a
+    schema-validated decoder that
 
     - tolerates unknown attributes and unknown elements (warning
       diagnostics, never failures),
@@ -25,7 +27,11 @@
 
     {!of_string} never raises on any input, hostile or otherwise: every
     rejection is a structured diagnostic (the [ingest] fuzz oracle holds
-    it to that over seeded {!Mangle} corruptions). *)
+    it to that over seeded {!Mangle} corruptions).
+
+    Strict decoding is a pattern, not a mode: the repo's own
+    {!Msccl_core.Xml.to_string} output must come back as [Ok (ir, [])] —
+    no warning — with [ir] {!Msccl_core.Ir.equal} to the printed IR. *)
 
 open Msccl_core
 

@@ -76,7 +76,7 @@ let test_cuda_two_step_slower_than_mscclang () =
 let test_alltonext_story () =
   (* §7.4: naive loses at large sizes, wins at tiny ones. *)
   let topo = T.Presets.ndv4 ~nodes:2 in
-  let cuda = B.Cuda_p2p_next.time topo in
+  let cuda = B.Nccl_model.send_next topo in
   let fancy =
     A.Alltonext.ir ~proto:T.Protocol.Simple ~instances:8 ~verify:false
       ~nodes:2 ~gpus_per_node:8 ()

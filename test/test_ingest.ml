@@ -88,10 +88,9 @@ let test_dialect_corpus () =
       | Error ds ->
           Alcotest.failf "%s rejected:\n%s" f (I.diags_to_string ds)
       | Ok (ir, _) ->
-          (* the certified IR is also accepted by the strict decoder's
-             printer pipeline *)
-          let doc = Xml.to_string ir in
-          let ir2 = Xml.of_string doc in
+          (* the certified IR reprints as a document that ingests with no
+             diagnostics *)
+          let ir2 = Testutil.reingest ~file:path (Xml.to_string ir) in
           Alcotest.(check bool)
             (f ^ " round-trips") true (Testutil.ir_equal ir ir2))
     files
@@ -327,6 +326,33 @@ let test_hostility_sweep () =
   Alcotest.(check bool) "some corruptions accepted" true (!accepted > 20);
   Alcotest.(check bool) "some corruptions rejected" true (!rejected > 100)
 
+(* Ingest accepts a step that lacks the operand its opcode uses (this
+   mangle strips an rcs destination). Both verifiers must return a
+   verdict for it, and agree, rather than raise. *)
+let test_operandless_mangle_verdicts () =
+  let doc = Xml.to_string (A.Ring_allreduce.ir ~num_ranks:32 ()) in
+  let mangled, what = M.mangle ~seed:1 ~index:24 doc in
+  match I.of_string ~file:"mangled.xml" mangled with
+  | Error ds ->
+      Alcotest.failf "mangle (%s) rejected:\n%s" what (I.diags_to_string ds)
+  | Ok (ir, _) ->
+      (match Verify.check ir with
+      | Ok () -> Alcotest.failf "mangle (%s) verified" what
+      | Error m ->
+          Alcotest.(check bool)
+            ("executor error names the operand: " ^ m)
+            true
+            (contains m "operand"));
+      let r = Msccl_analysis.Provenance.analyze ir in
+      Alcotest.(check bool)
+        "provenance reports the missing operand" true
+        (List.exists
+           (fun d ->
+             match d.Msccl_analysis.Provenance.dg_kind with
+             | Msccl_analysis.Provenance.Missing_operand _ -> true
+             | _ -> false)
+           r.Msccl_analysis.Provenance.r_diags)
+
 let () =
   Alcotest.run "ingest"
     [
@@ -352,5 +378,9 @@ let () =
             test_duplicate_attribute_positions;
         ] );
       ( "hostile",
-        [ Testutil.tc "520-case mangle sweep" test_hostility_sweep ] );
+        [
+          Testutil.tc "520-case mangle sweep" test_hostility_sweep;
+          Testutil.tc "operand-less step gets verdicts"
+            test_operandless_mangle_verdicts;
+        ] );
     ]

@@ -7,7 +7,7 @@ module A = Msccl_algorithms
 let roundtrip name ir =
   Testutil.tc name (fun () ->
       let s = Xml.to_string ir in
-      let back = Xml.of_string s in
+      let back = Testutil.reingest s in
       Alcotest.(check bool) "round-trips" true (Testutil.ir_equal ir back);
       (* and printing again yields the same document *)
       Alcotest.(check string) "stable print" s (Xml.to_string back))
@@ -137,8 +137,13 @@ let test_file_io () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Xml.save ir path;
-      let back = Xml.load path in
-      Alcotest.(check bool) "file round-trip" true (Testutil.ir_equal ir back))
+      match Msccl_interop.Ingest.load path with
+      | Ok (back, []) ->
+          Alcotest.(check bool) "file round-trip" true
+            (Testutil.ir_equal ir back)
+      | Ok (_, ds) | Error ds ->
+          Alcotest.failf "saved file does not ingest cleanly:\n%s"
+            (Msccl_interop.Ingest.diags_to_string ds))
 
 (* Registry-wide round-trip: every algorithm the registry can build, in
    several configurations (including instances=2, whose blocked
@@ -177,10 +182,9 @@ let test_registry_roundtrip () =
               incr built;
               let s = Xml.to_string ir in
               let back =
-                try Xml.of_string s
-                with Xml.Parse_error e ->
-                  Alcotest.failf "%s (%s): does not parse back: %s"
-                    spec.H.Registry.name label (Xml.error_to_string e)
+                Testutil.reingest
+                  ~file:(Printf.sprintf "%s (%s)" spec.H.Registry.name label)
+                  s
               in
               if not (Ir.equal ir back) then
                 Alcotest.failf "%s (%s): round-trip changed the IR"

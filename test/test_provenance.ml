@@ -294,6 +294,32 @@ let test_uninitialized_read_static () =
     "uninitialized-read lint emitted" true
     (List.exists (fun d -> d.Lint.d_rule = "uninitialized-read") lints)
 
+let test_missing_operand_static () =
+  (* The executor raises on an rcs with no destination; the static pass
+     reports it at that step instead, so the two verdicts still agree. *)
+  let ir, tb, step =
+    Testutil.strip_first_dst Instr.Recv_copy_send
+      (Msccl_algorithms.Ring_allreduce.ir ~num_ranks:4 ())
+  in
+  (match Verify.check_postcondition ir with
+  | exception Executor.Exec_error _ -> ()
+  | _ -> Alcotest.fail "expected an executor error");
+  let r = A.Provenance.analyze ir in
+  let located =
+    List.exists
+      (fun d ->
+        match (d.A.Provenance.dg_kind, d.A.Provenance.dg_site) with
+        | A.Provenance.Missing_operand "destination", Some s ->
+            s.A.Provenance.p_rank = 0 && s.A.Provenance.p_tb = tb
+            && s.A.Provenance.p_step = step
+        | _ -> false)
+      r.A.Provenance.r_diags
+  in
+  Alcotest.(check bool) "missing destination located" true located;
+  Alcotest.(check bool)
+    "check agrees" true
+    (Result.is_error (A.Provenance.check ir))
+
 (* ------------------------------------------------------------------ *)
 (* Dataflow lints                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -524,6 +550,7 @@ let () =
           Testutil.tc "never written" test_never_written_classified;
           Testutil.tc "overwritten before read" test_overwrite_classified;
           Testutil.tc "uninitialized read" test_uninitialized_read_static;
+          Testutil.tc "missing operand" test_missing_operand_static;
         ] );
       ( "lints",
         [

@@ -99,6 +99,25 @@ let test_dont_care_positions () =
   in
   Testutil.check_verified "don't care" ir
 
+let test_rejects_missing_operand () =
+  (* An rcs with no destination is structurally valid but cannot run:
+     the verdict is an error naming the step, not an exception. *)
+  let ir, tb, step =
+    Testutil.strip_first_dst Instr.Recv_copy_send
+      (A.Ring_allreduce.ir ~num_ranks:4 ())
+  in
+  Ir.validate ir;
+  match Verify.check ir with
+  | Ok () -> Alcotest.fail "step without a destination accepted"
+  | Error m ->
+      Alcotest.(check string)
+        "message"
+        (Printf.sprintf
+           "symbolic execution failed: rank 0 tb %d step %d (rcs): no \
+            destination operand"
+           tb step)
+        m
+
 let test_deadlock_free_ok () =
   List.iter
     (fun ir ->
@@ -132,5 +151,6 @@ let () =
           Testutil.tc "wrong root" test_rejects_wrong_root;
           Testutil.tc "double counting" test_rejects_double_count;
           Testutil.tc "incomplete" test_rejects_incomplete;
+          Testutil.tc "missing operand" test_rejects_missing_operand;
         ] );
     ]

@@ -36,6 +36,44 @@ let check_numeric ?(elems = 3) ?(seed = 11) name ir =
       out
   done
 
+(* Strict decoding is ingestion that draws no diagnostic at all: the
+   repo's own printer output must decode this way. *)
+let reingest ?(file = "<string>") doc =
+  let module I = Msccl_interop.Ingest in
+  match I.of_string ~file doc with
+  | Ok (ir, []) -> ir
+  | Ok (_, ds) | Error ds ->
+      Alcotest.failf "%s does not ingest cleanly:\n%s" file
+        (I.diags_to_string ds)
+
+(* [ir] with the first [op] step of rank 0 stripped of its destination:
+   a program Ingest accepts but no runtime can execute. Returns the
+   stripped step's (tb, step) coordinates too. *)
+let strip_first_dst op (ir : Ir.t) =
+  let g = ir.Ir.gpus.(0) in
+  let tb, step =
+    let rec find t =
+      if t >= Array.length g.Ir.tbs then
+        Alcotest.failf "no %s step on rank 0" (Instr.opcode_name op)
+      else
+        let steps = g.Ir.tbs.(t).Ir.steps in
+        let rec go i =
+          if i >= Array.length steps then find (t + 1)
+          else if steps.(i).Ir.op = op then (t, i)
+          else go (i + 1)
+        in
+        go 0
+    in
+    find 0
+  in
+  let tbs = Array.copy g.Ir.tbs in
+  let steps = Array.copy tbs.(tb).Ir.steps in
+  steps.(step) <- { (steps.(step)) with Ir.dst = None };
+  tbs.(tb) <- { (tbs.(tb)) with Ir.steps };
+  let gpus = Array.copy ir.Ir.gpus in
+  gpus.(0) <- { g with Ir.tbs };
+  ({ ir with Ir.gpus }, tb, step)
+
 (* Structural IR equality (ignores the collective's closures). *)
 let ir_equal (a : Ir.t) (b : Ir.t) =
   let step_eq (x : Ir.step) (y : Ir.step) =
