@@ -258,7 +258,7 @@ let scale_point ?sym sp_algo sp_ranks build =
   let inferred = Msccl_analysis.Symmetry.infer ir in
   let t5 = wall () in
   let orbit = inferred.Msccl_analysis.Symmetry.s_orbit in
-  let qraces = Races.find_quotient ~orbit ir in
+  let qraces = Races.find ~orbit ir in
   let t6 = wall () in
   if qraces <> races then
     failwith (sp_algo ^ ": quotient races diverge from the full pass");
@@ -524,7 +524,7 @@ let quotient_registry_gate () =
       | ir ->
           let s = Msccl_analysis.Symmetry.infer ir in
           let orbit = s.Msccl_analysis.Symmetry.s_orbit in
-          if Races.find_quotient ~orbit ir <> Races.find ir then
+          if Races.find ~orbit ir <> Races.find ir then
             failwith
               (spec.H.Registry.name
              ^ ": quotient races diverge from the full pass");

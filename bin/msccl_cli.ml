@@ -547,10 +547,10 @@ let analyze_cmd =
   let hb_stats_json (st : Hbgraph.stats) =
     Printf.sprintf
       "{\"nodes\":%d,\"edges\":%d,\"small_closure\":%b,\"queries\":%d,\
-       \"orbit_hits\":%d,\"pos_cutoffs\":%d,\"local_hits\":%d,\
+       \"pos_cutoffs\":%d,\"local_hits\":%d,\
        \"local_builds\":%d,\"row_hits\":%d,\"rows_built\":%d,\"dfs\":%d}"
       st.Hbgraph.st_nodes st.Hbgraph.st_edges st.Hbgraph.st_small_closure
-      st.Hbgraph.st_queries st.Hbgraph.st_orbit_hits st.Hbgraph.st_pos_cutoffs
+      st.Hbgraph.st_queries st.Hbgraph.st_pos_cutoffs
       st.Hbgraph.st_local_hits st.Hbgraph.st_local_builds
       st.Hbgraph.st_row_hits st.Hbgraph.st_rows_built st.Hbgraph.st_dfs
   in
@@ -563,17 +563,15 @@ let analyze_cmd =
       if symmetry then Some (Msccl_analysis.Symmetry.infer ir) else None
     in
     if json then begin
-      (* Drive the race pass explicitly so the happens-before stats (and,
-         under --symmetry, the quotient counters) are real. *)
+      (* Drive the race pass explicitly so the happens-before stats are
+         real; under --symmetry it sweeps one representative per orbit. *)
       let hb =
         Hbgraph.build ~fifo_slots:(T.Protocol.num_slots ir.Ir.proto) ir
       in
       let races =
         match sym with
         | Some s when Msccl_analysis.Symmetry.certified s ->
-            let orbit = s.Msccl_analysis.Symmetry.s_orbit in
-            Hbgraph.set_orbit hb orbit;
-            Races.find_quotient ~hb ~orbit ir
+            Races.find ~hb ~orbit:s.Msccl_analysis.Symmetry.s_orbit ir
         | _ -> Races.find ~hb ir
       in
       let sym_field =

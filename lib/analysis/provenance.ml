@@ -96,9 +96,7 @@ let pp_diag fmt d =
       Format.fprintf fmt
         "connection %d->%d ch%d: %d message(s) left in flight" src dst chan
         count);
-  if d.dg_members > 1 then
-    Format.fprintf fmt " (and %d symmetric rank%s)" (d.dg_members - 1)
-      (if d.dg_members = 2 then "" else "s")
+  Format.pp_print_string fmt (Orbit.symmetric_suffix (d.dg_members - 1))
 
 let diag_json d =
   let b = Buffer.create 128 in
@@ -1573,13 +1571,7 @@ let build_lints eng ~checked ~members =
           if not eng.e_inplace then scan ~landing:false rb.rb_in;
           scan ~landing:false rb.rb_scr)
         checked;
-      let sfx rank =
-        match members rank - 1 with
-        | 0 -> ""
-        | n ->
-            Printf.sprintf " (and %d symmetric rank%s)" n
-              (if n = 1 then "" else "s")
-      in
+      let sfx rank = Orbit.symmetric_suffix (members rank - 1) in
       let lints = ref [] in
       let add d = lints := d :: !lints in
       (* uninitialized-read: from the check diagnostics *)

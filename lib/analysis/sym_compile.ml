@@ -1,18 +1,25 @@
-(* Symmetry-aware compilation with post-hoc certification.
+(* Symmetry-aware compilation, certified.
 
-   The core Replicate/Compile.compile_sym machinery constructs the
-   replicated IR; this wrapper closes the soundness loop by certifying
-   the hint's permutation as a true DAG automorphism
+   Replicate builds the IR from one representative slice; the hint's
+   permutation is then certified as a true DAG automorphism
    (Symmetry.verify_candidate) before the result is accepted. A failed
    certification — like any construction failure — silently falls back
    to the full pipeline, so hints change compile cost but never
-   output. *)
+   output. Both paths end in the same post-schedule tail
+   (Compile.finish). *)
 
 open Msccl_core
 
 type outcome =
   | Replicated of Symmetry.t
   | Fell_back of string
+
+exception Sym_mismatch of string
+
+let () =
+  Printexc.register_printer (function
+    | Sym_mismatch m -> Some ("Sym_compile.Sym_mismatch: " ^ m)
+    | _ -> None)
 
 let certificate ir (hint : Sym_hint.t) =
   let p = Array.length ir.Ir.gpus in
@@ -25,25 +32,36 @@ let certificate ir (hint : Sym_hint.t) =
 
 let compile ?name ?fuse ?proto ?instances ?verify ?lint
     ?(differential = false) ~hint coll f =
-  let cert = ref None in
-  let certify ir =
-    match certificate ir hint with
-    | Ok sym ->
-        cert := Some sym;
-        Ok ()
-    | Error msg -> Error msg
+  let attempt =
+    try
+      let r = Replicate.run ?proto ?name ~hint ?fuse coll in
+      let ir = Lazy.force r.Replicate.r_ir in
+      match certificate ir hint with
+      | Ok sym -> Ok (r, ir, sym)
+      | Error msg -> Error ("certification failed: " ^ msg)
+    with Replicate.Fallback msg -> Error msg
   in
-  let report, out =
-    Compile.compile_sym ?name ?fuse ?proto ?instances ?verify ?lint ~certify
-      ~differential ~hint coll f
-  in
-  match out with
-  | Compile.Sym_replicated -> (report, Replicated (Option.get !cert))
-  | Compile.Sym_fallback msg -> (report, Fell_back msg)
-
-let ir ?name ?fuse ?proto ?instances ?verify ?lint ?differential ~hint coll f
-    =
-  (fst
-     (compile ?name ?fuse ?proto ?instances ?verify ?lint ?differential ~hint
-        coll f))
-    .Compile.ir
+  match attempt with
+  | Error msg ->
+      ( Compile.compile ?name ?fuse ?proto ?instances ?verify ?lint coll f,
+        Fell_back msg )
+  | Ok (r, ir, sym) ->
+      if differential then begin
+        let reference = Compile.ir ?name ?fuse ?proto ~verify:false coll f in
+        if not (Ir.equal ir reference) then
+          raise
+            (Sym_mismatch
+               (Printf.sprintf
+                  "replicated IR differs from the full-trace IR (%s)"
+                  ir.Ir.name))
+      end;
+      ( Compile.finish ?instances ?verify ?lint
+          {
+            Compile.chunk_ops = r.Replicate.r_chunk_ops;
+            instrs_before_fusion = r.Replicate.r_instrs_before_fusion;
+            fusion = r.Replicate.r_fusion;
+            instrs_after_fusion = r.Replicate.r_instrs_after_fusion;
+            lint = [];
+            ir;
+          },
+        Replicated sym )

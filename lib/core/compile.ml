@@ -15,8 +15,14 @@ let () =
         Some (Format.asprintf "Compile.Lint_error:@.%a" Lint.pp ds)
     | _ -> None)
 
-let compile_dag ?(fuse = true) ?proto ?(instances = 1) ?(verify = true)
-    ?(lint = false) dag =
+let finish ?(instances = 1) ?(verify = true) ?(lint = false) report =
+  let ir = Instances.blocked report.ir ~instances in
+  if verify then Verify.check_exn ir;
+  let diagnostics = if lint then Lint.run ir else [] in
+  if Lint.has_errors diagnostics then raise (Lint_error (Lint.errors diagnostics));
+  { report with lint = diagnostics; ir }
+
+let compile_dag ?(fuse = true) ?proto ?instances ?verify ?lint dag =
   let idag = Instr_dag.of_chunk_dag dag in
   let before = Instr_dag.num_live idag in
   let fusion =
@@ -24,18 +30,15 @@ let compile_dag ?(fuse = true) ?proto ?(instances = 1) ?(verify = true)
   in
   let after = Instr_dag.num_live idag in
   let ir = Schedule.run ?proto idag in
-  let ir = Instances.blocked ir ~instances in
-  if verify then Verify.check_exn ir;
-  let diagnostics = if lint then Lint.run ir else [] in
-  if Lint.has_errors diagnostics then raise (Lint_error (Lint.errors diagnostics));
-  {
-    chunk_ops = Chunk_dag.num_nodes dag;
-    instrs_before_fusion = before;
-    fusion;
-    instrs_after_fusion = after;
-    lint = diagnostics;
-    ir;
-  }
+  finish ?instances ?verify ?lint
+    {
+      chunk_ops = Chunk_dag.num_nodes dag;
+      instrs_before_fusion = before;
+      fusion;
+      instrs_after_fusion = after;
+      lint = [];
+      ir;
+    }
 
 let compile ?name ?fuse ?proto ?instances ?verify ?lint coll f =
   let dag = Program.trace ?name coll f in
@@ -43,68 +46,6 @@ let compile ?name ?fuse ?proto ?instances ?verify ?lint coll f =
 
 let ir ?name ?fuse ?proto ?instances ?verify ?lint coll f =
   (compile ?name ?fuse ?proto ?instances ?verify ?lint coll f).ir
-
-(* ------------------------------------------------------------------ *)
-(* Symmetry-aware path                                                 *)
-(* ------------------------------------------------------------------ *)
-
-type sym_outcome =
-  | Sym_replicated
-  | Sym_fallback of string
-
-exception Sym_mismatch of string
-
-let () =
-  Printexc.register_printer (function
-    | Sym_mismatch m -> Some ("Compile.Sym_mismatch: " ^ m)
-    | _ -> None)
-
-let compile_sym ?name ?fuse ?proto ?(instances = 1) ?(verify = true)
-    ?(lint = false) ?certify ?(differential = false) ~hint coll f =
-  let attempt =
-    try
-      let r = Replicate.run ?proto ?name ~hint ?fuse coll in
-      match certify with
-      | None -> Ok r
-      | Some check -> (
-          match check (Lazy.force r.Replicate.r_ir) with
-          | Ok () -> Ok r
-          | Error msg -> Error ("certification failed: " ^ msg))
-    with Replicate.Fallback msg -> Error msg
-  in
-  match attempt with
-  | Error msg ->
-      let report =
-        compile ?name ?fuse ?proto ~instances ~verify ~lint coll f
-      in
-      (report, Sym_fallback msg)
-  | Ok r ->
-      if differential then begin
-        let reference =
-          compile ?name ?fuse ?proto ~instances:1 ~verify:false ~lint:false
-            coll f
-        in
-        if not (Ir.equal (Lazy.force r.Replicate.r_ir) reference.ir) then
-          raise
-            (Sym_mismatch
-               (Printf.sprintf
-                  "replicated IR differs from the full-trace IR (%s)"
-                  (Lazy.force r.Replicate.r_ir).Ir.name))
-      end;
-      let ir = Instances.blocked (Lazy.force r.Replicate.r_ir) ~instances in
-      if verify then Verify.check_exn ir;
-      let diagnostics = if lint then Lint.run ir else [] in
-      if Lint.has_errors diagnostics then
-        raise (Lint_error (Lint.errors diagnostics));
-      ( {
-          chunk_ops = r.Replicate.r_chunk_ops;
-          instrs_before_fusion = r.Replicate.r_instrs_before_fusion;
-          fusion = r.Replicate.r_fusion;
-          instrs_after_fusion = r.Replicate.r_instrs_after_fusion;
-          lint = diagnostics;
-          ir;
-        },
-        Sym_replicated )
 
 let pp_report fmt r =
   Format.fprintf fmt

@@ -19,6 +19,15 @@ exception Lint_error of Lint.diagnostic list
 (** Raised by lint-on-compile when any error-severity diagnostic fires;
     carries exactly the error diagnostics. *)
 
+val finish :
+  ?instances:int -> ?verify:bool -> ?lint:bool -> report -> report
+(** The post-schedule tail every compile path shares: replicates
+    [report.ir] ([instances] defaults to 1, blocked layout), checks it
+    with {!Verify.check} unless [verify] is [false] (raising [Failure] on
+    any violation) and, with [~lint:true], runs {!Lint.run}: warnings and
+    infos land in the report's [lint] field while any error-severity
+    finding raises {!Lint_error}. *)
+
 val compile_dag :
   ?fuse:bool ->
   ?proto:Msccl_topology.Protocol.t ->
@@ -27,13 +36,10 @@ val compile_dag :
   ?lint:bool ->
   Chunk_dag.t ->
   report
-(** Lowers, fuses ([fuse] defaults to [true]), schedules, replicates
-    ([instances] defaults to 1, blocked layout) and — unless [verify] is
-    [false] — checks the result with {!Verify.check} (raising [Failure] on
-    any violation). With [~lint:true] the static analysis suite
-    ({!Lint.run}: race detection plus structural rules) also runs;
-    warnings and infos land in the report's [lint] field while any
-    error-severity finding raises {!Lint_error}. *)
+(** Lowers, fuses ([fuse] defaults to [true]), schedules, then runs
+    {!finish}: instance replication, verification and, with [~lint:true],
+    the static analysis suite ({!Lint.run}: race detection plus
+    structural rules). *)
 
 val compile :
   ?name:string ->
@@ -60,38 +66,3 @@ val ir :
 (** Shorthand for [(compile ... ).ir]. *)
 
 val pp_report : Format.formatter -> report -> unit
-
-(** {1 Symmetry-aware compilation} *)
-
-type sym_outcome =
-  | Sym_replicated  (** The replicated fast path produced the IR. *)
-  | Sym_fallback of string
-      (** Why the full pipeline ran instead (bad hint, failed
-          certification, ...). Output is unaffected. *)
-
-exception Sym_mismatch of string
-(** Raised only in [~differential:true] mode when the replicated IR is
-    not byte-identical ({!Ir.equal}) to the full-trace IR. *)
-
-val compile_sym :
-  ?name:string ->
-  ?fuse:bool ->
-  ?proto:Msccl_topology.Protocol.t ->
-  ?instances:int ->
-  ?verify:bool ->
-  ?lint:bool ->
-  ?certify:(Ir.t -> (unit, string) result) ->
-  ?differential:bool ->
-  hint:Sym_hint.t ->
-  Collective.t ->
-  (Program.t -> unit) ->
-  report * sym_outcome
-(** Like {!compile}, but first attempts {!Replicate.run} with the
-    algorithm's symmetry [hint]: only the representative slice is traced
-    and scheduled, and the other ranks are instantiated by index
-    arithmetic. The hint is never trusted — [certify] (typically
-    symmetry certification from the analysis library) vets the
-    replicated IR, any {!Replicate.Fallback} or certification failure
-    silently reruns the full pipeline on [f], and [~differential:true]
-    additionally asserts {!Ir.equal} against the full-trace IR. The
-    fast path changes compile cost, never output. *)

@@ -17,12 +17,7 @@ type t = {
       (* one GPU's intra-GPU closure: rows.(a - lo) over columns b - lo.
          Only the most recent GPU is kept — race detection visits GPUs one
          at a time, so a single block bounds memory at k^2/8 bytes. *)
-  mutable orbit : Orbit.t option;
-      (* certified rank orbits: same-GPU queries on an orbit member are
-         answered on its representative's node range, so the per-GPU
-         closure and row caches are shared across the whole orbit *)
   mutable q_queries : int;
-  mutable q_orbit_hits : int;
   mutable q_pos_cutoffs : int;
   mutable q_local_hits : int;
   mutable q_local_builds : int;
@@ -36,7 +31,6 @@ type stats = {
   st_edges : int;
   st_small_closure : bool;  (* full n^2-bit closure materialized *)
   st_queries : int;
-  st_orbit_hits : int;
   st_pos_cutoffs : int;
   st_local_hits : int;
   st_local_builds : int;
@@ -168,9 +162,7 @@ let build ?fifo_slots (ir : Ir.t) =
     row_order = Queue.create ();
     gpu_range = None;
     local_rows = None;
-    orbit = None;
     q_queries = 0;
-    q_orbit_hits = 0;
     q_pos_cutoffs = 0;
     q_local_hits = 0;
     q_local_builds = 0;
@@ -179,15 +171,12 @@ let build ?fifo_slots (ir : Ir.t) =
     q_dfs = 0;
   }
 
-let set_orbit t orbit = t.orbit <- if Orbit.is_identity orbit then None else Some orbit
-
 let stats t =
   {
     st_nodes = t.n;
     st_edges = Array.fold_left (fun n l -> n + List.length l) 0 t.adj;
     st_small_closure = t.closure <> None;
     st_queries = t.q_queries;
-    st_orbit_hits = t.q_orbit_hits;
     st_pos_cutoffs = t.q_pos_cutoffs;
     st_local_hits = t.q_local_hits;
     st_local_builds = t.q_local_builds;
@@ -498,31 +487,8 @@ let large_reaches t a b =
             r
       end
 
-(* Same-GPU queries on an orbit member are answered on the orbit's
-   representative: the certified automorphism maps the member's node
-   (gpu, tb, step) to the representative's (rep gpu, rep tb, step) and
-   preserves every happens-before path (including those routed through
-   other GPUs), so the answer is identical — and the per-GPU bitset
-   closure, full-row cache and DFS work are all shared across the
-   orbit instead of being recomputed per rank. *)
-let orbit_image t (o : Orbit.t) gpu a =
-  let _, tb, step = t.coords.(a) in
-  node t ~gpu:o.Orbit.rep.(gpu) ~tb:o.Orbit.tb_to_rep.(gpu).(tb) ~step
-
 let reaches t a b =
   t.q_queries <- t.q_queries + 1;
-  let a, b =
-    match t.orbit with
-    | None -> (a, b)
-    | Some o ->
-        let ga, _, _ = t.coords.(a) and gb, _, _ = t.coords.(b) in
-        if ga = gb && ga < Array.length o.Orbit.rep && o.Orbit.rep.(ga) <> ga
-        then begin
-          t.q_orbit_hits <- t.q_orbit_hits + 1;
-          (orbit_image t o ga a, orbit_image t o gb b)
-        end
-        else (a, b)
-  in
   if t.n > closure_limit then large_reaches t a b
   else
     match t.closure with

@@ -73,15 +73,6 @@ val ordered : t -> int -> int -> bool
 (** [reaches t a b || reaches t b a]: the two steps cannot overlap at
     runtime. *)
 
-val set_orbit : t -> Orbit.t -> unit
-(** Installs a certified rank-orbit partition: subsequent same-GPU
-    reachability queries on an orbit member are translated to the orbit's
-    representative (whose certified automorphism preserves every
-    happens-before path), so closure rows, caches and DFS work are shared
-    across the orbit. The orbit MUST come from a certifying symmetry
-    inference; an uncertified orbit silently corrupts answers. Installing
-    an identity orbit clears the translation. *)
-
 type stats = {
   st_nodes : int;
   st_edges : int;
@@ -89,7 +80,6 @@ type stats = {
       (** The whole-graph n²-bit closure was materialized (small graphs
           only). *)
   st_queries : int;  (** Total [reaches] calls. *)
-  st_orbit_hits : int;  (** Queries answered on an orbit representative. *)
   st_pos_cutoffs : int;  (** Queries refuted by topological position. *)
   st_local_hits : int;  (** Queries answered by the per-GPU bitset closure. *)
   st_local_builds : int;  (** Per-GPU bitset closures built. *)

@@ -193,7 +193,7 @@ let check_races hb ?orbit ~sfx (ir : Ir.t) =
            dedup the symmetric copies into the message suffix. *)
         List.filter
           (fun (r : Races.race) -> orbit.Orbit.rep.(r.Races.r_gpu) = r.Races.r_gpu)
-          (Races.find_quotient ~hb ~orbit ir)
+          (Races.find ~hb ~orbit ir)
   in
   List.map
     (fun (r : Races.race) ->
@@ -291,59 +291,80 @@ let check_oob ~sel ~sfx (ir : Ir.t) =
         (Races.footprint ir st));
   !out
 
+module Writers = Set.Make (struct
+  type t = int * int * int  (* (scan order, tb, step) *)
+
+  let compare = compare
+end)
+
+(* Scratch liveness from the accessed intervals alone: a sweep over the
+   sorted interval boundaries, so memory is O(accesses) however many
+   chunks the GPU declares. Between two consecutive boundaries every
+   index has the same written/read status and the same first writer. *)
 let check_scratch ~sel ~sfx (ir : Ir.t) =
   let out = ref [] in
   Array.iter
     (fun (g : Ir.gpu) ->
       let size = g.Ir.scratch_chunks in
       if size > 0 then begin
-        let written = Array.make size false in
-        let read = Array.make size false in
-        (* First writer per index, for a usable diagnostic location. *)
-        let writer = Array.make size None in
+        (* (position, opens, is_write, (order, tb, step)); [order] ranks
+           writers in scan order, for a usable diagnostic location. *)
+        let events = ref [] and order = ref 0 in
         Array.iter
           (fun (tb : Ir.tb) ->
             Array.iter
               (fun (st : Ir.step) ->
                 List.iter
                   (fun (w, (l : Loc.t)) ->
-                    if Buffer_id.equal l.Loc.buf Buffer_id.Scratch then
-                      for k = l.Loc.index to min (l.Loc.index + l.Loc.count) size - 1 do
-                        if w then begin
-                          written.(k) <- true;
-                          if writer.(k) = None then
-                            writer.(k) <- Some (tb.Ir.tb_id, st.Ir.s)
-                        end
-                        else read.(k) <- true
-                      done)
+                    let lo = l.Loc.index
+                    and hi = min (l.Loc.index + l.Loc.count) size in
+                    if Buffer_id.equal l.Loc.buf Buffer_id.Scratch && lo < hi
+                    then begin
+                      let who = (!order, tb.Ir.tb_id, st.Ir.s) in
+                      incr order;
+                      events :=
+                        (lo, true, w, who) :: (hi, false, w, who) :: !events
+                    end)
                   (Races.footprint ir st))
               tb.Ir.steps)
           g.Ir.tbs;
-        (* Contiguous written-but-never-read ranges. *)
-        let k = ref 0 in
-        while !k < size do
-          if written.(!k) && not read.(!k) then begin
-            let lo = !k in
-            while !k < size && written.(!k) && not read.(!k) do incr k done;
-            let at =
-              match writer.(lo) with
-              | Some (tb, s) ->
-                  Some { at_gpu = g.Ir.gpu_id; at_tb = tb; at_step = s }
-              | None -> None
-            in
-            out :=
-              diag ?at "dead-scratch"
-                "gpu %d scratch[%d..%d] is written but never read%s"
-                g.Ir.gpu_id lo (!k - 1) (sfx g.Ir.gpu_id)
-              :: !out
-          end
-          else incr k
-        done;
-        let untouched =
-          Array.to_list (Array.init size (fun i -> i))
-          |> List.filter (fun i -> (not written.(i)) && not read.(i))
-          |> List.length
+        let pos (p, _, _, _) = p in
+        let events =
+          Array.of_list (List.sort (fun a b -> compare (pos a) (pos b)) !events)
         in
+        let n = Array.length events in
+        let writers = ref Writers.empty and readers = ref 0 in
+        let touched = ref 0 and dead = ref None and i = ref 0 in
+        while !i < n do
+          let here = pos events.(!i) in
+          while !i < n && pos events.(!i) = here do
+            let _, opens, w, who = events.(!i) in
+            (if w then
+               writers :=
+                 (if opens then Writers.add else Writers.remove) who !writers
+             else readers := !readers + if opens then 1 else -1);
+            incr i
+          done;
+          (* [here, next boundary) now has one status; past the last
+             boundary nothing is open. *)
+          let written = not (Writers.is_empty !writers) in
+          let is_dead = written && !readers = 0 in
+          (match !dead with
+          | Some (lo, (_, tb, s)) when not is_dead ->
+              out :=
+                diag
+                  ~at:{ at_gpu = g.Ir.gpu_id; at_tb = tb; at_step = s }
+                  "dead-scratch"
+                  "gpu %d scratch[%d..%d] is written but never read%s"
+                  g.Ir.gpu_id lo (here - 1) (sfx g.Ir.gpu_id)
+                :: !out;
+              dead := None
+          | None when is_dead -> dead := Some (here, Writers.min_elt !writers)
+          | _ -> ());
+          if written || !readers > 0 then
+            touched := !touched + (pos events.(!i) - here)
+        done;
+        let untouched = size - !touched in
         if untouched > 0 then
           out :=
             diag "unused-scratch"
@@ -400,14 +421,12 @@ let run ?fifo_slots ?(max_tbs_per_channel = 8) ?orbit (ir : Ir.t) =
   let hb = Hbgraph.build ~fifo_slots:slots ir in
   (* Under a certified symmetry, per-GPU rules scan one representative per
      orbit and each finding stands for the whole orbit; the race pass goes
-     through [Races.find_quotient] so its result stays identical to the
-     full sweep's before dedup. Global rules (deadlock, connection
-     mismatches) always see every rank. *)
+     through the quotient [Races.find ~orbit] so its result stays
+     identical to the full sweep's before dedup. Global rules (deadlock,
+     connection mismatches) always see every rank. *)
   let orbit =
     match orbit with
-    | Some o when not (Orbit.is_identity o) ->
-        Hbgraph.set_orbit hb o;
-        Some o
+    | Some o when not (Orbit.is_identity o) -> Some o
     | _ -> None
   in
   let sel, sfx =
@@ -415,11 +434,7 @@ let run ?fifo_slots ?(max_tbs_per_channel = 8) ?orbit (ir : Ir.t) =
     | None -> (ir.Ir.gpus, fun _ -> "")
     | Some o ->
         ( Array.of_list (List.map (fun r -> ir.Ir.gpus.(r)) (Orbit.reps o)),
-          fun g ->
-            match Orbit.orbit_size o g - 1 with
-            | 0 -> ""
-            | n -> Printf.sprintf " (and %d symmetric rank%s)" n
-                     (if n = 1 then "" else "s") )
+          fun g -> Orbit.symmetric_suffix (Orbit.orbit_size o g - 1) )
   in
   List.concat
     [

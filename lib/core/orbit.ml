@@ -43,6 +43,10 @@ let orbit_size t rank =
   let rep = t.rep.(rank) in
   Array.fold_left (fun n v -> if v = rep then n + 1 else n) 0 t.rep
 
+let symmetric_suffix n =
+  if n <= 0 then ""
+  else Printf.sprintf " (and %d symmetric rank%s)" n (if n = 1 then "" else "s")
+
 let check_shape (ir : Ir.t) t =
   let n = Array.length ir.Ir.gpus in
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in

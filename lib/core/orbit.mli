@@ -43,6 +43,11 @@ val members : t -> int -> int list
 val orbit_size : t -> int -> int
 (** Size of the orbit containing the given rank. *)
 
+val symmetric_suffix : int -> string
+(** [symmetric_suffix n] is [" (and n symmetric rank(s))"], the suffix a
+    finding on an orbit representative carries for the [n] other members
+    it stands for; [""] when [n <= 0]. *)
+
 val check_shape : Ir.t -> t -> (unit, string) result
 (** Cheap structural sanity check (not a certification): array sizes
     match the IR, [rep] is idempotent onto orbit minima, and the thread

@@ -38,21 +38,19 @@ type race = {
   r_hi : int;  (** overlapping chunk range, inclusive *)
 }
 
-val find : ?hb:Hbgraph.t -> Ir.t -> race list
+val find : ?hb:Hbgraph.t -> ?orbit:Orbit.t -> Ir.t -> race list
 (** All racy pairs, sorted by location. [hb] defaults to
     [Hbgraph.build ~fifo_slots:(Protocol.num_slots ir.proto) ir]; pass a
     prebuilt graph to share its transitive closure with other analyses.
-    At most one race per (step pair, hazard kind, buffer) is reported. *)
+    At most one race per (step pair, hazard kind, buffer) is reported.
 
-val find_quotient : ?hb:Hbgraph.t -> ?orbit:Orbit.t -> Ir.t -> race list
-(** [find] through the quotient by a certified rank-orbit partition: the
-    sweep and its happens-before queries run on one representative GPU per
-    orbit, and each racy step pair is expanded to every orbit member
-    through the orbit's thread-block maps, recomputing the witness range
-    from the member's own footprints. With an orbit produced by a sound
-    symmetry certification the result is identical to [find ir] — same
-    records, same order; with the default identity orbit it degenerates to
-    exactly [find]. *)
+    Without [orbit] every GPU is swept directly. With a certified
+    rank-orbit partition the sweep and its happens-before queries run on
+    one representative GPU per orbit, and each racy step pair is expanded
+    to every orbit member through the orbit's thread-block maps,
+    recomputing the witness range from the member's own footprints. With
+    an orbit produced by a sound symmetry certification the result is
+    identical to omitting it — same records, same order. *)
 
 val footprint : Ir.t -> Ir.step -> (bool * Loc.t) list
 (** The step's local accesses as [(is_write, loc)] with the buffer already

@@ -236,9 +236,7 @@ let check_symmetry (ir : Ir.t) =
   let quotient_matches label ir =
     let s = Msccl_analysis.Symmetry.infer ir in
     let full = Races.find ir in
-    let quot =
-      Races.find_quotient ~orbit:s.Msccl_analysis.Symmetry.s_orbit ir
-    in
+    let quot = Races.find ~orbit:s.Msccl_analysis.Symmetry.s_orbit ir in
     if full <> quot then
       fail Symmetry
         "quotient races diverge from the full pass on %s (%d vs %d \
@@ -430,7 +428,7 @@ let check_chaos (c : Case.t) (ir : Ir.t) =
    the ring visits the ranks in arithmetic order 0, s, 2s, ... with
    gcd(s, num_ranks) = 1, the shift drawn from the case's seed. The
    sibling is compiled twice — replicated from its one-slice hint and
-   through the full pipeline — and simulated twice — cohort-batched and
+   certified, and through the full pipeline — and simulated twice — cohort-batched and
    scalar. Both pairs must be indistinguishable: byte-identical XML and
    identical completion time / message count / wire bytes. *)
 let check_sym_compile (c : Case.t) =
@@ -461,11 +459,11 @@ let check_sym_compile (c : Case.t) =
   let ( let* ) = Result.bind in
   let* rep =
     match
-      Compile.compile_sym ~name:"sym-sibling" ~fuse:c.Case.fuse
+      Msccl_analysis.Sym_compile.compile ~name:"sym-sibling" ~fuse:c.Case.fuse
         ~proto:c.Case.proto ~verify:false ~differential:true ~hint coll body
     with
-    | report, Compile.Sym_replicated -> Ok report
-    | _, Compile.Sym_fallback m ->
+    | report, Msccl_analysis.Sym_compile.Replicated _ -> Ok report
+    | _, Msccl_analysis.Sym_compile.Fell_back m ->
         fail Sym_compile
           "replicated compile of the shift-%d ring sibling fell back: %s" s m
   in

@@ -18,9 +18,8 @@ type id =
           {!Msccl_core.Lint.run} must all report clean (lint: no
           error-severity findings) on compiler output. *)
   | Symmetry
-      (** {!Msccl_core.Races.find_quotient} under inferred-and-certified
-          rank orbits must report exactly what {!Msccl_core.Races.find}
-          reports — on the compiled IR and on a
+      (** {!Msccl_core.Races.find} under inferred-and-certified rank
+          orbits must report exactly what the direct sweep reports — on the compiled IR and on a
           {!Mutate.break_symmetry} mutant, where certification must also
           notice the broken symmetry and fall back rather than silently
           under-report. *)
@@ -48,8 +47,9 @@ type id =
           invisible: a shift-[s] ring AllReduce sibling parameterized by
           the case's knobs (ranks, channels, rotation, protocol, fusion;
           [s] drawn from the seed, coprime with the rank count) must
-          compile replicated to the byte-identical XML of the full
-          pipeline, and its cohort-batched simulation
+          compile replicated and certified
+          ({!Msccl_analysis.Sym_compile.compile}) to the byte-identical
+          XML of the full pipeline, and its cohort-batched simulation
           ({!Msccl_core.Simulator.run_sym}) must report exactly the
           scalar simulator's completion time, message count and wire
           bytes. *)

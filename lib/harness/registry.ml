@@ -23,8 +23,7 @@ let default_params =
   }
 
 (* The raw ingredients of a symmetry-aware compile: what
-   [Msccl_core.Compile.compile_sym] (or its certifying wrapper
-   [Msccl_analysis.Sym_compile.compile]) needs to trace only the
+   [Msccl_analysis.Sym_compile.compile] needs to trace only the
    representative slice. Kept as data so the registry stays free of any
    analysis dependency. *)
 type sym_case = {

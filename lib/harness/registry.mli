@@ -21,9 +21,8 @@ type sym_case = {
   sym_program : Msccl_core.Program.t -> unit;
   sym_hint : Msccl_core.Sym_hint.t;
 }
-(** The ingredients of a symmetry-aware compile
-    ({!Msccl_core.Compile.compile_sym}, or its certifying wrapper
-    {!Msccl_analysis.Sym_compile.compile}): the collective, the full
+(** The ingredients of the certified symmetry-aware compile
+    ({!Msccl_analysis.Sym_compile.compile}): the collective, the full
     program body, and the algorithm's rank-symmetry hint. *)
 
 type spec = {

@@ -357,7 +357,27 @@ let test_scratch_rules () =
     (List.exists
        (fun d -> d.Lint.d_rule = "unused-scratch" && d.Lint.d_severity = Lint.Info)
        ds);
-  Alcotest.(check bool) "warnings are not errors" false (Lint.has_errors ds)
+  Alcotest.(check bool) "warnings are not errors" false (Lint.has_errors ds);
+  (* A hostile declared size: Ingest accepts this mangle of ring@16,
+     which sets s_chunks="4294967296" on gpu 10. The scratch rules must
+     cost memory in the accesses, not in the declared chunks. *)
+  let doc, _ =
+    Msccl_interop.Mangle.mangle ~seed:312 ~index:102
+      (Xml.to_string
+         (Msccl_algorithms.Ring_allreduce.ir ~verify:false ~num_ranks:16 ()))
+  in
+  match Msccl_interop.Ingest.of_string doc with
+  | Error _ -> Alcotest.fail "ingest rejected the s_chunks mangle"
+  | Ok (ir, _) ->
+      Alcotest.(check int) "declared scratch" (1 lsl 32)
+        ir.Ir.gpus.(10).Ir.scratch_chunks;
+      Alcotest.(check bool) "unused-scratch on gpu 10" true
+        (List.exists
+           (fun d ->
+             d.Lint.d_rule = "unused-scratch"
+             && String.starts_with ~prefix:"gpu 10 declares 4294967296"
+                  d.Lint.d_message)
+           (Lint.run ir))
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in

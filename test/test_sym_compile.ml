@@ -48,14 +48,14 @@ let test_registry_differential () =
         (fun p ->
           let c = case_of p in
           let report, outcome =
-            Compile.compile_sym ~name ~proto:p.H.Registry.proto
+            An.Sym_compile.compile ~name ~proto:p.H.Registry.proto
               ~instances:p.H.Registry.instances ~differential:true
               ~hint:c.H.Registry.sym_hint c.H.Registry.sym_coll
               c.H.Registry.sym_program
           in
           (match outcome with
-          | Compile.Sym_replicated -> ()
-          | Compile.Sym_fallback m ->
+          | An.Sym_compile.Replicated _ -> ()
+          | An.Sym_compile.Fell_back m ->
               Alcotest.failf "%s: replicated path fell back: %s" name m);
           let full =
             Compile.compile ~name ~proto:p.H.Registry.proto
@@ -143,12 +143,12 @@ let qcheck_fuzzed_differential =
     (fun (p, s, channels, rot) ->
       let coll, body, hint = shifted_ring_case ~p ~s ~channels ~rot in
       let report, outcome =
-        Compile.compile_sym ~name:"fuzz-sym-ring" ~differential:true ~hint
+        An.Sym_compile.compile ~name:"fuzz-sym-ring" ~differential:true ~hint
           coll body
       in
       (match outcome with
-      | Compile.Sym_replicated -> ()
-      | Compile.Sym_fallback m ->
+      | An.Sym_compile.Replicated _ -> ()
+      | An.Sym_compile.Fell_back m ->
           Q.Test.fail_reportf "p=%d s=%d: fell back: %s" p s m);
       let full = Compile.compile ~name:"fuzz-sym-ring" coll body in
       if not (String.equal (xml report.Compile.ir) (xml full.Compile.ir))
