@@ -960,7 +960,7 @@ let stream_push s x =
 
 type qplan = {
   q_orbit : Orbit.t;
-  q_perm : int array;
+  q_inv : int array; (* π⁻¹ *)
   q_off : int array; (* rank -> power of π from its representative *)
   q_phi1 : int array; (* source id translation under one application *)
   q_phi_pow : (int, int array) Hashtbl.t;
@@ -1223,10 +1223,12 @@ let plan_of (ir : Ir.t) (sym : Symmetry.t) =
                   (Orbit.reps orb);
                 let reps = Array.make nranks false in
                 List.iter (fun r -> reps.(r) <- true) (Orbit.reps orb);
+                let inv = Array.make nranks 0 in
+                Array.iteri (fun r p -> inv.(p) <- r) perm;
                 Some
                   {
                     q_orbit = orb;
-                    q_perm = perm;
+                    q_inv = inv;
                     q_off = off;
                     q_phi1 = phi1;
                     q_phi_pow = Hashtbl.create 8;
@@ -1237,11 +1239,19 @@ let plan_of (ir : Ir.t) (sym : Symmetry.t) =
             end))
   end
 
+(* The canonical image of a receive on rank [dst] from [src]: the orbit
+   representative of [src], and [dst] moved back by the [q_off.(src)]
+   applications of π that carry that representative to [src]. *)
+let canonical_recv plan ~src ~dst =
+  let d = ref dst in
+  for _ = 1 to plan.q_off.(src) do
+    d := plan.q_inv.(!d)
+  done;
+  (plan.q_orbit.Orbit.rep.(src), !d)
+
 let run_quotient eng plan ~slots =
   let ir = eng.e_ir in
   let orb = plan.q_orbit in
-  let inv = Array.make eng.e_nranks 0 in
-  Array.iteri (fun r p -> inv.(p) <- r) plan.q_perm;
   let active =
     Array.of_list (List.map (fun r -> ir.Ir.gpus.(r)) (Orbit.reps orb))
   in
@@ -1268,14 +1278,11 @@ let run_quotient eng plan ~slots =
       Array.iter
         (fun (tb : Ir.tb) ->
           if tb.Ir.recv >= 0 then begin
-            let p = tb.Ir.recv in
-            let m = plan.q_off.(p) in
-            let srep = orb.Orbit.rep.(p) in
-            let image_dst = ref g.Ir.gpu_id in
-            for _ = 1 to m do
-              image_dst := inv.(!image_dst)
-            done;
-            let key = (srep, !image_dst, tb.Ir.chan) in
+            let m = plan.q_off.(tb.Ir.recv) in
+            let srep, image_dst =
+              canonical_recv plan ~src:tb.Ir.recv ~dst:g.Ir.gpu_id
+            in
+            let key = (srep, image_dst, tb.Ir.chan) in
             if Hashtbl.mem cursors key then raise Fallback;
             let cur = ref 0 in
             Hashtbl.add cursors key cur;
@@ -1391,17 +1398,14 @@ let connection_diags (ir : Ir.t) =
 
 (* Connection balance through the quotient: only representative ranks are
    scanned, each connection translated to its canonical image — the orbit
-   member whose source is a representative (receives walk the inverse
-   permutation, exactly as the stream resolution in [run_quotient] does).
+   member whose source is a representative (receives through
+   [canonical_recv], as the stream resolution in [run_quotient] does).
    Certified symmetry makes every connection's counts equal to its
    canonical image's, so this detects exactly the imbalances the full
    scan would; a canonical-key collision between distinct sources could
    skew the aggregation, so it falls back to the full pass instead. *)
 let connection_diags_quotient (ir : Ir.t) plan =
   let orb = plan.q_orbit in
-  let nranks = Ir.num_ranks ir in
-  let inv = Array.make nranks 0 in
-  Array.iteri (fun r p -> inv.(p) <- r) plan.q_perm;
   let counts : (int * int * int, int ref * int ref) Hashtbl.t =
     Hashtbl.create 32
   in
@@ -1418,12 +1422,8 @@ let connection_diags_quotient (ir : Ir.t) plan =
           end;
           if r > 0 then begin
             let p = tb.Ir.recv in
-            let m = plan.q_off.(p) in
-            let dst = ref rep in
-            for _ = 1 to m do
-              dst := inv.(!dst)
-            done;
-            let key = (orb.Orbit.rep.(p), !dst, tb.Ir.chan) in
+            let srep, dst = canonical_recv plan ~src:p ~dst:rep in
+            let key = (srep, dst, tb.Ir.chan) in
             (match Hashtbl.find_opt recv_src key with
             | Some p' when p' <> p -> raise Fallback
             | Some _ -> ()

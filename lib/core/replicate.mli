@@ -10,18 +10,18 @@
     pipeline) and treat {!Fallback} as "use the full path". *)
 
 exception Fallback of string
-(** The hint cannot be exploited (non-coprime shift, block-shift kind,
-    wrapping chunk footprint, quotient-schedule deadlock, ...). Never an
-    error: callers fall back to the full pipeline. *)
+(** The hint cannot be exploited (identity or non-coprime shift,
+    wrapping chunk footprint, a {!Schedule.Scheduling_error} on the
+    representative rank, ...). Never an error: callers fall back to the
+    full pipeline. *)
 
 type result = {
   r_ir : Ir.t Lazy.t;
       (** The fully materialized program. Forcing costs O(P × slice) time
           and memory (the index-arithmetic instantiation of all ranks);
-          quotient consumers work from [r_rep]/[r_perm] and never force. *)
+          quotient consumers work from [r_rep] and never force. *)
   r_rep : Ir.gpu;  (** The representative rank program (gpu 0). *)
   r_gpu : int -> Ir.gpu;  (** Materialize a single rank on demand. *)
-  r_perm : int array;  (** The hint's claimed rank permutation. *)
   r_num_ranks : int;  (** Rank count, available without forcing [r_ir]. *)
   r_proto : Msccl_topology.Protocol.t;  (** Protocol, ditto. *)
   r_chunk_ops : int;  (** Chunk ops in the traced representative slice. *)
@@ -32,13 +32,15 @@ type result = {
 
 val run :
   ?proto:Msccl_topology.Protocol.t ->
-  ?slots:int ->
   ?name:string ->
   hint:Sym_hint.t ->
   ?fuse:bool ->
   Collective.t ->
   result
-(** Raises {!Fallback} when the fast path does not apply. The returned
+(** Raises {!Fallback} when the fast path does not apply. The
+    representative rank is scheduled by {!Schedule.rank_tbs} with [proto]'s
+    FIFO slot count and connections keyed by their rank-shift orbit
+    ((dst - src) mod P, channel). The returned
     IR is structurally valid on the representative gpu and symmetric by
     construction; exactness versus the full pipeline is certified by the
     caller. *)

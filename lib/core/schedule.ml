@@ -300,18 +300,9 @@ type conn_state = {
          runtime (§6.1), so the scheduler back-pressures here. *)
 }
 
-let run ?(proto = Msccl_topology.Protocol.Simple) ?name ?slots
-    (dag : Instr_dag.t) =
-  let slots =
-    match slots with
-    | Some s -> s
-    | None -> Msccl_topology.Protocol.num_slots proto
-  in
+let rank_tbs ~slots ~conn (dag : Instr_dag.t) =
   if slots < 1 then error "need at least one FIFO slot";
-  let dag = Instr_dag.compact dag in
-  Instr_dag.validate dag;
-  assign_channels dag;
-  let tb_of_instr, rank_tbs = build_tbs dag in
+  let tb_of_instr, blocks = build_tbs dag in
   let num_ranks = dag.Instr_dag.collective.Collective.num_ranks in
   let instrs = dag.Instr_dag.instrs in
   let n = Array.length instrs in
@@ -334,7 +325,7 @@ let run ?(proto = Msccl_topology.Protocol.Simple) ?name ?slots
       if indeg.(i.Instr.id) = 0 then
         Msccl_sim.Pqueue.add heap ~priority:(priority i.Instr.id) i)
     instrs;
-  let conns : (int * int * int, conn_state) Hashtbl.t = Hashtbl.create 32 in
+  let conns = Hashtbl.create 32 in
   let conn_of key =
     match Hashtbl.find_opt conns key with
     | Some c -> c
@@ -383,14 +374,14 @@ let run ?(proto = Msccl_topology.Protocol.Simple) ?name ?slots
   in
   let pick_local_tb (i : Instr.t) =
     let rank = i.Instr.rank in
-    match rank_tbs.(rank) with
+    match blocks.(rank) with
     | [] -> (
         match local_tb.(rank) with
         | Some tb -> tb
         | None ->
             let tb = new_tb rank in
             local_tb.(rank) <- Some tb;
-            rank_tbs.(rank) <- [ tb ];
+            blocks.(rank) <- [ tb ];
             tb)
     | tbs -> (
         match affinity_tb i with
@@ -406,8 +397,12 @@ let run ?(proto = Msccl_topology.Protocol.Simple) ?name ?slots
      placing it yet. *)
   let try_assign (i : Instr.t) =
     let ch = Option.get i.Instr.ch in
-    let recv_conn_key () = (Option.get i.Instr.recv_peer, i.Instr.rank, ch) in
-    let send_conn_key () = (i.Instr.rank, Option.get i.Instr.send_peer, ch) in
+    let recv_conn_key () =
+      conn ~src:(Option.get i.Instr.recv_peer) ~dst:i.Instr.rank ~ch
+    in
+    let send_conn_key () =
+      conn ~src:i.Instr.rank ~dst:(Option.get i.Instr.send_peer) ~ch
+    in
     let recv_ready =
       if Instr.receives i.Instr.op then begin
         let c = conn_of (recv_conn_key ()) in
@@ -505,10 +500,9 @@ let run ?(proto = Msccl_topology.Protocol.Simple) ?name ?slots
   (* ---------------------------------------------------------------- *)
   (* Emission                                                          *)
   (* ---------------------------------------------------------------- *)
-  let coll = dag.Instr_dag.collective in
   Array.iteri
     (fun _r tbs -> List.iteri (fun idx tb -> tb.final_id <- idx) tbs)
-    rank_tbs;
+    blocks;
   (* Cross thread-block dependencies, deduplicated per source tb (keeping
      the latest step, since semaphores are monotonic). *)
   let has_dep = Array.make n false in
@@ -537,39 +531,67 @@ let run ?(proto = Msccl_topology.Protocol.Simple) ?name ?slots
     List.map (fun (tbid, (step, d)) -> ((tbid, step), d)) !per_tb
     |> List.sort compare
   in
+  let tbs =
+    Array.map
+      (fun tbs ->
+        List.map
+          (fun tb ->
+            let steps = Array.of_list (List.rev tb.steps_rev) in
+            let steps =
+              Array.mapi
+                (fun si (i : Instr.t) ->
+                  let depends = depends_of i in
+                  List.iter (fun (_, d) -> has_dep.(d) <- true) depends;
+                  {
+                    Ir.s = si;
+                    op = i.Instr.op;
+                    src = i.Instr.src;
+                    dst = i.Instr.dst;
+                    count = i.Instr.count;
+                    depends = List.map fst depends;
+                    has_dep = false (* fixed below *);
+                  })
+                steps
+            in
+            let peer = function Some (p, _) -> p | None -> -1 in
+            {
+              Ir.tb_id = tb.final_id;
+              send = peer tb.send_conn;
+              recv = peer tb.recv_conn;
+              chan = tb.tb_chan;
+              steps;
+            })
+          tbs
+        |> Array.of_list)
+      blocks
+  in
+  (* Second pass: mark has_dep on the targeted steps. *)
+  Array.iter
+    (fun (i : Instr.t) ->
+      if has_dep.(i.Instr.id) then begin
+        let tb = Option.get instr_tb.(i.Instr.id) in
+        let steps = tbs.(tb.tb_rank).(tb.final_id).Ir.steps in
+        let step = instr_step.(i.Instr.id) in
+        steps.(step) <- { (steps.(step)) with Ir.has_dep = true }
+      end)
+    instrs;
+  tbs
+
+let run ?(proto = Msccl_topology.Protocol.Simple) ?name ?slots
+    (dag : Instr_dag.t) =
+  let slots =
+    match slots with
+    | Some s -> s
+    | None -> Msccl_topology.Protocol.num_slots proto
+  in
+  let dag = Instr_dag.compact dag in
+  Instr_dag.validate dag;
+  assign_channels dag;
+  let tbs = rank_tbs ~slots ~conn:(fun ~src ~dst ~ch -> (src, dst, ch)) dag in
+  let coll = dag.Instr_dag.collective in
   let gpus =
-    Array.init num_ranks (fun rank ->
-        let tbs =
-          List.map
-            (fun tb ->
-              let steps = Array.of_list (List.rev tb.steps_rev) in
-              let steps =
-                Array.mapi
-                  (fun si (i : Instr.t) ->
-                    let depends = depends_of i in
-                    List.iter (fun (_, d) -> has_dep.(d) <- true) depends;
-                    {
-                      Ir.s = si;
-                      op = i.Instr.op;
-                      src = i.Instr.src;
-                      dst = i.Instr.dst;
-                      count = i.Instr.count;
-                      depends = List.map fst depends;
-                      has_dep = false (* fixed below *);
-                    })
-                  steps
-              in
-              let peer = function Some (p, _) -> p | None -> -1 in
-              {
-                Ir.tb_id = tb.final_id;
-                send = peer tb.send_conn;
-                recv = peer tb.recv_conn;
-                chan = tb.tb_chan;
-                steps;
-              })
-            rank_tbs.(rank)
-          |> Array.of_list
-        in
+    Array.mapi
+      (fun rank tbs ->
         {
           Ir.gpu_id = rank;
           input_chunks = Collective.input_buffer_size coll;
@@ -577,19 +599,8 @@ let run ?(proto = Msccl_topology.Protocol.Simple) ?name ?slots
           scratch_chunks = dag.Instr_dag.scratch_sizes.(rank);
           tbs;
         })
+      tbs
   in
-  (* Second pass: mark has_dep on the targeted steps. *)
-  Array.iter
-    (fun (i : Instr.t) ->
-      if has_dep.(i.Instr.id) then begin
-        let tb = Option.get instr_tb.(i.Instr.id) in
-        let g = gpus.(i.Instr.rank) in
-        let step = instr_step.(i.Instr.id) in
-        let old = g.Ir.tbs.(tb.final_id).Ir.steps.(step) in
-        g.Ir.tbs.(tb.final_id).Ir.steps.(step) <-
-          { old with Ir.has_dep = true }
-      end)
-    instrs;
   let ir =
     {
       Ir.name = Option.value name ~default:dag.Instr_dag.name;

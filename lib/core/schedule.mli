@@ -43,6 +43,20 @@ val run :
     a protocol with fewer slots requires re-checking deadlock freedom with
     {!Verify.check_deadlock_free}). The result passes {!Ir.validate}. *)
 
+val rank_tbs :
+  slots:int ->
+  conn:(src:int -> dst:int -> ch:int -> 'k) ->
+  Instr_dag.t ->
+  Ir.tb array array
+(** The scheduling core behind {!run}: thread-block formation, the global
+    topological assignment and emission over a compacted DAG whose
+    channels are already assigned. Returns each rank's thread blocks,
+    indexed by rank, without validating them. [conn ~src ~dst ~ch] names
+    the FIFO state a transfer from [src] to [dst] on channel [ch] uses:
+    {!run} keys it by the connection itself, {!Replicate.run} by the
+    connection's rank-shift orbit, so one representative rank's
+    instructions match sends to receives as the whole program would. *)
+
 val assign_channels : Instr_dag.t -> unit
 (** First phase only, exposed for tests: unifies channels along
     communication edges and fused chains, checks directive consistency, and

@@ -6,16 +6,8 @@
    arithmetic; it is never trusted — the replicated result is certified
    post hoc and any failure falls back to the full pipeline. *)
 
-type kind =
-  | Ring_shift of int  (* pi(r) = (r + s) mod P, slices = orbit of slice 0 *)
-  | Block_shift of { block : int }
-      (* pi(r) = block_start + (r - block_start + 1) mod block: a
-         certification-only hint (hierarchical algorithms); carries no
-         slice decomposition, so replicated compilation always falls back
-         and only the symmetry certificate is reused. *)
-
 type t = {
-  kind : kind;
+  shift : int;  (* pi(r) = (r + shift) mod P, slices = orbit of slice 0 *)
   trace_rep : Program.t -> unit;
       (* Emits only the representative slice (slice 0) of the program. *)
   d_input : int;  (* chunk-index delta per slice, input buffer *)
@@ -28,36 +20,16 @@ type t = {
 
 let ring_shift ?(d_input = 0) ?(d_output = 0) ?(d_scratch = 0)
     ?(scratch_chunks = 0) ~shift trace_rep =
-  {
-    kind = Ring_shift shift;
-    trace_rep;
-    d_input;
-    d_output;
-    d_scratch;
-    scratch_chunks;
-  }
+  { shift; trace_rep; d_input; d_output; d_scratch; scratch_chunks }
 
-let block_shift ~block =
-  {
-    kind = Block_shift { block };
-    trace_rep = (fun _ -> ());
-    d_input = 0;
-    d_output = 0;
-    d_scratch = 0;
-    scratch_chunks = 0;
-  }
+(* The one place the declared shift is reduced into [0, P). *)
+let shift_mod t ~num_ranks =
+  ((t.shift mod num_ranks) + num_ranks) mod num_ranks
 
-let name t ~num_ranks =
-  match t.kind with
-  | Ring_shift s -> Printf.sprintf "shift+%d" (s mod num_ranks)
-  | Block_shift { block } -> Printf.sprintf "intra+1/%d" block
+let name t ~num_ranks = Printf.sprintf "shift+%d" (shift_mod t ~num_ranks)
 
 (* The permutation the hint claims, as an explicit rank -> image array
    (what Symmetry.verify_candidate certifies). *)
 let perm t ~num_ranks =
-  match t.kind with
-  | Ring_shift s -> Array.init num_ranks (fun r -> (r + s) mod num_ranks)
-  | Block_shift { block } ->
-      Array.init num_ranks (fun r ->
-          let base = r - (r mod block) in
-          base + ((r - base + 1) mod block))
+  let s = shift_mod t ~num_ranks in
+  Array.init num_ranks (fun r -> (r + s) mod num_ranks)

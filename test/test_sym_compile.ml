@@ -136,23 +136,29 @@ let arb_sym_ring =
       Printf.sprintf "p=%d shift=%d channels=%d rot=%d" p s ch rot)
     gen_sym_ring
 
+(* Each case also runs with the shift declared as [s - p], the same
+   rotation outside [0, p): the fast path must reduce it, not fall back. *)
 let qcheck_fuzzed_differential =
   Q.Test.make ~count:60
     ~name:"replicated = full on fuzzed shift-s rings (Ir.equal + XML)"
     arb_sym_ring
     (fun (p, s, channels, rot) ->
       let coll, body, hint = shifted_ring_case ~p ~s ~channels ~rot in
-      let report, outcome =
-        An.Sym_compile.compile ~name:"fuzz-sym-ring" ~differential:true ~hint
-          coll body
-      in
-      (match outcome with
-      | An.Sym_compile.Replicated _ -> ()
-      | An.Sym_compile.Fell_back m ->
-          Q.Test.fail_reportf "p=%d s=%d: fell back: %s" p s m);
       let full = Compile.compile ~name:"fuzz-sym-ring" coll body in
-      if not (String.equal (xml report.Compile.ir) (xml full.Compile.ir))
-      then Q.Test.fail_reportf "p=%d s=%d: XML prints differ" p s;
+      List.iter
+        (fun hint ->
+          let shift = hint.Sym_hint.shift in
+          let report, outcome =
+            An.Sym_compile.compile ~name:"fuzz-sym-ring" ~differential:true
+              ~hint coll body
+          in
+          (match outcome with
+          | An.Sym_compile.Replicated _ -> ()
+          | An.Sym_compile.Fell_back m ->
+              Q.Test.fail_reportf "p=%d shift=%d: fell back: %s" p shift m);
+          if not (String.equal (xml report.Compile.ir) (xml full.Compile.ir))
+          then Q.Test.fail_reportf "p=%d shift=%d: XML prints differ" p shift)
+        [ hint; { hint with Sym_hint.shift = s - p } ];
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -191,9 +197,7 @@ let test_broken_hint_fallback () =
      trace error *)
   check "rep slice trace error"
     (Sym_hint.ring_shift ~shift:1 ~d_input:1 (fun prog ->
-         ignore (Program.chunk prog ~rank:0 Buffer_id.Input ~index:(2 * p) ())));
-  (* block-shift hints carry no slice decomposition *)
-  check "block-shift hint" (Sym_hint.block_shift ~block:4)
+         ignore (Program.chunk prog ~rank:0 Buffer_id.Input ~index:(2 * p) ())))
 
 (* ------------------------------------------------------------------ *)
 (* Cohort simulation: quotient = scalar, exactly                       *)
