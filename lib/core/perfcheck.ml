@@ -203,25 +203,79 @@ let demand_of topo (coll : Collective.t) ~chunk_bytes =
    out of the set (dually, arriving bytes cross a LAST hop), so the sum
    of the distinct first-hop capacities upper-bounds the cut's egress
    rate. Sharing with traffic outside the cut only makes this optimistic,
-   which keeps the resulting time bound a true lower bound. *)
-let cut_capacity topo ~first pred =
-  let seen = Hashtbl.create 8 in
-  let unbounded = ref false in
-  Topology.fold_routes topo
-    (fun () ~src ~dst rt ->
-      if pred ~src ~dst then
-        match rt.Topology.hops with
-        | [] -> unbounded := true
-        | h :: _ when first -> Hashtbl.replace seen h ()
-        | hops -> Hashtbl.replace seen (List.nth hops (List.length hops - 1)) ())
-    ();
-  if !unbounded then infinity
-  else
-    Hashtbl.fold
-      (fun h () acc -> acc +. Topology.resource_capacity topo h)
-      seen 0.
+   which keeps the resulting time bound a true lower bound.
 
-let bandwidth_bound topo (d : demand) =
+   One walk over the routes fills every per-rank and per-node cut, plus
+   the two minimum alphas the latency bound needs. Each cut's table sees
+   its routes in rank order, so its distinct hops are summed in the same
+   order as a walk over that cut alone would sum them. *)
+type cuts = {
+  c_rank_out : float array;
+  c_rank_in : float array;
+  c_node_out : float array;
+  c_node_in : float array;
+  c_min_alpha : float option;
+  c_min_alpha_cross : float option;
+}
+
+type cut = { seen : (int, unit) Hashtbl.t; mutable unbounded : bool }
+
+let cuts topo =
+  let p = Topology.num_ranks topo in
+  let nn = Topology.num_nodes topo in
+  let node_of = Topology.node_of topo in
+  let fresh n =
+    Array.init n (fun _ -> { seen = Hashtbl.create 8; unbounded = false })
+  in
+  let rank_out = fresh p and rank_in = fresh p in
+  let node_out = fresh nn and node_in = fresh nn in
+  let add cut = function
+    | None -> cut.unbounded <- true
+    | Some h -> Hashtbl.replace cut.seen h ()
+  in
+  let rec last_hop = function
+    | [] -> None
+    | [ h ] -> Some h
+    | _ :: t -> last_hop t
+  in
+  let min_opt acc a =
+    Some (match acc with None -> a | Some m -> Float.min m a)
+  in
+  let min_all, min_cross =
+    Topology.fold_routes topo
+      (fun (min_all, min_cross) ~src ~dst rt ->
+        let hops = rt.Topology.hops in
+        let first = match hops with [] -> None | h :: _ -> Some h in
+        let last = last_hop hops in
+        add rank_out.(src) first;
+        add rank_in.(dst) last;
+        let ns = node_of src and nd = node_of dst in
+        let a = rt.Topology.base_alpha in
+        if ns <> nd then begin
+          add node_out.(ns) first;
+          add node_in.(nd) last;
+          (min_opt min_all a, min_opt min_cross a)
+        end
+        else (min_opt min_all a, min_cross))
+      (None, None)
+  in
+  let capacity cut =
+    if cut.unbounded then infinity
+    else
+      Hashtbl.fold
+        (fun h () acc -> acc +. Topology.resource_capacity topo h)
+        cut.seen 0.
+  in
+  {
+    c_rank_out = Array.map capacity rank_out;
+    c_rank_in = Array.map capacity rank_in;
+    c_node_out = Array.map capacity node_out;
+    c_node_in = Array.map capacity node_in;
+    c_min_alpha = min_all;
+    c_min_alpha_cross = min_cross;
+  }
+
+let bandwidth_bound topo c (d : demand) =
   let worst = ref 0. in
   let consider demand cap =
     if demand > 0. then begin
@@ -231,25 +285,18 @@ let bandwidth_bound topo (d : demand) =
   in
   let p = Topology.num_ranks topo in
   for r = 0 to p - 1 do
-    consider d.d_rank_out.(r)
-      (cut_capacity topo ~first:true (fun ~src ~dst:_ -> src = r));
-    consider d.d_rank_in.(r)
-      (cut_capacity topo ~first:false (fun ~src:_ ~dst -> dst = r))
+    consider d.d_rank_out.(r) c.c_rank_out.(r);
+    consider d.d_rank_in.(r) c.c_rank_in.(r)
   done;
   let nn = Topology.num_nodes topo in
   if nn > 1 then
     for n = 0 to nn - 1 do
-      let node_of = Topology.node_of topo in
-      consider d.d_node_out.(n)
-        (cut_capacity topo ~first:true (fun ~src ~dst ->
-             node_of src = n && node_of dst <> n));
-      consider d.d_node_in.(n)
-        (cut_capacity topo ~first:false (fun ~src ~dst ->
-             node_of src <> n && node_of dst = n))
+      consider d.d_node_out.(n) c.c_node_out.(n);
+      consider d.d_node_in.(n) c.c_node_in.(n)
     done;
   !worst
 
-let latency_bound topo (coll : Collective.t) proto (d : demand) =
+let latency_bound topo c (coll : Collective.t) proto (d : demand) =
   let p = Topology.num_ranks topo in
   let scale = Protocol.alpha_scale proto in
   let rounds =
@@ -270,7 +317,7 @@ let latency_bound topo (coll : Collective.t) proto (d : demand) =
         ceil_log2 p
   in
   let by_rounds =
-    match Topology.min_alpha topo with
+    match c.c_min_alpha with
     | None -> 0.
     | Some a -> float_of_int rounds *. a *. scale
   in
@@ -280,7 +327,7 @@ let latency_bound topo (coll : Collective.t) proto (d : demand) =
   in
   let by_diameter =
     if crosses_nodes then
-      match Topology.min_alpha ~cross_node_only:true topo with
+      match c.c_min_alpha_cross with
       | Some a -> a *. scale
       | None -> 0.
     else 0.
@@ -304,6 +351,20 @@ let compute_bound topo (coll : Collective.t) ~chunk_bytes =
 (* The report                                                          *)
 (* ------------------------------------------------------------------ *)
 
+let chunk_bytes_of ~size_bytes (ir : Ir.t) =
+  float_of_int size_bytes
+  /. float_of_int (Collective.input_buffer_size ir.Ir.collective)
+
+let bound ~cuts ~topo ~size_bytes (ir : Ir.t) =
+  let chunk_bytes = chunk_bytes_of ~size_bytes ir in
+  let coll = ir.Ir.collective in
+  let d = demand_of topo coll ~chunk_bytes in
+  {
+    lb_latency = latency_bound topo cuts coll ir.Ir.proto d;
+    lb_bandwidth = bandwidth_bound topo cuts d;
+    lb_compute = compute_bound topo coll ~chunk_bytes;
+  }
+
 let default_size_bytes = 1 lsl 20
 
 let analyze ~topo ?(size_bytes = default_size_bytes) (ir : Ir.t) =
@@ -313,12 +374,8 @@ let analyze ~topo ?(size_bytes = default_size_bytes) (ir : Ir.t) =
          ir.Ir.name (Ir.num_ranks ir) (Topology.name topo)
          (Topology.num_ranks topo));
   if size_bytes <= 0 then invalid_arg "Perfcheck: size_bytes must be positive";
-  let coll = ir.Ir.collective in
   let proto = ir.Ir.proto in
-  let chunk_bytes =
-    float_of_int size_bytes
-    /. float_of_int (Collective.input_buffer_size coll)
-  in
+  let chunk_bytes = chunk_bytes_of ~size_bytes ir in
   (* Weighted critical paths over the happens-before graph (data-flow
      edges only, like Analysis.critical_path, but in seconds). *)
   let hb = Hbgraph.build ir in
@@ -396,14 +453,7 @@ let analyze ~topo ?(size_bytes = default_size_bytes) (ir : Ir.t) =
            | 0 -> compare (a.tl_gpu, a.tl_tb) (b.tl_gpu, b.tl_tb)
            | c -> c)
   in
-  let d = demand_of topo coll ~chunk_bytes in
-  let bound =
-    {
-      lb_latency = latency_bound topo coll proto d;
-      lb_bandwidth = bandwidth_bound topo d;
-      lb_compute = compute_bound topo coll ~chunk_bytes;
-    }
-  in
+  let bound = bound ~cuts:(cuts topo) ~topo ~size_bytes ir in
   let estimate = Float.max span congestion in
   let bw_denom = Float.max span_bw congestion in
   let bw_efficiency =

@@ -79,6 +79,31 @@ type t = {
   tb_loads : tb_load list;  (** Every thread block, costliest first. *)
 }
 
+type cuts = {
+  c_rank_out : float array;
+      (** Per rank: summed distinct first-hop capacity of its routes out. *)
+  c_rank_in : float array;
+      (** Per rank: summed distinct last-hop capacity of its routes in. *)
+  c_node_out : float array;  (** Per node, over routes leaving the node. *)
+  c_node_in : float array;  (** Per node, over routes entering the node. *)
+  c_min_alpha : float option;  (** Smallest [base_alpha] of any route. *)
+  c_min_alpha_cross : float option;
+      (** Smallest [base_alpha] of a route between nodes. *)
+}
+(** What the lower bound needs from the topology's routes. A cut with a
+    hop-less route has infinite capacity; a cut with no routes has 0. *)
+
+val cuts : Msccl_topology.Topology.t -> cuts
+(** Every cut in one {!Msccl_topology.Topology.fold_routes} walk. Each
+    cut's distinct hops are summed in the order a walk over that cut's
+    routes alone, in rank order, would sum them. *)
+
+val bound :
+  cuts:cuts -> topo:Msccl_topology.Topology.t -> size_bytes:int -> Ir.t ->
+  bound
+(** The lower-bound certificate from precomputed cuts; {!analyze} passes
+    [cuts topo]. *)
+
 val default_size_bytes : int
 (** 1 MiB: large enough that β terms dominate α at Simple protocol. *)
 

@@ -43,8 +43,7 @@ let frame ~file tag p =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let b = Buffer.create (String.length s) in
+let escape_into b s =
   String.iter
     (fun c ->
       match c with
@@ -54,18 +53,54 @@ let escape s =
       | '"' -> Buffer.add_string b "&quot;"
       | '\'' -> Buffer.add_string b "&apos;"
       | c -> Buffer.add_char b c)
-    s;
+    s
+
+let escape s =
+  let b = Buffer.create (String.length s) in
+  escape_into b s;
   Buffer.contents b
 
-let rec print_tree fmt t =
-  Format.fprintf fmt "@[<v 2><%s" t.tag;
-  List.iter (fun (k, v) -> Format.fprintf fmt " %s=\"%s\"" k (escape v)) t.attrs;
+(* Each element on its own line, indented two spaces per depth, children
+   between the open and close tags. This is the layout the Format v-boxes
+   of the first printer produced. Those cap indentation at [max_indent]
+   (68 columns), so the two layouts would first differ at depth 35, which
+   no printed tree reaches: IR trees are at most 4 deep (algo/gpu/tb/step)
+   and a mangled one at most 5. *)
+let newline_indent b depth =
+  Buffer.add_char b '\n';
+  for _ = 1 to 2 * depth do
+    Buffer.add_char b ' '
+  done
+
+let rec write_tree b depth t =
+  Buffer.add_char b '<';
+  Buffer.add_string b t.tag;
+  List.iter
+    (fun (k, v) ->
+      Buffer.add_char b ' ';
+      Buffer.add_string b k;
+      Buffer.add_string b "=\"";
+      escape_into b v;
+      Buffer.add_char b '"')
+    t.attrs;
   match t.children with
-  | [] -> Format.fprintf fmt "/>@]"
+  | [] -> Buffer.add_string b "/>"
   | cs ->
-      Format.fprintf fmt ">";
-      List.iter (fun c -> Format.fprintf fmt "@,%a" print_tree c) cs;
-      Format.fprintf fmt "@]@,</%s>" t.tag
+      Buffer.add_char b '>';
+      List.iter
+        (fun c ->
+          newline_indent b (depth + 1);
+          write_tree b (depth + 1) c)
+        cs;
+      newline_indent b depth;
+      Buffer.add_string b "</";
+      Buffer.add_string b t.tag;
+      Buffer.add_char b '>'
+
+let print_tree fmt t =
+  let b = Buffer.create 4096 in
+  write_tree b 0 t;
+  Format.pp_print_string fmt (Buffer.contents b)
 
 (* ------------------------------------------------------------------ *)
 (* Lexing                                                              *)
@@ -464,7 +499,11 @@ let to_tree (ir : Ir.t) =
     (Array.to_list (Array.map gpu_to_tree ir.Ir.gpus))
 
 let to_string ir =
-  Format.asprintf "<?xml version=\"1.0\"?>@.%a@." print_tree (to_tree ir)
+  let b = Buffer.create 65536 in
+  Buffer.add_string b "<?xml version=\"1.0\"?>\n";
+  write_tree b 0 (to_tree ir);
+  Buffer.add_char b '\n';
+  Buffer.contents b
 
 let save ir path =
   let oc = open_out path in

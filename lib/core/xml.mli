@@ -62,7 +62,8 @@ val parse_tree : ?file:string -> string -> tree
     exact position on failure. *)
 
 val print_tree : Format.formatter -> tree -> unit
-(** Pretty-prints with 2-space indentation and escaped attributes. *)
+(** Prints one element per line, indented two spaces per depth, with
+    escaped attributes; meant for a formatter at column 0. *)
 
 val escape : string -> string
 

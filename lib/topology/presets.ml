@@ -6,7 +6,7 @@
 
 let gb = 1e9
 
-(* Accumulates resources while building the route matrix. *)
+(* Accumulates resources while building a topology. *)
 module Builder = struct
   type t = { mutable acc : Topology.resource list; mutable next : int }
 
@@ -61,44 +61,51 @@ let two_level ~name ~nodes ~gpus_per_node ~(intra : Link.t) ~(inter : Link.t)
           ( board_size,
             Array.init nodes (fun n -> (make n "fwd", make n "bwd")) )
   in
+  for g = 0 to gpus_per_node - 1 do
+    let i = nic_of g in
+    if i < 0 || i >= nics_per_node then
+      invalid_arg
+        (Printf.sprintf "Presets: gpu %d maps to nic %d of %d" g i
+           nics_per_node)
+  done;
+  (* Every route is a closed-form function of the endpoints' (node, gpu),
+     computed when read: NVSwitch egress -> ingress (plus the trunk when
+     crossing DGX-2 boards) inside a node, NIC out -> NIC in between
+     nodes. *)
   let node_of r = r / gpus_per_node in
   let gpu_of r = r mod gpus_per_node in
-  let routes =
-    Array.init ranks (fun src ->
-        Array.init ranks (fun dst ->
-            if src = dst then None
-            else if node_of src = node_of dst then begin
-              let hops = [ egress.(src); ingress.(dst) ] in
-              let hops =
-                match xboard with
-                | Some (board, per_node)
-                  when gpu_of src / board <> gpu_of dst / board ->
-                    let fwd, bwd = per_node.(node_of src) in
-                    let trunk = if gpu_of src / board = 0 then fwd else bwd in
-                    hops @ [ trunk ]
-                | Some _ | None -> hops
-              in
-              Some
-                {
-                  Topology.hops;
-                  base_alpha = intra.Link.alpha;
-                  tb_cap = intra.Link.tb_cap;
-                  kind = intra.Link.kind;
-                }
-            end
-            else
-              let src_nic = nic_out.(node_of src).(nic_of (gpu_of src)) in
-              let dst_nic = nic_in.(node_of dst).(nic_of (gpu_of dst)) in
-              Some
-                {
-                  Topology.hops = [ src_nic; dst_nic ];
-                  base_alpha = inter.Link.alpha;
-                  tb_cap = inter.Link.tb_cap;
-                  kind = inter.Link.kind;
-                }))
+  let route ~src ~dst =
+    if node_of src = node_of dst then begin
+      let hops =
+        match xboard with
+        | Some (board, per_node)
+          when gpu_of src / board <> gpu_of dst / board ->
+            let fwd, bwd = per_node.(node_of src) in
+            let trunk = if gpu_of src / board = 0 then fwd else bwd in
+            [ egress.(src); ingress.(dst); trunk ]
+        | Some _ | None -> [ egress.(src); ingress.(dst) ]
+      in
+      Some
+        {
+          Topology.hops;
+          base_alpha = intra.Link.alpha;
+          tb_cap = intra.Link.tb_cap;
+          kind = intra.Link.kind;
+        }
+    end
+    else
+      let src_nic = nic_out.(node_of src).(nic_of (gpu_of src)) in
+      let dst_nic = nic_in.(node_of dst).(nic_of (gpu_of dst)) in
+      Some
+        {
+          Topology.hops = [ src_nic; dst_nic ];
+          base_alpha = inter.Link.alpha;
+          tb_cap = inter.Link.tb_cap;
+          kind = inter.Link.kind;
+        }
   in
   Topology.create ~name ~num_nodes:nodes ~gpus_per_node
-    ~resources:(Builder.resources b) ~routes ~sm_count ~local_bandwidth
+    ~resources:(Builder.resources b) ~route ~sm_count ~local_bandwidth
     ~reduce_gamma ~launch_overhead ~per_tb_launch ~instr_overhead
 
 let ndv4 ~nodes =
@@ -195,6 +202,8 @@ let dgx1 () =
                     }))
   in
   Topology.create ~name:"DGX-1 8xV100" ~num_nodes:1 ~gpus_per_node:8
-    ~resources:(Builder.resources b) ~routes ~sm_count:80
+    ~resources:(Builder.resources b)
+    ~route:(fun ~src ~dst -> routes.(src).(dst))
+    ~sm_count:80
     ~local_bandwidth:(40. *. gb) ~reduce_gamma:(1. /. (40. *. gb))
     ~launch_overhead:5.0e-6 ~per_tb_launch:0.15e-6 ~instr_overhead:0.3e-6

@@ -1,5 +1,10 @@
 (** Ready-made cluster topologies matching the paper's evaluation systems
-    (§7, Fig. 7) plus a generic hierarchical builder for tests/examples. *)
+    (§7, Fig. 7) plus a generic hierarchical builder for tests/examples.
+
+    The two-level presets ([ndv4], [dgx2], [hierarchical]) compute each
+    route from the endpoints' (node, gpu) when it is read, so building
+    one costs O(ranks + resources). Each raises [Invalid_argument] on
+    nonpositive dimensions. *)
 
 val ndv4 : nodes:int -> Topology.t
 (** Azure ND A100 v4: [nodes] nodes of 8 A100 GPUs fully connected through

@@ -16,7 +16,7 @@ type t = {
   num_nodes : int;
   gpus_per_node : int;
   resources : resource array;
-  routes : route option array array;
+  route_of : src:int -> dst:int -> route option;
   sm_count : int;
   local_bandwidth : float;
   reduce_gamma : float;
@@ -25,60 +25,31 @@ type t = {
   instr_overhead : float;
 }
 
-let validate t =
-  let r = t.num_nodes * t.gpus_per_node in
-  if r <= 0 then invalid_arg "Topology.create: no ranks";
-  if Array.length t.routes <> r then invalid_arg "Topology.create: routes rows";
-  Array.iteri
-    (fun i row ->
-      if Array.length row <> r then invalid_arg "Topology.create: routes cols";
-      Array.iteri
-        (fun j cell ->
-          match cell with
-          | None ->
-              if i <> j then
-                invalid_arg
-                  (Printf.sprintf "Topology.create: missing route %d->%d" i j)
-          | Some rt ->
-              if i = j then
-                invalid_arg "Topology.create: route on the diagonal";
-              if rt.tb_cap <= 0. then
-                invalid_arg "Topology.create: nonpositive tb_cap";
-              List.iter
-                (fun h ->
-                  if h < 0 || h >= Array.length t.resources then
-                    invalid_arg "Topology.create: resource id out of range")
-                rt.hops)
-        row)
-    t.routes;
+let create ~name ~num_nodes ~gpus_per_node ~resources ~route ~sm_count
+    ~local_bandwidth ~reduce_gamma ~launch_overhead ~per_tb_launch
+    ~instr_overhead =
+  if sm_count <= 0 then invalid_arg "Topology.create: nonpositive sm_count";
+  if num_nodes <= 0 || gpus_per_node <= 0 then
+    invalid_arg "Topology.create: no ranks";
   Array.iteri
     (fun i res ->
       if res.rid <> i then invalid_arg "Topology.create: resource id mismatch";
       if res.capacity <= 0. then
         invalid_arg "Topology.create: nonpositive capacity")
-    t.resources
-
-let create ~name ~num_nodes ~gpus_per_node ~resources ~routes ~sm_count
-    ~local_bandwidth ~reduce_gamma ~launch_overhead ~per_tb_launch
-    ~instr_overhead =
-  if sm_count <= 0 then invalid_arg "Topology.create: nonpositive sm_count";
-  let t =
-    {
-      name;
-      num_nodes;
-      gpus_per_node;
-      resources;
-      routes;
-      sm_count;
-      local_bandwidth;
-      reduce_gamma;
-      launch_overhead;
-      per_tb_launch;
-      instr_overhead;
-    }
-  in
-  validate t;
-  t
+    resources;
+  {
+    name;
+    num_nodes;
+    gpus_per_node;
+    resources;
+    route_of = route;
+    sm_count;
+    local_bandwidth;
+    reduce_gamma;
+    launch_overhead;
+    per_tb_launch;
+    instr_overhead;
+  }
 
 let name t = t.name
 let num_nodes t = t.num_nodes
@@ -90,14 +61,30 @@ let rank_of t ~node ~gpu = (node * t.gpus_per_node) + gpu
 let same_node t a b = node_of t a = node_of t b
 let resources t = t.resources
 
+(* The one place a route is read: every consumer goes through here, so no
+   route escapes without the checks [create] cannot afford to run over all
+   P² pairs. Callers guarantee distinct in-range ranks. *)
+let checked_route t ~src ~dst =
+  match t.route_of ~src ~dst with
+  | None ->
+      invalid_arg
+        (Printf.sprintf "Topology.route: missing route %d->%d" src dst)
+  | Some rt ->
+      if rt.tb_cap <= 0. then invalid_arg "Topology.route: nonpositive tb_cap";
+      let n = Array.length t.resources in
+      List.iter
+        (fun h ->
+          if h < 0 || h >= n then
+            invalid_arg "Topology.route: resource id out of range")
+        rt.hops;
+      rt
+
 let route t ~src ~dst =
   let r = num_ranks t in
   if src < 0 || src >= r || dst < 0 || dst >= r then
     invalid_arg "Topology.route: rank out of range";
   if src = dst then invalid_arg "Topology.route: src = dst";
-  match t.routes.(src).(dst) with
-  | Some rt -> rt
-  | None -> invalid_arg "Topology.route: missing route"
+  checked_route t ~src ~dst
 
 let resource_capacity t rid =
   if rid < 0 || rid >= Array.length t.resources then
@@ -129,23 +116,10 @@ let fold_routes t f acc =
   let acc = ref acc in
   for src = 0 to r - 1 do
     for dst = 0 to r - 1 do
-      match t.routes.(src).(dst) with
-      | Some rt -> acc := f !acc ~src ~dst rt
-      | None -> ()
+      if src <> dst then acc := f !acc ~src ~dst (checked_route t ~src ~dst)
     done
   done;
   !acc
-
-let min_alpha ?(cross_node_only = false) t =
-  fold_routes t
-    (fun acc ~src ~dst rt ->
-      if cross_node_only && same_node t src dst then acc
-      else
-        Some
-          (match acc with
-          | None -> rt.base_alpha
-          | Some a -> Float.min a rt.base_alpha))
-    None
 
 let sm_count t = t.sm_count
 let local_bandwidth t = t.local_bandwidth

@@ -34,7 +34,7 @@ val create :
   num_nodes:int ->
   gpus_per_node:int ->
   resources:resource array ->
-  routes:route option array array ->
+  route:(src:int -> dst:int -> route option) ->
   sm_count:int ->
   local_bandwidth:float ->
   reduce_gamma:float ->
@@ -42,9 +42,19 @@ val create :
   per_tb_launch:float ->
   instr_overhead:float ->
   t
-(** Builds a topology. [routes.(src).(dst)] must be [Some _] for every
-    [src <> dst] and [None] on the diagonal; resource ids referenced by
-    routes must be in range. Raises [Invalid_argument] otherwise. *)
+(** Builds a topology whose routes are computed on demand: [route ~src
+    ~dst] is consulted each time a route is read, and only for distinct
+    in-range ranks, so building costs O(P + resources) rather than the P²
+    of a route table.
+
+    [create] checks only what costs O(P + resources): at least one rank,
+    dense resource ids ([resources.(i).rid = i]), positive resource
+    capacities and a positive [sm_count]. The per-route checks run at
+    access, in the one checked accessor behind {!route} and
+    {!fold_routes}: a [None] answer, a nonpositive [tb_cap] or a hop
+    outside the resource array raises [Invalid_argument] there, so no
+    caller ever reads an unchecked route. [create] raises
+    [Invalid_argument] when its own checks fail. *)
 
 val name : t -> string
 val num_nodes : t -> int
@@ -64,8 +74,9 @@ val same_node : t -> int -> int -> bool
 val resources : t -> resource array
 
 val route : t -> src:int -> dst:int -> route
-(** The route between two distinct ranks. Raises [Invalid_argument] when
-    [src = dst] or either rank is out of range. *)
+(** The route between two distinct ranks, computed when read. Raises
+    [Invalid_argument] when [src = dst], either rank is out of range, or
+    the route fails the access checks of {!create}. *)
 
 val resource_capacity : t -> int -> float
 (** Capacity in bytes/second of a resource id. Raises [Invalid_argument]
@@ -89,13 +100,9 @@ val route_alpha : t -> src:int -> dst:int -> float
 
 val fold_routes :
   t -> ('a -> src:int -> dst:int -> route -> 'a) -> 'a -> 'a
-(** Folds over every defined route in rank order. *)
-
-val min_alpha : ?cross_node_only:bool -> t -> float option
-(** Smallest [base_alpha] over all routes ([None] for a 1-rank topology);
-    with [cross_node_only] restricted to routes between nodes (used for
-    latency lower bounds of collectives that must cross node
-    boundaries). *)
+(** Folds over the route of every pair of distinct ranks, in rank order
+    ([src]-major, then [dst]). Raises [Invalid_argument] at the first
+    route that fails the access checks of {!create}. *)
 
 val sm_count : t -> int
 (** Streaming multiprocessors per GPU: an upper bound on thread blocks per

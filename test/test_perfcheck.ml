@@ -671,6 +671,129 @@ let test_bound_never_exceeds_simulation () =
   if !analyzed < 12 then
     Alcotest.failf "only %d registry configurations simulated" !analyzed
 
+(* ------------------------------------------------------------------ *)
+(* Differential: the one-walk cuts against per-cut reference walks     *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference walks every route once per cut, keeping the cut's
+   routes by predicate, exactly as the bound was first defined. *)
+let reference_cut topo ~first pred =
+  let seen = Hashtbl.create 8 in
+  let unbounded = ref false in
+  T.Topology.fold_routes topo
+    (fun () ~src ~dst rt ->
+      if pred ~src ~dst then
+        match rt.T.Topology.hops with
+        | [] -> unbounded := true
+        | h :: _ when first -> Hashtbl.replace seen h ()
+        | hops ->
+            Hashtbl.replace seen (List.nth hops (List.length hops - 1)) ())
+    ();
+  if !unbounded then infinity
+  else
+    Hashtbl.fold
+      (fun h () acc -> acc +. T.Topology.resource_capacity topo h)
+      seen 0.
+
+let reference_min_alpha topo keep =
+  T.Topology.fold_routes topo
+    (fun acc ~src ~dst rt ->
+      if not (keep ~src ~dst) then acc
+      else
+        let a = rt.T.Topology.base_alpha in
+        Some (match acc with None -> a | Some m -> Float.min m a))
+    None
+
+let reference_cuts topo =
+  let node_of = T.Topology.node_of topo in
+  let per n f = Array.init n f in
+  let p = T.Topology.num_ranks topo and nn = T.Topology.num_nodes topo in
+  {
+    Perfcheck.c_rank_out =
+      per p (fun r ->
+          reference_cut topo ~first:true (fun ~src ~dst:_ -> src = r));
+    c_rank_in =
+      per p (fun r ->
+          reference_cut topo ~first:false (fun ~src:_ ~dst -> dst = r));
+    c_node_out =
+      per nn (fun n ->
+          reference_cut topo ~first:true (fun ~src ~dst ->
+              node_of src = n && node_of dst <> n));
+    c_node_in =
+      per nn (fun n ->
+          reference_cut topo ~first:false (fun ~src ~dst ->
+              node_of src <> n && node_of dst = n));
+    c_min_alpha = reference_min_alpha topo (fun ~src:_ ~dst:_ -> true);
+    c_min_alpha_cross =
+      reference_min_alpha topo (fun ~src ~dst -> node_of src <> node_of dst);
+  }
+
+let hex = Printf.sprintf "%h"
+let hex_opt = Option.fold ~none:"none" ~some:hex
+
+let check_cuts label (c : Perfcheck.cuts) (r : Perfcheck.cuts) =
+  let arr what a b =
+    Alcotest.(check (array string)) (label ^ " " ^ what) (Array.map hex b)
+      (Array.map hex a)
+  in
+  arr "rank out" c.Perfcheck.c_rank_out r.Perfcheck.c_rank_out;
+  arr "rank in" c.Perfcheck.c_rank_in r.Perfcheck.c_rank_in;
+  arr "node out" c.Perfcheck.c_node_out r.Perfcheck.c_node_out;
+  arr "node in" c.Perfcheck.c_node_in r.Perfcheck.c_node_in;
+  Alcotest.(check string) (label ^ " min alpha")
+    (hex_opt r.Perfcheck.c_min_alpha) (hex_opt c.Perfcheck.c_min_alpha);
+  Alcotest.(check string) (label ^ " min cross alpha")
+    (hex_opt r.Perfcheck.c_min_alpha_cross)
+    (hex_opt c.Perfcheck.c_min_alpha_cross)
+
+(* Exact (%h) agreement of the cuts and of analyze's bound with the
+   reference, for every registry algorithm that builds on the shape. *)
+let test_cuts_match_reference () =
+  let analyzed = ref 0 in
+  List.iter
+    (fun label ->
+      let topo = topo_of label in
+      let reference = reference_cuts topo in
+      check_cuts label (Perfcheck.cuts topo) reference;
+      let params =
+        {
+          H.Registry.default_params with
+          H.Registry.nodes = T.Topology.num_nodes topo;
+          gpus_per_node = T.Topology.gpus_per_node topo;
+          verify = false;
+        }
+      in
+      List.iter
+        (fun (spec : H.Registry.spec) ->
+          match spec.H.Registry.build params with
+          | exception _ -> ()
+          | ir when Ir.num_ranks ir <> T.Topology.num_ranks topo -> ()
+          | ir ->
+              incr analyzed;
+              let b = (Perfcheck.analyze ~topo ir).Perfcheck.bound in
+              let r =
+                Perfcheck.bound ~cuts:reference ~topo
+                  ~size_bytes:Perfcheck.default_size_bytes ir
+              in
+              let what = label ^ " " ^ spec.H.Registry.name in
+              Alcotest.(check (list string)) what
+                (List.map hex
+                   [
+                     r.Perfcheck.lb_latency;
+                     r.Perfcheck.lb_bandwidth;
+                     r.Perfcheck.lb_compute;
+                   ])
+                (List.map hex
+                   [
+                     b.Perfcheck.lb_latency;
+                     b.Perfcheck.lb_bandwidth;
+                     b.Perfcheck.lb_compute;
+                   ]))
+        H.Registry.all)
+    [ "ndv4:1"; "ndv4:2"; "dgx2:1"; "dgx1" ];
+  if !analyzed < 30 then
+    Alcotest.failf "only %d registry configurations compared" !analyzed
+
 let () =
   Alcotest.run "perfcheck"
     [
@@ -688,6 +811,8 @@ let () =
             test_rank_mismatch_rejected;
           Alcotest.test_case "star broadcast flagged" `Quick
             test_star_broadcast_flagged;
+          Alcotest.test_case "cuts match reference walk" `Quick
+            test_cuts_match_reference;
         ] );
       ( "rules",
         [
