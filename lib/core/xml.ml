@@ -1,30 +1,78 @@
-(* Position-tracking XML subset parser and MSCCL-IR serializer.
+(* Offset-positioned XML subset parser and MSCCL-IR printer.
 
-   Every parsed element and attribute carries its 1-based line:col source
-   position, and every parse failure raises a structured {!Parse_error}
-   carrying the message, the file label, the position and the stack of
-   open elements rendered "<tag> at FILE:LINE:COL" — the ingestion layer
-   (lib/interop) and the golden bad-XML corpus depend on those positions
-   being exact. Decoding a tree back into an [Ir.t] is the ingestion
-   layer's job; this module only parses and prints. *)
+   The parser is one index scan over the source string. Every parsed
+   element and attribute records the byte offset where it starts; offsets
+   become 1-based line:col positions only when something asks (a
+   diagnostic, {!nth_attr_pos}, a {!Parse_error}), through a line-start index
+   built on first use. Every parse failure raises a structured
+   {!Parse_error} carrying the message, the file label, the position and
+   the stack of open elements rendered "<tag> at FILE:LINE:COL" — the
+   ingestion layer (lib/interop) and the golden bad-XML corpus depend on
+   those positions being exact. Decoding a tree back into an [Ir.t] is the
+   ingestion layer's job; this module only parses and prints. *)
 
 type pos = { line : int; col : int }
 
 let no_pos = { line = 0; col = 0 }
 
+(* A parsed document and the offset of each line start, computed on the
+   first position lookup. *)
+type source = { text : string; mutable line_starts : int array }
+
 type tree = {
   tag : string;
   attrs : (string * string) list;
   children : tree list;
-  t_pos : pos;
-  t_attr_pos : (string * pos) list;
+  t_src : source;
+  t_off : int;
+  t_attr_offs : int array;
 }
 
-(* Synthesized nodes (the IR printer) carry no source position. *)
-let el tag attrs children = { tag; attrs; children; t_pos = no_pos; t_attr_pos = [] }
+let synthetic = { text = ""; line_starts = [| 0 |] }
 
-let attr_pos t k =
-  match List.assoc_opt k t.t_attr_pos with Some p -> p | None -> t.t_pos
+(* Synthesized nodes (Mangle's additions) carry no source position. *)
+let el tag attrs children =
+  { tag; attrs; children; t_src = synthetic; t_off = -1; t_attr_offs = [||] }
+
+let line_starts src =
+  if Array.length src.line_starts = 0 then begin
+    let s = src.text in
+    let n = ref 1 in
+    for i = 0 to String.length s - 1 do
+      if String.unsafe_get s i = '\n' then incr n
+    done;
+    let starts = Array.make !n 0 in
+    let k = ref 1 in
+    for i = 0 to String.length s - 1 do
+      if String.unsafe_get s i = '\n' then begin
+        starts.(!k) <- i + 1;
+        incr k
+      end
+    done;
+    src.line_starts <- starts
+  end;
+  src.line_starts
+
+(* Columns count bytes, and '\n' is the only line break. *)
+let resolve src off =
+  if off < 0 then no_pos
+  else begin
+    let starts = line_starts src in
+    (* the last line starting at or before [off] *)
+    let lo = ref 0 and hi = ref (Array.length starts - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      if starts.(mid) <= off then lo := mid else hi := mid - 1
+    done;
+    { line = !lo + 1; col = off - starts.(!lo) + 1 }
+  end
+
+let pos t = resolve t.t_src t.t_off
+
+let nth_attr_pos t i =
+  if i >= 0 && i < Array.length t.t_attr_offs then
+    resolve t.t_src t.t_attr_offs.(i)
+  else pos t
 
 type error = {
   e_message : string;
@@ -36,24 +84,42 @@ type error = {
 exception Parse_error of error
 
 let frame ~file tag p =
-  if p = no_pos then Printf.sprintf "<%s>" tag
-  else Printf.sprintf "<%s> at %s:%d:%d" tag file p.line p.col
+  if p = no_pos then "<" ^ tag ^ ">"
+  else
+    String.concat ""
+      [ "<"; tag; "> at "; file; ":"; string_of_int p.line; ":";
+        string_of_int p.col ]
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* A loop, not [String.exists], which allocates a closure per call. *)
+let needs_escape s =
+  let i = ref 0 in
+  while
+    !i < String.length s
+    && match String.unsafe_get s !i with
+       | '&' | '<' | '>' | '"' | '\'' -> false
+       | _ -> true
+  do
+    incr i
+  done;
+  !i < String.length s
+
 let escape_into b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string b "&amp;"
-      | '<' -> Buffer.add_string b "&lt;"
-      | '>' -> Buffer.add_string b "&gt;"
-      | '"' -> Buffer.add_string b "&quot;"
-      | '\'' -> Buffer.add_string b "&apos;"
-      | c -> Buffer.add_char b c)
-    s
+  if not (needs_escape s) then Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '&' -> Buffer.add_string b "&amp;"
+        | '<' -> Buffer.add_string b "&lt;"
+        | '>' -> Buffer.add_string b "&gt;"
+        | '"' -> Buffer.add_string b "&quot;"
+        | '\'' -> Buffer.add_string b "&apos;"
+        | c -> Buffer.add_char b c)
+      s
 
 let escape s =
   let b = Buffer.create (String.length s) in
@@ -72,17 +138,17 @@ let newline_indent b depth =
     Buffer.add_char b ' '
   done
 
+let add_attr b k v =
+  Buffer.add_char b ' ';
+  Buffer.add_string b k;
+  Buffer.add_string b "=\"";
+  escape_into b v;
+  Buffer.add_char b '"'
+
 let rec write_tree b depth t =
   Buffer.add_char b '<';
   Buffer.add_string b t.tag;
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char b ' ';
-      Buffer.add_string b k;
-      Buffer.add_string b "=\"";
-      escape_into b v;
-      Buffer.add_char b '"')
-    t.attrs;
+  List.iter (fun (k, v) -> add_attr b k v) t.attrs;
   match t.children with
   | [] -> Buffer.add_string b "/>"
   | cs ->
@@ -103,110 +169,200 @@ let print_tree fmt t =
   Format.pp_print_string fmt (Buffer.contents b)
 
 (* ------------------------------------------------------------------ *)
-(* Lexing                                                              *)
+(* Scanning                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type cursor = {
-  src : string;
-  file : string;
-  mutable pos : int;
-  mutable line : int;
-  mutable col : int;
-  mutable stack : (string * pos) list;  (* open elements, innermost first *)
+(* The tag and attribute names of MSCCL-IR and of the msccl-tools
+   dialect, shared by every tree instead of copied out of each source. *)
+let vocabulary =
+  [ "algo"; "gpu"; "tb"; "step"; "name"; "proto"; "protocol"; "nranks";
+    "ngpus"; "chunk_factor"; "nchunksperloop"; "inplace"; "outofplace";
+    "coll"; "collective"; "root"; "cname"; "in_chunks"; "out_chunks";
+    "nchannels"; "minBytes"; "maxBytes"; "redop"; "version"; "id";
+    "i_chunks"; "o_chunks"; "s_chunks"; "input_chunks"; "output_chunks";
+    "scratch_chunks"; "send"; "recv"; "chan"; "s"; "type"; "srcbuf";
+    "srcoff"; "dstbuf"; "dstoff"; "cnt"; "count"; "depid"; "deps";
+    "hasdep" ]
+
+let intern_mask = 255
+
+let hash_slice s i n =
+  let h = ref n in
+  for k = i to i + n - 1 do
+    h := (!h * 31) + Char.code (String.unsafe_get s k)
+  done;
+  !h
+
+(* Open addressing; "" marks a free slot. *)
+let interned =
+  let t = Array.make (intern_mask + 1) "" in
+  List.iter
+    (fun w ->
+      let rec put h =
+        if String.length t.(h) = 0 then t.(h) <- w else put ((h + 1) land intern_mask)
+      in
+      put (hash_slice w 0 (String.length w) land intern_mask))
+    vocabulary;
+  t
+
+(* The hot scanning loops below are written without local closures, which
+   would otherwise be allocated on every call. *)
+let slice_equal s i n w =
+  String.length w = n
+  &&
+  let k = ref 0 in
+  while !k < n && String.unsafe_get s (i + !k) = String.unsafe_get w !k do
+    incr k
+  done;
+  !k = n
+
+(* [hash] is [hash_slice s i n]. *)
+let intern ~hash s i n =
+  let h = ref (hash land intern_mask) in
+  while
+    String.length interned.(!h) > 0 && not (slice_equal s i n interned.(!h))
+  do
+    h := (!h + 1) land intern_mask
+  done;
+  let w = interned.(!h) in
+  if String.length w = 0 then String.sub s i n else w
+
+(* An element whose open tag has been read and whose close tag has not. *)
+type open_el = {
+  f_tag : string;
+  f_off : int;
+  mutable f_attrs : (string * string) list;
+  mutable f_attr_offs : int array;
+  mutable f_kids : tree list;  (* reversed *)
 }
 
-let cursor ?(file = "<string>") src =
-  { src; file; pos = 0; line = 1; col = 1; stack = [] }
+type parser = {
+  src : string;
+  len : int;
+  file : string;
+  doc : source;
+  mutable i : int;
+  mutable stack : open_el list;  (* open elements, innermost first *)
+  (* the attributes of the element being read, in document order *)
+  mutable a_pairs : (string * string) array;
+  mutable a_hashes : int array;  (* of each name, to skip most comparisons *)
+  mutable a_offs : int array;
+  mutable na : int;
+  (* attribute name -> index, once an element has more than [linear_attrs] *)
+  seen : (string, int) Hashtbl.t;
+  (* recent short name="value" pairs, shared by every attribute that
+     repeats one: most of an IR file's attributes do *)
+  pairs : (string * string) array;
+}
 
-let cur_pos c = { line = c.line; col = c.col }
+let linear_attrs = 32
 
-let context_of c = List.map (fun (tag, p) -> frame ~file:c.file tag p) c.stack
+let short_value = 8
 
-let raise_at c ?context p fmt =
-  let context = match context with Some x -> x | None -> context_of c in
+let pairs_mask = 1023
+
+let parser ?(file = "<string>") s =
+  {
+    src = s;
+    len = String.length s;
+    file;
+    doc = { text = s; line_starts = [||] };
+    i = 0;
+    stack = [];
+    a_pairs = Array.make 16 ("", "");
+    a_hashes = Array.make 16 0;
+    a_offs = Array.make 16 0;
+    na = 0;
+    seen = Hashtbl.create 16;
+    pairs = Array.make (pairs_mask + 1) ("", "");
+  }
+
+let raise_at p off fmt =
+  let context =
+    List.map (fun f -> frame ~file:p.file f.f_tag (resolve p.doc f.f_off)) p.stack
+  in
   Format.kasprintf
     (fun m ->
       raise
         (Parse_error
-           { e_message = m; e_file = c.file; e_pos = p; e_context = context }))
+           {
+             e_message = m;
+             e_file = p.file;
+             e_pos = resolve p.doc off;
+             e_context = context;
+           }))
     fmt
 
-let fail c fmt = raise_at c (cur_pos c) fmt
+let fail p fmt = raise_at p p.i fmt
 
-let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
+let looking_at p s =
+  let n = String.length s in
+  p.i + n <= p.len && slice_equal p.src p.i n s
 
-let advance c =
-  (if c.pos < String.length c.src then
-     if c.src.[c.pos] = '\n' then begin
-       c.line <- c.line + 1;
-       c.col <- 1
-     end
-     else c.col <- c.col + 1);
-  c.pos <- c.pos + 1
+(* [looking_at] a two-character string, without the call *)
+let at2 p c1 c2 =
+  p.i + 1 < p.len
+  && String.unsafe_get p.src p.i = c1
+  && String.unsafe_get p.src (p.i + 1) = c2
 
-let advance_n c n =
-  for _ = 1 to n do
-    advance c
+let expect p s =
+  if looking_at p s then p.i <- p.i + String.length s
+  else if p.i >= p.len then fail p "expected %S but reached end of input" s
+  else fail p "expected %S, found %C" s p.src.[p.i]
+
+let is_name_char = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | ':' | '.' -> true
+  | _ -> false
+
+let skip_ws p =
+  while
+    p.i < p.len
+    && match String.unsafe_get p.src p.i with
+       | ' ' | '\t' | '\n' | '\r' -> true
+       | _ -> false
+  do
+    p.i <- p.i + 1
   done
 
-let looking_at c s =
-  let n = String.length s in
-  c.pos + n <= String.length c.src && String.sub c.src c.pos n = s
+(* Advances past the first [close] at or after [from]; [msg] positioned at
+   [opened] when there is none. *)
+let skip_past p ~from ~close ~opened msg =
+  let n = String.length close in
+  let rec go j =
+    if j >= p.len then raise_at p opened "%s" msg
+    else if j + n <= p.len && slice_equal p.src j n close then p.i <- j + n
+    else go (j + 1)
+  in
+  go from
 
-let expect c s =
-  if looking_at c s then advance_n c (String.length s)
-  else
-    match peek c with
-    | None -> fail c "expected %S but reached end of input" s
-    | Some ch -> fail c "expected %S, found %C" s ch
-
-let is_name_char ch =
-  (ch >= 'a' && ch <= 'z')
-  || (ch >= 'A' && ch <= 'Z')
-  || (ch >= '0' && ch <= '9')
-  || ch = '_' || ch = '-' || ch = ':' || ch = '.'
-
-let rec skip_ws c =
-  match peek c with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-      advance c;
-      skip_ws c
-  | Some _ | None -> ()
-
-let rec skip_ws_and_comments c =
-  skip_ws c;
-  if looking_at c "<!--" then begin
-    let open_pos = cur_pos c in
-    advance_n c 4;
-    let rec close () =
-      if c.pos >= String.length c.src then
-        raise_at c open_pos "unterminated comment (opened here)"
-      else if looking_at c "-->" then advance_n c 3
-      else begin
-        advance c;
-        close ()
-      end
-    in
-    close ();
-    skip_ws_and_comments c
+let rec skip_ws_and_comments p =
+  skip_ws p;
+  if at2 p '<' '!' && looking_at p "<!--" then begin
+    skip_past p ~from:(p.i + 4) ~close:"-->" ~opened:p.i
+      "unterminated comment (opened here)";
+    skip_ws_and_comments p
   end
 
-let read_name c =
-  let start = c.pos in
-  let rec go () =
-    match peek c with
-    | Some ch when is_name_char ch ->
-        advance c;
-        go ()
-    | Some _ | None -> ()
-  in
-  go ();
-  if c.pos = start then begin
-    match peek c with
-    | None -> fail c "expected a name but reached end of input"
-    | Some ch -> fail c "expected a name, found %C" ch
-  end;
-  String.sub c.src start (c.pos - start)
+(* The name under the cursor as a slice [start, p.i). *)
+let scan_name p =
+  let start = p.i in
+  while p.i < p.len && is_name_char (String.unsafe_get p.src p.i) do
+    p.i <- p.i + 1
+  done;
+  if p.i = start then
+    if p.i >= p.len then fail p "expected a name but reached end of input"
+    else fail p "expected a name, found %C" p.src.[p.i];
+  start
+
+let read_name p =
+  let start = scan_name p in
+  let n = p.i - start in
+  intern ~hash:(hash_slice p.src start n) p.src start n
+
+(* [expect] of the one-character string [c], without the call *)
+let expect_char p c =
+  if p.i < p.len && String.unsafe_get p.src p.i = c then p.i <- p.i + 1
+  else expect p (String.make 1 c)
 
 (* ------------------------------------------------------------------ *)
 (* Entities                                                            *)
@@ -235,33 +391,29 @@ let is_digit ch = ch >= '0' && ch <= '9'
 let is_hex ch =
   is_digit ch || (ch >= 'a' && ch <= 'f') || (ch >= 'A' && ch <= 'F')
 
-(* Decodes the entity whose '&' sits under the cursor. *)
-let read_entity c b =
-  let amp_pos = cur_pos c in
-  advance c;
-  let start = c.pos in
-  let rec scan n =
-    if n > 12 then
-      raise_at c amp_pos "malformed entity: no ';' within 12 characters of '&'"
-    else
-      match peek c with
-      | None -> raise_at c amp_pos "malformed entity: unterminated reference"
-      | Some ';' ->
-          let name = String.sub c.src start (c.pos - start) in
-          advance c;
-          name
-      | Some _ ->
-          advance c;
-          scan (n + 1)
+(* Decodes the entity whose '&' sits under the cursor. The ';' may lie
+   past a closing quote: the reference is read before the value ends. *)
+let read_entity p b =
+  let amp = p.i in
+  let start = amp + 1 in
+  let rec scan j =
+    if j - start > 12 then
+      raise_at p amp "malformed entity: no ';' within 12 characters of '&'"
+    else if j >= p.len then
+      raise_at p amp "malformed entity: unterminated reference"
+    else if p.src.[j] = ';' then j
+    else scan (j + 1)
   in
-  let name = scan 0 in
+  let semi = scan start in
+  p.i <- semi + 1;
+  let name = String.sub p.src start (semi - start) in
   match name with
   | "amp" -> Buffer.add_char b '&'
   | "lt" -> Buffer.add_char b '<'
   | "gt" -> Buffer.add_char b '>'
   | "quot" -> Buffer.add_char b '"'
   | "apos" -> Buffer.add_char b '\''
-  | "" -> raise_at c amp_pos "malformed entity: empty reference '&;'"
+  | "" -> raise_at p amp "malformed entity: empty reference '&;'"
   | _ when name.[0] = '#' ->
       let digits = String.sub name 1 (String.length name - 1) in
       let code =
@@ -279,229 +431,390 @@ let read_entity c b =
       in
       (match code with
       | Some cp when cp >= 1 && cp <= 0x10FFFF -> add_utf8 b cp
-      | Some cp -> raise_at c amp_pos
+      | Some cp -> raise_at p amp
           "numeric character reference '&%s;' is out of range (%d)" name cp
       | None ->
-          raise_at c amp_pos "malformed numeric character reference '&%s;'"
+          raise_at p amp "malformed numeric character reference '&%s;'"
             name)
-  | _ -> raise_at c amp_pos "unknown entity '&%s;'" name
+  | _ -> raise_at p amp "unknown entity '&%s;'" name
 
-(* Decodes entity references until [stop] (or end of input when [stop] is
-   [None], the bare-fragment mode {!unescape} uses). *)
-let scan_value ?stop ?open_pos c =
-  let b = Buffer.create 16 in
+(* Decodes from the cursor up to and past the closing '"' of the value
+   whose quote sits at [quote], or to the end of input when [quote] is
+   negative (the bare-fragment mode {!unescape} uses). *)
+let decode_into p b ~quote =
   let rec go () =
-    match (peek c, stop) with
-    | None, None -> ()
-    | None, Some _ ->
-        let p = match open_pos with Some p -> p | None -> cur_pos c in
-        raise_at c p "unterminated attribute value (quote opened here)"
-    | Some ch, Some stop when ch = stop -> advance c
-    | Some '&', _ ->
-        read_entity c b;
-        go ()
-    | Some ch, _ ->
-        Buffer.add_char b ch;
-        advance c;
-        go ()
+    if p.i >= p.len then begin
+      if quote >= 0 then
+        raise_at p quote "unterminated attribute value (quote opened here)"
+    end
+    else
+      match p.src.[p.i] with
+      | '"' when quote >= 0 -> p.i <- p.i + 1
+      | '&' ->
+          read_entity p b;
+          go ()
+      | c ->
+          Buffer.add_char b c;
+          p.i <- p.i + 1;
+          go ()
   in
-  go ();
+  go ()
+
+let unescape s =
+  let p = parser ~file:"<fragment>" s in
+  let b = Buffer.create (String.length s) in
+  decode_into p b ~quote:(-1);
   Buffer.contents b
 
-let unescape s = scan_value (cursor ~file:"<fragment>" s)
-
-let read_attr_value c =
-  let open_pos = cur_pos c in
-  expect c "\"";
-  scan_value ~stop:'"' ~open_pos c
+(* The attribute [k]="value" under the cursor: one String.sub per value, or
+   none for a short pair seen before; only values holding a '&' are
+   decoded. *)
+let read_attr p k ~hash =
+  let quote = p.i in
+  expect_char p '"';
+  let start = p.i in
+  let j = ref start in
+  while
+    !j < p.len
+    && match String.unsafe_get p.src !j with '"' | '&' -> false | _ -> true
+  do
+    incr j
+  done;
+  if !j >= p.len then
+    raise_at p quote "unterminated attribute value (quote opened here)"
+  else if p.src.[!j] = '"' then begin
+    let n = !j - start in
+    p.i <- !j + 1;
+    if n > short_value then (k, String.sub p.src start n)
+    else begin
+      let h = ((hash * 31) + hash_slice p.src start n) land pairs_mask in
+      let ((k', v') as cached) = p.pairs.(h) in
+      if k' == k && slice_equal p.src start n v' then cached
+      else begin
+        let kv = (k, String.sub p.src start n) in
+        p.pairs.(h) <- kv;
+        kv
+      end
+    end
+  end
+  else begin
+    let b = Buffer.create (!j - start + 16) in
+    Buffer.add_substring b p.src start (!j - start);
+    p.i <- !j;
+    decode_into p b ~quote;
+    (k, Buffer.contents b)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Elements                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let rec parse_element c =
-  skip_ws_and_comments c;
-  let start_pos = cur_pos c in
-  (match peek c with
-  | Some '<' when not (looking_at c "</") -> ()
-  | Some '<' -> fail c "unexpected closing tag"
-  | Some ch -> fail c "expected an element, found %C (text content is not supported)" ch
-  | None -> fail c "expected an element but reached end of input");
-  expect c "<";
-  let tag = read_name c in
-  c.stack <- (tag, start_pos) :: c.stack;
-  let rec attrs acc =
-    skip_ws c;
-    match peek c with
-    | Some '/' | Some '>' -> List.rev acc
-    | Some ch when is_name_char ch ->
-        let k_pos = cur_pos c in
-        let k = read_name c in
-        (match List.find_opt (fun (k', _, _) -> String.equal k' k) acc with
-        | Some (_, _, (first : pos)) ->
-            raise_at c k_pos
-              "duplicate attribute %s on <%s> (first occurrence at %s:%d:%d)"
-              k tag c.file first.line first.col
-        | None -> ());
-        skip_ws c;
-        expect c "=";
-        skip_ws c;
-        let v = read_attr_value c in
-        attrs ((k, v, k_pos) :: acc)
-    | Some ch ->
-        fail c "unexpected %C in <%s> (expected an attribute name, '>' or '/>')"
-          ch tag
-    | None ->
-        raise_at c start_pos "unterminated element <%s> (opened here)" tag
-  in
-  let attrs = attrs [] in
-  skip_ws c;
-  let finish children =
-    c.stack <- List.tl c.stack;
-    {
-      tag;
-      attrs = List.map (fun (k, v, _) -> (k, v)) attrs;
-      children;
-      t_pos = start_pos;
-      t_attr_pos = List.map (fun (k, _, p) -> (k, p)) attrs;
-    }
-  in
-  if looking_at c "/>" then begin
-    advance_n c 2;
-    finish []
+let push_attr p kv ~hash off =
+  if p.na = Array.length p.a_pairs then begin
+    let grow a fill =
+      let a' = Array.make (2 * p.na) fill in
+      Array.blit a 0 a' 0 p.na;
+      a'
+    in
+    p.a_pairs <- grow p.a_pairs ("", "");
+    p.a_hashes <- grow p.a_hashes 0;
+    p.a_offs <- grow p.a_offs 0
+  end;
+  p.a_pairs.(p.na) <- kv;
+  p.a_hashes.(p.na) <- hash;
+  p.a_offs.(p.na) <- off;
+  p.na <- p.na + 1
+
+(* Index of an earlier attribute named [k] of the element being read, or
+   -1: a scan for the usual few attributes, a table past [linear_attrs]. *)
+let earlier_attr p k ~hash =
+  if p.na < linear_attrs then begin
+    let j = ref 0 in
+    while
+      !j < p.na
+      && not (p.a_hashes.(!j) = hash && String.equal (fst p.a_pairs.(!j)) k)
+    do
+      incr j
+    done;
+    if !j = p.na then -1 else !j
   end
   else begin
-    expect c ">";
-    let rec children acc =
-      skip_ws_and_comments c;
-      if looking_at c "</" then begin
-        let close_pos = cur_pos c in
-        advance_n c 2;
-        let close = read_name c in
-        if not (String.equal close tag) then
-          raise_at c close_pos
-            "mismatched closing tag </%s> for <%s> (opened at %s:%d:%d)" close
-            tag c.file start_pos.line start_pos.col;
-        skip_ws c;
-        expect c ">";
-        List.rev acc
-      end
-      else if peek c = None then
-        raise_at c start_pos "unterminated element <%s> (opened here)" tag
-      else children (parse_element c :: acc)
-    in
-    finish (children [])
+    if Hashtbl.length p.seen = 0 then
+      for j = 0 to p.na - 1 do
+        Hashtbl.replace p.seen (fst p.a_pairs.(j)) j
+      done;
+    match Hashtbl.find_opt p.seen k with Some j -> j | None -> -1
   end
 
-let parse_tree ?file s =
-  let c = cursor ?file s in
-  if looking_at c "\xef\xbb\xbf" then advance_n c 3;
-  skip_ws_and_comments c;
-  if looking_at c "<?" then begin
-    let open_pos = cur_pos c in
-    let rec close () =
-      if c.pos >= String.length c.src then
-        raise_at c open_pos "unterminated XML declaration (opened here)"
-      else if looking_at c "?>" then advance_n c 2
-      else begin
-        advance c;
-        close ()
-      end
-    in
-    close ()
+let rec collect_attrs p j acc =
+  if j < 0 then acc
+  else collect_attrs p (j - 1) (p.a_pairs.(j) :: acc)
+
+let read_attrs p (f : open_el) =
+  p.na <- 0;
+  if Hashtbl.length p.seen > 0 then Hashtbl.reset p.seen;
+  let more = ref true in
+  while !more do
+    skip_ws p;
+    if p.i >= p.len then
+      raise_at p f.f_off "unterminated element <%s> (opened here)" f.f_tag
+    else
+      match p.src.[p.i] with
+      | '/' | '>' -> more := false
+      | ch when is_name_char ch ->
+          let k_off = p.i in
+          let start = scan_name p in
+          let n = p.i - start in
+          let hash = hash_slice p.src start n in
+          let k = intern ~hash p.src start n in
+          let first = earlier_attr p k ~hash in
+          if first >= 0 then begin
+            let fp = resolve p.doc p.a_offs.(first) in
+            raise_at p k_off
+              "duplicate attribute %s on <%s> (first occurrence at %s:%d:%d)" k
+              f.f_tag p.file fp.line fp.col
+          end;
+          skip_ws p;
+          expect_char p '=';
+          skip_ws p;
+          let kv = read_attr p k ~hash in
+          if Hashtbl.length p.seen > 0 then Hashtbl.replace p.seen k p.na;
+          push_attr p kv ~hash k_off
+      | ch ->
+          fail p "unexpected %C in <%s> (expected an attribute name, '>' or '/>')"
+            ch f.f_tag
+  done;
+  f.f_attrs <- collect_attrs p (p.na - 1) [];
+  if p.na > 0 then f.f_attr_offs <- Array.sub p.a_offs 0 p.na
+
+let tree_of p f children =
+  {
+    tag = f.f_tag;
+    attrs = f.f_attrs;
+    children;
+    t_src = p.doc;
+    t_off = f.f_off;
+    t_attr_offs = f.f_attr_offs;
+  }
+
+(* Pops the innermost open element as a tree with [children]; returns it
+   when it was the root. *)
+let close p f children =
+  let t = tree_of p f children in
+  match p.stack with
+  | _ :: (parent :: _ as rest) ->
+      p.stack <- rest;
+      parent.f_kids <- t :: parent.f_kids;
+      None
+  | _ ->
+      p.stack <- [];
+      Some t
+
+(* Reads an open tag; returns the tree when it closed the root. *)
+let open_element p =
+  skip_ws_and_comments p;
+  let start = p.i in
+  if p.i >= p.len then fail p "expected an element but reached end of input";
+  (match p.src.[p.i] with
+  | '<' when not (at2 p '<' '/') -> ()
+  | '<' -> fail p "unexpected closing tag"
+  | ch -> fail p "expected an element, found %C (text content is not supported)" ch);
+  p.i <- p.i + 1;
+  let tag = read_name p in
+  let f = { f_tag = tag; f_off = start; f_attrs = []; f_attr_offs = [||]; f_kids = [] } in
+  p.stack <- f :: p.stack;
+  read_attrs p f;
+  skip_ws p;
+  if at2 p '/' '>' then begin
+    p.i <- p.i + 2;
+    close p f []
+  end
+  else begin
+    expect_char p '>';
+    None
+  end
+
+(* Reads the close tag of the innermost open element, whose "</" sits
+   under the cursor. *)
+let close_element p f =
+  let close_off = p.i in
+  p.i <- p.i + 2;
+  let start = scan_name p in
+  let n = p.i - start in
+  if not (slice_equal p.src start n f.f_tag) then begin
+    let op = resolve p.doc f.f_off in
+    raise_at p close_off "mismatched closing tag </%s> for <%s> (opened at %s:%d:%d)"
+      (String.sub p.src start n) f.f_tag p.file op.line op.col
   end;
-  let t = parse_element c in
-  skip_ws_and_comments c;
-  (match peek c with
-  | None -> ()
-  | Some ch -> fail c "trailing content after the root element (found %C)" ch);
+  skip_ws p;
+  expect_char p '>';
+  close p f (List.rev f.f_kids)
+
+(* Elements nest through [p.stack], not the OCaml stack, so nesting depth
+   costs heap, not native stack the GC rescans. *)
+let parse_root p =
+  let rec children () =
+    match p.stack with
+    | [] -> assert false
+    | f :: _ -> (
+        skip_ws_and_comments p;
+        let closed =
+          if at2 p '<' '/' then close_element p f
+          else if p.i >= p.len then
+            raise_at p f.f_off "unterminated element <%s> (opened here)" f.f_tag
+          else open_element p
+        in
+        match closed with Some t -> t | None -> children ())
+  in
+  match open_element p with Some t -> t | None -> children ()
+
+let parse_tree ?file s =
+  let p = parser ?file s in
+  if looking_at p "\xef\xbb\xbf" then p.i <- 3;
+  skip_ws_and_comments p;
+  if looking_at p "<?" then
+    skip_past p ~from:p.i ~close:"?>" ~opened:p.i
+      "unterminated XML declaration (opened here)";
+  let t = parse_root p in
+  skip_ws_and_comments p;
+  if p.i < p.len then
+    fail p "trailing content after the root element (found %C)" p.src.[p.i];
   t
 
 (* ------------------------------------------------------------------ *)
-(* IR -> tree                                                          *)
+(* IR -> text                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let ids_attr prefix ids =
-  (prefix, String.concat "," (List.map string_of_int ids))
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
 
-let loc_attrs prefix = function
-  | None -> [ (prefix ^ "buf", "n"); (prefix ^ "off", "-1") ]
+(* [string_of_int n], without the string *)
+let add_int b n =
+  if n >= 0 then add_digits b n
+  else if n = min_int then Buffer.add_string b (string_of_int n)
+  else begin
+    Buffer.add_char b '-';
+    add_digits b (-n)
+  end
+
+let int_attr b k n =
+  Buffer.add_char b ' ';
+  Buffer.add_string b k;
+  Buffer.add_string b "=\"";
+  add_int b n;
+  Buffer.add_char b '"'
+
+let rec add_ids b proj = function
+  | [] -> ()
+  | d :: rest ->
+      add_int b (proj d);
+      if rest <> [] then Buffer.add_char b ',';
+      add_ids b proj rest
+
+(* the [proj] of each dependency, comma-separated *)
+let ids_attr b k proj deps =
+  Buffer.add_char b ' ';
+  Buffer.add_string b k;
+  Buffer.add_string b "=\"";
+  add_ids b proj deps;
+  Buffer.add_char b '"'
+
+let loc_attrs b ~buf ~off = function
+  | None ->
+      add_attr b buf "n";
+      int_attr b off (-1)
   | Some (l : Loc.t) ->
-      [
-        (prefix ^ "buf", Buffer_id.name l.Loc.buf);
-        (prefix ^ "off", string_of_int l.Loc.index);
-      ]
+      add_attr b buf (Buffer_id.name l.Loc.buf);
+      int_attr b off l.Loc.index
 
-let step_to_tree (st : Ir.step) =
-  let depid, deps =
-    match st.Ir.depends with
-    | [] -> ([ -1 ], [ -1 ])
-    | ds -> (List.map fst ds, List.map snd ds)
+let write_step b (st : Ir.step) =
+  newline_indent b 3;
+  Buffer.add_string b "<step";
+  int_attr b "s" st.Ir.s;
+  add_attr b "type" (Instr.opcode_name st.Ir.op);
+  loc_attrs b ~buf:"srcbuf" ~off:"srcoff" st.Ir.src;
+  loc_attrs b ~buf:"dstbuf" ~off:"dstoff" st.Ir.dst;
+  int_attr b "cnt" st.Ir.count;
+  (match st.Ir.depends with
+  | [] ->
+      int_attr b "depid" (-1);
+      int_attr b "deps" (-1)
+  | ds ->
+      ids_attr b "depid" fst ds;
+      ids_attr b "deps" snd ds);
+  int_attr b "hasdep" (if st.Ir.has_dep then 1 else 0);
+  Buffer.add_string b "/>"
+
+(* [open_tag] has written "<tag attrs"; the children follow, one level
+   deeper, or the tag closes itself when there are none. *)
+let close_tag b depth tag ~empty =
+  if empty then Buffer.add_string b "/>"
+  else begin
+    newline_indent b depth;
+    Buffer.add_string b "</";
+    Buffer.add_string b tag;
+    Buffer.add_char b '>'
+  end
+
+let write_tb b (tb : Ir.tb) =
+  newline_indent b 2;
+  Buffer.add_string b "<tb";
+  int_attr b "id" tb.Ir.tb_id;
+  int_attr b "send" tb.Ir.send;
+  int_attr b "recv" tb.Ir.recv;
+  int_attr b "chan" tb.Ir.chan;
+  let empty = Array.length tb.Ir.steps = 0 in
+  if not empty then Buffer.add_char b '>';
+  Array.iter (write_step b) tb.Ir.steps;
+  close_tag b 2 "tb" ~empty
+
+let write_gpu b (g : Ir.gpu) =
+  newline_indent b 1;
+  Buffer.add_string b "<gpu";
+  int_attr b "id" g.Ir.gpu_id;
+  int_attr b "i_chunks" g.Ir.input_chunks;
+  int_attr b "o_chunks" g.Ir.output_chunks;
+  int_attr b "s_chunks" g.Ir.scratch_chunks;
+  let empty = Array.length g.Ir.tbs = 0 in
+  if not empty then Buffer.add_char b '>';
+  Array.iter (write_tb b) g.Ir.tbs;
+  close_tag b 1 "gpu" ~empty
+
+(* Prints the layout {!print_tree} gives the IR's tree, without building
+   the tree. Steps print in 115 to 235 bytes, most under 144. *)
+let to_string (ir : Ir.t) =
+  let steps =
+    Array.fold_left
+      (fun n (g : Ir.gpu) ->
+        Array.fold_left (fun n (tb : Ir.tb) -> n + Array.length tb.Ir.steps) n g.Ir.tbs)
+      0 ir.Ir.gpus
   in
-  el "step"
-    ([ ("s", string_of_int st.Ir.s); ("type", Instr.opcode_name st.Ir.op) ]
-    @ loc_attrs "src" st.Ir.src @ loc_attrs "dst" st.Ir.dst
-    @ [
-        ("cnt", string_of_int st.Ir.count);
-        ids_attr "depid" depid;
-        ids_attr "deps" deps;
-        ("hasdep", if st.Ir.has_dep then "1" else "0");
-      ])
-    []
-
-let tb_to_tree (tb : Ir.tb) =
-  el "tb"
-    [
-      ("id", string_of_int tb.Ir.tb_id);
-      ("send", string_of_int tb.Ir.send);
-      ("recv", string_of_int tb.Ir.recv);
-      ("chan", string_of_int tb.Ir.chan);
-    ]
-    (Array.to_list (Array.map step_to_tree tb.Ir.steps))
-
-let gpu_to_tree (g : Ir.gpu) =
-  el "gpu"
-    [
-      ("id", string_of_int g.Ir.gpu_id);
-      ("i_chunks", string_of_int g.Ir.input_chunks);
-      ("o_chunks", string_of_int g.Ir.output_chunks);
-      ("s_chunks", string_of_int g.Ir.scratch_chunks);
-    ]
-    (Array.to_list (Array.map tb_to_tree g.Ir.tbs))
-
-let to_tree (ir : Ir.t) =
+  let b = Buffer.create (1024 + (144 * steps)) in
+  Buffer.add_string b "<?xml version=\"1.0\"?>\n<algo";
   let coll = ir.Ir.collective in
-  let coll_attrs =
-    match coll.Collective.kind with
-    | Collective.Broadcast r | Collective.Reduce r | Collective.Gather r
-    | Collective.Scatter r ->
-        [ ("coll", Collective.name coll); ("root", string_of_int r) ]
-    | Collective.Custom c ->
-        [
-          ("coll", "custom");
-          ("cname", c.Collective.custom_name);
-          ("in_chunks", string_of_int c.Collective.input_chunks);
-          ("out_chunks", string_of_int c.Collective.output_chunks);
-        ]
-    | Collective.Allreduce | Collective.Allgather | Collective.Reduce_scatter
-    | Collective.Alltoall | Collective.Alltonext ->
-        [ ("coll", Collective.name coll) ]
-  in
-  el "algo"
-    ([
-       ("name", ir.Ir.name);
-       ("proto", Msccl_topology.Protocol.name ir.Ir.proto);
-       ("nranks", string_of_int coll.Collective.num_ranks);
-       ("chunk_factor", string_of_int coll.Collective.chunk_factor);
-       ("inplace", if coll.Collective.inplace then "1" else "0");
-     ]
-    @ coll_attrs)
-    (Array.to_list (Array.map gpu_to_tree ir.Ir.gpus))
-
-let to_string ir =
-  let b = Buffer.create 65536 in
-  Buffer.add_string b "<?xml version=\"1.0\"?>\n";
-  write_tree b 0 (to_tree ir);
+  add_attr b "name" ir.Ir.name;
+  add_attr b "proto" (Msccl_topology.Protocol.name ir.Ir.proto);
+  int_attr b "nranks" coll.Collective.num_ranks;
+  int_attr b "chunk_factor" coll.Collective.chunk_factor;
+  int_attr b "inplace" (if coll.Collective.inplace then 1 else 0);
+  (match coll.Collective.kind with
+  | Collective.Broadcast r | Collective.Reduce r | Collective.Gather r
+  | Collective.Scatter r ->
+      add_attr b "coll" (Collective.name coll);
+      int_attr b "root" r
+  | Collective.Custom c ->
+      add_attr b "coll" "custom";
+      add_attr b "cname" c.Collective.custom_name;
+      int_attr b "in_chunks" c.Collective.input_chunks;
+      int_attr b "out_chunks" c.Collective.output_chunks
+  | Collective.Allreduce | Collective.Allgather | Collective.Reduce_scatter
+  | Collective.Alltoall | Collective.Alltonext ->
+      add_attr b "coll" (Collective.name coll));
+  let empty = Array.length ir.Ir.gpus = 0 in
+  if not empty then Buffer.add_char b '>';
+  Array.iter (write_gpu b) ir.Ir.gpus;
+  close_tag b 0 "algo" ~empty;
   Buffer.add_char b '\n';
   Buffer.contents b
 

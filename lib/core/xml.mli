@@ -1,4 +1,4 @@
-(** MSCCL-IR XML printing and a position-tracking XML tree parser.
+(** MSCCL-IR XML printing and an offset-positioned XML tree parser.
 
     The on-disk format follows the spirit of msccl's algorithm XML files:
     an [<algo>] root with per-GPU [<gpu>] elements containing [<tb>] thread
@@ -10,8 +10,16 @@
     round-trip, so decoded custom collectives get a vacuous postcondition
     (shape-only) — built-in collectives round-trip exactly.
 
-    The parser is the repo's hostile-input boundary: every element and
-    attribute carries its 1-based [line:col] source position, and every
+    The parser is the repo's hostile-input boundary. It is one index scan
+    over the source: names of the IR and msccl-tools vocabulary are shared
+    rather than copied, each attribute value is one [String.sub] (decoded
+    only when it holds a ['&']), and open elements nest on an explicit
+    stack, so neither nesting depth nor attribute count costs more than
+    linear time. Every element and attribute records the byte offset where
+    it starts; {!pos}, {!nth_attr_pos} and {!Parse_error} resolve offsets to
+    1-based [line:col] positions (columns count bytes, ['\n'] is the only
+    line break) through a line-start index built on first use, so a
+    document that draws no diagnostic never pays for positions. Every
     failure raises a structured {!Parse_error} with the message, a file
     label, the exact position and the stack of open elements rendered
     ["<tag> at FILE:LINE:COL"] (the 0install [qdom] style). Attribute
@@ -19,28 +27,36 @@
     references ([&#NN;], [&#xNN;]); malformed or unknown entities and
     duplicate attributes are rejected with their source position.
 
-    A small generic XML subset (elements, attributes, comments, no text
-    nodes) is exposed for reuse; [Msccl_interop.Ingest] decodes it,
-    collecting every diagnostic, on top of {!parse_tree}. *)
+    The printer writes the IR straight into one buffer; no tree is built.
+    {!print_tree} prints a generic tree in the same layout, for callers
+    that rewrite trees ([Msccl_interop.Mangle]). *)
 
 type pos = { line : int; col : int }
 (** 1-based source position. {!no_pos} ([0:0]) marks synthesized nodes. *)
 
 val no_pos : pos
 
+type source
+(** The text a tree was parsed from, with its line-start index. *)
+
 type tree = {
   tag : string;
   attrs : (string * string) list;  (** decoded values, in document order *)
   children : tree list;
-  t_pos : pos;  (** position of the opening ['<'] *)
-  t_attr_pos : (string * pos) list;  (** source position of each attribute *)
+  t_src : source;
+  t_off : int;  (** byte offset of the opening ['<']; [-1] when synthesized *)
+  t_attr_offs : int array;
+      (** byte offset of each attribute's name, in the order of [attrs] *)
 }
 
 val el : string -> (string * string) list -> tree list -> tree
-(** Synthesized node carrying {!no_pos} (what {!to_tree} builds). *)
+(** Synthesized node carrying {!no_pos}. *)
 
-val attr_pos : tree -> string -> pos
-(** Position of a named attribute, falling back to the element's. *)
+val pos : tree -> pos
+(** Position of the element's opening ['<'] ({!no_pos} when synthesized). *)
+
+val nth_attr_pos : tree -> int -> pos
+(** Position of the [i]-th attribute, falling back to the element's. *)
 
 type error = {
   e_message : string;
@@ -71,8 +87,6 @@ val unescape : string -> string
 (** Decodes entity references in a bare fragment ([&amp;], [&lt;], [&gt;],
     [&quot;], [&apos;], [&#NN;], [&#xNN;]); raises {!Parse_error}
     positioned inside the fragment on malformed or unknown entities. *)
-
-val to_tree : Ir.t -> tree
 
 val to_string : Ir.t -> string
 

@@ -73,6 +73,11 @@ val of_string : ?file:string -> string -> (Ir.t * diag list, diag list) result
 (** {!Msccl_core.Xml.parse_tree} followed by {!of_tree}; parse errors are
     converted into a single structured ["parse"] diagnostic. Never raises. *)
 
+val int_value : string -> int option
+(** How every integer attribute value is read:
+    [int_of_string_opt (String.trim v)], with a plain decimal
+    ([-?[0-9]{1,18}]) read in place. *)
+
 val load : string -> (Ir.t * diag list, diag list) result
 (** Reads and ingests a file; unreadable files become a ["io"]
     diagnostic. Never raises. *)
