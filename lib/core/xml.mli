@@ -11,9 +11,10 @@
     (shape-only) — built-in collectives round-trip exactly.
 
     The parser is the repo's hostile-input boundary. It is one index scan
-    over the source: names of the IR and msccl-tools vocabulary are shared
-    rather than copied, each attribute value is one [String.sub] (decoded
-    only when it holds a ['&']), and open elements nest on an explicit
+    over the source: a name or a short [name="value"] pair read again
+    shares its first copy through a small per-parse cache, any other
+    attribute value is one [String.sub] (decoded only when it holds a
+    ['&']), and open elements nest on an explicit
     stack, so neither nesting depth nor attribute count costs more than
     linear time. Every element and attribute records the byte offset where
     it starts; {!pos}, {!nth_attr_pos} and {!Parse_error} resolve offsets to
@@ -45,8 +46,11 @@ type tree = {
   children : tree list;
   t_src : source;
   t_off : int;  (** byte offset of the opening ['<']; [-1] when synthesized *)
+  t_parsed : (string * string) list;
+      (** [attrs] as parsed; [t_attr_offs] is read by index only while
+          [attrs] is physically this list *)
   t_attr_offs : int array;
-      (** byte offset of each attribute's name, in the order of [attrs] *)
+      (** byte offset of each attribute's name, in the order of [t_parsed] *)
 }
 
 val el : string -> (string * string) list -> tree list -> tree
@@ -56,7 +60,10 @@ val pos : tree -> pos
 (** Position of the element's opening ['<'] ({!no_pos} when synthesized). *)
 
 val nth_attr_pos : tree -> int -> pos
-(** Position of the [i]-th attribute, falling back to the element's. *)
+(** Position of the [i]-th attribute of [attrs], falling back to the
+    element's. On a tree whose [attrs] was rewritten after the parse
+    (e.g. [{ t with attrs = ... }]), the first parsed attribute of the
+    same name gives the position. *)
 
 type error = {
   e_message : string;
