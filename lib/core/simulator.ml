@@ -101,9 +101,13 @@ type tb_state = {
   mutable ts_wait : (wait * float) option;
       (* what this tb is parked on right now, and since when — the raw
          material of the watchdog's hang diagnosis *)
+  mutable ts_recv_conn : conn option;
+  mutable ts_send_conn : conn option;
+      (* a tb's peers and channel are fixed, so each of its connections is
+         resolved on first use and kept *)
 }
 
-type conn = {
+and conn = {
   c_route : T.Topology.route;
   mutable c_in_flight : int;
   mutable c_arrived : int;
@@ -134,7 +138,9 @@ type quot = {
 
 let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
     ~watchdog_s ~(proto : T.Protocol.t) ~(gpus : Ir.gpu array) ~p_full ~quot =
-  if chunk_bytes <= 0. then error "chunk_bytes must be positive";
+  if Float.is_nan chunk_bytes then error "chunk_bytes is NaN";
+  if not (chunk_bytes > 0. && chunk_bytes < infinity) then
+    error "chunk_bytes %g must be finite and positive" chunk_bytes;
   if p_full <> T.Topology.num_ranks topo then
     error "IR has %d ranks but topology %s has %d" p_full
       (T.Topology.name topo)
@@ -237,6 +243,26 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
         Hashtbl.add conns key c;
         c
   in
+  let recv_conn st =
+    match st.ts_recv_conn with
+    | Some c -> c
+    | None ->
+        let c =
+          conn_of ~src:st.ts_tb.Ir.recv ~dst:st.ts_rank ~ch:st.ts_tb.Ir.chan
+        in
+        st.ts_recv_conn <- Some c;
+        c
+  in
+  let send_conn st =
+    match st.ts_send_conn with
+    | Some c -> c
+    | None ->
+        let c =
+          conn_of ~src:st.ts_rank ~dst:st.ts_tb.Ir.send ~ch:st.ts_tb.Ir.chan
+        in
+        st.ts_send_conn <- Some c;
+        c
+  in
   let states =
     Array.map
       (fun (g : Ir.gpu) ->
@@ -253,6 +279,8 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
               ts_finished = false;
               ts_span_start = 0.;
               ts_wait = None;
+              ts_recv_conn = None;
+              ts_send_conn = None;
             })
           g.Ir.tbs)
       gpus
@@ -404,9 +432,7 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
             recv_phase st step)
   and recv_phase st step =
     if Instr.receives step.Ir.op then begin
-      let c =
-        conn_of ~src:st.ts_tb.Ir.recv ~dst:st.ts_rank ~ch:st.ts_tb.Ir.chan
-      in
+      let c = recv_conn st in
       if c.c_arrived > 0 then begin
         c.c_arrived <- c.c_arrived - 1;
         let bytes = float_of_int step.Ir.count *. tile_bytes in
@@ -440,9 +466,7 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
     else send_phase st step
   and send_phase st step =
     if Instr.sends step.Ir.op then begin
-      let c =
-        conn_of ~src:st.ts_rank ~dst:st.ts_tb.Ir.send ~ch:st.ts_tb.Ir.chan
-      in
+      let c = send_conn st in
       if c.c_in_flight < slots then begin
         c.c_in_flight <- c.c_in_flight + 1;
         let bytes = float_of_int step.Ir.count *. tile_bytes in

@@ -120,7 +120,8 @@ val run :
     with a full blocked-wait diagnosis instead of waiting forever on a
     simulation that can no longer make progress.
 
-    Raises {!Sim_error} on topology / IR rank mismatch, occupancy
+    Raises {!Sim_error} on a [chunk_bytes] that is NaN, infinite or not
+    positive (naming the value), topology / IR rank mismatch, occupancy
     violation (naming the offending rank), or (for hand-written IR)
     deadlock — deadlock messages carry each stuck thread block's
     rank/tb/step/op context and blocked wait. *)

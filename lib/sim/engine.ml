@@ -10,126 +10,280 @@
    event. This collapses any number of intermediate rate changes into at
    most one extra firing, keeping the event count linear in the number of
    flows even when thousands share a resource (e.g. a 256-GPU AllToAll all
-   hammering the same NICs). Stale events are skipped via a per-flow
-   version counter. *)
+   hammering the same NICs). Stale events are skipped via a per-slot
+   version counter.
 
-type flow = {
-  fid : int;
-  hops : int list;
-  cap : float;
-  on_complete : unit -> unit;
-  mutable remaining : float;
-  mutable rate : float;
-  mutable last_update : float;
-  mutable version : int;
-  mutable scheduled_eta : float;
-  mutable finished : bool;
-}
+   Layout. A flow lives in a slot: an index into parallel arrays, with
+   its float state in unboxed float arrays, so settling and re-rating a
+   flow writes no boxed floats. Finished slots are recycled through a
+   free stack; versions only ever increase, so a stale completion event
+   never matches a slot's later occupant, and the arrays grow with the
+   number of concurrent flows, not total flows. Each resource keeps the
+   slots crossing it in a dense vector in start order; a finishing flow
+   is removed by an ordered shift. *)
 
 type event =
   | Callback of (unit -> unit)
-  | Flow_done of { fid : int; version : int }
+  | Flow_done of { slot : int; version : int }
+
+(* An all-float record, so advancing the clock writes an unboxed float. *)
+type clock = { mutable now : float }
 
 type t = {
   capacities : float array;
-  counts : int array;  (* active flows per resource *)
-  on_resource : (int, flow) Hashtbl.t array;  (* resource -> flows, by fid *)
-  flows : (int, flow) Hashtbl.t;
+  counts : int array;  (* active flows per resource, one per hop listed *)
+  shares : float array;  (* capacity / count: the equal share per resource *)
+  sharers : int array array;
+      (* resource -> slots crossing it, in start order, one entry per hop
+         listed; the used prefix is [counts] long *)
+  clock : clock;
   events : event Pqueue.t;
-  mutable now : float;
-  mutable next_fid : int;
+  (* Per-slot flow state. *)
+  mutable remaining : float array;
+  mutable rate : float array;
+  mutable last_update : float array;
+  mutable scheduled_eta : float array;
+  mutable cap : float array;
+  mutable version : int array;
+  mutable visited : int array;  (* stamp of the last pass that visited it *)
+  mutable hops : int list array;
+  mutable on_complete : (unit -> unit) array;
+  mutable free : int array;  (* stack of recycled slots *)
+  mutable nfree : int;
+  mutable nslots : int;  (* slots handed out so far *)
+  mutable pass : int;
+  mutable active : int;
+  mutable progressing : int;  (* active flows with a positive rate *)
   mutable processed : int;
   mutable stopped : bool;
 }
 
+let no_callback () = ()
+
 let create ~capacities =
-  Array.iter
-    (fun c -> if c <= 0. then invalid_arg "Engine.create: capacity <= 0")
+  Array.iteri
+    (fun r c ->
+      if Float.is_nan c then
+        invalid_arg
+          (Printf.sprintf "Engine.create: capacity of resource %d is NaN" r);
+      if c <= 0. then
+        invalid_arg
+          (Printf.sprintf "Engine.create: capacity %g of resource %d <= 0" c r))
     capacities;
+  let n = Array.length capacities and slots = 16 in
   {
     capacities;
-    counts = Array.make (Array.length capacities) 0;
-    on_resource = Array.init (Array.length capacities) (fun _ -> Hashtbl.create 8);
-    flows = Hashtbl.create 64;
+    counts = Array.make n 0;
+    shares = Array.make n 0.;
+    sharers = Array.make n [||];
+    clock = { now = 0. };
     events = Pqueue.create ();
-    now = 0.;
-    next_fid = 0;
+    remaining = Array.make slots 0.;
+    rate = Array.make slots 0.;
+    last_update = Array.make slots 0.;
+    scheduled_eta = Array.make slots 0.;
+    cap = Array.make slots 0.;
+    version = Array.make slots 0;
+    visited = Array.make slots 0;
+    hops = Array.make slots [];
+    on_complete = Array.make slots no_callback;
+    free = Array.make slots 0;
+    nfree = 0;
+    nslots = 0;
+    pass = 0;
+    active = 0;
+    progressing = 0;
     processed = 0;
     stopped = false;
   }
 
-let now t = t.now
+let now t = t.clock.now
 
 let at t time f =
   if Float.is_nan time then invalid_arg "Engine.at: time is NaN";
-  if time < t.now -. 1e-12 then
+  if time < t.clock.now -. 1e-12 then
     invalid_arg
-      (Printf.sprintf "Engine.at: time %g is in the past (now = %g)" time t.now);
-  Pqueue.add t.events ~priority:(Float.max time t.now) (Callback f)
+      (Printf.sprintf "Engine.at: time %g is in the past (now = %g)" time
+         t.clock.now);
+  Pqueue.add t.events ~priority:(Float.max time t.clock.now) (Callback f)
 
 let after t delay f =
   if Float.is_nan delay then invalid_arg "Engine.after: delay is NaN";
   if delay < 0. then
     invalid_arg
-      (Printf.sprintf "Engine.after: negative delay %g (now = %g)" delay t.now);
-  at t (t.now +. delay) f
+      (Printf.sprintf "Engine.after: negative delay %g (now = %g)" delay
+         t.clock.now);
+  at t (t.clock.now +. delay) f
 
-let rate_of t flow =
-  let share h = t.capacities.(h) /. float_of_int t.counts.(h) in
-  List.fold_left (fun acc h -> Float.min acc (share h)) flow.cap flow.hops
+(* --- Slots ------------------------------------------------------------ *)
 
-(* Bring a flow's [remaining] up to date with the current time. *)
-let catch_up t flow =
-  let dt = t.now -. flow.last_update in
+(* Doubles an array (the per-resource vectors start empty). *)
+let grow a fill =
+  let a' = Array.make (max 4 (2 * Array.length a)) fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+let alloc_slot t =
+  if t.nfree > 0 then begin
+    t.nfree <- t.nfree - 1;
+    t.free.(t.nfree)
+  end
+  else begin
+    if t.nslots = Array.length t.remaining then begin
+      t.remaining <- grow t.remaining 0.;
+      t.rate <- grow t.rate 0.;
+      t.last_update <- grow t.last_update 0.;
+      t.scheduled_eta <- grow t.scheduled_eta 0.;
+      t.cap <- grow t.cap 0.;
+      t.version <- grow t.version 0;
+      t.visited <- grow t.visited 0;
+      t.hops <- grow t.hops [];
+      t.on_complete <- grow t.on_complete no_callback;
+      t.free <- grow t.free 0
+    end;
+    let s = t.nslots in
+    t.nslots <- s + 1;
+    s
+  end
+
+(* The slot's version is left as is: the event that finished the flow
+   carried the current version, and every other pending event for the
+   slot an older one, so none matches until the next occupant schedules
+   a completion under a fresh version. *)
+let free_slot t s =
+  t.hops.(s) <- [];
+  t.on_complete.(s) <- no_callback;
+  t.free.(t.nfree) <- s;
+  t.nfree <- t.nfree + 1
+
+(* --- Per-resource vectors --------------------------------------------- *)
+
+let set_count t h n =
+  t.counts.(h) <- n;
+  t.shares.(h) <- t.capacities.(h) /. float_of_int n
+
+let push_sharer t h s =
+  let n = t.counts.(h) in
+  if n = Array.length t.sharers.(h) then t.sharers.(h) <- grow t.sharers.(h) 0;
+  t.sharers.(h).(n) <- s;
+  set_count t h (n + 1)
+
+(* Drops the first entry of [s]: a flow listing a resource twice has two
+   entries, and leaves through two calls. *)
+let remove_sharer t h s =
+  let v = t.sharers.(h) and n = t.counts.(h) in
+  let i = ref 0 in
+  while v.(!i) <> s do
+    incr i
+  done;
+  Array.blit v (!i + 1) v !i (n - !i - 1);
+  set_count t h (n - 1)
+
+let rec enter t s = function
+  | [] -> ()
+  | h :: tl ->
+      push_sharer t h s;
+      enter t s tl
+
+let rec leave t s = function
+  | [] -> ()
+  | h :: tl ->
+      remove_sharer t h s;
+      leave t s tl
+
+(* --- Flow arithmetic --------------------------------------------------- *)
+
+let[@inline] rate_of t s =
+  let acc = ref t.cap.(s) and l = ref t.hops.(s) in
+  while
+    match !l with
+    | [] -> false
+    | h :: tl ->
+        let share = t.shares.(h) in
+        if share <= !acc then acc := share;
+        l := tl;
+        true
+  do
+    ()
+  done;
+  !acc
+
+(* Bring a flow's [remaining] up to date with the current time, at the
+   rate it has had since [last_update]. *)
+let catch_up t s =
+  let now = t.clock.now in
+  let dt = now -. t.last_update.(s) in
   if dt > 0. then begin
-    flow.remaining <- Float.max 0. (flow.remaining -. (flow.rate *. dt));
-    flow.last_update <- t.now
+    let r = t.remaining.(s) -. (t.rate.(s) *. dt) in
+    t.remaining.(s) <- (if r > 0. then r else 0.);
+    t.last_update.(s) <- now
   end
 
 (* A stalled flow (some resource degraded to zero capacity) gets no
    completion event at all — scheduling one at eta = infinity would fire a
    useless event that reschedules itself forever. A later capacity increase
-   revives it through [maybe_reschedule]. *)
-let schedule_completion t flow =
-  flow.version <- flow.version + 1;
-  if flow.rate > 0. then begin
-    let eta = t.now +. (flow.remaining /. flow.rate) in
-    flow.scheduled_eta <- eta;
-    Pqueue.add t.events ~priority:eta
-      (Flow_done { fid = flow.fid; version = flow.version })
+   revives it through [rerate]. *)
+let schedule_completion t s =
+  let version = t.version.(s) + 1 in
+  t.version.(s) <- version;
+  if t.rate.(s) > 0. then begin
+    let eta = t.clock.now +. (t.remaining.(s) /. t.rate.(s)) in
+    t.scheduled_eta.(s) <- eta;
+    Pqueue.add t.events ~priority:eta (Flow_done { slot = s; version })
   end
-  else flow.scheduled_eta <- infinity
+  else t.scheduled_eta.(s) <- infinity
 
-(* After a rate change, only reschedule when the flow now finishes earlier
-   than its pending event; otherwise let the pending event fire early and
-   resynchronize then. *)
-let maybe_reschedule t flow =
-  if flow.rate > 0. then begin
-    let eta = t.now +. (flow.remaining /. flow.rate) in
-    if eta < flow.scheduled_eta -. 1e-15 then schedule_completion t flow
+(* Set a flow's rate, keeping [progressing] in step. *)
+let[@inline] set_rate t s r =
+  let old = t.rate.(s) in
+  if old > 0. && not (r > 0.) then t.progressing <- t.progressing - 1
+  else if r > 0. && not (old > 0.) then t.progressing <- t.progressing + 1;
+  t.rate.(s) <- r
+
+(* Give a flow its rate under the current counts. After a change, only
+   reschedule when the flow now finishes earlier than its pending event;
+   otherwise let the pending event fire early and resynchronize then. *)
+let rerate t s =
+  let r = rate_of t s in
+  if r <> t.rate.(s) then begin
+    set_rate t s r;
+    if r > 0. then begin
+      let eta = t.clock.now +. (t.remaining.(s) /. r) in
+      if eta < t.scheduled_eta.(s) -. 1e-15 then schedule_completion t s
+    end
   end
 
-(* Visit every flow sharing a resource with [hops]. Flows on two shared
-   resources are visited twice, which is harmless: catch-up and rate
-   reassignment are both idempotent at a fixed time. *)
-let iter_affected t hops f =
-  List.iter (fun h -> Hashtbl.iter (fun _ fl -> f fl) t.on_resource.(h)) hops
+(* The one pass per population or capacity change: every flow on
+   resource [h] not yet visited by pass [pass] is caught up at its stored
+   rate, then re-rated. Catching up reads only the flow's own stored rate,
+   so it may follow the count update; visiting each flow once, in start
+   order, fixes the order of any reschedules. *)
+let visit_resource t pass h =
+  let v = t.sharers.(h) in
+  for i = 0 to t.counts.(h) - 1 do
+    let s = v.(i) in
+    if t.visited.(s) <> pass then begin
+      t.visited.(s) <- pass;
+      catch_up t s;
+      rerate t s
+    end
+  done
 
-let reassign_rates t hops =
-  iter_affected t hops (fun f ->
-      if not f.finished then begin
-        let r = rate_of t f in
-        if r <> f.rate then begin
-          f.rate <- r;
-          maybe_reschedule t f
-        end
-      end)
+let new_pass t =
+  t.pass <- t.pass + 1;
+  t.pass
+
+let rec visit_hops t pass = function
+  | [] -> ()
+  | h :: tl ->
+      visit_resource t pass h;
+      visit_hops t pass tl
 
 (* Re-rate a resource mid-simulation (fault injection: link degradation,
    failure, restore). Flows crossing it are settled at the current time
-   first, then re-rated through the ordinary lazy-rescheduling path — a
-   capacity drop leaves pending completion events to fire early and
-   resynchronize; a capacity raise forces earlier events where needed. *)
+   and re-rated through the ordinary lazy-rescheduling path — a capacity
+   drop leaves pending completion events to fire early and resynchronize;
+   a capacity raise forces earlier events where needed. *)
 let set_capacity t rid capacity =
   if rid < 0 || rid >= Array.length t.capacities then
     invalid_arg
@@ -140,11 +294,9 @@ let set_capacity t rid capacity =
       (Printf.sprintf "Engine.set_capacity: bad capacity %g for resource %d"
          capacity rid);
   if capacity <> t.capacities.(rid) then begin
-    Hashtbl.iter
-      (fun _ f -> if not f.finished then catch_up t f)
-      t.on_resource.(rid);
     t.capacities.(rid) <- capacity;
-    reassign_rates t [ rid ]
+    set_count t rid t.counts.(rid);
+    visit_resource t (new_pass t) rid
   end
 
 let capacity t rid =
@@ -154,51 +306,51 @@ let capacity t rid =
          (Array.length t.capacities));
   t.capacities.(rid)
 
-let start_flow t ~bytes ~hops ~cap on_complete =
-  if cap <= 0. then invalid_arg "Engine.start_flow: cap <= 0";
-  List.iter
-    (fun h ->
+let rec check_hops t = function
+  | [] -> ()
+  | h :: tl ->
       if h < 0 || h >= Array.length t.capacities then
-        invalid_arg "Engine.start_flow: bad resource id")
-    hops;
-  let fid = t.next_fid in
-  t.next_fid <- fid + 1;
-  let flow =
-    {
-      fid;
-      hops;
-      cap;
-      on_complete;
-      remaining = Float.max 0. bytes;
-      rate = 0.;
-      last_update = t.now;
-      version = 0;
-      scheduled_eta = infinity;
-      finished = false;
-    }
-  in
-  (* Settle everyone sharing a resource before the counts change. *)
-  iter_affected t hops (fun f -> catch_up t f);
-  List.iter (fun h -> t.counts.(h) <- t.counts.(h) + 1) hops;
-  List.iter (fun h -> Hashtbl.replace t.on_resource.(h) fid flow) hops;
-  Hashtbl.add t.flows fid flow;
-  (* The new flow's rate must be final before reassignment sweeps the
-     shared resources: it is already in the tables, and entering with a
-     placeholder rate would make [reassign_rates] treat it as a rate
-     change and schedule a completion of its own — one stale event per
-     flow start on top of the real one below. *)
-  flow.rate <- rate_of t flow;
-  reassign_rates t hops;
-  schedule_completion t flow
+        invalid_arg
+          (Printf.sprintf "Engine.start_flow: bad resource id %d (have %d)" h
+             (Array.length t.capacities));
+      check_hops t tl
 
-let finish_flow t flow =
-  flow.finished <- true;
-  Hashtbl.remove t.flows flow.fid;
-  iter_affected t flow.hops (fun f -> if not f.finished then catch_up t f);
-  List.iter (fun h -> t.counts.(h) <- t.counts.(h) - 1) flow.hops;
-  List.iter (fun h -> Hashtbl.remove t.on_resource.(h) flow.fid) flow.hops;
-  reassign_rates t flow.hops;
-  flow.on_complete ()
+let start_flow t ~bytes ~hops ~cap on_complete =
+  if Float.is_nan bytes then invalid_arg "Engine.start_flow: bytes is NaN";
+  if bytes = infinity then
+    invalid_arg
+      (Printf.sprintf "Engine.start_flow: bytes %g never completes" bytes);
+  if Float.is_nan cap then invalid_arg "Engine.start_flow: cap is NaN";
+  if cap <= 0. then
+    invalid_arg (Printf.sprintf "Engine.start_flow: cap %g <= 0" cap);
+  check_hops t hops;
+  let s = alloc_slot t in
+  t.remaining.(s) <- (if bytes > 0. then bytes else 0.);
+  t.rate.(s) <- 0.;
+  t.last_update.(s) <- t.clock.now;
+  t.scheduled_eta.(s) <- infinity;
+  t.cap.(s) <- cap;
+  t.hops.(s) <- hops;
+  t.on_complete.(s) <- on_complete;
+  t.active <- t.active + 1;
+  enter t s hops;
+  (* The new flow takes its final rate before the pass and is marked
+     visited, so the pass skips it; its one completion event is scheduled
+     after the pass. *)
+  set_rate t s (rate_of t s);
+  let pass = new_pass t in
+  t.visited.(s) <- pass;
+  visit_hops t pass hops;
+  schedule_completion t s
+
+let finish_flow t s =
+  let hops = t.hops.(s) and on_complete = t.on_complete.(s) in
+  leave t s hops;
+  t.active <- t.active - 1;
+  if t.rate.(s) > 0. then t.progressing <- t.progressing - 1;
+  free_slot t s;
+  visit_hops t (new_pass t) hops;
+  on_complete ()
 
 (* Completion times are computed as remaining/rate, so a tiny float residue
    can survive; anything below one byte is considered delivered. *)
@@ -206,37 +358,27 @@ let residue = 1.0
 
 let handle t = function
   | Callback f -> f ()
-  | Flow_done { fid; version } -> (
-      match Hashtbl.find_opt t.flows fid with
-      | None -> ()  (* already finished *)
-      | Some flow ->
-          if flow.version = version then begin
-            catch_up t flow;
-            if flow.remaining <= residue then finish_flow t flow
-            else schedule_completion t flow
-          end)
+  | Flow_done { slot; version } ->
+      if t.version.(slot) = version then begin
+        catch_up t slot;
+        if t.remaining.(slot) <= residue then finish_flow t slot
+        else schedule_completion t slot
+      end
 
 let stop t = t.stopped <- true
 
 let run t =
   t.stopped <- false;
-  let rec loop () =
-    if not t.stopped then
-      match Pqueue.pop t.events with
-      | None -> ()
-      | Some (time, ev) ->
-          if time > t.now then t.now <- time;
-          t.processed <- t.processed + 1;
-          handle t ev;
-          loop ()
-  in
-  loop ()
+  while (not t.stopped) && not (Pqueue.is_empty t.events) do
+    let time = Pqueue.min_priority t.events in
+    let ev = Pqueue.pop_min t.events in
+    if time > t.clock.now then t.clock.now <- time;
+    t.processed <- t.processed + 1;
+    handle t ev
+  done
 
 let events_processed t = t.processed
 
-let active_flows t = Hashtbl.length t.flows
+let active_flows t = t.active
 
-let progressing_flows t =
-  Hashtbl.fold
-    (fun _ f n -> if (not f.finished) && f.rate > 0. then n + 1 else n)
-    t.flows 0
+let progressing_flows t = t.progressing

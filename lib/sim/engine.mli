@@ -12,13 +12,27 @@
       whenever the set of flows on a resource changes, so contention between
       overlapping transfers is captured without fixed time-stepping.
 
-    The engine is deterministic: simultaneous events fire in creation
-    order. *)
+    The engine is deterministic, and its tie-breaking is pinned:
+    - simultaneous events, completions included, fire in the order they
+      were created;
+    - when a flow starts or finishes, or a resource's capacity changes,
+      the flows sharing the affected resources are settled and re-rated in
+      start order (resource by resource, in the order the changing flow's
+      [hops] list them, each flow once), and the completion events this
+      reschedules are created in that order;
+    - hence flows started at one instant on identical terms whose rate
+      never changes (each bound by its [cap]) complete at one instant in
+      start order. Identical flows that share a bottleneck need not: each
+      start slows the earlier ones, whose early completion events then
+      fire and resynchronize them at different times, and their final
+      events fire in the order that created them. *)
 
 type t
 
 val create : capacities:float array -> t
-(** [capacities.(r)] is the bandwidth of resource [r] in bytes/second. *)
+(** [capacities.(r)] is the bandwidth of resource [r] in bytes/second.
+    @raise Invalid_argument on a NaN or non-positive capacity, naming the
+    value and the resource. *)
 
 val now : t -> float
 
@@ -50,7 +64,10 @@ val start_flow :
 (** Begin a transfer; the callback fires when the last byte arrives.
     [hops] is the list of resource ids the flow occupies; [cap] is the
     per-flow rate cap in bytes/second. A flow with [bytes <= 0.] completes
-    at the current time (still asynchronously, in event order). *)
+    at the current time (still asynchronously, in event order).
+    @raise Invalid_argument on NaN or infinite [bytes] (such a flow would
+    never complete, and {!run} would never return), on a NaN or
+    non-positive [cap], or on a bad resource id, naming the value. *)
 
 val run : t -> unit
 (** Process events until none remain or {!stop} is called. Callbacks may

@@ -93,21 +93,29 @@ let add t ~priority value =
   t.size <- t.size + 1;
   sift_up t i
 
+let min_priority t =
+  if t.size = 0 then invalid_arg "Pqueue.min_priority: empty queue";
+  t.prio.(0)
+
+let pop_min t =
+  if t.size = 0 then invalid_arg "Pqueue.pop_min: empty queue";
+  let v = t.values.(0) in
+  let last = t.size - 1 in
+  t.size <- last;
+  if last > 0 then begin
+    t.prio.(0) <- t.prio.(last);
+    t.seq.(0) <- t.seq.(last);
+    t.values.(0) <- t.values.(last);
+    t.values.(last) <- v;  (* keep the slot occupied, drop nothing live *)
+    sift_down t 0
+  end;
+  v
+
 let pop t =
   if t.size = 0 then None
-  else begin
-    let p = t.prio.(0) and v = t.values.(0) in
-    let last = t.size - 1 in
-    t.size <- last;
-    if last > 0 then begin
-      t.prio.(0) <- t.prio.(last);
-      t.seq.(0) <- t.seq.(last);
-      t.values.(0) <- t.values.(last);
-      t.values.(last) <- v;  (* keep the slot occupied, drop nothing live *)
-      sift_down t 0
-    end;
-    Some (p, v)
-  end
+  else
+    let p = t.prio.(0) in
+    Some (p, pop_min t)
 
 let peek t = if t.size = 0 then None else Some (t.prio.(0), t.values.(0))
 

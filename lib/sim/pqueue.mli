@@ -18,6 +18,15 @@ val add : 'a t -> priority:float -> 'a -> unit
 val pop : 'a t -> (float * 'a) option
 (** Removes and returns the minimum-priority element. O(log n). *)
 
+val min_priority : 'a t -> float
+(** The priority {!pop_min} would remove next. O(1).
+    @raise Invalid_argument on an empty queue. *)
+
+val pop_min : 'a t -> 'a
+(** Removes and returns the minimum-priority element, like {!pop} but
+    without allocating the result pair. O(log n).
+    @raise Invalid_argument on an empty queue. *)
+
 val peek : 'a t -> (float * 'a) option
 
 val clear : 'a t -> unit

@@ -125,6 +125,256 @@ let prop_churn_conserves_work =
       let hi = lo +. float_of_int (List.length sizes) +. 1e-6 in
       !last >= lo -. 1e-4 && !last <= hi)
 
+(* ---- Input validation ---------------------------------------------------- *)
+
+let contains s affix =
+  let n = String.length s and m = String.length affix in
+  let rec go i = i + m <= n && (String.sub s i m = affix || go (i + 1)) in
+  m = 0 || go 0
+
+let check_rejects name expect f =
+  match f () with
+  | () -> Alcotest.failf "%s: accepted" name
+  | exception Invalid_argument msg ->
+      if not (contains msg expect) then
+        Alcotest.failf "%s: message %S lacks %S" name msg expect
+
+(* Each call must fail at once, naming the bad value: NaN or infinite
+   bytes used to make [run] spin forever on an event that never settles. *)
+let test_rejects_non_finite () =
+  let eng () = E.create ~capacities:[| 100. |] in
+  check_rejects "bytes nan" "bytes is NaN" (fun () ->
+      E.start_flow (eng ()) ~bytes:nan ~hops:[ 0 ] ~cap:1. ignore);
+  check_rejects "bytes inf" "bytes inf" (fun () ->
+      E.start_flow (eng ()) ~bytes:infinity ~hops:[ 0 ] ~cap:1. ignore);
+  check_rejects "cap nan" "cap is NaN" (fun () ->
+      E.start_flow (eng ()) ~bytes:1. ~hops:[ 0 ] ~cap:nan ignore);
+  check_rejects "cap zero" "cap 0" (fun () ->
+      E.start_flow (eng ()) ~bytes:1. ~hops:[ 0 ] ~cap:0. ignore);
+  check_rejects "capacity nan" "resource 1 is NaN" (fun () ->
+      ignore (E.create ~capacities:[| 1.; nan |]));
+  check_rejects "capacity zero" "capacity 0 of resource 0" (fun () ->
+      ignore (E.create ~capacities:[| 0. |]));
+  check_rejects "bad hop" "bad resource id 3" (fun () ->
+      E.start_flow (eng ()) ~bytes:1. ~hops:[ 3 ] ~cap:1. ignore);
+  (* A rejected flow leaves no trace: the engine still runs to empty. *)
+  let e = eng () in
+  (try E.start_flow e ~bytes:nan ~hops:[ 0 ] ~cap:1. ignore
+   with Invalid_argument _ -> ());
+  E.run e;
+  Alcotest.(check int) "no flow entered" 0 (E.active_flows e);
+  Alcotest.(check int) "no event" 0 (E.events_processed e)
+
+let test_pqueue_pop_min () =
+  let q = P.create () in
+  List.iter (fun (p, v) -> P.add q ~priority:p v) [ (2., "b"); (1., "a") ];
+  Alcotest.(check (float 0.)) "min priority" 1. (P.min_priority q);
+  Alcotest.(check string) "pop_min" "a" (P.pop_min q);
+  Alcotest.(check string) "pop_min" "b" (P.pop_min q);
+  Alcotest.check_raises "empty" (Invalid_argument "Pqueue.pop_min: empty queue")
+    (fun () -> ignore (P.pop_min q))
+
+(* ---- Reference-engine differential ------------------------------------ *)
+
+module type ENGINE = sig
+  type t
+
+  val create : capacities:float array -> t
+  val now : t -> float
+  val at : t -> float -> (unit -> unit) -> unit
+  val set_capacity : t -> int -> float -> unit
+
+  val start_flow :
+    t -> bytes:float -> hops:int list -> cap:float -> (unit -> unit) -> unit
+
+  val run : t -> unit
+  val events_processed : t -> int
+  val active_flows : t -> int
+  val progressing_flows : t -> int
+end
+
+(* A flow script: flows started at scripted instants, some of which start
+   a follow-up flow from their completion callback (into the slot just
+   freed), and capacity changes, each undone two seconds later. *)
+type flow_spec = {
+  f_at : float;
+  f_bytes : float;
+  f_hops : int list;
+  f_cap : float;
+  f_then : (float * int list) option;  (* follow-up bytes and hops *)
+}
+
+type script = {
+  s_caps : float array;
+  s_flows : flow_spec list;
+  s_changes : (float * int * float) list;  (* time, resource, capacity *)
+}
+
+type outcome = {
+  o_done : float array;  (* per flow, then per follow-up; nan if never *)
+  o_trace : (float * int * int) list;
+      (* (now, active, progressing) at every callback, in firing order *)
+  o_events : int;
+  o_active : int;
+}
+
+module Script (Eng : ENGINE) = struct
+  let run s =
+    let eng = Eng.create ~capacities:(Array.copy s.s_caps) in
+    let n = List.length s.s_flows in
+    let o_done = Array.make (2 * n) nan in
+    let trace = ref [] in
+    let note () =
+      trace :=
+        (Eng.now eng, Eng.active_flows eng, Eng.progressing_flows eng)
+        :: !trace
+    in
+    let start id ~bytes ~hops ~cap k =
+      Eng.start_flow eng ~bytes ~hops ~cap (fun () ->
+          o_done.(id) <- Eng.now eng;
+          note ();
+          k ())
+    in
+    List.iteri
+      (fun i f ->
+        Eng.at eng f.f_at (fun () ->
+            start i ~bytes:f.f_bytes ~hops:f.f_hops ~cap:f.f_cap (fun () ->
+                match f.f_then with
+                | None -> ()
+                | Some (bytes, hops) ->
+                    start (n + i) ~bytes ~hops ~cap:f.f_cap ignore);
+            note ()))
+      s.s_flows;
+    List.iter
+      (fun (time, r, c) ->
+        Eng.at eng time (fun () ->
+            Eng.set_capacity eng r c;
+            note ()))
+      s.s_changes;
+    Eng.run eng;
+    {
+      o_done;
+      o_trace = List.rev !trace;
+      o_events = Eng.events_processed eng;
+      o_active = Eng.active_flows eng;
+    }
+end
+
+module Run_new = Script (E)
+module Run_ref = Script (Engine_ref)
+
+let gen_script =
+  let open Q.Gen in
+  int_range 1 4 >>= fun nres ->
+  let hops = list_size (int_range 0 3) (int_range 0 (nres - 1)) in
+  let bytes = oneofl [ 0.; 100.; 500.; 1000.; 1234.5; 4096. ] in
+  let flow =
+    map4
+      (fun f_at (f_bytes, f_hops) f_cap f_then ->
+        { f_at; f_bytes; f_hops; f_cap; f_then })
+      (oneofl [ 0.; 0.; 1.; 2.5; 4. ])
+      (pair bytes hops)
+      (oneofl [ 50.; 200.; 1e9 ])
+      (opt (pair bytes hops))
+  in
+  let change =
+    triple (oneofl [ 0.5; 1.; 3.; 6. ]) (int_range 0 (nres - 1))
+      (oneofl [ 0.; 50.; 400. ])
+  in
+  map3
+    (fun caps s_flows changes ->
+      let s_caps = Array.of_list caps in
+      {
+        s_caps;
+        s_flows;
+        s_changes =
+          changes
+          @ List.map (fun (time, r, _) -> (time +. 2., r, s_caps.(r))) changes;
+      })
+    (list_repeat nres (oneofl [ 100.; 250.; 1000. ]))
+    (list_size (int_range 1 12) flow)
+    (list_size (int_range 0 3) change)
+
+let print_script s =
+  let hops l = String.concat "," (List.map string_of_int l) in
+  Printf.sprintf "caps [%s]\n%s%s"
+    (String.concat "; " (Array.to_list (Array.map string_of_float s.s_caps)))
+    (String.concat ""
+       (List.map
+          (fun f ->
+            Printf.sprintf "  at %g: %g B over [%s] cap %g%s\n" f.f_at f.f_bytes
+              (hops f.f_hops) f.f_cap
+              (match f.f_then with
+              | None -> ""
+              | Some (b, h) -> Printf.sprintf ", then %g B over [%s]" b (hops h)))
+          s.s_flows))
+    (String.concat ""
+       (List.map
+          (fun (time, r, c) -> Printf.sprintf "  at %g: capacity %d := %g\n" time r c)
+          s.s_changes))
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_matches_reference =
+  Testutil.qtest ~count:500 "slot engine = reference engine, bit for bit"
+    (Q.make ~print:print_script gen_script)
+    (fun s ->
+      let a = Run_new.run s and b = Run_ref.run s in
+      let show_done o =
+        String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") o))
+      in
+      if not (Array.for_all2 same_float a.o_done b.o_done) then
+        Q.Test.fail_reportf "completion times differ:\n new %s\n ref %s"
+          (show_done a.o_done) (show_done b.o_done);
+      if a.o_events <> b.o_events then
+        Q.Test.fail_reportf "events: new %d, ref %d" a.o_events b.o_events;
+      if
+        not
+          (List.equal
+             (fun (t1, a1, p1) (t2, a2, p2) ->
+               same_float t1 t2 && a1 = a2 && p1 = p2)
+             a.o_trace b.o_trace)
+      then Q.Test.fail_reportf "callback traces differ";
+      a.o_active = b.o_active)
+
+(* ---- Tie-breaking ------------------------------------------------------ *)
+
+let completion_order ~k ~bytes ~cap ~capacity =
+  let eng = E.create ~capacities:[| capacity |] in
+  let log = ref [] in
+  for i = 0 to k - 1 do
+    E.start_flow eng ~bytes ~hops:[ 0 ] ~cap (fun () ->
+        log := (i, E.now eng) :: !log)
+  done;
+  E.run eng;
+  List.rev !log
+
+let test_ties_in_start_order () =
+  (* Eight flows bound by their cap, started at one instant: one event
+     each, created in start order, so they complete together in that
+     order. *)
+  let log = completion_order ~k:8 ~bytes:1000. ~cap:10. ~capacity:1000. in
+  Alcotest.(check (list int)) "start order" [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+    (List.map fst log);
+  List.iter
+    (fun (_, t) -> Alcotest.(check (float 0.)) "one instant" 100. t)
+    log;
+  (* Sharing a bottleneck (exact binary arithmetic): each start slows the
+     earlier flows, whose early events fire at 1, 2 and 3 s and reschedule
+     them for 4 s; the last flow keeps the 4 s event it got at its start,
+     the oldest of the four. *)
+  Alcotest.(check (list (pair int (float 0.))))
+    "shared bottleneck" [ (3, 4.); (0, 4.); (1, 4.); (2, 4.) ]
+    (completion_order ~k:4 ~bytes:1024. ~cap:1e9 ~capacity:1024.)
+
+let prop_runs_repeat =
+  Testutil.qtest ~count:100 "identical runs give identical traces"
+    (Q.make ~print:print_script gen_script)
+    (fun s ->
+      let a = Run_new.run s and b = Run_new.run s in
+      Array.for_all2 same_float a.o_done b.o_done
+      && a.o_trace = b.o_trace && a.o_events = b.o_events)
+
 let () =
   Alcotest.run "sim-engine"
     [
@@ -140,4 +390,13 @@ let () =
           prop_churn_conserves_work;
         ] );
       ("callbacks", [ Testutil.tc "ordering" test_callbacks_ordered ]);
+      ( "validation",
+        [
+          Testutil.tc "non-finite inputs rejected" test_rejects_non_finite;
+          Testutil.tc "pqueue pop_min" test_pqueue_pop_min;
+        ] );
+      ("reference", [ prop_matches_reference ]);
+      ( "tie-breaking",
+        [ Testutil.tc "start order" test_ties_in_start_order; prop_runs_repeat ]
+      );
     ]

@@ -62,6 +62,25 @@ let test_rank_mismatch () =
   | exception Simulator.Sim_error _ -> ()
   | _ -> Alcotest.fail "4-rank IR on 8-GPU topology accepted"
 
+(* A NaN or infinite chunk size used to reach the engine as NaN-byte
+   flows and spin forever; it must be refused up front, naming the value. *)
+let test_rejects_bad_chunk_bytes () =
+  let ir = ring T.Protocol.Simple in
+  List.iter
+    (fun (chunk_bytes, expect) ->
+      match Simulator.run ~topo:topo1 ~chunk_bytes ir with
+      | exception Simulator.Sim_error msg ->
+          Alcotest.(check string) "message" expect msg
+      | _ -> Alcotest.failf "chunk_bytes %g accepted" chunk_bytes)
+    [
+      (nan, "chunk_bytes is NaN");
+      (infinity, "chunk_bytes inf must be finite and positive");
+      (0., "chunk_bytes 0 must be finite and positive");
+    ];
+  match Simulator.run_buffer ~topo:topo1 ~buffer_bytes:nan ir with
+  | exception Simulator.Sim_error _ -> ()
+  | _ -> Alcotest.fail "buffer_bytes nan accepted"
+
 let test_deterministic () =
   let ir = A.Hierarchical_allreduce.ir ~nodes:2 ~gpus_per_node:8 () in
   let topo = T.Presets.ndv4 ~nodes:2 in
@@ -129,6 +148,7 @@ let () =
         [
           Testutil.tc "occupancy" test_occupancy_check;
           Testutil.tc "rank mismatch" test_rank_mismatch;
+          Testutil.tc "bad chunk_bytes" test_rejects_bad_chunk_bytes;
           Testutil.tc "deterministic" test_deterministic;
           Testutil.tc "tile cap" test_tiles_cap;
           Testutil.tc "algbw" test_algbw;
