@@ -1,21 +1,16 @@
-(* Benchmark harness.
+(* Benchmark harness: every figure's size sweep, the ablations, the tuner
+   tables and the end-to-end table, printed with the same rows/series the
+   paper reports (the headline numbers land in EXPERIMENTS.md), plus the
+   toolchain's own perfcheck, scale and chaos benchmarks.
 
-   Two parts:
+   Wall times come from perfbench's clock; the scale rows are calibrated
+   the way perfbench calibrates an iteration (see perfbench/calib.ml). *)
 
-   1. Bechamel micro-benchmarks — one [Test.make] per paper experiment
-      (fig8a..fig8h, fig11, e2e), each timing one representative simulation
-      point of that experiment, so `dune exec bench/main.exe` doubles as a
-      performance regression test of the compiler+simulator stack.
-
-   2. Full reproduction — every figure's size sweep and the end-to-end
-      table, printed with the same rows/series the paper reports. The
-      headline numbers land in EXPERIMENTS.md. *)
-
-open Bechamel
-open Toolkit
 module T = Msccl_topology
 module A = Msccl_algorithms
 module H = Msccl_harness
+module Calib = Perfbench.Calib
+module J = Perfbench.Json
 open Msccl_core
 
 let sim ?(max_tiles = 4) topo ir buffer_bytes =
@@ -25,108 +20,18 @@ let sim ?(max_tiles = 4) topo ir buffer_bytes =
 
 let mib = 1024. *. 1024.
 
-(* Representative simulation points, one per experiment. IRs are compiled
-   once, outside the timed region. *)
-let micro_tests () =
-  let ndv4_1 = T.Presets.ndv4 ~nodes:1 in
-  let ndv4_2 = T.Presets.ndv4 ~nodes:2 in
-  let ndv4_3 = T.Presets.ndv4 ~nodes:3 in
-  let ndv4_4 = T.Presets.ndv4 ~nodes:4 in
-  let dgx2_1 = T.Presets.dgx2 ~nodes:1 in
-  let dgx2_2 = T.Presets.dgx2 ~nodes:2 in
-  let dgx1 = T.Presets.dgx1 () in
-  let ring8 =
-    A.Ring_allreduce.ir ~proto:T.Protocol.LL ~instances:8 ~num_ranks:8 ()
-  in
-  let ring16 =
-    A.Ring_allreduce.ir ~proto:T.Protocol.LL ~instances:8 ~num_ranks:16 ()
-  in
-  let hier_a100 =
-    A.Hierarchical_allreduce.ir ~proto:T.Protocol.LL128 ~instances:2 ~nodes:2
-      ~gpus_per_node:8 ()
-  in
-  let hier_v100 =
-    A.Hierarchical_allreduce.ir ~proto:T.Protocol.LL128 ~instances:2 ~nodes:2
-      ~gpus_per_node:16 ~verify:false ()
-  in
-  let two_step_a100 =
-    A.Two_step_alltoall.ir ~proto:T.Protocol.Simple ~verify:false ~nodes:4
-      ~gpus_per_node:8 ()
-  in
-  let two_step_v100 =
-    A.Two_step_alltoall.ir ~proto:T.Protocol.Simple ~verify:false ~nodes:2
-      ~gpus_per_node:16 ()
-  in
-  let a2n_a100 =
-    A.Alltonext.ir ~proto:T.Protocol.Simple ~instances:4 ~verify:false
-      ~nodes:3 ~gpus_per_node:8 ()
-  in
-  let a2n_v100 =
-    A.Alltonext.ir ~proto:T.Protocol.Simple ~instances:4 ~verify:false
-      ~nodes:2 ~gpus_per_node:16 ()
-  in
-  let sccl_ag = A.Allgather_sccl.ir ~proto:T.Protocol.Sccl () in
-  let allpairs =
-    A.Allpairs_allreduce.ir ~proto:T.Protocol.LL ~instances:2 ~num_ranks:8 ()
-  in
-  let stage name f = Test.make ~name (Staged.stage f) in
-  [
-    stage "fig8a/ring-LL-r8@1MB" (fun () -> sim ndv4_1 ring8 mib);
-    stage "fig8b/ring-LL-r8@1MB" (fun () -> sim dgx2_1 ring16 mib);
-    stage "fig8c/hier-LL128-r2@4MB" (fun () -> sim ndv4_2 hier_a100 (4. *. mib));
-    stage "fig8d/hier-LL128-r2@4MB" (fun () -> sim dgx2_2 hier_v100 (4. *. mib));
-    stage "fig8e/two-step@16MB" (fun () -> sim ndv4_4 two_step_a100 (16. *. mib));
-    stage "fig8f/two-step@16MB" (fun () -> sim dgx2_2 two_step_v100 (16. *. mib));
-    stage "fig8g/alltonext-r4@16MB" (fun () -> sim ndv4_3 a2n_a100 (16. *. mib));
-    stage "fig8h/alltonext-r4@16MB" (fun () -> sim dgx2_2 a2n_v100 (16. *. mib));
-    stage "fig11/sccl-allgather@1MB" (fun () -> sim ~max_tiles:64 dgx1 sccl_ag mib);
-    stage "e2e/allpairs-LL-r2@3MB" (fun () -> sim ndv4_1 allpairs (3. *. mib));
-  ]
-
-let run_micro () =
-  let tests = micro_tests () in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.3) ~kde:None ()
-  in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0
-      ~predictors:[| Measure.run |]
-  in
-  Printf.printf "== Bechamel micro-benchmarks (simulation cost per experiment point) ==\n";
-  Printf.printf "%-28s %14s %10s\n" "experiment" "time/run" "r^2";
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let raw = Benchmark.run cfg [ Instance.monotonic_clock ] elt in
-          let est = Analyze.one ols Instance.monotonic_clock raw in
-          let ns =
-            match Analyze.OLS.estimates est with
-            | Some (e :: _) -> e
-            | Some [] | None -> nan
-          in
-          let r2 = Option.value ~default:nan (Analyze.OLS.r_square est) in
-          let pretty =
-            if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-            else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-            else Printf.sprintf "%.2f us" (ns /. 1e3)
-          in
-          Printf.printf "%-28s %14s %10.4f\n%!" (Test.Elt.name elt) pretty r2)
-        (Test.elements test))
-    tests;
-  print_newline ()
+(* [f ()] and its wall time in seconds. *)
+let timed f =
+  let t0 = Perfbench.Trace.now () in
+  let x = f () in
+  (x, Perfbench.Trace.now () -. t0)
 
 (* Figures are independent sweeps returning pure report values, so they
    regenerate in parallel over the domain pool; printing stays in
    definition order. *)
 let run_figures () =
   let figs =
-    Msccl_parallel.Pool.map
-      (fun (_, f) ->
-        let t0 = Unix.gettimeofday () in
-        let fig = f () in
-        (fig, Unix.gettimeofday () -. t0))
-      H.Figures.all
+    Msccl_parallel.Pool.map (fun (_, f) -> timed f) H.Figures.all
   in
   List.iter
     (fun (fig, dt) ->
@@ -169,9 +74,7 @@ let run_e2e () =
    on every default config), written to BENCH_perfcheck.json so CI can
    track the analyzer's own cost over time. *)
 let run_perfcheck () =
-  let t0 = Unix.gettimeofday () in
-  let entries = H.Lint_sweep.run_perf () in
-  let dt = Unix.gettimeofday () -. t0 in
+  let entries, dt = timed H.Lint_sweep.run_perf in
   let analyzed, skipped =
     List.fold_left
       (fun (a, s) e ->
@@ -195,90 +98,89 @@ let run_perfcheck () =
 (* Scale benchmark: the full pipeline at cluster sizes                  *)
 (* ------------------------------------------------------------------ *)
 
+(* One scale row. [sp_times] holds the layers the row ran, as
+   (JSON field, calibrated seconds) in field order. *)
 type scale_point = {
   sp_algo : string;
   sp_ranks : int;
-  sp_compile_s : float;
-  sp_verify_s : float;
-  sp_races_s : float;
-  (* Building the Presets.ndv4 topology the simulation runs on; timed on
-     its own so simulate_s (and events/s) is the simulator alone.
-     total_s still spans compile through simulate, topology included. *)
-  sp_topology_s : float;
-  sp_simulate_s : float;
-  sp_total_s : float;
+  sp_times : (string * float) list;
   sp_events : int;
-  (* Quotient analysis under certified rank symmetry: inference time,
-     race/lint time through one representative per orbit, and the orbit
-     count. The quotient results are asserted identical to the full
-     pass's before they are recorded. *)
-  sp_infer_s : float;
-  sp_races_q_s : float;
-  sp_lint_s : float;
-  sp_lint_q_s : float;
-  (* Static chunk-provenance verification, full interpretation vs the
-     orbit quotient; verdicts are asserted identical (and clean) before
-     the times are recorded. *)
-  sp_prov_s : float;
-  sp_prov_q_s : float;
   sp_orbits : int;
-  (* Symmetry-aware (replicated) compilation: trace one representative
-     slice, instantiate every rank by index arithmetic, certify the rank
-     permutation post hoc. The replicated IR is asserted identical
-     (modulo program name) to the classic pipeline's before the time is
-     recorded; ["none"] marks algorithms without a hint. *)
-  sp_sym_compile_s : float;
+  (* Static chunk-provenance mode of the quotient pass ("quotient" or
+     "full-fallback"); [None] when the row runs no provenance. *)
+  sp_prov_mode : string option;
+  (* "replicated" for a certified symmetry-aware compile, "quotient" for
+     the frontier's replicated compile plus cohort simulation, "none" for
+     algorithms without a hint. *)
   sp_sym_mode : string;
 }
 
+let time p field = List.assoc field p.sp_times
+
 let scale_file = "BENCH_scale.json"
 
-let wall = Unix.gettimeofday
+(* Calibrated layer timing, chained the way perfbench chains its
+   iterations: a layer's time is scaled by the calibration kernel timed
+   just before it and the one timed just after, which is also the next
+   layer's "before". The result is in reference-host seconds. Host speed
+   drifts within a multi-second row, so a kernel pair per layer tracks it
+   where one pair around the whole row does not. [kernels] holds the
+   row's kernel times, newest first. *)
+type clock = { mutable kernels : float list }
+
+let clock () = { kernels = [ Calib.measure () ] }
+
+let calibrated clk f =
+  let x, t = timed f in
+  let k = Calib.measure () in
+  let s = Calib.scale t (List.hd clk.kernels) k in
+  clk.kernels <- k :: clk.kernels;
+  (x, s)
 
 (* One pipeline point: compile (no inline verify), then postcondition
-   verification, race detection and a 1 MB cluster simulation, each timed
-   separately. *)
-let scale_point ?sym sp_algo sp_ranks build =
+   verification, race detection, the topology build and a 1 MB cluster
+   simulation, each timed separately; total_s spans these five. *)
+let scale_point ?sym clk sp_algo sp_ranks build =
   Printf.printf "%-6s %5d ranks: %!" sp_algo sp_ranks;
-  let t0 = wall () in
-  let ir = build () in
-  let t1 = wall () in
-  (match Verify.check_postcondition ir with
-  | Ok () -> ()
-  | Error _ -> failwith (sp_algo ^ ": postcondition mismatch at scale"));
-  let t2 = wall () in
-  let races = Races.find ir in
-  if races <> [] then failwith (sp_algo ^ ": races found at scale");
-  let t3 = wall () in
-  let topo = T.Presets.ndv4 ~nodes:(sp_ranks / 8) in
-  let t3_topo = wall () in
-  let r =
-    Simulator.run_buffer ~topo ~buffer_bytes:mib ~check_occupancy:false ir
+  let timed f = calibrated clk f in
+  let ir, compile_s = timed build in
+  let (), verify_s =
+    timed (fun () ->
+        match Verify.check_postcondition ir with
+        | Ok () -> ()
+        | Error _ -> failwith (sp_algo ^ ": postcondition mismatch at scale"))
   in
-  let t4 = wall () in
+  let races, races_s = timed (fun () -> Races.find ir) in
+  if races <> [] then failwith (sp_algo ^ ": races found at scale");
+  let topo, topology_s =
+    timed (fun () -> T.Presets.ndv4 ~nodes:(sp_ranks / 8))
+  in
+  let r, simulate_s =
+    timed (fun () ->
+        Simulator.run_buffer ~topo ~buffer_bytes:mib ~check_occupancy:false ir)
+  in
   (* Quotient block, timed after the classic pipeline so total_s stays
      comparable across revisions. Soundness is asserted, not assumed:
-     quotient races must equal the full pass's and quotient lint must be
-     as clean as full lint. *)
-  let inferred = Msccl_analysis.Symmetry.infer ir in
-  let t5 = wall () in
+     quotient races must equal the full pass's and neither lint pass may
+     report an error. *)
+  let inferred, infer_s =
+    timed (fun () -> Msccl_analysis.Symmetry.infer ir)
+  in
   let orbit = inferred.Msccl_analysis.Symmetry.s_orbit in
-  let qraces = Races.find ~orbit ir in
-  let t6 = wall () in
+  let qraces, races_q_s = timed (fun () -> Races.find ~orbit ir) in
   if qraces <> races then
     failwith (sp_algo ^ ": quotient races diverge from the full pass");
-  let lint_full = Lint.run ir in
-  let t7 = wall () in
-  let lint_q = Lint.run ~orbit ir in
-  let t8 = wall () in
+  let lint_full, lint_s = timed (fun () -> Lint.run ir) in
+  let lint_q, lint_q_s = timed (fun () -> Lint.run ~orbit ir) in
   if Lint.has_errors lint_full || Lint.has_errors lint_q then
     failwith (sp_algo ^ ": lint errors at scale");
-  let prov_full = Msccl_analysis.Provenance.analyze ~lints:false ir in
-  let t9 = wall () in
-  let prov_q =
-    Msccl_analysis.Provenance.analyze ~symmetry:inferred ~lints:false ir
+  let prov_full, prov_s =
+    timed (fun () -> Msccl_analysis.Provenance.analyze ~lints:false ir)
   in
-  let t10 = wall () in
+  let prov_q, prov_q_s =
+    timed (fun () ->
+        Msccl_analysis.Provenance.analyze ~symmetry:inferred ~lints:false ir)
+  in
   (match
      ( prov_full.Msccl_analysis.Provenance.r_diags,
        prov_q.Msccl_analysis.Provenance.r_diags )
@@ -296,16 +198,15 @@ let scale_point ?sym sp_algo sp_ranks build =
   (* Symmetry-aware compilation, certified, against the same program; the
      replicated IR must be the classic pipeline's byte for byte (the
      program name differs, nothing else may). *)
-  let sym_compile_s, sym_mode =
+  let sym_times, sym_mode =
     match sym with
-    | None -> (0., "none")
+    | None -> ([], "none")
     | Some (coll, prog, hint) ->
-        let ts0 = wall () in
-        let report, outcome =
-          Msccl_analysis.Sym_compile.compile ~name:sp_algo
-            ~proto:T.Protocol.Simple ~verify:false ~hint coll prog
+        let (report, outcome), sym_compile_s =
+          timed (fun () ->
+              Msccl_analysis.Sym_compile.compile ~name:sp_algo
+                ~proto:T.Protocol.Simple ~verify:false ~hint coll prog)
         in
-        let ts1 = wall () in
         (match outcome with
         | Msccl_analysis.Sym_compile.Fell_back m ->
             failwith (sp_algo ^ ": symmetry-aware compile fell back: " ^ m)
@@ -315,51 +216,32 @@ let scale_point ?sym sp_algo sp_ranks build =
               failwith
                 (sp_algo
                ^ ": replicated IR differs from the classic pipeline's"));
-        (ts1 -. ts0, "replicated")
+        ([ ("sym_compile_s", sym_compile_s) ], "replicated")
   in
-  let p =
-    {
-      sp_algo;
-      sp_ranks;
-      sp_compile_s = t1 -. t0;
-      sp_verify_s = t2 -. t1;
-      sp_races_s = t3 -. t2;
-      sp_topology_s = t3_topo -. t3;
-      sp_simulate_s = t4 -. t3_topo;
-      sp_total_s = t4 -. t0;
-      sp_events = r.Simulator.events;
-      sp_infer_s = t5 -. t4;
-      sp_races_q_s = t6 -. t5;
-      sp_lint_s = t7 -. t6;
-      sp_lint_q_s = t8 -. t7;
-      sp_prov_s = t9 -. t8;
-      sp_prov_q_s = t10 -. t9;
-      sp_orbits = Orbit.num_orbits orbit;
-      sp_sym_compile_s = sym_compile_s;
-      sp_sym_mode = sym_mode;
-    }
-  in
-  Printf.printf
-    "compile %.2fs  verify %.2fs  races %.2fs  topo %.2fs  simulate %.2fs  \
-     total %.2fs (%d steps, %.0f events/s)\n       symmetry: infer %.2fs  %d orbit(s)  \
-     races_q %.2fs (%.1fx)  lint %.2fs  lint_q %.2fs  prov %.2fs  \
-     prov_q %.2fs (%.1fx, %s)\n"
-    p.sp_compile_s p.sp_verify_s p.sp_races_s p.sp_topology_s p.sp_simulate_s
-    p.sp_total_s (Ir.num_steps ir)
-    (float_of_int p.sp_events /. p.sp_simulate_s)
-    p.sp_infer_s p.sp_orbits p.sp_races_q_s
-    (p.sp_races_s /. Float.max p.sp_races_q_s 1e-9)
-    p.sp_lint_s p.sp_lint_q_s p.sp_prov_s p.sp_prov_q_s
-    (p.sp_prov_s /. Float.max p.sp_prov_q_s 1e-9)
-    prov_mode;
-  if p.sp_sym_mode <> "none" then
-    Printf.printf
-      "       sym-compile: %.2fs (%.1fx vs full compile, %s, IR identical)\n"
-      p.sp_sym_compile_s
-      (p.sp_compile_s /. Float.max p.sp_sym_compile_s 1e-9)
-      p.sp_sym_mode;
-  Printf.printf "%!";
-  p
+  {
+    sp_algo;
+    sp_ranks;
+    sp_times =
+      [
+        ("compile_s", compile_s);
+        ("verify_s", verify_s);
+        ("races_s", races_s);
+        ("topology_s", topology_s);
+        ("simulate_s", simulate_s);
+        ("total_s", compile_s +. verify_s +. races_s +. topology_s +. simulate_s);
+        ("symmetry_infer_s", infer_s);
+        ("races_quotient_s", races_q_s);
+        ("lint_s", lint_s);
+        ("lint_quotient_s", lint_q_s);
+        ("provenance_s", prov_s);
+        ("provenance_quotient_s", prov_q_s);
+      ]
+      @ sym_times;
+    sp_events = r.Simulator.events;
+    sp_orbits = Orbit.num_orbits orbit;
+    sp_prov_mode = Some prov_mode;
+    sp_sym_mode = sym_mode;
+  }
 
 let scale_points ~quick =
   let ranks = if quick then [ 64; 256 ] else [ 64; 256; 1024 ] in
@@ -399,123 +281,101 @@ let scale_points ~quick =
    the O(P²) materialization is never forced) plus cohort simulation over
    the topology-certified rank-shift quotient. The classic pipeline needs
    ~30 s of compile alone at this size, so this row records the quotient
-   path only; hint certification and replicated-vs-full IR identity are
-   asserted at every ≤1024-rank point above and in the test suite. *)
-let scale_point_sym_frontier () =
+   path only, and only the layers it runs; hint certification and
+   replicated-vs-full IR identity are asserted at every ≤1024-rank point
+   above and in the test suite. *)
+let scale_point_sym_frontier clk =
   let n = 4096 in
   Printf.printf "%-6s %5d ranks: %!" "ring" n;
-  let t0 = wall () in
-  let rep =
-    Replicate.run ~proto:T.Protocol.Simple ~name:"ring-allreduce"
-      ~hint:(A.Ring_allreduce.hint ~num_ranks:n ~channels:1)
-      (Collective.make Collective.Allreduce ~num_ranks:n ~chunk_factor:n
-         ~inplace:true ())
+  let timed f = calibrated clk f in
+  let rep, compile_s =
+    timed (fun () ->
+        Replicate.run ~proto:T.Protocol.Simple ~name:"ring-allreduce"
+          ~hint:(A.Ring_allreduce.hint ~num_ranks:n ~channels:1)
+          (Collective.make Collective.Allreduce ~num_ranks:n ~chunk_factor:n
+             ~inplace:true ()))
   in
-  let t1 = wall () in
-  let topo = T.Presets.ndv4 ~nodes:(n / 8) in
-  let t2 = wall () in
-  let r, cohort =
-    Simulator.run_sym ~topo
-      ~chunk_bytes:(mib /. float_of_int n)
-      ~check_occupancy:false rep
+  let topo, topology_s = timed (fun () -> T.Presets.ndv4 ~nodes:(n / 8)) in
+  let (r, cohort), simulate_s =
+    timed (fun () ->
+        Simulator.run_sym ~topo
+          ~chunk_bytes:(mib /. float_of_int n)
+          ~check_occupancy:false rep)
   in
-  let t3 = wall () in
   (match cohort.Simulator.co_fallback with
   | None -> ()
   | Some why ->
       failwith ("ring@4096: cohort simulation fell back (" ^ why ^ ")"));
-  let p =
-    {
-      sp_algo = "ring";
-      sp_ranks = n;
-      sp_compile_s = t1 -. t0;
-      sp_verify_s = 0.;
-      sp_races_s = 0.;
-      sp_topology_s = t2 -. t1;
-      sp_simulate_s = t3 -. t2;
-      sp_total_s = t3 -. t0;
-      sp_events = r.Simulator.events;
-      sp_infer_s = 0.;
-      sp_races_q_s = 0.;
-      sp_lint_s = 0.;
-      sp_lint_q_s = 0.;
-      sp_prov_s = 0.;
-      sp_prov_q_s = 0.;
-      sp_orbits = 1;
-      sp_sym_compile_s = t1 -. t0;
-      sp_sym_mode = "quotient";
-    }
-  in
+  Printf.printf "%d ranks/cohort, %!" cohort.Simulator.co_width;
+  {
+    sp_algo = "ring";
+    sp_ranks = n;
+    sp_times =
+      [
+        ("compile_s", compile_s);
+        ("topology_s", topology_s);
+        ("simulate_s", simulate_s);
+        ("total_s", compile_s +. topology_s +. simulate_s);
+        ("sym_compile_s", compile_s);
+      ];
+    sp_events = r.Simulator.events;
+    sp_orbits = 1;
+    sp_prov_mode = None;
+    sp_sym_mode = "quotient";
+  }
+
+(* Runs one row on a fresh clock and prints its calibrated times. *)
+let run_row row =
+  let clk = clock () in
+  let p = row clk in
+  List.iter
+    (fun (k, t) -> Printf.printf "%s %.2fs  " (Filename.chop_suffix k "_s") t)
+    p.sp_times;
   Printf.printf
-    "replicate %.2fs  topo %.2fs  cohort-sim %.2fs  total %.2fs \
-     (%d quotient events, %d ranks/cohort)\n%!"
-    p.sp_compile_s p.sp_topology_s p.sp_simulate_s p.sp_total_s p.sp_events
-    cohort.Simulator.co_width;
+    "\n       %d events (%.0f/s), %d orbit(s), provenance %s, sym %s, \
+     calib %.1f ms\n%!"
+    p.sp_events
+    (float_of_int p.sp_events /. time p "simulate_s")
+    p.sp_orbits
+    (Option.value ~default:"not run" p.sp_prov_mode)
+    p.sp_sym_mode
+    (1e3 *. List.fold_left ( +. ) 0. clk.kernels
+    /. float_of_int (List.length clk.kernels));
   p
 
+(* Three decimals: milliseconds for times. *)
+let round3 x = J.Num (Float.round (x *. 1e3) /. 1e3)
+
+let int_json n = J.Num (float_of_int n)
+
 let point_json p =
-  Printf.sprintf
-    "{\"algo\":\"%s\",\"ranks\":%d,\"compile_s\":%.3f,\"verify_s\":%.3f,\
-     \"races_s\":%.3f,\"topology_s\":%.3f,\"simulate_s\":%.3f,\
-     \"total_s\":%.3f,\"events\":%d,\
-     \"events_per_s\":%.0f,\"symmetry_infer_s\":%.3f,\"races_quotient_s\":%.3f,\
-     \"lint_s\":%.3f,\"lint_quotient_s\":%.3f,\"provenance_s\":%.3f,\
-     \"provenance_quotient_s\":%.3f,\"orbits\":%d,\"sym_compile_s\":%.3f,\
-     \"sym_mode\":\"%s\"}"
-    p.sp_algo p.sp_ranks p.sp_compile_s p.sp_verify_s p.sp_races_s
-    p.sp_topology_s p.sp_simulate_s p.sp_total_s p.sp_events
-    (float_of_int p.sp_events /. p.sp_simulate_s)
-    p.sp_infer_s p.sp_races_q_s p.sp_lint_s p.sp_lint_q_s p.sp_prov_s
-    p.sp_prov_q_s p.sp_orbits p.sp_sym_compile_s p.sp_sym_mode
+  J.Obj
+    ([ ("algo", J.Str p.sp_algo); ("ranks", int_json p.sp_ranks) ]
+    @ List.map (fun (k, t) -> (k, round3 t)) p.sp_times
+    @ [
+        ("events", int_json p.sp_events);
+        ( "events_per_s",
+          J.Num (Float.round (float_of_int p.sp_events /. time p "simulate_s"))
+        );
+        ("orbits", int_json p.sp_orbits);
+      ]
+    @ (match p.sp_prov_mode with
+      | Some m -> [ ("provenance_mode", J.Str m) ]
+      | None -> [])
+    @ [ ("sym_mode", J.Str p.sp_sym_mode) ])
 
-(* Minimal extraction from our own fixed serialization: every point object
-   starts with {"algo": and carries a "total_s" field before its '}'. *)
-let find_sub s sub from =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then raise Not_found
-    else if String.sub s i m = sub then i
-    else go (i + 1)
-  in
-  go from
-
-let baseline_points path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let pts = ref [] in
-    let i = ref 0 in
-    (try
-       while true do
-         let start = find_sub s "{\"algo\":\"" !i in
-         let stop = String.index_from s start '}' in
-         let frag = String.sub s start (stop - start) in
-         i := stop;
-         let field name conv =
-           let tag = Printf.sprintf "\"%s\":" name in
-           let from = find_sub frag tag 0 + String.length tag in
-           let upto = ref from in
-           while
-             !upto < String.length frag
-             && (match frag.[!upto] with
-                | '0' .. '9' | '.' | '-' | 'e' -> true
-                | _ -> false)
-           do
-             incr upto
-           done;
-           conv (String.sub frag from (!upto - from))
-         in
-         let algo =
-           let from = start + String.length "{\"algo\":\"" in
-           String.sub s from (String.index_from s from '"' - from)
-         in
-         pts := (algo, field "ranks" int_of_string, field "total_s" float_of_string) :: !pts
-       done
-     with Not_found -> ());
-    List.rev !pts
-  end
+(* The committed baseline's total_s per (algo, ranks). Raises [Sys_error]
+   or [J.Error] when the file is missing, does not parse or was not
+   measured in calibrated seconds. *)
+let baseline_totals path =
+  let j = J.parse (In_channel.with_open_bin path In_channel.input_all) in
+  if J.member "time_basis" j <> J.Str "calibrated" then
+    raise (J.Error "time_basis is not \"calibrated\"");
+  List.map
+    (fun p ->
+      ( (J.to_str (J.member "algo" p), int_of_float (J.to_num (J.member "ranks" p))),
+        J.to_num (J.member "total_s" p) ))
+    (J.to_list (J.member "points" j))
 
 (* Whole-registry quotient soundness gate: for every registered
    algorithm at its default shape, quotient race findings must equal the
@@ -523,46 +383,55 @@ let baseline_points path =
    one. Certification failures are fine (the quotient degenerates to the
    full pass); divergence is a hard failure. *)
 let quotient_registry_gate () =
-  let t0 = wall () in
-  let checked = ref 0 in
-  List.iter
-    (fun spec ->
-      match spec.H.Registry.build H.Registry.default_params with
-      | exception _ -> () (* shape unsupported *)
-      | ir ->
-          let s = Msccl_analysis.Symmetry.infer ir in
-          let orbit = s.Msccl_analysis.Symmetry.s_orbit in
-          if Races.find ~orbit ir <> Races.find ir then
-            failwith
-              (spec.H.Registry.name
-             ^ ": quotient races diverge from the full pass");
-          (match
-             ( Msccl_analysis.Provenance.check ir,
-               Msccl_analysis.Provenance.check ~symmetry:s ir )
-           with
-          | Ok (), Ok () -> ()
-          | _ ->
-              failwith
-                (spec.H.Registry.name
-               ^ ": provenance verdicts diverge on registry output"));
-          incr checked)
-    H.Registry.all;
+  let checked, dt =
+    timed (fun () ->
+        List.fold_left
+          (fun checked spec ->
+            match spec.H.Registry.build H.Registry.default_params with
+            | exception _ -> checked (* shape unsupported *)
+            | ir ->
+                let s = Msccl_analysis.Symmetry.infer ir in
+                let orbit = s.Msccl_analysis.Symmetry.s_orbit in
+                if Races.find ~orbit ir <> Races.find ir then
+                  failwith
+                    (spec.H.Registry.name
+                   ^ ": quotient races diverge from the full pass");
+                (match
+                   ( Msccl_analysis.Provenance.check ir,
+                     Msccl_analysis.Provenance.check ~symmetry:s ir )
+                 with
+                | Ok (), Ok () -> ()
+                | _ ->
+                    failwith
+                      (spec.H.Registry.name
+                     ^ ": provenance verdicts diverge on registry output"));
+                checked + 1)
+          0 H.Registry.all)
+  in
   Printf.printf
     "registry quotient soundness: %d algorithm(s) identical (%.2fs)\n%!"
-    !checked (wall () -. t0);
-  !checked
+    checked dt;
+  checked
 
 let run_scale ~quick ~check () =
-  let baseline = if check then baseline_points scale_file else [] in
-  Printf.printf "== scale: full pipeline at cluster sizes%s ==\n%!"
+  let baseline =
+    if not check then []
+    else
+      try baseline_totals scale_file
+      with Sys_error m | J.Error m ->
+        Printf.printf "cannot check against %s: %s\n" scale_file m;
+        exit 1
+  in
+  Printf.printf
+    "== scale: full pipeline at cluster sizes%s (calibrated seconds) ==\n%!"
     (if quick then " (quick)" else "");
   let quotient_algos = quotient_registry_gate () in
   let classic =
     List.map
-      (fun (a, n, build, sym) -> scale_point ?sym a n build)
+      (fun (a, n, build, sym) -> run_row (fun clk -> scale_point ?sym clk a n build))
       (scale_points ~quick)
   in
-  let points = classic @ [ scale_point_sym_frontier () ] in
+  let points = classic @ [ run_row scale_point_sym_frontier ] in
   (* Parallel speedup of the registry sweep. The whole sweep runs in
      ~150 ms, so a single timing of each configuration is dominated by
      scheduler noise (it has honestly reported <1x on loaded hosts); take
@@ -573,12 +442,11 @@ let run_scale ~quick ~check () =
   if s1 <> s8 then failwith "registry sweep: jobs=1 and jobs=8 outputs differ";
   let time_sweep jobs =
     Gc.full_major ();
-    let t = wall () in
-    ignore (H.Lint_sweep.run ~jobs ());
-    wall () -. t
+    snd (timed (fun () -> H.Lint_sweep.run ~jobs ()))
   in
   let reps = 7 in
   let jobs1_s = ref infinity and jobs8_s = ref infinity in
+  let c0 = Calib.measure () in
   for rep = 1 to reps do
     (* Alternate which configuration goes first so heap drift over the
        repetitions cannot bias one side. *)
@@ -588,21 +456,38 @@ let run_scale ~quick ~check () =
     jobs1_s := Float.min !jobs1_s t1;
     jobs8_s := Float.min !jobs8_s t8
   done;
-  let jobs1_s = !jobs1_s and jobs8_s = !jobs8_s in
+  let c1 = Calib.measure () in
+  let jobs1_s = Calib.scale !jobs1_s c0 c1
+  and jobs8_s = Calib.scale !jobs8_s c0 c1 in
   Printf.printf
     "registry sweep: jobs=1 %.2fs, jobs=8 %.2fs (%.2fx, min of %d reps, \
      outputs identical)\n%!"
     jobs1_s jobs8_s (jobs1_s /. jobs8_s) reps;
-  let oc = open_out scale_file in
-  Printf.fprintf oc
-    "{\"benchmark\":\"scale\",\"quick\":%b,\"points\":[%s],\
-     \"registry_sweep\":{\"jobs1_s\":%.3f,\"jobs8_s\":%.3f,\"speedup\":%.3f},\
-     \"quotient_gate\":{\"algorithms\":%d,\"identical\":true}}\n"
-    quick
-    (String.concat "," (List.map point_json points))
-    jobs1_s jobs8_s (jobs1_s /. jobs8_s)
-    quotient_algos;
-  close_out oc;
+  Out_channel.with_open_bin scale_file (fun oc ->
+      output_string oc
+        (J.to_string
+           (J.Obj
+              [
+                ("benchmark", J.Str "scale");
+                ("quick", J.Bool quick);
+                ("time_basis", J.Str "calibrated");
+                ("reference_s", J.Num Calib.reference_s);
+                ("points", J.Arr (List.map point_json points));
+                ( "registry_sweep",
+                  J.Obj
+                    [
+                      ("jobs1_s", round3 jobs1_s);
+                      ("jobs8_s", round3 jobs8_s);
+                      ("speedup", round3 (jobs1_s /. jobs8_s));
+                    ] );
+                ( "quotient_gate",
+                  J.Obj
+                    [
+                      ("algorithms", int_json quotient_algos);
+                      ("identical", J.Bool true);
+                    ] );
+              ]));
+      output_char oc '\n');
   Printf.printf "wrote %s\n%!" scale_file;
   if check then begin
     let tolerance = 1.25 in
@@ -611,71 +496,66 @@ let run_scale ~quick ~check () =
        absolute slack keeps sub-centisecond points from flaking. *)
     List.iter
       (fun p ->
-        if p.sp_prov_q_s > (p.sp_prov_s *. tolerance) +. 0.05 then begin
-          Printf.printf
-            "REGRESSION %s@%d: quotient provenance %.3fs slower than full \
-             %.3fs\n"
-            p.sp_algo p.sp_ranks p.sp_prov_q_s p.sp_prov_s;
-          exit 1
-        end)
+        match
+          ( List.assoc_opt "provenance_s" p.sp_times,
+            List.assoc_opt "provenance_quotient_s" p.sp_times )
+        with
+        | Some full, Some quotient when quotient > (full *. tolerance) +. 0.05
+          ->
+            Printf.printf
+              "REGRESSION %s@%d: quotient provenance %.3fs slower than full \
+               %.3fs\n"
+              p.sp_algo p.sp_ranks quotient full;
+            exit 1
+        | _ -> ())
       points;
     (* Headline gates: the frontier row must land inside the 1024-rank
        seed's end-to-end budget, and (full runs) symmetry-aware compile
        at 1024 ranks must be at least 5x the classic compile. *)
-    (match
-       List.find_opt (fun p -> p.sp_ranks = 4096 && p.sp_algo = "ring") points
-     with
-    | None -> ()
-    | Some p ->
-        if p.sp_total_s > 36.1 then begin
+    let row algo ranks =
+      List.find_opt (fun p -> p.sp_ranks = ranks && p.sp_algo = algo) points
+    in
+    (match row "ring" 4096 with
+    | Some p when time p "total_s" > 36.1 ->
+        Printf.printf
+          "REGRESSION ring@4096: %.2fs exceeds the 36.1s ring@1024 seed \
+           budget\n"
+          (time p "total_s");
+        exit 1
+    | _ -> ());
+    (match row "ring" 1024 with
+    | Some p when not quick ->
+        let speedup = time p "compile_s" /. Float.max (time p "sym_compile_s") 1e-9 in
+        if speedup < 5. then begin
           Printf.printf
-            "REGRESSION ring@4096: %.2fs exceeds the 36.1s ring@1024 seed \
-             budget\n"
-            p.sp_total_s;
+            "REGRESSION ring@1024: sym compile %.2fs is only %.1fx the \
+             classic %.2fs (need >=5x)\n"
+            (time p "sym_compile_s") speedup (time p "compile_s");
           exit 1
-        end);
-    if not quick then begin
-      match
-        List.find_opt
-          (fun p -> p.sp_ranks = 1024 && p.sp_algo = "ring")
-          points
-      with
-      | None -> ()
-      | Some p ->
-          let speedup = p.sp_compile_s /. Float.max p.sp_sym_compile_s 1e-9 in
-          if speedup < 5. then begin
-            Printf.printf
-              "REGRESSION ring@1024: sym compile %.2fs is only %.1fx the \
-               classic %.2fs (need >=5x)\n"
-              p.sp_sym_compile_s speedup p.sp_compile_s;
-            exit 1
-          end
-    end;
-    let regressed =
+        end
+    | _ -> ());
+    (* Every measured row needs a committed row to compare against. *)
+    let failures =
       List.filter_map
         (fun p ->
-          match
-            List.find_opt
-              (fun (a, n, _) -> a = p.sp_algo && n = p.sp_ranks)
-              baseline
-          with
-          | Some (_, _, base) when p.sp_total_s > base *. tolerance ->
-              Some (p, base)
-          | Some _ | None -> None)
+          let total = time p "total_s" in
+          match List.assoc_opt (p.sp_algo, p.sp_ranks) baseline with
+          | None ->
+              Some
+                (Printf.sprintf "REGRESSION %s@%d: no baseline row in %s"
+                   p.sp_algo p.sp_ranks scale_file)
+          | Some base when total > base *. tolerance ->
+              Some
+                (Printf.sprintf
+                   "REGRESSION %s@%d: %.2fs vs baseline %.2fs (>%.0f%%)"
+                   p.sp_algo p.sp_ranks total base
+                   ((tolerance -. 1.) *. 100.))
+          | Some _ -> None)
         points
     in
-    List.iter
-      (fun (p, base) ->
-        Printf.printf
-          "REGRESSION %s@%d: %.2fs vs baseline %.2fs (>%.0f%%)\n" p.sp_algo
-          p.sp_ranks p.sp_total_s base
-          ((tolerance -. 1.) *. 100.))
-      regressed;
-    if baseline = [] then
-      Printf.printf "no committed baseline points; check skipped\n%!"
-    else if regressed = [] then Printf.printf "within %.0f%% of baseline\n%!"
-        ((tolerance -. 1.) *. 100.)
-    else exit 1
+    List.iter print_endline failures;
+    if failures <> [] then exit 1;
+    Printf.printf "within %.0f%% of baseline\n%!" ((tolerance -. 1.) *. 100.)
   end
 
 (* Chaos degradation curve: ring and hierarchical allreduce at 64 ranks
@@ -757,7 +637,6 @@ let () =
     Array.exists (fun a -> a = flag) Sys.argv
   in
   match which with
-  | Some "micro" -> run_micro ()
   | Some "figures" -> run_figures ()
   | Some "ablations" -> run_ablations ()
   | Some "tuner" -> run_tuner ()
@@ -768,11 +647,10 @@ let () =
   | Some other ->
       Printf.eprintf
         "unknown selector %S (expected \
-         micro|figures|ablations|tuner|e2e|perfcheck|scale|chaos)\n"
+         figures|ablations|tuner|e2e|perfcheck|scale|chaos)\n"
         other;
       exit 1
   | None ->
-      run_micro ();
       run_figures ();
       run_ablations ();
       run_tuner ();
