@@ -546,13 +546,11 @@ let analyze_cmd =
   in
   let hb_stats_json (st : Hbgraph.stats) =
     Printf.sprintf
-      "{\"nodes\":%d,\"edges\":%d,\"small_closure\":%b,\"queries\":%d,\
-       \"pos_cutoffs\":%d,\"local_hits\":%d,\
-       \"local_builds\":%d,\"row_hits\":%d,\"rows_built\":%d,\"dfs\":%d}"
-      st.Hbgraph.st_nodes st.Hbgraph.st_edges st.Hbgraph.st_small_closure
-      st.Hbgraph.st_queries st.Hbgraph.st_pos_cutoffs
-      st.Hbgraph.st_local_hits st.Hbgraph.st_local_builds
-      st.Hbgraph.st_row_hits st.Hbgraph.st_rows_built st.Hbgraph.st_dfs
+      "{\"nodes\":%d,\"edges\":%d,\"queries\":%d,\"pos_cutoffs\":%d,\
+       \"local_hits\":%d,\"local_builds\":%d,\"dfs\":%d}"
+      st.Hbgraph.st_nodes st.Hbgraph.st_edges st.Hbgraph.st_queries
+      st.Hbgraph.st_pos_cutoffs st.Hbgraph.st_local_hits
+      st.Hbgraph.st_local_builds st.Hbgraph.st_dfs
   in
   let analyze_one ~json ~symmetry ~topology ~size_bytes ir =
     let report, diags =

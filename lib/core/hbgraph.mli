@@ -18,10 +18,13 @@
     in {!mismatched_connections}) so lint rules can report them instead of
     crashing.
 
-    Reachability queries are answered from a transitive closure computed
-    once in topological order (bitset per node), not by per-query DFS;
-    graphs with cycles (or too many nodes for the closure) fall back to
-    DFS. *)
+    Kahn's algorithm runs once per graph and is memoized; the topological
+    order, cycle size and (weighted) longest paths are all read off that
+    one pass. Reachability has one path: on a DAG, a query is refuted by
+    topological position, answered by the per-GPU closure (a bitset per
+    local step, built for one GPU at a time), or settled by a search that
+    never expands a node past the target's position; a graph with a cycle
+    is searched by plain DFS. *)
 
 type t
 
@@ -76,16 +79,13 @@ val ordered : t -> int -> int -> bool
 type stats = {
   st_nodes : int;
   st_edges : int;
-  st_small_closure : bool;
-      (** The whole-graph n²-bit closure was materialized (small graphs
-          only). *)
   st_queries : int;  (** Total [reaches] calls. *)
   st_pos_cutoffs : int;  (** Queries refuted by topological position. *)
   st_local_hits : int;  (** Queries answered by the per-GPU bitset closure. *)
   st_local_builds : int;  (** Per-GPU bitset closures built. *)
-  st_row_hits : int;  (** Queries answered from the full-row cache. *)
-  st_rows_built : int;  (** Full reachable-set rows computed. *)
-  st_dfs : int;  (** Queries that fell back to (pruned) DFS. *)
+  st_dfs : int;
+      (** Queries that fell back to a search: position-pruned on a DAG,
+          plain DFS on a cyclic graph. *)
 }
 
 val stats : t -> stats
