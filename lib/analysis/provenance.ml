@@ -15,6 +15,7 @@ type kind =
   | Uninitialized_read of Loc.t
   | Out_of_bounds of Loc.t
   | Missing_operand of string
+  | Message_size of { sent : int; expected : int }
   | Deadlock of string
   | Connection_mismatch of {
       src : int;
@@ -46,6 +47,7 @@ let kind_name = function
   | Uninitialized_read _ -> "uninitialized-read"
   | Out_of_bounds _ -> "out-of-bounds"
   | Missing_operand _ -> "missing-operand"
+  | Message_size _ -> "message-size"
   | Deadlock _ -> "deadlock"
   | Connection_mismatch _ -> "conn-mismatch"
   | Undelivered_messages _ -> "undelivered"
@@ -88,6 +90,14 @@ let pp_diag fmt d =
       match d.dg_site with
       | Some s -> Format.fprintf fmt "%a: has no %s operand" pp_site s what
       | None -> Format.fprintf fmt "%a: a step has no %s operand" loc () what)
+  | Message_size { sent; expected } -> (
+      match d.dg_site with
+      | Some s ->
+          Format.fprintf fmt "%a: received %d chunk(s), expected %d" pp_site s
+            sent expected
+      | None ->
+          Format.fprintf fmt "%a: a step received %d chunk(s), expected %d"
+            loc () sent expected)
   | Deadlock msg -> Format.fprintf fmt "deadlock: %s" msg
   | Connection_mismatch { src; dst; chan; sends; recvs } ->
       Format.fprintf fmt "connection %d->%d ch%d: %d send(s) vs %d receive(s)"
@@ -491,7 +501,6 @@ type engine = {
   e_in_size : int;
   e_out_size : int;
   e_bufs : rank_bufs array;
-  e_sem : int array array;
   e_tb_base : int array array; (* (rank, tb) -> node id base *)
   e_rank_start : int array; (* rank -> first node id (ascending) *)
   e_n_nodes : int;
@@ -505,6 +514,10 @@ exception Fallback
 
 let node_of eng rank tb step = eng.e_tb_base.(rank).(tb) + step
 
+let site_at eng ((rank, tb, step) as at) =
+  let op = Executor.step_op eng.e_ir at in
+  { p_rank = rank; p_tb = tb; p_step = step; p_op = op }
+
 let site_of_node eng nid =
   (* binary search the rank, then the thread block *)
   let lo = ref 0 and hi = ref (eng.e_nranks - 1) in
@@ -516,10 +529,7 @@ let site_of_node eng nid =
   let bases = eng.e_tb_base.(rank) in
   let t = ref 0 in
   Array.iteri (fun k b -> if b <= nid then t := k) bases;
-  let tb = !t in
-  let step = nid - bases.(tb) in
-  let op = eng.e_ir.Ir.gpus.(rank).Ir.tbs.(tb).Ir.steps.(step).Ir.op in
-  { p_rank = rank; p_tb = tb; p_step = step; p_op = op }
+  site_at eng (rank, !t, nid - bases.(!t))
 
 let opt_site eng nid = if nid < 0 then None else Some (site_of_node eng nid)
 
@@ -537,22 +547,14 @@ let make_engine ?(events = false) ?only (ir : Ir.t) ~stride =
   let bufs =
     Array.map
       (fun (g : Ir.gpu) ->
-        if wanted g.Ir.gpu_id then begin
-          let rb_in = mk_buf g.Ir.input_chunks in
-          {
-            rb_in;
-            rb_out = (if inplace then rb_in else mk_buf g.Ir.output_chunks);
-            rb_scr = mk_buf g.Ir.scratch_chunks;
-          }
-        end
-        else begin
-          let rb_in = mk_buf 0 in
-          {
-            rb_in;
-            rb_out = (if inplace then rb_in else mk_buf 0);
-            rb_scr = mk_buf 0;
-          }
-        end)
+        let size n = if wanted g.Ir.gpu_id then n else 0 in
+        let rb_in = mk_buf (size g.Ir.input_chunks) in
+        {
+          rb_in;
+          rb_out =
+            (if inplace then rb_in else mk_buf (size g.Ir.output_chunks));
+          rb_scr = mk_buf (size g.Ir.scratch_chunks);
+        })
       ir.Ir.gpus
   in
   (* initial values from the collective's precondition *)
@@ -609,9 +611,6 @@ let make_engine ?(events = false) ?only (ir : Ir.t) ~stride =
     e_in_size = in_size;
     e_out_size = out_size;
     e_bufs = bufs;
-    e_sem =
-      Array.map (fun (g : Ir.gpu) -> Array.make (Array.length g.Ir.tbs) 0)
-        ir.Ir.gpus;
     e_tb_base = tb_base;
     e_rank_start = rank_start;
     e_n_nodes = !n;
@@ -632,9 +631,9 @@ let add_diag eng d = eng.e_diags <- d :: eng.e_diags
 
 (* Read a span; uninitialized or out-of-bounds slots poison the result
    and report a diagnostic (once per instruction) instead of crashing
-   like the executor. [srcs] accumulates dataflow edges for the event
-   graph. *)
-let read_span eng ~nid ~srcs (l : Loc.t) =
+   like the executor. Each read slot's writer becomes a dataflow edge of
+   the event graph. *)
+let read_span eng ~nid (l : Loc.t) =
   let b = buffer_of eng l in
   Array.init l.Loc.count (fun k ->
       let idx = l.Loc.index + k in
@@ -655,7 +654,8 @@ let read_span eng ~nid ~srcs (l : Loc.t) =
       else begin
         b.rsince.(idx) <- true;
         (match eng.e_events with
-        | Some _ when b.writer.(idx) >= 0 -> srcs := b.writer.(idx) :: !srcs
+        | Some ev when b.writer.(idx) >= 0 ->
+            ev.ev_srcs.(nid) <- b.writer.(idx) :: ev.ev_srcs.(nid)
         | _ -> ());
         match b.vals.(idx) with
         | Some v -> v
@@ -718,16 +718,20 @@ let write_span eng ~nid (l : Loc.t) vals =
     vals
 
 (* A step without the operand its opcode uses (ingestion accepts an rcs
-   with no destination) is reported once, where the executor raises; the
-   caller reads Poison for it and drops the write, so the FIFOs stay
-   balanced. *)
-let missing_operand eng ~nid ~rank what =
+   with no destination) or a receive whose message has the wrong number
+   of chunks is reported once, where the executor raises; the scheduler
+   reads Poison for it and drops the write, so the FIFOs stay balanced. *)
+let fault eng ~nid ~rank f =
   let key = nid + (2 * eng.e_n_nodes) in
   if not (Hashtbl.mem eng.e_seen key) then begin
     Hashtbl.add eng.e_seen key ();
     add_diag eng
       {
-        dg_kind = Missing_operand what;
+        dg_kind =
+          (match f with
+          | Executor.No_operand what -> Missing_operand what
+          | Executor.Message_size { sent; expected; _ } ->
+              Message_size { sent; expected });
         dg_rank = rank;
         dg_loc = None;
         dg_site = opt_site eng nid;
@@ -736,202 +740,74 @@ let missing_operand eng ~nid ~rank what =
   end
 
 (* ------------------------------------------------------------------ *)
-(* The round-robin abstract scheduler                                  *)
+(* The executor's scheduler over the lattice                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Communication backend: the full interpreter uses per-connection FIFO
-   queues exactly like the executor; the quotient interpreter records
-   representative send streams and translates them for representative
-   receivers. *)
-type comm = {
-  c_recv_ready : Ir.gpu -> Ir.tb -> bool;
-  c_pop : Ir.gpu -> Ir.tb -> pv array * int; (* payload, sender node *)
-  c_send_ready : Ir.gpu -> Ir.tb -> bool;
-  c_push : Ir.gpu -> Ir.tb -> nid:int -> pv array -> unit;
-}
+(* Both modes run [Executor.schedule] over the executor's connection
+   FIFOs; the quotient interpretation re-addresses each representative
+   receive to its canonical image and translates what it pops. *)
+let interp eng =
+  let nid (r, t, s) = node_of eng r t s in
+  {
+    Executor.read = (fun at l -> read_span eng ~nid:(nid at) l);
+    write = (fun at l vals -> write_span eng ~nid:(nid at) l vals);
+    reduce = pv_reduce ~nbytes:eng.e_nbytes ~stride:eng.e_stride;
+    fault =
+      (fun ((rank, _, _) as at) f ->
+        fault eng ~nid:(nid at) ~rank f;
+        Poison);
+    received =
+      (fun at ~sender _ ->
+        match eng.e_events with
+        | Some ev ->
+            let n = nid at in
+            ev.ev_srcs.(n) <- nid sender :: ev.ev_srcs.(n)
+        | None -> ());
+  }
 
-let try_step eng comm (g : Ir.gpu) (tb : Ir.tb) =
-  let rank = g.Ir.gpu_id in
-  let done_steps = eng.e_sem.(rank).(tb.Ir.tb_id) in
-  if done_steps >= Array.length tb.Ir.steps then false
-  else begin
-    let step = tb.Ir.steps.(done_steps) in
-    let sem = eng.e_sem.(rank) in
-    let deps_ok =
-      List.for_all
-        (fun (dtb, dstep) ->
-          (* out-of-range entries (flagged by the dangling-depends lint)
-             are treated as satisfied so the pass never raises *)
-          dtb < 0 || dtb >= Array.length sem || sem.(dtb) > dstep)
-        step.Ir.depends
-    in
-    let recv_ok = (not (Instr.receives step.Ir.op)) || comm.c_recv_ready g tb in
-    let send_ok = (not (Instr.sends step.Ir.op)) || comm.c_send_ready g tb in
-    if deps_ok && recv_ok && send_ok then begin
-      let nid = node_of eng rank tb.Ir.tb_id done_steps in
-      let srcs = ref [] in
-      let pop () =
-        let vals, sender = comm.c_pop g tb in
-        (match eng.e_events with
-        | Some _ when sender >= 0 -> srcs := sender :: !srcs
-        | _ -> ());
-        vals
-      in
-      let push vals = comm.c_push g tb ~nid vals in
-      let red = pv_reduce ~nbytes:eng.e_nbytes ~stride:eng.e_stride in
-      let read what = function
-        | Some l -> read_span eng ~nid ~srcs l
-        | None ->
-            missing_operand eng ~nid ~rank what;
-            Array.make step.Ir.count Poison
-      in
-      let src () = read "source" step.Ir.src in
-      let wr_dst vals =
-        match step.Ir.dst with
-        | Some l -> write_span eng ~nid l vals
-        | None -> missing_operand eng ~nid ~rank "destination"
-      in
-      (match step.Ir.op with
-      | Instr.Nop -> ()
-      | Instr.Send -> push (src ())
-      | Instr.Recv -> wr_dst (pop ())
-      | Instr.Copy -> wr_dst (src ())
-      | Instr.Reduce ->
-          wr_dst (Array.map2 red (read "destination" step.Ir.dst) (src ()))
-      | Instr.Recv_reduce_copy -> wr_dst (Array.map2 red (src ()) (pop ()))
-      | Instr.Recv_copy_send ->
-          let msg = pop () in
-          wr_dst msg;
-          push msg
-      | Instr.Recv_reduce_send -> push (Array.map2 red (src ()) (pop ()))
-      | Instr.Recv_reduce_copy_send ->
-          let res = Array.map2 red (src ()) (pop ()) in
-          wr_dst res;
-          push res);
-      (match eng.e_events with
-      | Some ev -> ev.ev_srcs.(nid) <- !srcs
-      | None -> ());
-      eng.e_sem.(rank).(tb.Ir.tb_id) <- done_steps + 1;
-      eng.e_executed <- eng.e_executed + 1;
-      true
-    end
-    else false
-  end
-
-(* Runs the scheduler over [active] gpus until every active step executed
-   or no progress is possible. Returns [false] on deadlock. *)
-let run_scheduler eng comm (active : Ir.gpu array) =
-  let total =
-    Array.fold_left
-      (fun acc (g : Ir.gpu) ->
-        Array.fold_left (fun a (tb : Ir.tb) -> a + Array.length tb.Ir.steps)
-          acc g.Ir.tbs)
-      0 active
-  in
-  let rec loop () =
-    if eng.e_executed < total then begin
-      let progress = ref false in
-      Array.iter
-        (fun (g : Ir.gpu) ->
-          Array.iter
-            (fun tb -> while try_step eng comm g tb do progress := true done)
-            g.Ir.tbs)
-        active;
-      if !progress then loop () else false
-    end
-    else true
-  in
-  loop ()
-
-let blocked_summary eng (active : Ir.gpu array) =
-  let b = Buffer.create 64 in
-  let n = ref 0 in
-  Array.iter
-    (fun (g : Ir.gpu) ->
-      Array.iter
-        (fun (tb : Ir.tb) ->
-          let d = eng.e_sem.(g.Ir.gpu_id).(tb.Ir.tb_id) in
-          if d < Array.length tb.Ir.steps then begin
-            incr n;
-            if !n <= 4 then
-              Buffer.add_string b
-                (Printf.sprintf "%sgpu %d tb %d at step %d (%s)"
-                   (if !n = 1 then "" else "; ")
-                   g.Ir.gpu_id tb.Ir.tb_id d
-                   (Instr.opcode_name tb.Ir.steps.(d).Ir.op))
-          end)
-        g.Ir.tbs)
-    active;
-  Printf.sprintf "no thread block can make progress; %d blocked: %s%s" !n
-    (Buffer.contents b)
-    (if !n > 4 then "; ..." else "")
+let blocked_summary eng stuck =
+  let n = List.length stuck in
+  Printf.sprintf "no thread block can make progress; %d blocked: %s%s" n
+    (String.concat "; "
+       (List.filteri (fun i _ -> i < 4) stuck
+       |> List.map (fun (((r, t, s) as at), _) ->
+              Printf.sprintf "gpu %d tb %d at step %d (%s)" r t s
+                (Instr.opcode_name (Executor.step_op eng.e_ir at)))))
+    (if n > 4 then "; ..." else "")
 
 (* ------------------------------------------------------------------ *)
 (* Full interpretation                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let full_comm eng ~slots =
-  let queues : (int * int * int, (pv array * int) Queue.t) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  let queue key =
-    match Hashtbl.find_opt queues key with
-    | Some q -> q
-    | None ->
-        let q = Queue.create () in
-        Hashtbl.add queues key q;
-        q
-  in
-  let comm =
-    {
-      c_recv_ready =
-        (fun g tb ->
-          not (Queue.is_empty (queue (tb.Ir.recv, g.Ir.gpu_id, tb.Ir.chan))));
-      c_pop =
-        (fun g tb -> Queue.pop (queue (tb.Ir.recv, g.Ir.gpu_id, tb.Ir.chan)));
-      c_send_ready =
-        (fun g tb ->
-          Queue.length (queue (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan)) < slots);
-      c_push =
-        (fun g tb ~nid vals ->
-          Queue.add (vals, nid) (queue (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan)));
-    }
-  in
-  let leftover () =
-    Hashtbl.iter
-      (fun (s, d, c) q ->
-        if not (Queue.is_empty q) then
+(* Returns whether every step ran (no deadlock). *)
+let run_full eng ~slots =
+  let comm, in_flight = Executor.fifos ~slots in
+  let o = Executor.schedule (interp eng) comm eng.e_ir.Ir.gpus in
+  eng.e_executed <- o.Executor.executed;
+  match o.Executor.stuck with
+  | [] ->
+      List.iter
+        (fun ((src, dst, chan), count, sender) ->
           add_diag eng
             {
-              dg_kind =
-                Undelivered_messages
-                  { src = s; dst = d; chan = c; count = Queue.length q };
-              dg_rank = s;
+              dg_kind = Undelivered_messages { src; dst; chan; count };
+              dg_rank = src;
               dg_loc = None;
-              dg_site = opt_site eng (snd (Queue.peek q));
+              dg_site = Some (site_at eng sender);
               dg_members = 1;
             })
-      queues
-  in
-  (comm, leftover)
-
-let run_full eng ~slots =
-  let comm, leftover = full_comm eng ~slots in
-  if run_scheduler eng comm eng.e_ir.Ir.gpus then begin
-    leftover ();
-    true
-  end
-  else begin
-    add_diag eng
-      {
-        dg_kind = Deadlock (blocked_summary eng eng.e_ir.Ir.gpus);
-        dg_rank = -1;
-        dg_loc = None;
-        dg_site = None;
-        dg_members = 1;
-      };
-    false
-  end
+        (in_flight ());
+      true
+  | stuck ->
+      add_diag eng
+        {
+          dg_kind = Deadlock (blocked_summary eng stuck);
+          dg_rank = -1;
+          dg_loc = None;
+          dg_site = None;
+          dg_members = 1;
+        };
+      false
 
 (* ------------------------------------------------------------------ *)
 (* Orbit-quotient interpretation                                       *)
@@ -943,21 +819,6 @@ let run_full eng ~slots =
    unique slot, and a spec that is itself symmetric under (π, ψ, Φ).
    Anything else falls back to the full interpretation — slower, never
    wrong. *)
-type stream = {
-  mutable st_arr : (pv array * int) array;
-  mutable st_len : int;
-}
-
-let stream_push s x =
-  if s.st_len = Array.length s.st_arr then begin
-    let cap = max 8 (2 * Array.length s.st_arr) in
-    let arr = Array.make cap x in
-    Array.blit s.st_arr 0 arr 0 s.st_len;
-    s.st_arr <- arr
-  end;
-  s.st_arr.(s.st_len) <- x;
-  s.st_len <- s.st_len + 1
-
 type qplan = {
   q_orbit : Orbit.t;
   q_inv : int array; (* π⁻¹ *)
@@ -1255,24 +1116,16 @@ let run_quotient eng plan ~slots =
   let active =
     Array.of_list (List.map (fun r -> ir.Ir.gpus.(r)) (Orbit.reps orb))
   in
-  (* send streams recorded by representatives, keyed by the sender's
-     actual (src, dst, chan) connection — growable arrays so cursor reads
-     and appends are both O(1) *)
-  let streams : (int * int * int, stream) Hashtbl.t = Hashtbl.create 32 in
-  let stream key =
-    match Hashtbl.find_opt streams key with
-    | Some s -> s
-    | None ->
-        let s = { st_arr = [||]; st_len = 0 } in
-        Hashtbl.add streams key s;
-        s
-  in
-  (* resolve each representative receive connection to the image stream
-     it reads, with its π-power and a cursor *)
-  let rconn : (int * int, (int * int * int) * int * int ref) Hashtbl.t =
+  (* Representatives send into the executor's connection FIFOs as usual.
+     Each representative receive reads the FIFO of its canonical image
+     (srep, image_dst, chan), i.e. the inbox of the image receiver below,
+     and translates the payload by its π-power; each FIFO has at most one
+     reader. *)
+  let fifo, _ = Executor.fifos ~slots in
+  let rconn : (int * int, Ir.gpu * Ir.tb * int) Hashtbl.t =
     Hashtbl.create 32
   in
-  let cursors : (int * int * int, int ref) Hashtbl.t = Hashtbl.create 32 in
+  let read_conns = Hashtbl.create 32 in
   Array.iter
     (fun (g : Ir.gpu) ->
       Array.iter
@@ -1283,27 +1136,25 @@ let run_quotient eng plan ~slots =
               canonical_recv plan ~src:tb.Ir.recv ~dst:g.Ir.gpu_id
             in
             let key = (srep, image_dst, tb.Ir.chan) in
-            if Hashtbl.mem cursors key then raise Fallback;
-            let cur = ref 0 in
-            Hashtbl.add cursors key cur;
-            Hashtbl.add rconn (g.Ir.gpu_id, tb.Ir.tb_id) (key, m, cur)
+            if Hashtbl.mem read_conns key then raise Fallback;
+            Hashtbl.add read_conns key ();
+            Hashtbl.add rconn (g.Ir.gpu_id, tb.Ir.tb_id)
+              ({ g with Ir.gpu_id = image_dst }, { tb with Ir.recv = srep }, m)
           end)
         g.Ir.tbs)
     active;
   let comm =
     {
-      c_recv_ready =
+      fifo with
+      Executor.recv_ready =
         (fun g tb ->
           match Hashtbl.find_opt rconn (g.Ir.gpu_id, tb.Ir.tb_id) with
           | None -> false
-          | Some (key, _, cur) -> !cur < (stream key).st_len);
-      c_pop =
+          | Some (ig, itb, _) -> fifo.Executor.recv_ready ig itb);
+      pop =
         (fun g tb ->
-          let key, m, cur =
-            Hashtbl.find rconn (g.Ir.gpu_id, tb.Ir.tb_id)
-          in
-          let vals, sender = (stream key).st_arr.(!cur) in
-          incr cur;
+          let ig, itb, m = Hashtbl.find rconn (g.Ir.gpu_id, tb.Ir.tb_id) in
+          let vals, sender = fifo.Executor.pop ig itb in
           match phi_apply plan m with
           | None -> (vals, sender)
           | Some apply ->
@@ -1312,26 +1163,18 @@ let run_quotient eng plan ~slots =
                      apply)
                   vals,
                 sender ));
-      c_send_ready =
+      send_ready =
         (fun g tb ->
-          let key = (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan) in
-          let n = (stream key).st_len in
-          let consumed =
-            match Hashtbl.find_opt cursors key with
-            | Some cur -> !cur
-            | None -> n (* no symmetric consumer: don't block *)
-          in
-          n - consumed < slots);
-      c_push =
-        (fun g tb ~nid vals ->
-          stream_push
-            (stream (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan))
-            (vals, nid));
+          (* a connection no representative reads never blocks *)
+          (not (Hashtbl.mem read_conns (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan)))
+          || fifo.Executor.send_ready g tb);
     }
   in
   (* a quotient deadlock may be a translation artifact: let the full
      interpretation decide *)
-  if not (run_scheduler eng comm active) then raise Fallback;
+  let o = Executor.schedule (interp eng) comm active in
+  if o.Executor.stuck <> [] then raise Fallback;
+  eng.e_executed <- o.Executor.executed;
   active
 
 (* ------------------------------------------------------------------ *)
@@ -1375,54 +1218,44 @@ let conn_mismatches ~members counts =
     counts []
   |> List.sort compare
 
-let connection_diags (ir : Ir.t) =
-  let counts : (int * int * int, int ref * int ref) Hashtbl.t =
-    Hashtbl.create 32
+(* Per-connection send/receive balance. In full mode every rank is
+   scanned. Through the quotient only representative ranks are, each
+   connection translated to its canonical image — the orbit member whose
+   source is a representative (receives through [canonical_recv], as the
+   receive resolution in [run_quotient] does). Certified symmetry makes
+   every connection's counts equal to its canonical image's, so this
+   detects exactly the imbalances the full scan would; a canonical-key
+   collision between distinct sources could skew the aggregation, so it
+   falls back to the full pass instead. *)
+let connection_diags ?plan (ir : Ir.t) =
+  let ranks, canonical, members =
+    match plan with
+    | None ->
+        ( List.init (Ir.num_ranks ir) Fun.id,
+          (fun ~src ~dst -> (src, dst)),
+          fun _ -> 1 )
+    | Some plan ->
+        ( Orbit.reps plan.q_orbit,
+          canonical_recv plan,
+          Orbit.orbit_size plan.q_orbit )
   in
-  Array.iter
-    (fun (g : Ir.gpu) ->
-      Array.iter
-        (fun (tb : Ir.tb) ->
-          let s, r = conn_count_tb tb in
-          if s > 0 then begin
-            let ns, _ = conn_get counts (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan) in
-            ns := !ns + s
-          end;
-          if r > 0 then begin
-            let _, nr = conn_get counts (tb.Ir.recv, g.Ir.gpu_id, tb.Ir.chan) in
-            nr := !nr + r
-          end)
-        g.Ir.tbs)
-    ir.Ir.gpus;
-  conn_mismatches ~members:(fun _ -> 1) counts
-
-(* Connection balance through the quotient: only representative ranks are
-   scanned, each connection translated to its canonical image — the orbit
-   member whose source is a representative (receives through
-   [canonical_recv], as the stream resolution in [run_quotient] does).
-   Certified symmetry makes every connection's counts equal to its
-   canonical image's, so this detects exactly the imbalances the full
-   scan would; a canonical-key collision between distinct sources could
-   skew the aggregation, so it falls back to the full pass instead. *)
-let connection_diags_quotient (ir : Ir.t) plan =
-  let orb = plan.q_orbit in
   let counts : (int * int * int, int ref * int ref) Hashtbl.t =
     Hashtbl.create 32
   in
   let recv_src : (int * int * int, int) Hashtbl.t = Hashtbl.create 32 in
   List.iter
-    (fun rep ->
-      let g = ir.Ir.gpus.(rep) in
+    (fun rank ->
+      let g = ir.Ir.gpus.(rank) in
       Array.iter
         (fun (tb : Ir.tb) ->
           let s, r = conn_count_tb tb in
           if s > 0 then begin
-            let ns, _ = conn_get counts (rep, tb.Ir.send, tb.Ir.chan) in
+            let ns, _ = conn_get counts (rank, tb.Ir.send, tb.Ir.chan) in
             ns := !ns + s
           end;
           if r > 0 then begin
             let p = tb.Ir.recv in
-            let srep, dst = canonical_recv plan ~src:p ~dst:rep in
+            let srep, dst = canonical ~src:p ~dst:rank in
             let key = (srep, dst, tb.Ir.chan) in
             (match Hashtbl.find_opt recv_src key with
             | Some p' when p' <> p -> raise Fallback
@@ -1432,8 +1265,8 @@ let connection_diags_quotient (ir : Ir.t) plan =
             nr := !nr + r
           end)
         g.Ir.tbs)
-    (Orbit.reps orb);
-  conn_mismatches ~members:(fun s -> Orbit.orbit_size orb s) counts
+    ranks;
+  conn_mismatches ~members counts
 
 let compare_outputs ?post eng ~checked ~members =
   let coll = eng.e_ir.Ir.collective in
@@ -1698,20 +1531,11 @@ let analyze ?symmetry ?(lints = true) (ir : Ir.t) =
   let run_full_mode () =
     let conn = connection_diags ir in
     let eng = make_engine ~events:lints ir ~stride in
-    ignore (run_full eng ~slots : bool);
-    let completed =
-      not
-        (List.exists
-           (function { dg_kind = Deadlock _; _ } -> true | _ -> false)
-           eng.e_diags)
-    in
-    let slot_diags, slots_checked =
-      if completed then compare_outputs eng ~checked:all_ranks ~members:(fun _ -> 1)
-      else ([], 0)
-    in
-    let lint_diags =
-      if completed then build_lints eng ~checked:all_ranks ~members:(fun _ -> 1)
-      else []
+    let (slot_diags, slots_checked), lint_diags =
+      if run_full eng ~slots then
+        ( compare_outputs eng ~checked:all_ranks ~members:(fun _ -> 1),
+          build_lints eng ~checked:all_ranks ~members:(fun _ -> 1) )
+      else (([], 0), [])
     in
     {
       r_mode = Full;
@@ -1755,7 +1579,7 @@ let analyze ?symmetry ?(lints = true) (ir : Ir.t) =
                scanning representative ranks only is sound here; any
                mismatch (or a canonical-key collision) falls back to the
                full scan, which re-derives the diagnostics verbatim. *)
-            if connection_diags_quotient ir plan <> [] then run_full_mode ()
+            if connection_diags ~plan ir <> [] then run_full_mode ()
             else quotient_mode sym plan
           with Fallback -> run_full_mode ()))
   | None -> run_full_mode ()

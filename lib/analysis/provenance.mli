@@ -8,10 +8,11 @@
     contributing ranks, a copied/reduced tag and a multiplicity counter
     that catches double-counted reductions), propagated by per-opcode
     transfer functions for send / recv / copy / reduce and their fused
-    forms along a linearization of the happens-before order (the same
-    round-robin schedule the executor realizes, so verdicts agree by
-    construction on race-free IR). One pass, no execution, and every
-    divergence is attributed to the {e instruction} that caused it:
+    forms. The pass runs on the executor's own scheduler
+    ({!Msccl_core.Executor.schedule}: semaphores, FIFO slots, message
+    sizes) with the lattice as its value domain, so the two verdicts
+    agree by construction on race-free IR. One pass, no execution, and
+    every divergence is attributed to the {e instruction} that caused it:
 
     - the postcondition check {!check} classifies each wrong output slot
       as a missing contribution, a duplicated contribution, an
@@ -22,14 +23,14 @@
       statically instead of as an {!Msccl_core.Executor.Exec_error}
       crash), [dead-store] and [unread-scratch] (backward liveness over
       the write-event graph from the constrained output slots);
-    - deadlock, connection imbalance and in-flight leftovers surface as
-      diagnostics too, keeping the static verdict aligned with the
-      executor's dynamic one — the fuzz provenance oracle asserts exactly
-      that equivalence.
+    - deadlock, connection imbalance, wrongly sized messages and
+      in-flight leftovers surface as diagnostics too, keeping the static
+      verdict aligned with the executor's dynamic one — the fuzz
+      provenance oracle asserts exactly that equivalence.
 
     With a certified {!Symmetry.t} whose generator has rank-uniform chunk
-    bijections, the pass is {e orbit-quotiented}: only representative
-    ranks are interpreted, messages arriving from non-interpreted senders
+    bijections, the pass is {e orbit-quotiented}: the scheduler runs only
+    representative ranks, messages arriving from non-interpreted senders
     are recovered by translating the representative sender's recorded
     stream through cached powers of the automorphism, and the spec itself
     is checked to be orbit-symmetric (so representative verdicts cover
@@ -71,6 +72,10 @@ type kind =
   | Missing_operand of string
       (** The step has no ["source"] or ["destination"] operand although
           its opcode uses one; the executor raises here. *)
+  | Message_size of { sent : int; expected : int }
+      (** A received message carries [sent] chunks where the receiving
+          step's [count] is [expected]; the executor raises here and the
+          step reads Poison. *)
   | Deadlock of string
       (** No thread block can make progress under FIFO semantics. *)
   | Connection_mismatch of {

@@ -2,6 +2,178 @@ exception Exec_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Exec_error s)) fmt
 
+(* ------------------------------------------------------------------ *)
+(* The runtime's scheduling rules, generic over the value domain       *)
+(* ------------------------------------------------------------------ *)
+
+type at = int * int * int
+
+type fault =
+  | No_operand of string
+  | Message_size of { sent : int; expected : int; sender : at }
+
+type 'v interp = {
+  read : at -> Loc.t -> 'v array;
+  write : at -> Loc.t -> 'v array -> unit;
+  reduce : 'v -> 'v -> 'v;
+  fault : at -> fault -> 'v;
+  received : at -> sender:at -> 'v array -> unit;
+}
+
+type 'v comm = {
+  recv_ready : Ir.gpu -> Ir.tb -> bool;
+  pop : Ir.gpu -> Ir.tb -> 'v array * at;
+  send_ready : Ir.gpu -> Ir.tb -> bool;
+  push : Ir.gpu -> Ir.tb -> 'v array * at -> unit;
+}
+
+type wait = Semaphore of (int * int) | Data_from of int | Slots_to of int
+type outcome = { executed : int; stuck : (at * wait) list }
+
+(* What keeps [step], the next step of [tb], from running now; [sem]
+   holds the completed-step counts of its GPU's thread blocks. Out-of-range
+   [depends] entries count as satisfied, so no checker raises on them;
+   [Ir.validate] rejects such IR before [Verify.check] executes it. *)
+let wait_of comm sem (g : Ir.gpu) (tb : Ir.tb) (step : Ir.step) =
+  match
+    List.find_opt
+      (fun (dtb, dstep) ->
+        dtb >= 0 && dtb < Array.length sem && sem.(dtb) <= dstep)
+      step.Ir.depends
+  with
+  | Some d -> Some (Semaphore d)
+  | None ->
+      if Instr.receives step.Ir.op && not (comm.recv_ready g tb) then
+        Some (Data_from tb.Ir.recv)
+      else if Instr.sends step.Ir.op && not (comm.send_ready g tb) then
+        Some (Slots_to tb.Ir.send)
+      else None
+
+(* Runs one step whose waits are all satisfied: a receive pops first,
+   then sources are read, then the result is written and forwarded. A
+   popped message must carry exactly the step's [count] chunks; otherwise
+   [it.fault] stands in for every chunk, which keeps the FIFOs balanced. *)
+let exec it comm (g : Ir.gpu) (tb : Ir.tb) (step : Ir.step) at =
+  let count = step.Ir.count in
+  let read what = function
+    | Some l -> it.read at l
+    | None -> Array.make count (it.fault at (No_operand what))
+  in
+  let msg =
+    if not (Instr.receives step.Ir.op) then [||]
+    else begin
+      let vals, sender = comm.pop g tb in
+      let sent = Array.length vals in
+      let vals =
+        if sent = count then vals
+        else
+          Array.make count
+            (it.fault at (Message_size { sent; expected = count; sender }))
+      in
+      it.received at ~sender vals;
+      vals
+    end
+  in
+  let vals =
+    match step.Ir.op with
+    | Instr.Nop -> [||]
+    | Instr.Send | Instr.Copy -> read "source" step.Ir.src
+    | Instr.Recv | Instr.Recv_copy_send -> msg
+    | Instr.Reduce ->
+        let s = read "source" step.Ir.src in
+        Array.map2 it.reduce (read "destination" step.Ir.dst) s
+    | Instr.Recv_reduce_copy | Instr.Recv_reduce_send
+    | Instr.Recv_reduce_copy_send ->
+        Array.map2 it.reduce (read "source" step.Ir.src) msg
+  in
+  if Instr.writes_local step.Ir.op then begin
+    match step.Ir.dst with
+    | Some l -> it.write at l vals
+    | None -> ignore (it.fault at (No_operand "destination"))
+  end;
+  if Instr.sends step.Ir.op then comm.push g tb (vals, at)
+
+let schedule it comm (gpus : Ir.gpu array) =
+  (* Per-thread-block progress: number of completed steps (the runtime's
+     semaphores, §6.2), indexed like [gpus]. *)
+  let sems =
+    Array.map (fun (g : Ir.gpu) -> Array.make (Array.length g.Ir.tbs) 0) gpus
+  in
+  let executed = ref 0 in
+  let try_step sem (g : Ir.gpu) (tb : Ir.tb) =
+    let d = sem.(tb.Ir.tb_id) in
+    d < Array.length tb.Ir.steps
+    && Option.is_none (wait_of comm sem g tb tb.Ir.steps.(d))
+    && begin
+         exec it comm g tb tb.Ir.steps.(d) (g.Ir.gpu_id, tb.Ir.tb_id, d);
+         sem.(tb.Ir.tb_id) <- d + 1;
+         incr executed;
+         true
+       end
+  in
+  let rec loop () =
+    let progress = ref false in
+    Array.iteri
+      (fun i (g : Ir.gpu) ->
+        Array.iter
+          (fun tb -> while try_step sems.(i) g tb do progress := true done)
+          g.Ir.tbs)
+      gpus;
+    if !progress then loop ()
+  in
+  loop ();
+  let stuck = ref [] in
+  Array.iteri
+    (fun i (g : Ir.gpu) ->
+      Array.iter
+        (fun (tb : Ir.tb) ->
+          let d = sems.(i).(tb.Ir.tb_id) in
+          if d < Array.length tb.Ir.steps then
+            match wait_of comm sems.(i) g tb tb.Ir.steps.(d) with
+            | Some w -> stuck := ((g.Ir.gpu_id, tb.Ir.tb_id, d), w) :: !stuck
+            | None -> ())
+        g.Ir.tbs)
+    gpus;
+  { executed = !executed; stuck = List.rev !stuck }
+
+(* Connection FIFOs: (src, dst, ch) -> queued messages, each tagged with
+   the sending step. Leftovers are listed in ascending (src, dst, ch). *)
+let fifos ~slots =
+  let queues = Hashtbl.create 32 in
+  let queue key =
+    match Hashtbl.find_opt queues key with
+    | Some q -> q
+    | None ->
+        let q = Queue.create () in
+        Hashtbl.add queues key q;
+        q
+  in
+  let inbox (g : Ir.gpu) (tb : Ir.tb) =
+    queue (tb.Ir.recv, g.Ir.gpu_id, tb.Ir.chan)
+  in
+  let outbox (g : Ir.gpu) (tb : Ir.tb) =
+    queue (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan)
+  in
+  let comm =
+    {
+      recv_ready = (fun g tb -> not (Queue.is_empty (inbox g tb)));
+      pop = (fun g tb -> Queue.pop (inbox g tb));
+      send_ready = (fun g tb -> Queue.length (outbox g tb) < slots);
+      push = (fun g tb m -> Queue.add m (outbox g tb));
+    }
+  in
+  let in_flight () =
+    Hashtbl.fold
+      (fun conn q acc ->
+        if Queue.is_empty q then acc
+        else (conn, Queue.length q, snd (Queue.peek q)) :: acc)
+      queues []
+    |> List.sort compare
+  in
+  (comm, in_flight)
+
+let step_op (ir : Ir.t) (r, t, s) = ir.Ir.gpus.(r).Ir.tbs.(t).Ir.steps.(s).Ir.op
+
 module type VALUE = sig
   type v
 
@@ -54,44 +226,6 @@ module Make (V : VALUE) = struct
   let scratch st ~rank = st.buffers.(rank).b_scratch
   let steps_executed st = st.executed
 
-  let buffer_of st ~inplace (l : Loc.t) =
-    let b = st.buffers.(l.Loc.rank) in
-    match l.Loc.buf with
-    | Buffer_id.Input -> b.b_input
-    | Buffer_id.Output -> if inplace then b.b_input else b.b_output
-    | Buffer_id.Scratch -> b.b_scratch
-
-  (* [ctx] names the executing instruction — "rank R tb T step S (op)" —
-     so a failure in a large fuzzed or shrunk IR is diagnosable without a
-     debugger. *)
-  let read st ~inplace ~ctx (l : Loc.t) =
-    let arr = buffer_of st ~inplace l in
-    Array.init l.Loc.count (fun k ->
-        let idx = l.Loc.index + k in
-        if idx >= Array.length arr then
-          error "%s: read past end of %s buffer at %a" ctx
-            (Buffer_id.long_name l.Loc.buf) Loc.pp l;
-        match arr.(idx) with
-        | Some v -> v
-        | None ->
-            error "%s: reading uninitialized chunk at rank %d %s[%d]" ctx
-              l.Loc.rank
-              (Buffer_id.long_name l.Loc.buf) idx)
-
-  let write st ~inplace ~ctx (l : Loc.t) vals =
-    let arr = buffer_of st ~inplace l in
-    if l.Loc.index + l.Loc.count > Array.length arr then
-      error "%s: write past end of %s buffer at rank %d" ctx
-        (Buffer_id.long_name l.Loc.buf) l.Loc.rank;
-    Array.iteri (fun k v -> arr.(l.Loc.index + k) <- Some (V.copy v)) vals
-
-  (* Ingestion accepts a step without the operand its opcode uses (an rcs
-     with no destination); that is an execution error at the step, like a
-     read past the end. *)
-  let operand ~ctx what = function
-    | Some l -> l
-    | None -> error "%s: no %s operand" ctx what
-
   let run ?slots ?on_deliver ?on_write ~init (ir : Ir.t) =
     let slots =
       match slots with
@@ -120,167 +254,90 @@ module Make (V : VALUE) = struct
         executed = 0;
       }
     in
-    (* Connection FIFOs: (src, dst, ch) -> queued messages, each tagged
-       with the sending step's (gpu, tb, step) for observers. *)
-    let queues :
-        (int * int * int, (v array * (int * int * int)) Queue.t) Hashtbl.t =
-      Hashtbl.create 32
+    let buffer_of (l : Loc.t) =
+      let b = st.buffers.(l.Loc.rank) in
+      match l.Loc.buf with
+      | Buffer_id.Input -> b.b_input
+      | Buffer_id.Output -> if inplace then b.b_input else b.b_output
+      | Buffer_id.Scratch -> b.b_scratch
     in
-    let queue key =
-      match Hashtbl.find_opt queues key with
-      | Some q -> q
-      | None ->
-          let q = Queue.create () in
-          Hashtbl.add queues key q;
-          q
+    (* Names the executing instruction — "rank R tb T step S (op)" — so a
+       failure in a large fuzzed or shrunk IR is diagnosable without a
+       debugger. Built only when an error is raised. *)
+    let ctx ((r, t, s) as at) =
+      Printf.sprintf "rank %d tb %d step %d (%s)" r t s
+        (Instr.opcode_name (step_op ir at))
     in
-    (* Per-thread-block progress: number of completed steps (the runtime's
-       semaphores, §6.2). *)
-    let sem =
-      Array.map (fun (g : Ir.gpu) -> Array.make (Array.length g.Ir.tbs) 0)
+    let read at (l : Loc.t) =
+      let arr = buffer_of l in
+      Array.init l.Loc.count (fun k ->
+          let idx = l.Loc.index + k in
+          if idx >= Array.length arr then
+            error "%s: read past end of %s buffer at %a" (ctx at)
+              (Buffer_id.long_name l.Loc.buf) Loc.pp l;
+          match arr.(idx) with
+          | Some v -> v
+          | None ->
+              error "%s: reading uninitialized chunk at rank %d %s[%d]"
+                (ctx at) l.Loc.rank
+                (Buffer_id.long_name l.Loc.buf)
+                idx)
+    in
+    let write at (l : Loc.t) vals =
+      let arr = buffer_of l in
+      if l.Loc.index + l.Loc.count > Array.length arr then
+        error "%s: write past end of %s buffer at rank %d" (ctx at)
+          (Buffer_id.long_name l.Loc.buf) l.Loc.rank;
+      Array.iteri (fun k v -> arr.(l.Loc.index + k) <- Some (V.copy v)) vals;
+      match on_write with Some f -> f ~writer:at ~loc:l | None -> ()
+    in
+    (* Ingestion accepts a step without the operand its opcode uses (an rcs
+       with no destination) and a receive whose count differs from the
+       matching send's; both are execution errors at the step, like a
+       read past the end. *)
+    let fault at = function
+      | No_operand what -> error "%s: no %s operand" (ctx at) what
+      | Message_size { sent; expected; sender = sg, stb, ss } ->
+          error
+            "%s: received %d chunk(s) sent by rank %d tb %d step %d, expected \
+             %d"
+            (ctx at) sent sg stb ss expected
+    in
+    let received at ~sender payload =
+      match on_deliver with
+      | Some f -> f st ~src:sender ~dst:at ~op:(step_op ir at) ~payload
+      | None -> ()
+    in
+    let comm, in_flight = fifos ~slots in
+    let o =
+      schedule { read; write; reduce = V.reduce; fault; received } comm
         ir.Ir.gpus
     in
-    let total_steps = Ir.num_steps ir in
-    let blocked_reason (g : Ir.gpu) (tb : Ir.tb) (step : Ir.step) =
-      let dep =
-        List.find_opt
-          (fun (dtb, dstep) -> sem.(g.Ir.gpu_id).(dtb) <= dstep)
-          step.Ir.depends
-      in
-      match dep with
-      | Some (dtb, dstep) ->
-          Printf.sprintf "waiting on semaphore (tb %d, step %d)" dtb dstep
-      | None ->
-          if
-            Instr.receives step.Ir.op
-            && Queue.is_empty (queue (tb.Ir.recv, g.Ir.gpu_id, tb.Ir.chan))
-          then Printf.sprintf "waiting for data from rank %d" tb.Ir.recv
-          else if
-            Instr.sends step.Ir.op
-            && Queue.length (queue (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan))
-               >= slots
-          then
-            Printf.sprintf "all %d FIFO slots to rank %d are full" slots
-              tb.Ir.send
-          else "unknown"
-    in
-    let try_step (g : Ir.gpu) (tb : Ir.tb) =
-      let rank = g.Ir.gpu_id in
-      let done_steps = sem.(rank).(tb.Ir.tb_id) in
-      if done_steps >= Array.length tb.Ir.steps then false
-      else begin
-        let step = tb.Ir.steps.(done_steps) in
-        let deps_ok =
-          List.for_all
-            (fun (dtb, dstep) -> sem.(rank).(dtb) > dstep)
-            step.Ir.depends
-        in
-        let recv_key = (tb.Ir.recv, rank, tb.Ir.chan) in
-        let send_key = (rank, tb.Ir.send, tb.Ir.chan) in
-        let recv_ok =
-          (not (Instr.receives step.Ir.op))
-          || not (Queue.is_empty (queue recv_key))
-        in
-        let send_ok =
-          (not (Instr.sends step.Ir.op))
-          || Queue.length (queue send_key) < slots
-        in
-        if deps_ok && recv_ok && send_ok then begin
-          let push vals =
-            Queue.add
-              (Array.map V.copy vals, (rank, tb.Ir.tb_id, done_steps))
-              (queue send_key)
-          in
-          let pop () =
-            let vals, sender = Queue.pop (queue recv_key) in
-            (match on_deliver with
-            | Some f ->
-                f st ~src:sender
-                  ~dst:(rank, tb.Ir.tb_id, done_steps)
-                  ~op:step.Ir.op ~payload:vals
-            | None -> ());
-            vals
-          in
-          let ctx =
-            Printf.sprintf "rank %d tb %d step %d (%s)" rank tb.Ir.tb_id
-              done_steps
-              (Instr.opcode_name step.Ir.op)
-          in
-          let rd l = read st ~inplace ~ctx l in
-          let wr l vals =
-            write st ~inplace ~ctx l vals;
-            match on_write with
-            | Some f -> f ~writer:(rank, tb.Ir.tb_id, done_steps) ~loc:l
-            | None -> ()
-          in
-          let src () = operand ~ctx "source" step.Ir.src in
-          let dst () = operand ~ctx "destination" step.Ir.dst in
-          (match step.Ir.op with
-          | Instr.Nop -> ()
-          | Instr.Send -> push (rd (src ()))
-          | Instr.Recv -> wr (dst ()) (pop ())
-          | Instr.Copy -> wr (dst ()) (rd (src ()))
-          | Instr.Reduce ->
-              wr (dst ()) (Array.map2 V.reduce (rd (dst ())) (rd (src ())))
-          | Instr.Recv_reduce_copy ->
-              wr (dst ()) (Array.map2 V.reduce (rd (src ())) (pop ()))
-          | Instr.Recv_copy_send ->
-              let msg = pop () in
-              wr (dst ()) msg;
-              push msg
-          | Instr.Recv_reduce_send ->
-              push (Array.map2 V.reduce (rd (src ())) (pop ()))
-          | Instr.Recv_reduce_copy_send ->
-              let res = Array.map2 V.reduce (rd (src ())) (pop ()) in
-              wr (dst ()) res;
-              push res);
-          sem.(rank).(tb.Ir.tb_id) <- done_steps + 1;
-          st.executed <- st.executed + 1;
-          true
-        end
-        else false
-      end
-    in
-    let rec loop () =
-      if st.executed < total_steps then begin
-        let progress = ref false in
-        Array.iter
-          (fun (g : Ir.gpu) ->
-            Array.iter
-              (fun tb -> while try_step g tb do progress := true done)
-              g.Ir.tbs)
-          ir.Ir.gpus;
-        if not !progress then begin
-          let blocked = Buffer.create 128 in
-          Array.iter
-            (fun (g : Ir.gpu) ->
-              Array.iter
-                (fun (tb : Ir.tb) ->
-                  let d = sem.(g.Ir.gpu_id).(tb.Ir.tb_id) in
-                  if d < Array.length tb.Ir.steps then
-                    Buffer.add_string blocked
-                      (Printf.sprintf "\n  gpu %d tb %d at step %d (%s): %s"
-                         g.Ir.gpu_id tb.Ir.tb_id d
-                         (Instr.opcode_name tb.Ir.steps.(d).Ir.op)
-                         (blocked_reason g tb tb.Ir.steps.(d))))
-                g.Ir.tbs)
-            ir.Ir.gpus;
-          error "deadlock: no thread block can make progress%s"
-            (Buffer.contents blocked)
-        end;
-        loop ()
-      end
-    in
-    loop ();
-    Hashtbl.iter
-      (fun (s, d, c) q ->
-        if not (Queue.is_empty q) then
-          let _, (sg, stb, sstep) = Queue.peek q in
-          error
-            "%d message(s) left in flight on connection %d->%d ch%d (first \
-             sent by rank %d tb %d step %d)"
-            (Queue.length q) s d c sg stb sstep)
-      queues;
+    st.executed <- o.executed;
+    if o.stuck <> [] then
+      error "deadlock: no thread block can make progress%s"
+        (String.concat ""
+           (List.map
+              (fun (((r, t, s) as at), wait) ->
+                Printf.sprintf "\n  gpu %d tb %d at step %d (%s): %s" r t s
+                  (Instr.opcode_name (step_op ir at))
+                  (match wait with
+                  | Semaphore (dtb, dstep) ->
+                      Printf.sprintf "waiting on semaphore (tb %d, step %d)"
+                        dtb dstep
+                  | Data_from p ->
+                      Printf.sprintf "waiting for data from rank %d" p
+                  | Slots_to p ->
+                      Printf.sprintf "all %d FIFO slots to rank %d are full"
+                        slots p))
+              o.stuck));
+    (match in_flight () with
+    | ((s, d, c), n, (sg, stb, sstep)) :: _ ->
+        error
+          "%d message(s) left in flight on connection %d->%d ch%d (first \
+           sent by rank %d tb %d step %d)"
+          n s d c sg stb sstep
+    | [] -> ());
     st
 end
 

@@ -1,18 +1,20 @@
-(** A functional interpreter for MSCCL-IR.
-
-    Executes every thread block's instruction list cooperatively, enforcing
-    exactly the runtime's synchronization rules (paper §6.2):
+(** A functional interpreter for MSCCL-IR, and the one implementation of
+    the runtime's scheduling rules (paper §6.2):
 
     - steps run in order within a thread block;
     - cross thread-block [depends] wait on the target's semaphore;
     - a receive blocks until the matching send's data is in the connection
       FIFO; a send blocks while all [slots] FIFO slots are full;
-    - messages on a connection are delivered in order.
+    - messages on a connection are delivered in order, and a received
+      message must carry exactly the receiving step's chunk count.
 
-    The interpreter is generic over the value domain: instantiated with the
-    chunk algebra it is the paper's correctness checker (§3.2); with float
-    vectors it actually performs the collective, which tests and examples
-    use to validate results numerically end to end.
+    {!schedule} is generic over the value domain and the communication
+    backend. Instantiated through {!Make} with the chunk algebra it is the
+    paper's correctness checker (§3.2); with float vectors it actually
+    performs the collective, which tests and examples use to validate
+    results numerically end to end. The static provenance pass runs the
+    same scheduler over its contribution lattice, so its verdicts agree
+    with the executor's by construction.
 
     Execution is deterministic (round-robin over thread blocks). If no
     thread block can advance and some are unfinished, {!Exec_error} is
@@ -21,6 +23,72 @@
     construction, §5.2). *)
 
 exception Exec_error of string
+
+(** {1 The shared scheduler} *)
+
+type at = int * int * int
+(** A step's [(gpu, tb, step)] coordinates. *)
+
+type fault =
+  | No_operand of string
+      (** The step has no ["source"] or ["destination"] operand although
+          its opcode uses one. *)
+  | Message_size of { sent : int; expected : int; sender : at }
+      (** The popped message has [sent] chunks; the receiving step's
+          [count] is [expected]. *)
+
+type 'v interp = {
+  read : at -> Loc.t -> 'v array;
+  write : at -> Loc.t -> 'v array -> unit;
+  reduce : 'v -> 'v -> 'v;
+  fault : at -> fault -> 'v;
+      (** Either raises, or returns the value that stands in for every
+          chunk the faulty operand or message would have supplied (a
+          missing destination drops the write). *)
+  received : at -> sender:at -> 'v array -> unit;
+      (** Called once per message, after the size check and before the
+          receiving step uses it. *)
+}
+(** The value domain: how a step at [at] reads, writes and combines. *)
+
+type 'v comm = {
+  recv_ready : Ir.gpu -> Ir.tb -> bool;
+  pop : Ir.gpu -> Ir.tb -> 'v array * at;
+      (** The next message for the thread block, with its sending step. *)
+  send_ready : Ir.gpu -> Ir.tb -> bool;
+  push : Ir.gpu -> Ir.tb -> 'v array * at -> unit;
+}
+(** A communication backend, addressed by the thread block's own
+    [recv]/[send] peers and channel. *)
+
+type wait =
+  | Semaphore of (int * int)  (** [(tb, step)] of an unmet [depends]. *)
+  | Data_from of int  (** Empty FIFO from this rank. *)
+  | Slots_to of int  (** Full FIFO to this rank. *)
+
+type outcome = {
+  executed : int;
+  stuck : (at * wait) list;
+      (** Unfinished thread blocks' next steps, in (gpu, tb) order; empty
+          iff every step ran. *)
+}
+
+val schedule : 'v interp -> 'v comm -> Ir.gpu array -> outcome
+(** Runs the given GPUs' thread blocks round-robin until every step ran or
+    none can advance. Out-of-range [depends] entries count as satisfied
+    ({!Ir.validate} rejects them). *)
+
+val fifos :
+  slots:int ->
+  'v comm * (unit -> ((int * int * int) * int * at) list)
+(** Per-connection FIFOs holding at most [slots] messages, and a listing
+    of the connections [(src, dst, chan)] with messages left in flight,
+    in ascending order: how many and the first one's sender. *)
+
+val step_op : Ir.t -> at -> Instr.opcode
+(** The opcode of the step at [at]. *)
+
+(** {1 Interpreters} *)
 
 module type VALUE = sig
   type v
@@ -63,8 +131,9 @@ module type S = sig
       as the instruction names it (an in-place collective's [Output] loc
       aliases the input array) — {!Verify.check_postcondition} uses it to
       attribute a wrong output slot to its last writer. Raises
-      {!Exec_error} on deadlock, on reading uninitialized data, or on
-      leftover in-flight messages. *)
+      {!Exec_error} on deadlock, on reading uninitialized data, on a
+      missing operand, on a received message whose chunk count differs
+      from the receiving step's, or on leftover in-flight messages. *)
 
   val input : state -> rank:int -> v option array
   val output : state -> rank:int -> v option array

@@ -565,9 +565,37 @@ let check_ingest (c : Case.t) (ir : Ir.t) =
         fail Ingest "ingesting our own output raised: %s"
           (Printexc.to_string e)
   in
+  (* Every accepted corruption also gets a verdict from both interpreters
+     of the runtime rules without an exception, and the static report is
+     [Ok] iff it carries no diagnostics. A corruption declaring a buffer of
+     more than 2^16 chunks is skipped: ingest accepts sizes such as
+     s_chunks="4294967296", which the checkers would allocate. *)
+  let verdicts tag (ir : Ir.t) =
+    let huge =
+      Array.exists
+        (fun (g : Ir.gpu) ->
+          max g.Ir.input_chunks (max g.Ir.output_chunks g.Ir.scratch_chunks)
+          > 1 lsl 16)
+        ir.Ir.gpus
+    in
+    let module P = Msccl_analysis.Provenance in
+    if huge then Ok ()
+    else
+      match (Verify.check ir, P.analyze ir, P.check ir) with
+      | exception e ->
+          fail Ingest "%s: a checker raised on the accepted program: %s" tag
+            (Printexc.to_string e)
+      | _, r, c when Result.is_ok c <> (r.P.r_diags = []) ->
+          fail Ingest
+            "%s: provenance check is %s but the report has %d diagnostic(s)"
+            tag
+            (if Result.is_ok c then "Ok" else "Error")
+            (List.length r.P.r_diags)
+      | _ -> Ok ()
+  in
   (* Hostile sweep: every corruption must either be accepted (and then
-     round-trip stably) or rejected with positioned structured
-     diagnostics. Unstructured exceptions never escape. *)
+     round-trip stably and get verdicts) or rejected with positioned
+     structured diagnostics. Unstructured exceptions never escape. *)
   let rec sweep i =
     if i >= ingest_mangles_per_case then Ok ()
     else
@@ -595,7 +623,8 @@ let check_ingest (c : Case.t) (ir : Ir.t) =
       | Ok (ir', _) -> (
           let doc2 = Xml.to_string ir' in
           match I.of_string ~file:"<reprint>" doc2 with
-          | Ok (ir2, _) when Ir.equal ir' ir2 -> sweep (i + 1)
+          | Ok (ir2, _) when Ir.equal ir' ir2 ->
+              Result.bind (verdicts tag ir') (fun () -> sweep (i + 1))
           | Ok _ -> fail Ingest "%s: accepted repair does not round-trip" tag
           | Error ds ->
               fail Ingest "%s: accepted repair rejected on reprint: %s" tag

@@ -59,8 +59,11 @@ type id =
           back to an {!Msccl_core.Ir.equal} program, and a seeded sweep
           of {!Msccl_interop.Mangle} corruptions of it must each either
           be accepted — and then round-trip stably through print and
-          re-ingest — or be rejected with positioned structured
-          diagnostics. No unstructured exception may escape. *)
+          re-ingest, and get a verdict from both {!Msccl_core.Verify.check}
+          and {!Msccl_analysis.Provenance.analyze} without an exception,
+          the provenance check [Ok] iff its report has no diagnostics — or
+          be rejected with positioned structured diagnostics. No
+          unstructured exception may escape. *)
 
 val all : id list
 (** In checking order:

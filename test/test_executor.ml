@@ -148,6 +148,35 @@ let test_scratch_visible () =
   Alcotest.(check bool) "steps counted" true
     (Executor.Symbolic.steps_executed st > 0)
 
+(* A message whose chunk count differs from the receiving step's is an
+   [Exec_error] at that step naming both counts and the sender, never an
+   [Invalid_argument] from the payload arithmetic. *)
+let test_message_size () =
+  List.iter
+    (fun op ->
+      let ir = Testutil.count_mismatch_ir op in
+      match Executor.Symbolic.run_collective ir with
+      | exception Executor.Exec_error msg ->
+          Alcotest.(check string)
+            "located"
+            (Printf.sprintf
+               "rank 0 tb 0 step 2 (%s): received 2 chunk(s) sent by rank 1 \
+                tb 0 step 3, expected 1"
+               (Instr.opcode_name op))
+            msg
+      | _ -> Alcotest.fail "count mismatch not detected")
+    [ Instr.Recv; Instr.Recv_reduce_copy ]
+
+let test_message_size_mangles () =
+  List.iter
+    (fun (seed, index) ->
+      match Verify.check (Testutil.ring16_mangle ~seed ~index) with
+      | Error msg ->
+          Alcotest.(check bool) "message size reported" true
+            (contains msg "chunk(s) sent by rank")
+      | Ok () -> Alcotest.failf "mangle %d/%d accepted" seed index)
+    Testutil.ring16_count_mangles
+
 let () =
   Alcotest.run "executor"
     [
@@ -173,5 +202,8 @@ let () =
           Testutil.tc "single slot" test_single_slot;
           Testutil.tc "uninit read detected" test_uninit_read_detected;
           Testutil.tc "scratch visible" test_scratch_visible;
+          Testutil.tc "message size" test_message_size;
+          Testutil.tc "message size on ring@16 mangles"
+            test_message_size_mangles;
         ] );
     ]

@@ -320,6 +320,47 @@ let test_missing_operand_static () =
     "check agrees" true
     (Result.is_error (A.Provenance.check ir))
 
+(* A received message with the wrong chunk count is one located
+   diagnostic at the receiving step (where the executor raises), plain and
+   quotiented; no other exception escapes either interpreter. *)
+let test_message_size_static () =
+  let sized ~at ds =
+    List.exists
+      (fun d ->
+        match (d.A.Provenance.dg_kind, d.A.Provenance.dg_site) with
+        | A.Provenance.Message_size _, Some s ->
+            let open A.Provenance in
+            at (s.p_rank, s.p_tb, s.p_step)
+        | _ -> false)
+      ds
+  in
+  List.iter
+    (fun op ->
+      let ir = Testutil.count_mismatch_ir op in
+      let ds = (A.Provenance.analyze ir).A.Provenance.r_diags in
+      Alcotest.(check bool) "located at the receive" true
+        (List.exists
+           (fun d ->
+             d.A.Provenance.dg_kind
+             = A.Provenance.Message_size { sent = 2; expected = 1 })
+           ds
+        && sized ~at:(fun at -> at = (0, 0, 2)) ds);
+      ignore (check_agreement (Instr.opcode_name op) ir))
+    [ Instr.Recv; Instr.Recv_reduce_copy ];
+  List.iter
+    (fun (seed, index) ->
+      let ir = Testutil.ring16_mangle ~seed ~index in
+      let name = Printf.sprintf "ring@16 mangle %d/%d" seed index in
+      List.iter
+        (fun symmetry ->
+          match check_agreement ?symmetry name ir with
+          | Error ds ->
+              Alcotest.(check bool) (name ^ " message-size") true
+                (sized ~at:(fun _ -> true) ds)
+          | Ok () -> Alcotest.failf "%s accepted" name)
+        [ None; Some (A.Symmetry.infer ir) ])
+    Testutil.ring16_count_mangles
+
 (* ------------------------------------------------------------------ *)
 (* Dataflow lints                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -551,6 +592,7 @@ let () =
           Testutil.tc "overwritten before read" test_overwrite_classified;
           Testutil.tc "uninitialized read" test_uninitialized_read_static;
           Testutil.tc "missing operand" test_missing_operand_static;
+          Testutil.tc "message size" test_message_size_static;
         ] );
       ( "lints",
         [

@@ -74,6 +74,66 @@ let strip_first_dst op (ir : Ir.t) =
   gpus.(0) <- { g with Ir.tbs };
   ({ ir with Ir.gpus }, tb, step)
 
+(* A two-rank allgather in which rank 1 sends two chunks where rank 0's
+   receive at tb 0 step 2 — [op], a plain [r] or a reducing [rrc] —
+   expects one. Ingest accepts such a program; every checker must report
+   it at that step. *)
+let count_mismatch_ir op =
+  let loc rank buf index count = Loc.make ~rank ~buf ~index ~count in
+  let step s op ?src ?dst ?(count = 1) () =
+    { Ir.s; op; src; dst; count; depends = []; has_dep = false }
+  in
+  let i r = loc r Buffer_id.Input 0 1 and o r k = loc r Buffer_id.Output k 1 in
+  let recv =
+    match op with
+    | Instr.Recv -> step 2 op ~dst:(o 0 1) ()
+    | _ -> step 2 op ~src:(i 0) ~dst:(o 0 1) ()
+  in
+  let gpu id ~scratch steps =
+    {
+      Ir.gpu_id = id;
+      input_chunks = 1;
+      output_chunks = 2;
+      scratch_chunks = scratch;
+      tbs =
+        [| { Ir.tb_id = 0; send = 1 - id; recv = 1 - id; chan = 0; steps } |];
+    }
+  in
+  {
+    Ir.name = "allgather-count-mismatch";
+    collective = Collective.make Collective.Allgather ~num_ranks:2 ();
+    proto = Msccl_topology.Protocol.Simple;
+    gpus =
+      [|
+        gpu 0 ~scratch:0
+          [| step 0 Instr.Copy ~src:(i 0) ~dst:(o 0 0) ();
+             step 1 Instr.Send ~src:(o 0 0) (); recv |];
+        gpu 1 ~scratch:2
+          [| step 0 Instr.Copy ~src:(i 1) ~dst:(o 1 1) ();
+             step 1 Instr.Copy ~src:(i 1) ~dst:(loc 1 Buffer_id.Scratch 0 1) ();
+             step 2 Instr.Copy ~src:(i 1) ~dst:(loc 1 Buffer_id.Scratch 1 1) ();
+             step 3 Instr.Send ~src:(loc 1 Buffer_id.Scratch 0 2) ~count:2 ();
+             step 4 Instr.Recv ~dst:(o 1 0) () |];
+      |];
+  }
+
+(* Accepted [Mangle] corruptions of ring AllReduce@16, as (seed, index),
+   in which a receive's count differs from its sender's. *)
+let ring16_count_mangles = [ (1, 2440); (2, 376); (2, 386) ]
+
+let ring16_doc =
+  lazy
+    (Xml.to_string
+       (Msccl_algorithms.Ring_allreduce.ir ~verify:false ~num_ranks:16 ()))
+
+let ring16_mangle ~seed ~index =
+  let doc, _ =
+    Msccl_interop.Mangle.mangle ~seed ~index (Lazy.force ring16_doc)
+  in
+  match Msccl_interop.Ingest.of_string doc with
+  | Ok (ir, _) -> ir
+  | Error _ -> Alcotest.failf "ring@16 mangle %d/%d was rejected" seed index
+
 (* Structural IR equality (ignores the collective's closures). *)
 let ir_equal (a : Ir.t) (b : Ir.t) =
   let step_eq (x : Ir.step) (y : Ir.step) =
