@@ -1,8 +1,9 @@
 (* Whole-pipeline property tests over randomly generated programs.
 
-   A generator builds random-but-valid chunk-routing programs (random
-   copies and reduces between random initialized locations across a few
-   ranks), then we assert pipeline invariants:
+   A generator ([Testutil.Random_routing]) builds random-but-valid
+   chunk-routing programs (random copies and reduces between random
+   initialized locations across a few ranks), then we assert pipeline
+   invariants:
 
    - compilation never produces an invalid or deadlocking IR;
    - fusion preserves the symbolic memory state;
@@ -13,77 +14,9 @@
 open Msccl_core
 module Q = QCheck
 
-let num_ranks = 3
+let num_ranks = Testutil.Random_routing.num_ranks
 
-let in_chunks = 3
-
-(* Deterministic random program from an integer seed. *)
-let build_program seed (p : Program.t) =
-  let rng = Random.State.make [| seed |] in
-  let pick n = Random.State.int rng n in
-  (* Track which (rank, buf, index) hold data, mirroring the program. *)
-  let initialized = Hashtbl.create 32 in
-  for r = 0 to num_ranks - 1 do
-    for i = 0 to in_chunks - 1 do
-      Hashtbl.replace initialized (r, Buffer_id.Input, i) ()
-    done
-  done;
-  let scratch_hwm = Array.make num_ranks 0 in
-  let random_src () =
-    let candidates =
-      Hashtbl.fold (fun k () acc -> k :: acc) initialized []
-      |> List.sort compare
-    in
-    List.nth candidates (pick (List.length candidates))
-  in
-  let buf_size rank = function
-    | Buffer_id.Input -> in_chunks
-    | Buffer_id.Output -> in_chunks
-    | Buffer_id.Scratch -> max 4 scratch_hwm.(rank)
-  in
-  let ops = 6 + pick 18 in
-  for _ = 1 to ops do
-    let sr, sb, si = random_src () in
-    let dr = pick num_ranks in
-    let db =
-      match pick 3 with
-      | 0 -> Buffer_id.Output
-      | 1 -> Buffer_id.Scratch
-      | _ -> Buffer_id.Input
-    in
-    let di = pick (buf_size dr db) in
-    (* The collective is out-of-place, so cells alias only when rank,
-       buffer and index all match. *)
-    let same_cell (r1, b1, i1) (r2, b2, i2) =
-      r1 = r2 && i1 = i2 && Buffer_id.equal b1 b2
-    in
-    if not (same_cell (sr, sb, si) (dr, db, di)) then begin
-      let src = Program.chunk p ~rank:sr sb ~index:si () in
-      let reduce_ok = Hashtbl.mem initialized (dr, db, di) in
-      if reduce_ok && pick 3 = 0 then begin
-        let dst = Program.chunk p ~rank:dr db ~index:di () in
-        ignore (Program.reduce dst src ())
-      end
-      else ignore (Program.copy src ~rank:dr db ~index:di ());
-      Hashtbl.replace initialized (dr, db, di) ();
-      if db = Buffer_id.Scratch && di + 1 > scratch_hwm.(dr) then
-        scratch_hwm.(dr) <- di + 1
-    end
-  done
-
-let collective =
-  Collective.make
-    (Collective.Custom
-       {
-         Collective.custom_name = "random-routing";
-         input_chunks = in_chunks;
-         output_chunks = in_chunks;
-         expected = (fun ~rank:_ ~index:_ -> None);
-         initial = None;
-       })
-    ~num_ranks ()
-
-let dag_of_seed seed = Program.trace collective (build_program seed)
+let dag_of_seed = Testutil.Random_routing.dag
 
 (* Programs whose fused chains force two receive connections into one
    thread block are rejected by the scheduler with a channel-directive
