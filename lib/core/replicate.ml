@@ -19,8 +19,9 @@
       send on the orbit is rank 0's k-th send on the same orbit — FIFO
       matching against rank 0's own sends reproduces the global schedule;
    4. instantiate gpus 1..P-1 from gpu 0 by index arithmetic (peers by
-      +g mod P, chunk indices by the hint's per-slice deltas, thread
-      blocks re-sorted exactly like the scheduler sorts them).
+      +g mod P, chunk indices by the hint's per-slice deltas), renumbering
+      each rank's thread blocks with Schedule.tb_order, the order the
+      scheduler numbers them in.
 
    The construction is unsound if the hint lies (the slices are not
    dep-closed, or the deltas are wrong) or if the global scheduler would
@@ -135,26 +136,22 @@ let run ?(proto = Msccl_topology.Protocol.Simple) ?name
   let translate_gpu g =
     let move = move_loc ~rank:g (g * s_inv mod p) in
     let peer q = if q < 0 then -1 else (q + g) mod p in
-    (* Translate connections and re-sort thread blocks exactly like the
-       scheduler does (channel, then send conn, then recv conn, absolute
-       peer ranks) — the per-rank block numbering is not shift-invariant. *)
-    let conn q ch = if q < 0 then None else Some (peer q, ch) in
-    let keyed =
-      Array.mapi
-        (fun old_id (tb : Ir.tb) ->
-          ((tb.Ir.chan, conn tb.Ir.send tb.Ir.chan, conn tb.Ir.recv tb.Ir.chan),
-           old_id))
-        gpu0_tbs
+    (* Translated peers change the blocks' MSCCL-IR order: the per-rank
+       block numbering is not shift-invariant. *)
+    let order =
+      Schedule.tb_order
+        (Array.map
+           (fun (tb : Ir.tb) -> (tb.Ir.chan, peer tb.Ir.send, peer tb.Ir.recv))
+           gpu0_tbs)
     in
-    Array.sort compare keyed;
-    let sigma = Array.make (Array.length gpu0_tbs) (-1) in
-    Array.iteri (fun new_id (_, old_id) -> sigma.(old_id) <- new_id) keyed;
+    let sigma = Array.make (Array.length order) (-1) in
+    Array.iteri (fun new_id old_id -> sigma.(old_id) <- new_id) order;
     let tbs =
-      Array.map
-        (fun (_, old_id) ->
+      Array.mapi
+        (fun new_id old_id ->
           let tb = gpu0_tbs.(old_id) in
           {
-            Ir.tb_id = sigma.(old_id);
+            Ir.tb_id = new_id;
             send = peer tb.Ir.send;
             recv = peer tb.Ir.recv;
             chan = tb.Ir.chan;
@@ -171,7 +168,7 @@ let run ?(proto = Msccl_topology.Protocol.Simple) ?name
                   })
                 tb.Ir.steps;
           })
-        keyed
+        order
     in
     {
       Ir.gpu_id = g;

@@ -40,7 +40,9 @@ val run :
 (** Raises {!Fallback} when the fast path does not apply. The
     representative rank is scheduled by {!Schedule.rank_tbs} with [proto]'s
     FIFO slot count and connections keyed by their rank-shift orbit
-    ((dst - src) mod P, channel). The returned
-    IR is structurally valid on the representative gpu and symmetric by
-    construction; exactness versus the full pipeline is certified by the
-    caller. *)
+    ((dst - src) mod P, channel). Every other rank's thread blocks are
+    the representative's with translated peers, renumbered by
+    {!Schedule.tb_order} as {!Schedule.run} would number them. The
+    returned IR is structurally valid on the representative gpu and
+    symmetric by construction; exactness versus the full pipeline is
+    certified by the caller. *)
