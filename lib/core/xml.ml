@@ -31,6 +31,8 @@ type tree = {
 
 let synthetic = { text = ""; line_starts = [| 0 |] }
 
+let source_length t = String.length t.t_src.text
+
 (* Synthesized nodes (Mangle's additions) carry no source position. *)
 let el tag attrs children =
   {

@@ -53,6 +53,10 @@ type tree = {
       (** byte offset of each attribute's name, in the order of [t_parsed] *)
 }
 
+val source_length : tree -> int
+(** Size in bytes of the document the tree was parsed from (0 for
+    synthesized nodes). *)
+
 val el : string -> (string * string) list -> tree list -> tree
 (** Synthesized node carrying {!no_pos}. *)
 

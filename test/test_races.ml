@@ -358,26 +358,39 @@ let test_scratch_rules () =
        (fun d -> d.Lint.d_rule = "unused-scratch" && d.Lint.d_severity = Lint.Info)
        ds);
   Alcotest.(check bool) "warnings are not errors" false (Lint.has_errors ds);
-  (* A hostile declared size: Ingest accepts this mangle of ring@16,
-     which sets s_chunks="4294967296" on gpu 10. The scratch rules must
-     cost memory in the accesses, not in the declared chunks. *)
+  (* A hostile declared size: the scratch rules must cost memory in the
+     accesses, not in the declared chunks. *)
+  let huge =
+    mk_ir
+      [
+        gpu 0 ~scratch:(1 lsl 32)
+          [ tb 0 [ copy (loc Buffer_id.Input 0 1) (loc Buffer_id.Output 0 1) ] ];
+      ]
+  in
+  Alcotest.(check bool) "unused-scratch on a 2^32-chunk buffer" true
+    (List.exists
+       (fun d ->
+         d.Lint.d_rule = "unused-scratch"
+         && String.starts_with ~prefix:"gpu 0 declares 4294967296"
+              d.Lint.d_message)
+       (Lint.run huge));
+  (* Such a file never reaches the passes: this mangle of ring@16 sets
+     s_chunks="4294967296" on gpu 10, over Ingest's chunk budget. *)
   let doc, _ =
     Msccl_interop.Mangle.mangle ~seed:312 ~index:102
       (Xml.to_string
          (Msccl_algorithms.Ring_allreduce.ir ~verify:false ~num_ranks:16 ()))
   in
   match Msccl_interop.Ingest.of_string doc with
-  | Error _ -> Alcotest.fail "ingest rejected the s_chunks mangle"
-  | Ok (ir, _) ->
-      Alcotest.(check int) "declared scratch" (1 lsl 32)
-        ir.Ir.gpus.(10).Ir.scratch_chunks;
-      Alcotest.(check bool) "unused-scratch on gpu 10" true
+  | Ok _ -> Alcotest.fail "ingest accepted the s_chunks mangle"
+  | Error ds ->
+      Alcotest.(check bool) "rejected on the s_chunks attribute" true
         (List.exists
-           (fun d ->
-             d.Lint.d_rule = "unused-scratch"
-             && String.starts_with ~prefix:"gpu 10 declares 4294967296"
-                  d.Lint.d_message)
-           (Lint.run ir))
+           (fun (d : Msccl_interop.Ingest.diag) ->
+             d.d_rule = "range"
+             && String.starts_with ~prefix:"<gpu> attribute s_chunks: 4294967296"
+                  d.d_message)
+           ds)
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
