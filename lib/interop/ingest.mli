@@ -17,6 +17,10 @@
       document position),
     - defaults optional fields ([chan], [cnt], [hasdep], dependency
       lists...),
+    - bounds the buffers a document may declare by its size (16 chunks
+      per byte, at least 2{^16}, counting every gpu buffer and a custom
+      collective's [in_chunks]/[out_chunks]), since every consumer
+      allocates them,
     - collects {e all} diagnostics in one pass instead of failing fast,
       each carrying the exact [FILE:LINE:COL] position and element
       context of its cause, and
