@@ -37,10 +37,49 @@ type t = {
    flow). *)
 let critical_path_of (ir : Ir.t) = Hbgraph.longest_path (Hbgraph.build ir)
 
-let analyze (ir : Ir.t) =
+let connections (ir : Ir.t) =
   let conn_tbl = Hashtbl.create 32 in
+  Array.iter
+    (fun (g : Ir.gpu) ->
+      Array.iter
+        (fun (tb : Ir.tb) ->
+          let msgs = ref 0 and chunks = ref 0 in
+          Array.iter
+            (fun (st : Ir.step) ->
+              if Instr.sends st.Ir.op then begin
+                incr msgs;
+                chunks := !chunks + st.Ir.count
+              end)
+            tb.Ir.steps;
+          if !msgs > 0 then begin
+            let key = (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan) in
+            let m, c =
+              Option.value ~default:(0, 0) (Hashtbl.find_opt conn_tbl key)
+            in
+            Hashtbl.replace conn_tbl key (m + !msgs, c + !chunks)
+          end)
+        g.Ir.tbs)
+    ir.Ir.gpus;
+  Hashtbl.fold
+    (fun (src, dst, chan) (msgs, chunks) acc ->
+      {
+        conn_src = src;
+        conn_dst = dst;
+        conn_chan = chan;
+        conn_messages = msgs;
+        conn_chunks = chunks;
+      }
+      :: acc)
+    conn_tbl []
+  |> List.sort (fun a b ->
+         match Int.compare b.conn_chunks a.conn_chunks with
+         | 0 -> compare (a.conn_src, a.conn_dst, a.conn_chan)
+                  (b.conn_src, b.conn_dst, b.conn_chan)
+         | c -> c)
+
+let analyze (ir : Ir.t) =
   let fused = ref 0 and reductions = ref 0 and locals = ref 0 in
-  Ir.iter_steps ir (fun g tb st ->
+  Ir.iter_steps ir (fun _ _ st ->
       (match st.Ir.op with
       | Instr.Recv_copy_send | Instr.Recv_reduce_send
       | Instr.Recv_reduce_copy_send ->
@@ -61,31 +100,8 @@ let analyze (ir : Ir.t) =
       | Instr.Recv_copy_send | Instr.Recv_reduce_send
       | Instr.Recv_reduce_copy_send | Instr.Nop ->
           ());
-      if Instr.sends st.Ir.op then begin
-        let key = (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan) in
-        let msgs, chunks =
-          Option.value ~default:(0, 0) (Hashtbl.find_opt conn_tbl key)
-        in
-        Hashtbl.replace conn_tbl key (msgs + 1, chunks + st.Ir.count)
-      end);
-  let connections =
-    Hashtbl.fold
-      (fun (src, dst, chan) (msgs, chunks) acc ->
-        {
-          conn_src = src;
-          conn_dst = dst;
-          conn_chan = chan;
-          conn_messages = msgs;
-          conn_chunks = chunks;
-        }
-        :: acc)
-      conn_tbl []
-    |> List.sort (fun a b ->
-           match Int.compare b.conn_chunks a.conn_chunks with
-           | 0 -> compare (a.conn_src, a.conn_dst, a.conn_chan)
-                    (b.conn_src, b.conn_dst, b.conn_chan)
-           | c -> c)
-  in
+      ());
+  let connections = connections ir in
   (* The same traffic aggregated per physical (src, dst) link: many
      channels between one pair of ranks share the same wires, so
      channel-level counts alone hide link hotspots. *)

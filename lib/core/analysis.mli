@@ -50,5 +50,10 @@ type t = {
 
 val analyze : Ir.t -> t
 
+val connections : Ir.t -> connection list
+(** The [connections] field of {!analyze} alone, without building the
+    happens-before graph: sends and chunks per (src, dst, channel), sorted
+    by descending chunk volume, then by (src, dst, channel). *)
+
 val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable report. *)

@@ -1,19 +1,39 @@
 type t = {
   n : int;
-  base : (int * int, int) Hashtbl.t;  (* (gpu, tb) -> first node id *)
-  coords : (int * int * int) array;
-  adj : int list array;
+  blocks : int array array;  (* gpu id -> tb id -> block, or -1 *)
+  block_of : int array;  (* node -> block: thread blocks in IR order *)
+  block_gpu : int array;  (* block -> gpu id *)
+  block_tb : int array;  (* block -> tb id *)
+  first : int array;
+      (* block -> its first node; its steps are first.(b) ..
+         first.(b + 1) - 1 *)
+  off : int array;
+      (* CSR adjacency: the successors of i are tgt.(off.(i)) ..
+         tgt.(off.(i + 1) - 1), in insertion order *)
+  tgt : int array;
+  gpu_lo : int array;  (* gpu id -> [gpu_lo, gpu_hi) node id range *)
+  gpu_hi : int array;
   mismatches : (int * int * int * int * int) list;
-  mutable kahn : int array option;
-      (* memoized Kahn order: the nodes Kahn's algorithm reaches, in pop
-         order — every node iff the graph is acyclic *)
-  mutable pos : int array option;  (* node -> topo position, for pruning *)
-  mutable gpu_range : (int * int) array option;
-      (* gpu -> [lo, hi) node id range (nodes are laid out gpu by gpu) *)
-  mutable local_rows : (int * Bytes.t array) option;
-      (* one GPU's intra-GPU closure: rows.(a - lo) over columns b - lo.
-         Only the most recent GPU is kept — race detection visits GPUs one
-         at a time, so a single block bounds memory at k^2/8 bytes. *)
+  mutable sorted : bool;  (* Kahn's algorithm has run *)
+  mutable order : int array;
+      (* the nodes Kahn's algorithm reaches, in pop order — every node iff
+         the graph is acyclic *)
+  mutable pos : int array;  (* node -> index in [order]; DAGs only *)
+  mutable by_gpu : int array;
+  mutable by_gpu_start : int array;
+      (* DAGs only: [order] grouped by gpu id, stably, so gpu g's nodes in
+         topological order are by_gpu.(by_gpu_start.(g)) ..
+         by_gpu.(by_gpu_start.(g + 1) - 1); [||] until first needed *)
+  mutable local_gpu : int;
+  mutable local_rows : Bytes.t;
+      (* one GPU's intra-GPU closure: row a - lo is the [local_stride]
+         bytes at (a - lo) * local_stride, bit b - lo. Only the most
+         recent GPU is kept — race detection visits GPUs one at a time, so
+         a single buffer, reused, bounds memory at k^2/8 bytes. *)
+  mutable local_stride : int;
+  mutable mark : int array;  (* search stamps, allocated by the first search *)
+  mutable stack : int array;
+  mutable epoch : int;
   mutable q_queries : int;
   mutable q_pos_cutoffs : int;
   mutable q_local_hits : int;
@@ -33,136 +53,327 @@ type stats = {
 
 let num_nodes t = t.n
 
-(* The id of a step, checked against [coords] so that a step outside its
-   thread block never lands on a neighbouring block's node. *)
-let find_node base coords ~gpu ~tb ~step =
-  match Hashtbl.find_opt base (gpu, tb) with
-  | None -> None
-  | Some b ->
-      let i = b + step in
-      if i < 0 || i >= Array.length coords then None
-      else (
-        match coords.(i) with
-        | g, t, s when g = gpu && t = tb && s = step -> Some i
-        | _ -> None)
+(* The id of a step, or -1. Checked against its block's length so that
+   a step outside its thread block never lands on a neighbouring block's
+   node. *)
+let find_node t ~gpu ~tb ~step =
+  if gpu < 0 || gpu >= Array.length t.blocks then -1
+  else
+    let ids = t.blocks.(gpu) in
+    if tb < 0 || tb >= Array.length ids || ids.(tb) < 0 then -1
+    else
+      let b = ids.(tb) in
+      if step < 0 || step >= t.first.(b + 1) - t.first.(b) then -1
+      else t.first.(b) + step
 
 let node t ~gpu ~tb ~step =
-  match find_node t.base t.coords ~gpu ~tb ~step with
-  | Some i -> i
-  | None -> raise Not_found
+  match find_node t ~gpu ~tb ~step with -1 -> raise Not_found | i -> i
 
-let coords t i = t.coords.(i)
+let gpu_of t i = t.block_gpu.(t.block_of.(i))
 
-let succs t i = t.adj.(i)
+let coords t i =
+  let b = t.block_of.(i) in
+  (t.block_gpu.(b), t.block_tb.(b), i - t.first.(b))
+
+let succs t i =
+  let acc = ref [] in
+  for e = t.off.(i + 1) - 1 downto t.off.(i) do
+    acc := t.tgt.(e) :: !acc
+  done;
+  !acc
 
 let mismatched_connections t = t.mismatches
 
+(* An int array filled from the front, sized up front. *)
+type ints = { a : int array; mutable len : int }
+
+let ints cap = { a = Array.make cap 0; len = 0 }
+
+let push v x =
+  v.a.(v.len) <- x;
+  v.len <- v.len + 1
+
+(* Counting sort of the items 0 .. len - 1 by [key i], in [0, k).
+   Returns [start] (bucket j is [start.(j), start.(j + 1))) and the
+   items' [value]s grouped by key, in item order within a bucket. *)
+let group k len ~key ~value =
+  let start = Array.make (k + 1) 0 in
+  for i = 0 to len - 1 do
+    let j = key i + 1 in
+    start.(j) <- start.(j) + 1
+  done;
+  for j = 1 to k do
+    start.(j) <- start.(j) + start.(j - 1)
+  done;
+  let fill = Array.sub start 0 k and out = Array.make len 0 in
+  for i = 0 to len - 1 do
+    let j = key i in
+    out.(fill.(j)) <- value i;
+    fill.(j) <- fill.(j) + 1
+  done;
+  (start, out)
+
+(* A walk over the nodes of some blocks, in block order: connection c's
+   blocks are blks.(start.(c)) .. blks.(start.(c + 1) - 1). *)
+type cursor = {
+  start : int array;
+  blks : int array;
+  mutable j : int;  (* index into [blks] *)
+  mutable hi : int;
+  mutable i : int;  (* next node of block blks.(j), or -1 *)
+}
+
+let cursor (start, blks) = { start; blks; j = 0; hi = 0; i = -1 }
+
+let restart cur c =
+  cur.j <- cur.start.(c);
+  cur.hi <- cur.start.(c + 1);
+  cur.i <- -1
+
+(* The walk's next node whose [kind] byte has [bit] set, or -1 once it
+   is over. *)
+let rec next_endpoint first kind bit cur =
+  if cur.j >= cur.hi then -1
+  else begin
+    if cur.i < 0 then cur.i <- first.(cur.blks.(cur.j));
+    if cur.i >= first.(cur.blks.(cur.j) + 1) then begin
+      cur.j <- cur.j + 1;
+      cur.i <- -1;
+      next_endpoint first kind bit cur
+    end
+    else begin
+      let x = cur.i in
+      cur.i <- x + 1;
+      if Char.code (Bytes.unsafe_get kind x) land bit <> 0 then x
+      else next_endpoint first kind bit cur
+    end
+  end
+
+(* Records d -> i for each of step [i]'s depends that names a step of
+   gpu [gid]; dangling targets and self-loops are skipped. *)
+let rec push_depends t gid i dep_src dep_dst = function
+  | [] -> ()
+  | (dtb, dstep) :: rest ->
+      (if dstep >= 0 then
+         match find_node t ~gpu:gid ~tb:dtb ~step:dstep with
+         | -1 -> ()
+         | d when d <> i ->
+             push dep_src d;
+             push dep_dst i
+         | _ -> ());
+      push_depends t gid i dep_src dep_dst rest
+
 let build ?fifo_slots (ir : Ir.t) =
-  let base = Hashtbl.create 64 in
-  let total = ref 0 in
-  Array.iter
-    (fun (g : Ir.gpu) ->
-      Array.iter
-        (fun (tb : Ir.tb) ->
-          Hashtbl.add base (g.Ir.gpu_id, tb.Ir.tb_id) !total;
-          total := !total + Array.length tb.Ir.steps)
-        g.Ir.tbs)
-    ir.Ir.gpus;
-  let n = !total in
-  let coords = Array.make n (0, 0, 0) in
-  let adj = Array.make n [] in
-  let edge a b = if a <> b then adj.(a) <- b :: adj.(a) in
-  (* Per-connection ordered send and receive node lists. *)
-  let sends = Hashtbl.create 32 and recvs = Hashtbl.create 32 in
-  let push tbl key v =
-    Hashtbl.replace tbl key
-      (v :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
+  let gpus = ir.Ir.gpus in
+  (* Node ids are dense over (gpu, tb, step) in IR order; a block is
+     found by (gpu id, tb id), a later duplicate taking the key. *)
+  let max_gpu =
+    Array.fold_left (fun m (g : Ir.gpu) -> Int.max m g.Ir.gpu_id) (-1) gpus
   in
+  let max_tb = Array.make (max_gpu + 1) (-1) in
+  (* Blocks, steps and depends entries, to size every array exactly. *)
+  let nblocks = ref 0 and n = ref 0 and ndeps = ref 0 in
   Array.iter
     (fun (g : Ir.gpu) ->
       Array.iter
         (fun (tb : Ir.tb) ->
-          Array.iteri
-            (fun si (st : Ir.step) ->
-              let me = Hashtbl.find base (g.Ir.gpu_id, tb.Ir.tb_id) + si in
-              coords.(me) <- (g.Ir.gpu_id, tb.Ir.tb_id, si);
-              if Instr.sends st.Ir.op then
-                push sends (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan) me;
-              if Instr.receives st.Ir.op then
-                push recvs (tb.Ir.recv, g.Ir.gpu_id, tb.Ir.chan) me)
+          if g.Ir.gpu_id >= 0 then
+            max_tb.(g.Ir.gpu_id) <- Int.max max_tb.(g.Ir.gpu_id) tb.Ir.tb_id;
+          incr nblocks;
+          n := !n + Array.length tb.Ir.steps;
+          Array.iter
+            (fun (st : Ir.step) ->
+              ndeps := !ndeps + List.length st.Ir.depends)
             tb.Ir.steps)
         g.Ir.tbs)
-    ir.Ir.gpus;
-  (* Program order and explicit depends, now that coords are final so
-     dangling depends targets can be detected and skipped. *)
+    gpus;
+  let n = !n and nblocks = !nblocks in
+  let blocks = Array.map (fun m -> Array.make (m + 1) (-1)) max_tb in
+  let block_of = Array.make n 0 and first = Array.make (nblocks + 1) n in
+  let block_gpu = Array.make nblocks 0 and block_tb = Array.make nblocks 0 in
+  let gpu_lo = Array.make (max_gpu + 1) max_int in
+  let gpu_hi = Array.make (max_gpu + 1) 0 in
+  (* Coordinates come from the block lengths alone, so the one pass over
+     the steps below can resolve every depends. *)
+  let b = ref 0 and me = ref 0 in
   Array.iter
     (fun (g : Ir.gpu) ->
+      let gid = g.Ir.gpu_id in
       Array.iter
         (fun (tb : Ir.tb) ->
+          let base = !me and len = Array.length tb.Ir.steps in
+          if gid >= 0 && tb.Ir.tb_id >= 0 then blocks.(gid).(tb.Ir.tb_id) <- !b;
+          block_gpu.(!b) <- gid;
+          block_tb.(!b) <- tb.Ir.tb_id;
+          first.(!b) <- base;
+          Array.fill block_of base len !b;
+          incr b;
+          me := base + len;
+          if gid >= 0 && len > 0 then begin
+            gpu_lo.(gid) <- Int.min gpu_lo.(gid) base;
+            gpu_hi.(gid) <- Int.max gpu_hi.(gid) (base + len)
+          end)
+        g.Ir.tbs)
+    gpus;
+  let t0 =
+    {
+      n;
+      blocks;
+      block_of;
+      block_gpu;
+      block_tb;
+      first;
+      off = [||];
+      tgt = [||];
+      gpu_lo;
+      gpu_hi;
+      mismatches = [];
+      sorted = false;
+      order = [||];
+      pos = [||];
+      by_gpu = [||];
+      by_gpu_start = [||];
+      local_gpu = -1;
+      local_rows = Bytes.empty;
+      local_stride = 0;
+      mark = [||];
+      stack = [||];
+      epoch = 0;
+      q_queries = 0;
+      q_pos_cutoffs = 0;
+      q_local_hits = 0;
+      q_local_builds = 0;
+      q_dfs = 0;
+    }
+  in
+  let dep_src = ints !ndeps and dep_dst = ints !ndeps in
+  (* Connections (src, dst, chan) get dense ids; each thread block looks
+     its send and receive connection up once, at its first sending or
+     receiving step. [kind] marks a node that sends (1) or receives (2). *)
+  let conn_ids = Hashtbl.create 32 and conn_keys = ref [] in
+  let conn key =
+    match Hashtbl.find_opt conn_ids key with
+    | Some c -> c
+    | None ->
+        let c = Hashtbl.length conn_ids in
+        Hashtbl.add conn_ids key c;
+        conn_keys := key :: !conn_keys;
+        c
+  in
+  let kind = Bytes.make n '\000' in
+  let send_conn = Array.make nblocks (-1) and recv_conn = Array.make nblocks (-1) in
+  let nsend = Array.make nblocks 0 and nrecv = Array.make nblocks 0 in
+  (* One pass over the steps collects explicit depends (dangling targets
+     are skipped) and the connection endpoints. *)
+  let b = ref 0 in
+  Array.iter
+    (fun (g : Ir.gpu) ->
+      let gid = g.Ir.gpu_id in
+      Array.iter
+        (fun (tb : Ir.tb) ->
+          let blk = !b in
           Array.iteri
             (fun si (st : Ir.step) ->
-              let me = Hashtbl.find base (g.Ir.gpu_id, tb.Ir.tb_id) + si in
-              if si > 0 then edge (me - 1) me;
-              List.iter
-                (fun (dtb, dstep) ->
-                  if dstep >= 0 then
-                    match find_node base coords ~gpu:g.Ir.gpu_id ~tb:dtb ~step:dstep with
-                    | Some d -> edge d me
-                    | None -> ())
-                st.Ir.depends)
-            tb.Ir.steps)
+              let i = first.(blk) + si in
+              push_depends t0 gid i dep_src dep_dst st.Ir.depends;
+              if Instr.sends st.Ir.op then begin
+                if send_conn.(blk) < 0 then
+                  send_conn.(blk) <- conn (gid, tb.Ir.send, tb.Ir.chan);
+                nsend.(blk) <- nsend.(blk) + 1;
+                Bytes.unsafe_set kind i '\001'
+              end;
+              if Instr.receives st.Ir.op then begin
+                if recv_conn.(blk) < 0 then
+                  recv_conn.(blk) <- conn (tb.Ir.recv, gid, tb.Ir.chan);
+                nrecv.(blk) <- nrecv.(blk) + 1;
+                Bytes.unsafe_set kind i
+                  (Char.unsafe_chr (Char.code (Bytes.unsafe_get kind i) lor 2))
+              end)
+            tb.Ir.steps;
+          incr b)
         g.Ir.tbs)
-    ir.Ir.gpus;
+    gpus;
+  (* Each connection's sending and receiving blocks, in IR order. *)
+  let nconn = Hashtbl.length conn_ids in
+  let by_conn conn_of =
+    group (nconn + 1) nblocks
+      ~key:(fun b -> if conn_of.(b) < 0 then nconn else conn_of.(b))
+      ~value:Fun.id
+  in
+  let senders = by_conn send_conn and receivers = by_conn recv_conn in
+  let keys = Array.of_list (List.rev !conn_keys) in
+  let count (start, blks) per c =
+    let k = ref 0 in
+    for j = start.(c) to start.(c + 1) - 1 do
+      k := !k + per.(blks.(j))
+    done;
+    !k
+  in
   let mismatches = ref [] in
-  Hashtbl.iter
-    (fun key send_nodes ->
-      let ss = Array.of_list (List.rev send_nodes) in
-      let rs =
-        Array.of_list
-          (List.rev (Option.value ~default:[] (Hashtbl.find_opt recvs key)))
-      in
-      let ns = Array.length ss and nr = Array.length rs in
-      if ns <> nr then begin
-        let src, dst, ch = key in
-        mismatches := (src, dst, ch, ns, nr) :: !mismatches
-      end;
-      for k = 0 to min ns nr - 1 do
-        (* Data delivery: k-th send before k-th receive. *)
-        edge ss.(k) rs.(k);
-        (* FIFO back-pressure: send k needs a slot freed by recv k-s. *)
-        match fifo_slots with
-        | Some s when k >= s -> edge rs.(k - s) ss.(k)
-        | Some _ | None -> ()
-      done)
-    sends;
-  Hashtbl.iter
-    (fun key recv_nodes ->
-      if not (Hashtbl.mem sends key) then begin
-        let src, dst, ch = key in
-        mismatches := (src, dst, ch, 0, List.length recv_nodes) :: !mismatches
-      end)
-    recvs;
-  {
-    n;
-    base;
-    coords;
-    adj;
-    mismatches = List.sort compare !mismatches;
-    kahn = None;
-    pos = None;
-    gpu_range = None;
-    local_rows = None;
-    q_queries = 0;
-    q_pos_cutoffs = 0;
-    q_local_hits = 0;
-    q_local_builds = 0;
-    q_dfs = 0;
-  }
+  for c = 0 to nconn - 1 do
+    let ns = count senders nsend c and nr = count receivers nrecv c in
+    if ns <> nr then begin
+      let src, dst, ch = keys.(c) in
+      mismatches := (src, dst, ch, ns, nr) :: !mismatches
+    end
+  done;
+  (* Every edge, self-loops left out: program order, depends, then
+     matching — the k-th send on a connection delivers the k-th receive,
+     and with [s] FIFO slots send k needs the slot freed by receive
+     k - s. Run once to count each node's successors, once to place
+     them. *)
+  let iter_edges f =
+    let edge a b = if a <> b then f a b in
+    for i = 1 to n - 1 do
+      if block_of.(i) = block_of.(i - 1) then f (i - 1) i
+    done;
+    for e = 0 to dep_src.len - 1 do
+      f dep_src.a.(e) dep_dst.a.(e)
+    done;
+    let send = cursor senders and recv = cursor receivers in
+    let freed = cursor receivers in
+    for c = 0 to nconn - 1 do
+      restart send c;
+      restart recv c;
+      restart freed c;
+      let k = ref 0 and more = ref true in
+      while !more do
+        let s = next_endpoint first kind 1 send in
+        let r = next_endpoint first kind 2 recv in
+        if s >= 0 && r >= 0 then begin
+          edge s r;
+          (match fifo_slots with
+          | Some slots when !k >= slots ->
+              edge (next_endpoint first kind 2 freed) s
+          | Some _ | None -> ());
+          incr k
+        end
+        else more := false
+      done
+    done
+  in
+  (* off.(a + 1) counts a's successors, then (prefix sums) ends a's
+     run; placing each edge at off.(a) and advancing it leaves off.(a)
+     at a's end, so one shift gives the starts. *)
+  let off = Array.make (n + 1) 0 in
+  iter_edges (fun a _ -> off.(a + 1) <- off.(a + 1) + 1);
+  for i = 1 to n do
+    off.(i) <- off.(i) + off.(i - 1)
+  done;
+  let tgt = Array.make off.(n) 0 in
+  iter_edges (fun a b ->
+      tgt.(off.(a)) <- b;
+      off.(a) <- off.(a) + 1);
+  for i = n downto 1 do
+    off.(i) <- off.(i - 1)
+  done;
+  off.(0) <- 0;
+  { t0 with off; tgt; mismatches = List.sort compare !mismatches }
 
 let stats t =
   {
     st_nodes = t.n;
-    st_edges = Array.fold_left (fun n l -> n + List.length l) 0 t.adj;
+    st_edges = Array.length t.tgt;
     st_queries = t.q_queries;
     st_pos_cutoffs = t.q_pos_cutoffs;
     st_local_hits = t.q_local_hits;
@@ -173,55 +384,70 @@ let stats t =
 (* Kahn's algorithm, run once per graph. [order] doubles as the FIFO
    queue: nodes are appended when their in-degree reaches zero and popped
    from [head]. Nodes on or downstream of a cycle never reach in-degree
-   zero, so the result is the whole graph iff it is acyclic. *)
+   zero, so the result is the whole graph iff it is acyclic; on a DAG the
+   pop index is each node's topological position. *)
 let kahn t =
-  match t.kahn with
-  | Some order -> order
-  | None ->
-      let indeg = Array.make t.n 0 in
-      Array.iter (List.iter (fun b -> indeg.(b) <- indeg.(b) + 1)) t.adj;
-      let order = Array.make t.n 0 in
-      let len = ref 0 in
-      let push i =
+  if not t.sorted then begin
+    let indeg = Array.make t.n 0 in
+    Array.iter (fun b -> indeg.(b) <- indeg.(b) + 1) t.tgt;
+    let order = Array.make t.n 0 in
+    let len = ref 0 in
+    for i = 0 to t.n - 1 do
+      if indeg.(i) = 0 then begin
         order.(!len) <- i;
         incr len
-      in
-      Array.iteri (fun i d -> if d = 0 then push i) indeg;
-      let head = ref 0 in
-      while !head < !len do
-        let i = order.(!head) in
-        incr head;
-        List.iter
-          (fun b ->
-            indeg.(b) <- indeg.(b) - 1;
-            if indeg.(b) = 0 then push b)
-          t.adj.(i)
-      done;
-      let order = if !len = t.n then order else Array.sub order 0 !len in
-      t.kahn <- Some order;
-      order
+      end
+    done;
+    let head = ref 0 in
+    while !head < !len do
+      let i = order.(!head) in
+      incr head;
+      for e = t.off.(i) to t.off.(i + 1) - 1 do
+        let b = t.tgt.(e) in
+        indeg.(b) <- indeg.(b) - 1;
+        if indeg.(b) = 0 then begin
+          order.(!len) <- b;
+          incr len
+        end
+      done
+    done;
+    if !len = t.n then begin
+      let pos = indeg in
+      Array.iteri (fun k v -> pos.(v) <- k) order;
+      t.pos <- pos;
+      t.order <- order
+    end
+    else t.order <- Array.sub order 0 !len;
+    t.sorted <- true
+  end
 
-let topo_order t =
-  let order = kahn t in
-  if Array.length order = t.n then Some order else None
+let acyclic t =
+  kahn t;
+  Array.length t.order = t.n
 
-let cycle_size t = t.n - Array.length (kahn t)
+let topo_order t = if acyclic t then Some t.order else None
+
+let cycle_size t =
+  kahn t;
+  t.n - Array.length t.order
 
 (* One DP over the Kahn order: a node's distance is final when it is
    popped, so relaxing its successors then is exact. *)
 let weighted_longest_path t ~weight =
+  kahn t;
   let dist = Array.init t.n weight in
   Array.fold_left
     (fun best i ->
-      List.iter
-        (fun b ->
-          let d = dist.(i) +. weight b in
-          if d > dist.(b) then dist.(b) <- d)
-        t.adj.(i);
+      for e = t.off.(i) to t.off.(i + 1) - 1 do
+        let b = t.tgt.(e) in
+        let d = dist.(i) +. weight b in
+        if d > dist.(b) then dist.(b) <- d
+      done;
       if dist.(i) > best then dist.(i) else best)
-    0. (kahn t)
+    0. t.order
 
-let longest_path t = int_of_float (weighted_longest_path t ~weight:(fun _ -> 1.))
+let longest_path t =
+  int_of_float (weighted_longest_path t ~weight:(fun _ -> 1.))
 
 (* Reachability. On a cyclic graph there is no topological position to
    prune by, so queries run a plain DFS. On a DAG every edge strictly
@@ -230,120 +456,146 @@ let longest_path t = int_of_float (weighted_longest_path t ~weight:(fun _ -> 1.)
    1. pos(a) >= pos(b) answers "no" outright;
    2. a same-GPU pair ordered by intra-GPU edges alone (program order and
       depends, which are same-GPU by construction) is a bit test in that
-      GPU's closure — k^2 bits for k local steps, one GPU at a time;
+      GPU's closure — k^2 bits for k local steps, one GPU at a time, and
+      only for k up to [max_local];
    3. anything else (cross-GPU pairs, ordering routed through another
       GPU) is a search that never expands a node at or past pos(b).
 
    Race queries compare two steps of one GPU, and in compiler-emitted IR
-   their ordering is almost always intra-GPU, so step 3 is rare. *)
+   their ordering is almost always intra-GPU, so step 3 is rare. None of
+   the three allocates once the order, positions and closure exist. *)
 
-(* Depth-first search for [b] from [a]'s successors, expanding only the
-   nodes [live] accepts. *)
-let search t ~live a b =
-  let seen = Hashtbl.create 64 in
-  let rec go x =
-    x = b
-    || live x
-       && (not (Hashtbl.mem seen x))
-       && begin
-            Hashtbl.add seen x ();
-            List.exists go t.adj.(x)
+(* Depth-first search for [b] from [a]'s successors. With [prune] (DAGs
+   only) nodes at or past [b]'s position are not expanded. Visited nodes
+   carry the query's stamp, so no per-query set is allocated. *)
+let search t ~prune a b =
+  if Array.length t.mark < t.n then begin
+    t.mark <- Array.make t.n 0;
+    t.stack <- Array.make t.n 0
+  end;
+  t.epoch <- t.epoch + 1;
+  let epoch = t.epoch and mark = t.mark and stack = t.stack in
+  let bound = if prune then t.pos.(b) else max_int in
+  mark.(a) <- epoch;
+  stack.(0) <- a;
+  let sp = ref 1 and found = ref false in
+  while (not !found) && !sp > 0 do
+    decr sp;
+    let x = stack.(!sp) in
+    let e = ref t.off.(x) in
+    while (not !found) && !e < t.off.(x + 1) do
+      let y = t.tgt.(!e) in
+      if y = b then found := true
+      else if mark.(y) <> epoch && ((not prune) || t.pos.(y) < bound) then begin
+        mark.(y) <- epoch;
+        stack.(!sp) <- y;
+        incr sp
+      end;
+      incr e
+    done
+  done;
+  !found
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* [gpu]'s nodes in topological order: by_gpu.(lo) .. by_gpu.(hi - 1). *)
+let local_span t gpu =
+  if Array.length t.by_gpu_start = 0 then begin
+    (* One stable bucket pass over the topological order serves every
+       GPU; nodes of a negative gpu id go to a last, unused bucket. *)
+    let ngpus = Array.length t.gpu_lo in
+    let key j =
+      let g = gpu_of t t.order.(j) in
+      if g < 0 then ngpus else g
+    in
+    let start, by_gpu =
+      group (ngpus + 1) t.n ~key ~value:(Array.get t.order)
+    in
+    t.by_gpu <- by_gpu;
+    t.by_gpu_start <- start
+  end;
+  (t.by_gpu_start.(gpu), t.by_gpu_start.(gpu + 1))
+
+let local_order t gpu =
+  if not (acyclic t) then
+    invalid_arg "Hbgraph.local_order: the graph has a cycle";
+  if gpu < 0 || gpu >= Array.length t.gpu_lo then [||]
+  else
+    let lo, hi = local_span t gpu in
+    Array.sub t.by_gpu lo (hi - lo)
+
+(* Builds [gpu]'s closure unless it is the one kept. *)
+let local_rows t gpu =
+  if t.local_gpu <> gpu then begin
+    t.q_local_builds <- t.q_local_builds + 1;
+    let lo = t.gpu_lo.(gpu) and hi = t.gpu_hi.(gpu) in
+    let k = hi - lo in
+    let stride = 8 * ((k + 63) / 64) in
+    (* The kept closure's buffer is reused when it is large enough. *)
+    if Bytes.length t.local_rows < k * stride then
+      t.local_rows <- Bytes.create (k * stride);
+    let rows = t.local_rows in
+    Bytes.fill rows 0 (k * stride) '\000';
+    (* Local nodes in reverse topological order, so each node's row can
+       absorb its successors' finished rows. *)
+    let first, last = local_span t gpu in
+    for j = last - 1 downto first do
+        let a = t.by_gpu.(j) in
+        let row = (a - lo) * stride in
+        for e = t.off.(a) to t.off.(a + 1) - 1 do
+          let s = t.tgt.(e) in
+          if gpu_of t s = gpu then begin
+            let srow = (s - lo) * stride in
+            let byte = row + ((s - lo) lsr 3) in
+            let bit = 1 lsl ((s - lo) land 7) in
+            let old = Char.code (Bytes.unsafe_get rows byte) in
+            Bytes.unsafe_set rows byte (Char.unsafe_chr (old lor bit));
+            let w = ref 0 in
+            while !w < stride do
+              set64 rows (row + !w)
+                (Int64.logor (get64 rows (row + !w)) (get64 rows (srow + !w)));
+              w := !w + 8
+            done
           end
-  in
-  List.exists go t.adj.(a)
-
-let pos_of t order =
-  match t.pos with
-  | Some p -> p
-  | None ->
-      let p = Array.make t.n 0 in
-      Array.iteri (fun k v -> p.(v) <- k) order;
-      t.pos <- Some p;
-      p
-
-let test_bit row b = Char.code (Bytes.get row (b lsr 3)) land (1 lsl (b land 7)) <> 0
-
-let set_bit row b =
-  Bytes.set row (b lsr 3)
-    (Char.chr (Char.code (Bytes.get row (b lsr 3)) lor (1 lsl (b land 7))))
-
-let gpu_range_of t =
-  match t.gpu_range with
-  | Some r -> r
-  | None ->
-      let ngpus =
-        Array.fold_left (fun m (g, _, _) -> max m (g + 1)) 0 t.coords
-      in
-      let lo = Array.make ngpus max_int and hi = Array.make ngpus 0 in
-      Array.iteri
-        (fun i (g, _, _) ->
-          if i < lo.(g) then lo.(g) <- i;
-          if i + 1 > hi.(g) then hi.(g) <- i + 1)
-        t.coords;
-      let r = Array.init ngpus (fun g -> (lo.(g), hi.(g))) in
-      t.gpu_range <- Some r;
-      r
-
-let local_rows_of t pos gpu =
-  match t.local_rows with
-  | Some (g, rows) when g = gpu -> rows
-  | _ ->
-      t.q_local_builds <- t.q_local_builds + 1;
-      let lo, hi = (gpu_range_of t).(gpu) in
-      let k = hi - lo in
-      let stride = (k + 7) / 8 in
-      let rows = Array.init k (fun _ -> Bytes.make stride '\000') in
-      (* Local ids in reverse topological order, so each node's row can
-         absorb its successors' finished rows. *)
-      let order = Array.init k (fun i -> lo + i) in
-      Array.sort (fun a b -> compare pos.(b) pos.(a)) order;
-      let or_into dst src =
-        for i = 0 to stride - 1 do
-          let d = Char.code (Bytes.unsafe_get dst i) in
-          let s = Char.code (Bytes.unsafe_get src i) in
-          if s land lnot d <> 0 then
-            Bytes.unsafe_set dst i (Char.unsafe_chr (d lor s))
         done
-      in
-      Array.iter
-        (fun a ->
-          let row = rows.(a - lo) in
-          List.iter
-            (fun s ->
-              if s >= lo && s < hi then begin
-                set_bit row (s - lo);
-                or_into row rows.(s - lo)
-              end)
-            t.adj.(a))
-        order;
-      t.local_rows <- Some (gpu, rows);
-      rows
+    done;
+    t.local_gpu <- gpu;
+    t.local_stride <- stride
+  end
+
+(* A GPU with more steps than this is searched instead: its closure
+   would take over 32 MiB. *)
+let max_local = 16384
+
+let local_bit t g a b =
+  t.gpu_hi.(g) - t.gpu_lo.(g) <= max_local
+  &&
+  let () = local_rows t g in
+  let lo = t.gpu_lo.(g) in
+  let byte = ((a - lo) * t.local_stride) + ((b - lo) lsr 3) in
+  let bit = 1 lsl ((b - lo) land 7) in
+  Char.code (Bytes.unsafe_get t.local_rows byte) land bit <> 0
 
 let reaches t a b =
   t.q_queries <- t.q_queries + 1;
-  match topo_order t with
-  | None ->
+  if not (acyclic t) then begin
+    t.q_dfs <- t.q_dfs + 1;
+    search t ~prune:false a b
+  end
+  else if t.pos.(a) >= t.pos.(b) then begin
+    t.q_pos_cutoffs <- t.q_pos_cutoffs + 1;
+    false
+  end
+  else
+    let g = gpu_of t a in
+    if g >= 0 && g = gpu_of t b && local_bit t g a b then begin
+      t.q_local_hits <- t.q_local_hits + 1;
+      true
+    end
+    else begin
       t.q_dfs <- t.q_dfs + 1;
-      search t ~live:(fun _ -> true) a b
-  | Some order ->
-      let pos = pos_of t order in
-      let ga, _, _ = t.coords.(a) and gb, _, _ = t.coords.(b) in
-      if pos.(a) >= pos.(b) then begin
-        t.q_pos_cutoffs <- t.q_pos_cutoffs + 1;
-        false
-      end
-      else if
-        ga = gb
-        &&
-        let lo, _ = (gpu_range_of t).(ga) in
-        test_bit (local_rows_of t pos ga).(a - lo) (b - lo)
-      then begin
-        t.q_local_hits <- t.q_local_hits + 1;
-        true
-      end
-      else begin
-        t.q_dfs <- t.q_dfs + 1;
-        search t ~live:(fun x -> pos.(x) < pos.(b)) a b
-      end
+      search t ~prune:true a b
+    end
 
 let ordered t a b = reaches t a b || reaches t b a

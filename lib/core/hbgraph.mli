@@ -1,10 +1,11 @@
 (** The happens-before relation over MSCCL-IR steps.
 
     One shared construction of the waiting graph that the deadlock checker
-    ({!Verify.check_deadlock_free}), the critical-path analysis
-    ({!Analysis.analyze}) and the race detector ({!Races.find}) all reason
-    over. Nodes are steps, densely numbered over [(gpu, tb, step)]; edges
-    are the orderings the runtime actually enforces:
+    ({!Verify.check_deadlock_free}), the critical-path analyses
+    ({!Analysis.analyze}, {!Perfcheck.analyze}) and the race detector
+    ({!Races.find}) all reason over. Nodes are steps, densely numbered over
+    [(gpu, tb, step)]; edges are the orderings the runtime actually
+    enforces:
 
     - program order within a thread block;
     - explicit cross-thread-block [depends] (semaphore waits);
@@ -18,13 +19,23 @@
     in {!mismatched_connections}) so lint rules can report them instead of
     crashing.
 
+    The graph is flat: nodes are numbered block by block, so a node's
+    coordinates are its block (one int array) and that block's gpu, tb
+    and first node (int arrays over blocks), found by (gpu, tb) through
+    one offset array per GPU; the edges are in CSR form (an offset array
+    and a target array). A thread block's send and receive connections
+    are looked up once per block, not once per step.
+
     Kahn's algorithm runs once per graph and is memoized; the topological
-    order, cycle size and (weighted) longest paths are all read off that
-    one pass. Reachability has one path: on a DAG, a query is refuted by
-    topological position, answered by the per-GPU closure (a bitset per
-    local step, built for one GPU at a time), or settled by a search that
-    never expands a node past the target's position; a graph with a cycle
-    is searched by plain DFS. *)
+    order, positions, cycle size and (weighted) longest paths are all
+    read off that one pass. Reachability has one path: on a DAG, a query
+    is refuted by topological position, answered by the per-GPU closure
+    (a bitset per local step, built for one GPU at a time and only for
+    GPUs of at most 16384 steps), or settled by a search that never
+    expands a node past the target's position; a graph with a cycle is
+    searched by plain DFS. Searches mark visited nodes with a per-query
+    stamp, so once the order and the closure exist, {!reaches} and
+    {!ordered} allocate nothing. *)
 
 type t
 
@@ -40,10 +51,11 @@ val node : t -> gpu:int -> tb:int -> step:int -> int
 (** Dense node id of a step. Raises [Not_found] for unknown coordinates. *)
 
 val coords : t -> int -> int * int * int
-(** [(gpu, tb, step)] of a node id. *)
+(** [(gpu, tb, step)] of a node id (a fresh tuple). *)
 
 val succs : t -> int -> int list
-(** Direct happens-before successors (may contain duplicates). *)
+(** Direct happens-before successors in edge-insertion order (a fresh
+    list; may contain duplicates). *)
 
 val mismatched_connections : t -> (int * int * int * int * int) list
 (** Connections whose send and receive counts differ, as
@@ -52,6 +64,12 @@ val mismatched_connections : t -> (int * int * int * int * int) list
 
 val topo_order : t -> int array option
 (** Nodes in a topological order, or [None] when the graph has a cycle. *)
+
+val local_order : t -> int -> int array
+(** [local_order t gpu]: the nodes of [gpu] in topological order (a fresh
+    array; empty for an unknown gpu). All GPUs' orders come from one
+    bucket pass over {!topo_order}. Raises [Invalid_argument] when the
+    graph has a cycle. *)
 
 val cycle_size : t -> int
 (** Number of nodes on or downstream of a cycle; [0] iff acyclic. *)

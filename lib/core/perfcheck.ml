@@ -382,29 +382,37 @@ let analyze ~topo ?(size_bytes = default_size_bytes) (ir : Ir.t) =
   let n = Hbgraph.num_nodes hb in
   let w_full = Array.make n 0. in
   let w_bw = Array.make n 0. in
-  let tb_cost = Hashtbl.create 32 in
-  Array.iter
-    (fun (g : Ir.gpu) ->
-      Array.iter
-        (fun (tb : Ir.tb) ->
-          Hashtbl.replace tb_cost (g.Ir.gpu_id, tb.Ir.tb_id) 0.)
+  (* Per-thread-block work, indexed like [ir.gpus] and their [tbs]. *)
+  let tb_cost =
+    Array.map
+      (fun (g : Ir.gpu) -> Array.make (Array.length g.Ir.tbs) 0.)
+      ir.Ir.gpus
+  in
+  Array.iteri
+    (fun gi (g : Ir.gpu) ->
+      Array.iteri
+        (fun ti (tb : Ir.tb) ->
+          Array.iter
+            (fun (st : Ir.step) ->
+              let id =
+                Hbgraph.node hb ~gpu:g.Ir.gpu_id ~tb:tb.Ir.tb_id ~step:st.Ir.s
+              in
+              let cost beta_only =
+                step_cost ~beta_only topo proto chunk_bytes g tb st
+              in
+              let full = cost false in
+              w_full.(id) <- full;
+              w_bw.(id) <- cost true;
+              tb_cost.(gi).(ti) <- full +. tb_cost.(gi).(ti))
+            tb.Ir.steps)
         g.Ir.tbs)
     ir.Ir.gpus;
-  Ir.iter_steps ir (fun g tb st ->
-      let id = Hbgraph.node hb ~gpu:g.Ir.gpu_id ~tb:tb.Ir.tb_id ~step:st.Ir.s in
-      let full = step_cost ~beta_only:false topo proto chunk_bytes g tb st in
-      w_full.(id) <- full;
-      w_bw.(id) <- step_cost ~beta_only:true topo proto chunk_bytes g tb st;
-      let key = (g.Ir.gpu_id, tb.Ir.tb_id) in
-      Hashtbl.replace tb_cost key
-        (full +. Option.value ~default:0. (Hashtbl.find_opt tb_cost key)));
   let span = Hbgraph.weighted_longest_path hb ~weight:(fun i -> w_full.(i)) in
   let span_bw = Hbgraph.weighted_longest_path hb ~weight:(fun i -> w_bw.(i)) in
   (* Per-resource congestion: every connection's traffic folded through
      its route's hops. Transfer time on a shared resource is at least the
      total wire bytes crossing it over its capacity, whatever the
      schedule. *)
-  let analysis = Analysis.analyze ir in
   let resources = Topology.resources topo in
   let res_bytes = Array.make (Array.length resources) 0. in
   List.iter
@@ -422,7 +430,7 @@ let analyze ~topo ?(size_bytes = default_size_bytes) (ir : Ir.t) =
           (fun h -> res_bytes.(h) <- res_bytes.(h) +. wire)
           rt.Topology.hops
       end)
-    analysis.Analysis.connections;
+    (Analysis.connections ir);
   let link_loads =
     Array.to_list
       (Array.mapi
@@ -444,10 +452,18 @@ let analyze ~topo ?(size_bytes = default_size_bytes) (ir : Ir.t) =
     List.fold_left (fun m l -> Float.max m l.ll_time) 0. link_loads
   in
   let tb_loads =
-    Hashtbl.fold
-      (fun (gid, tbid) cost acc ->
-        { tl_gpu = gid; tl_tb = tbid; tl_cost = cost } :: acc)
-      tb_cost []
+    Array.to_list ir.Ir.gpus
+    |> List.mapi (fun gi (g : Ir.gpu) ->
+           Array.to_list
+             (Array.mapi
+                (fun ti (tb : Ir.tb) ->
+                  {
+                    tl_gpu = g.Ir.gpu_id;
+                    tl_tb = tb.Ir.tb_id;
+                    tl_cost = tb_cost.(gi).(ti);
+                  })
+                g.Ir.tbs))
+    |> List.concat
     |> List.sort (fun a b ->
            match Float.compare b.tl_cost a.tl_cost with
            | 0 -> compare (a.tl_gpu, a.tl_tb) (b.tl_gpu, b.tl_tb)

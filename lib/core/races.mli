@@ -41,12 +41,24 @@ type race = {
 val find : ?hb:Hbgraph.t -> ?orbit:Orbit.t -> Ir.t -> race list
 (** All racy pairs, sorted by location. [hb] defaults to
     [Hbgraph.build ~fifo_slots:(Protocol.num_slots ir.proto) ir]; pass a
-    prebuilt graph to share its transitive closure with other analyses.
+    prebuilt graph to share its order and closures with other analyses.
     At most one race per (step pair, hazard kind, buffer) is reported.
 
-    Without [orbit] every GPU is swept directly. With a certified
-    rank-orbit partition the sweep and its happens-before queries run on
-    one representative GPU per orbit, and each racy step pair is expanded
+    On an acyclic graph each GPU is first certified race-free in one
+    pass over its accesses in topological order (a step's reads before
+    its writes), with O(accesses) reachability queries: per elementary
+    chunk segment of a buffer, the last write must reach every later
+    access, and every read since that write must reach the next write.
+    Transitivity makes passing every check equivalent to no overlapping
+    pair with a write being unordered. Only a GPU where a check fails
+    (or an access has a nonpositive count), and every GPU of a cyclic
+    graph, runs the pairwise sweep that builds the race records, so the
+    result is the sweep's in every case. Every certificate query is one
+    the sweep would also ask.
+
+    Without [orbit] every GPU is checked directly. With a certified
+    rank-orbit partition the certificate, the sweep and their
+    happens-before queries run on one representative GPU per orbit, and each racy step pair is expanded
     to every orbit member through the orbit's thread-block maps,
     recomputing the witness range from the member's own footprints. With
     an orbit produced by a sound symmetry certification the result is

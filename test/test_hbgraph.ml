@@ -13,92 +13,6 @@ module F = Msccl_fuzz
 let coll1 = Collective.make Collective.Allreduce ~num_ranks:1 ()
 
 (* ------------------------------------------------------------------ *)
-(* Random IR generation                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* [gen_ir rng] draws a single-GPU IR whose only edges are program order
-   and depends on a strictly smaller step index: a DAG by construction.
-   [~multi:true] draws 2-4 GPUs whose thread blocks also send to and
-   receive from other GPUs on two channels, so data-delivery and FIFO
-   edges can order two steps of one GPU through another GPU, and may close
-   a cycle. [~cyclic:true] also lets a depends point at any step of the
-   other block, including later ones. *)
-let gen_ir ?(multi = false) ?(cyclic = false) rng =
-  let ngpus = if multi then 2 + F.Rng.int rng 3 else 1 in
-  let gpu g =
-    let ntbs = 1 + F.Rng.int rng 4 in
-    let steps_of = Array.init ntbs (fun _ -> 1 + F.Rng.int rng 6) in
-    let peer () =
-      if multi && F.Rng.int rng 4 > 0 then
-        (g + 1 + F.Rng.int rng (ngpus - 1)) mod ngpus
-      else -1
-    in
-    let deps = Hashtbl.create 16 in
-    let tbs =
-      Array.init ntbs (fun tb_id ->
-          let send = peer () and recv = peer () in
-          let ops =
-            Instr.Nop
-            :: List.concat
-                 [
-                   (if send >= 0 then [ Instr.Send ] else []);
-                   (if recv >= 0 then [ Instr.Recv ] else []);
-                   (if send >= 0 && recv >= 0 then [ Instr.Recv_copy_send ]
-                    else []);
-                 ]
-          in
-          let steps =
-            Array.init steps_of.(tb_id) (fun s ->
-                let depends = ref [] in
-                Array.iteri
-                  (fun otb osteps ->
-                    if otb <> tb_id && (s > 0 || cyclic) && F.Rng.int rng 3 = 0
-                    then begin
-                      let target =
-                        F.Rng.int rng (if cyclic then osteps else min osteps s)
-                      in
-                      depends := (otb, target) :: !depends;
-                      Hashtbl.replace deps (otb, target) ()
-                    end)
-                  steps_of;
-                {
-                  Ir.s;
-                  op = F.Rng.pick rng ops;
-                  src = None;
-                  dst = None;
-                  count = 1;
-                  depends = !depends;
-                  has_dep = false;
-                })
-          in
-          let chan = if multi then F.Rng.int rng 2 else tb_id in
-          { Ir.tb_id; send; recv; chan; steps })
-    in
-    (* Mark every depends target so the IR passes validation rules. *)
-    Array.iter
-      (fun (tb : Ir.tb) ->
-        Array.iteri
-          (fun s (st : Ir.step) ->
-            if Hashtbl.mem deps (tb.Ir.tb_id, s) then
-              tb.Ir.steps.(s) <- { st with Ir.has_dep = true })
-          tb.Ir.steps)
-      tbs;
-    {
-      Ir.gpu_id = g;
-      input_chunks = 1;
-      output_chunks = 1;
-      scratch_chunks = 0;
-      tbs;
-    }
-  in
-  {
-    Ir.name = "hbgraph-random";
-    collective = Collective.make Collective.Allreduce ~num_ranks:ngpus ();
-    proto = Msccl_topology.Protocol.Simple;
-    gpus = Array.init ngpus gpu;
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Naive reference: explicit adjacency + DFS + longest-path DP         *)
 (* ------------------------------------------------------------------ *)
 
@@ -151,6 +65,24 @@ let adjacency ?fifo_slots h (ir : Ir.t) =
     sends;
   succs
 
+(* Connections whose send and receive counts differ, from the same
+   per-connection lists. *)
+let naive_mismatches (ir : Ir.t) =
+  let count = Hashtbl.create 8 in
+  let bump key side =
+    let s, r = Option.value ~default:(0, 0) (Hashtbl.find_opt count key) in
+    Hashtbl.replace count key (if side then (s + 1, r) else (s, r + 1))
+  in
+  Ir.iter_steps ir (fun g tb st ->
+      if Instr.sends st.Ir.op then bump (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan) true;
+      if Instr.receives st.Ir.op then
+        bump (tb.Ir.recv, g.Ir.gpu_id, tb.Ir.chan) false);
+  Hashtbl.fold
+    (fun (src, dst, ch) (s, r) acc ->
+      if s <> r then (src, dst, ch, s, r) :: acc else acc)
+    count []
+  |> List.sort compare
+
 let naive_reaches succs a b =
   let n = Array.length succs in
   let seen = Array.make n false in
@@ -198,6 +130,16 @@ let naive_longest_path ?(keep = fun _ -> true) ?(weight = fun _ -> 1.) succs =
    two longest paths against the DFS-derived cycle taint and the DP. *)
 let check_against_naive ~case h succs =
   let n = Hbgraph.num_nodes h in
+  (* The flat graph holds exactly the reference's edge multiset. *)
+  Array.iteri
+    (fun v ws ->
+      if List.sort compare (Hbgraph.succs h v) <> List.sort compare ws then
+        Alcotest.failf "case %d: succs of %d differ from the reference" case v)
+    succs;
+  let edges = Array.fold_left (fun k ws -> k + List.length ws) 0 succs in
+  if (Hbgraph.stats h).Hbgraph.st_edges <> edges then
+    Alcotest.failf "case %d: st_edges %d, reference has %d" case
+      (Hbgraph.stats h).Hbgraph.st_edges edges;
   let reach = Array.init n (fun a -> Array.init n (naive_reaches succs a)) in
   for a = 0 to n - 1 do
     for b = 0 to n - 1 do
@@ -254,15 +196,21 @@ let check_against_naive ~case h succs =
             ws)
         succs
 
+let check_mismatches ~case h ir =
+  if Hbgraph.mismatched_connections h <> naive_mismatches ir then
+    Alcotest.failf "case %d: mismatched_connections differ from the reference"
+      case
+
 let test_random_dags () =
   for case = 0 to 199 do
     let rng = F.Rng.fork (F.Rng.create 2024) case in
-    let ir = gen_ir rng in
+    let ir = Testutil.gen_ir rng in
     let h = Hbgraph.build ir in
     (* The generator builds DAGs by construction. *)
     if Hbgraph.cycle_size h <> 0 then
       Alcotest.failf "case %d: cycle reported on a DAG" case;
-    check_against_naive ~case h (adjacency h ir)
+    check_against_naive ~case h (adjacency h ir);
+    check_mismatches ~case h ir
   done
 
 (* Multi-GPU graphs, half of them with unrestricted depends, under every
@@ -274,13 +222,16 @@ let test_random_dags () =
 let test_multi_gpu () =
   let cutoffs = ref 0 and local_hits = ref 0 and searches = ref 0 in
   let dags = ref 0 and cyclic = ref 0 and remote_only = ref 0 in
+  let mismatched = ref 0 in
   for case = 0 to 299 do
     let rng = F.Rng.fork (F.Rng.create 2025) case in
-    let ir = gen_ir ~multi:true ~cyclic:(case mod 2 = 1) rng in
+    let ir = Testutil.gen_ir ~multi:true ~cyclic:(case mod 2 = 1) rng in
     let fifo_slots = F.Rng.pick rng [ None; Some 1; Some 2; Some 3 ] in
     let h = Hbgraph.build ?fifo_slots ir in
     let succs = adjacency ?fifo_slots h ir in
     check_against_naive ~case h succs;
+    check_mismatches ~case h ir;
+    if Hbgraph.mismatched_connections h <> [] then incr mismatched;
     if Hbgraph.cycle_size h > 0 then incr cyclic
     else begin
       incr dags;
@@ -313,6 +264,7 @@ let test_multi_gpu () =
     [
       ("acyclic graph", !dags);
       ("cyclic graph", !cyclic);
+      ("graph with a mismatched connection", !mismatched);
       ("position cutoff", !cutoffs);
       ("per-GPU closure hit", !local_hits);
       ("pruned search", !searches);
@@ -325,7 +277,7 @@ let test_multi_gpu () =
 let test_node_bounds () =
   for case = 0 to 99 do
     let rng = F.Rng.fork (F.Rng.create 2026) case in
-    let ir = gen_ir ~multi:(case mod 2 = 1) rng in
+    let ir = Testutil.gen_ir ~multi:(case mod 2 = 1) rng in
     let h = Hbgraph.build ir in
     let raises ~gpu ~tb ~step =
       match Hbgraph.node h ~gpu ~tb ~step with
@@ -385,6 +337,47 @@ let test_registry_no_search () =
   if !built < 12 then
     Alcotest.failf "only %d registry builds succeeded at 4x8" !built;
   if !queries = 0 then Alcotest.fail "no race queries issued"
+
+(* Once the order, positions and closure exist, a reachability query
+   allocates nothing: 100k [ordered] queries from one GPU's steps (so
+   its closure is never rebuilt) to any step of a 64-rank ring cost the
+   same minor words as none, up to a fixed constant. *)
+let test_ordered_allocation () =
+  let ir = Msccl_algorithms.Ring_allreduce.ir ~verify:false ~num_ranks:64 () in
+  let h =
+    Hbgraph.build ~fifo_slots:(Msccl_topology.Protocol.num_slots ir.Ir.proto) ir
+  in
+  let n = Hbgraph.num_nodes h in
+  let local = Hbgraph.local_order h 0 in
+  let rng = F.Rng.create 7 in
+  let qa =
+    Array.init 100_000 (fun _ -> local.(F.Rng.int rng (Array.length local)))
+  in
+  let qb =
+    Array.init 100_000 (fun i ->
+        if i mod 2 = 0 then local.(F.Rng.int rng (Array.length local))
+        else F.Rng.int rng n)
+  in
+  let run () =
+    let yes = ref 0 in
+    for i = 0 to 99_999 do
+      if Hbgraph.ordered h qa.(i) qb.(i) then incr yes
+    done;
+    !yes
+  in
+  let warm = run () in
+  let before = Gc.minor_words () in
+  let again = run () in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "same answers" warm again;
+  let st = Hbgraph.stats h in
+  if
+    st.Hbgraph.st_dfs = 0
+    || st.Hbgraph.st_local_hits = 0
+    || st.Hbgraph.st_pos_cutoffs = 0
+  then Alcotest.fail "the queries miss a reachability step";
+  if words > 64. then
+    Alcotest.failf "100k ordered queries allocated %.0f minor words" words
 
 let test_cycle_detected () =
   (* Two mutually-depending steps: not a DAG; the graph must say so and
@@ -446,6 +439,7 @@ let () =
           Testutil.tc "cycle detection and DFS fallback" test_cycle_detected;
           Testutil.tc "multi-GPU graphs vs naive DFS" test_multi_gpu;
           Testutil.tc "node rejects unknown coordinates" test_node_bounds;
+          Testutil.tc "ordered queries do not allocate" test_ordered_allocation;
           Testutil.tc "registry race queries need no search"
             test_registry_no_search;
         ] );

@@ -95,81 +95,6 @@ let test_races_parallel_deterministic () =
 (* Sweep-line race detection vs the naive pairwise reference           *)
 (* ------------------------------------------------------------------ *)
 
-(* The reference implementation: every pair of accesses, same policy
-   (least witness record per (step pair, hazard, buffer) key). *)
-let naive_find (ir : Ir.t) =
-  let hb =
-    Hbgraph.build ~fifo_slots:(T.Protocol.num_slots ir.Ir.proto) ir
-  in
-  let races = ref [] in
-  Array.iter
-    (fun (g : Ir.gpu) ->
-      let accs = ref [] in
-      Array.iter
-        (fun (tb : Ir.tb) ->
-          Array.iter
-            (fun (st : Ir.step) ->
-              let id =
-                Hbgraph.node hb ~gpu:g.Ir.gpu_id ~tb:tb.Ir.tb_id ~step:st.Ir.s
-              in
-              List.iter
-                (fun (w, l) -> accs := (tb.Ir.tb_id, st.Ir.s, id, w, l) :: !accs)
-                (Races.footprint ir st))
-            tb.Ir.steps)
-        g.Ir.tbs;
-      let accs = Array.of_list !accs in
-      let seen = Hashtbl.create 16 in
-      let m = Array.length accs in
-      for i = 0 to m - 1 do
-        let tb1, s1, n1, w1, (l1 : Loc.t) = accs.(i) in
-        for j = i + 1 to m - 1 do
-          let tb2, s2, n2, w2, (l2 : Loc.t) = accs.(j) in
-          if
-            tb1 <> tb2 && (w1 || w2)
-            && Buffer_id.equal l1.Loc.buf l2.Loc.buf
-            && l1.Loc.index < l2.Loc.index + l2.Loc.count
-            && l2.Loc.index < l1.Loc.index + l1.Loc.count
-            && not (Hbgraph.ordered hb n1 n2)
-          then begin
-            let (tb1, s1, w1, l1), (tb2, s2, w2, l2) =
-              if (tb1, s1) <= (tb2, s2) then
-                ((tb1, s1, w1, l1), (tb2, s2, w2, l2))
-              else ((tb2, s2, w2, l2), (tb1, s1, w1, l1))
-            in
-            let hazard =
-              match (w1, w2) with
-              | true, true -> Races.Waw
-              | true, false -> Races.Raw
-              | false, true -> Races.War
-              | false, false -> assert false
-            in
-            let race =
-              {
-                Races.r_gpu = g.Ir.gpu_id;
-                r_tb1 = tb1;
-                r_step1 = s1;
-                r_tb2 = tb2;
-                r_step2 = s2;
-                r_hazard = hazard;
-                r_buf = l1.Loc.buf;
-                r_lo = max l1.Loc.index l2.Loc.index;
-                r_hi =
-                  min (l1.Loc.index + l1.Loc.count)
-                    (l2.Loc.index + l2.Loc.count)
-                  - 1;
-              }
-            in
-            let key = (tb1, s1, tb2, s2, hazard, l1.Loc.buf) in
-            match Hashtbl.find_opt seen key with
-            | Some prev -> if compare race prev < 0 then Hashtbl.replace seen key race
-            | None -> Hashtbl.replace seen key race
-          end
-        done
-      done;
-      Hashtbl.iter (fun _ r -> races := r :: !races) seen)
-    ir.Ir.gpus;
-  List.sort compare !races
-
 (* Random single-GPU IRs with arbitrary overlapping footprints and random
    (acyclic) cross-thread-block depends. *)
 let gen_random_ir =
@@ -237,7 +162,7 @@ let gen_random_ir =
 let prop_sweep_matches_naive =
   Testutil.qtest ~count:300 "sweep-line equals naive pairwise"
     (Q.make ~print:(Format.asprintf "%a" Ir.pp) gen_random_ir)
-    (fun ir -> Races.find ir = naive_find ir)
+    Testutil.races_agree
 
 (* Depends edges make the race set shrink, never grow: a fully ordered
    two-tb program must be clean, the same program unordered must race. *)

@@ -266,6 +266,195 @@ module Random_routing = struct
     Program.trace collective (build_program ?channels seed)
 end
 
+(* [gen_ir rng] draws a single-GPU IR whose only edges are program order
+   and depends on a strictly smaller step index: a DAG by construction.
+   [~multi:true] draws 2-4 GPUs whose thread blocks also send to and
+   receive from other GPUs on two channels, so data-delivery and FIFO
+   edges can order two steps of one GPU through another GPU, and may close
+   a cycle. [~cyclic:true] also lets a depends point at any step of the
+   other block, including later ones. [~footprints:true] also gives every
+   step but a [nop] random source and destination locations (counts 1-3
+   over input, output and scratch; one in eight far out, at index 1000
+   or more), adds local [cpy] and [re] steps, and
+   makes the collective in-place half of the time, so input and output
+   alias. *)
+let gen_ir ?(multi = false) ?(cyclic = false) ?(footprints = false) rng =
+  let ngpus = if multi then 2 + Msccl_fuzz.Rng.int rng 3 else 1 in
+  let gpu g =
+    let ntbs = 1 + Msccl_fuzz.Rng.int rng 4 in
+    let steps_of = Array.init ntbs (fun _ -> 1 + Msccl_fuzz.Rng.int rng 6) in
+    let peer () =
+      if multi && Msccl_fuzz.Rng.int rng 4 > 0 then
+        (g + 1 + Msccl_fuzz.Rng.int rng (ngpus - 1)) mod ngpus
+      else -1
+    in
+    let deps = Hashtbl.create 16 in
+    let tbs =
+      Array.init ntbs (fun tb_id ->
+          let send = peer () and recv = peer () in
+          let ops =
+            Instr.Nop
+            :: List.concat
+                 [
+                   (if footprints then [ Instr.Copy; Instr.Reduce ] else []);
+                   (if send >= 0 then [ Instr.Send ] else []);
+                   (if recv >= 0 then [ Instr.Recv ] else []);
+                   (if send >= 0 && recv >= 0 then [ Instr.Recv_copy_send ]
+                    else []);
+                 ]
+          in
+          let steps =
+            Array.init steps_of.(tb_id) (fun s ->
+                let depends = ref [] in
+                Array.iteri
+                  (fun otb osteps ->
+                    if otb <> tb_id && (s > 0 || cyclic) && Msccl_fuzz.Rng.int rng 3 = 0
+                    then begin
+                      let target =
+                        Msccl_fuzz.Rng.int rng (if cyclic then osteps else min osteps s)
+                      in
+                      depends := (otb, target) :: !depends;
+                      Hashtbl.replace deps (otb, target) ()
+                    end)
+                  steps_of;
+                let op = Msccl_fuzz.Rng.pick rng ops in
+                let loc () =
+                  if footprints && op <> Instr.Nop then
+                    Some
+                      (Loc.make ~rank:g
+                         ~buf:
+                           (Msccl_fuzz.Rng.pick rng
+                              [ Buffer_id.Input; Buffer_id.Output; Buffer_id.Scratch ])
+                         ~index:
+                           ((if Msccl_fuzz.Rng.int rng 8 = 0 then 1000 else 0)
+                           + Msccl_fuzz.Rng.int rng 6)
+                         ~count:(1 + Msccl_fuzz.Rng.int rng 3))
+                  else None
+                in
+                let src = loc () in
+                let dst = loc () in
+                {
+                  Ir.s;
+                  op;
+                  src;
+                  dst;
+                  count = 1;
+                  depends = !depends;
+                  has_dep = false;
+                })
+          in
+          let chan = if multi then Msccl_fuzz.Rng.int rng 2 else tb_id in
+          { Ir.tb_id; send; recv; chan; steps })
+    in
+    (* Mark every depends target so the IR passes validation rules. *)
+    Array.iter
+      (fun (tb : Ir.tb) ->
+        Array.iteri
+          (fun s (st : Ir.step) ->
+            if Hashtbl.mem deps (tb.Ir.tb_id, s) then
+              tb.Ir.steps.(s) <- { st with Ir.has_dep = true })
+          tb.Ir.steps)
+      tbs;
+    {
+      Ir.gpu_id = g;
+      input_chunks = 1;
+      output_chunks = 1;
+      scratch_chunks = 0;
+      tbs;
+    }
+  in
+  {
+    Ir.name = "hbgraph-random";
+    collective =
+      Collective.make Collective.Allreduce ~num_ranks:ngpus
+        ~inplace:(footprints && Msccl_fuzz.Rng.int rng 2 = 0)
+        ();
+    proto = Msccl_topology.Protocol.Simple;
+    gpus = Array.init ngpus gpu;
+  }
+
+(* The race detector's reference: every pair of accesses of a GPU, same
+   policy (least witness record per (step pair, hazard, buffer) key). *)
+let naive_find (ir : Ir.t) =
+  let hb =
+    Hbgraph.build ~fifo_slots:(Msccl_topology.Protocol.num_slots ir.Ir.proto) ir
+  in
+  let races = ref [] in
+  Array.iter
+    (fun (g : Ir.gpu) ->
+      let accs = ref [] in
+      Array.iter
+        (fun (tb : Ir.tb) ->
+          Array.iter
+            (fun (st : Ir.step) ->
+              let id =
+                Hbgraph.node hb ~gpu:g.Ir.gpu_id ~tb:tb.Ir.tb_id ~step:st.Ir.s
+              in
+              List.iter
+                (fun (w, l) -> accs := (tb.Ir.tb_id, st.Ir.s, id, w, l) :: !accs)
+                (Races.footprint ir st))
+            tb.Ir.steps)
+        g.Ir.tbs;
+      let accs = Array.of_list !accs in
+      let seen = Hashtbl.create 16 in
+      let m = Array.length accs in
+      for i = 0 to m - 1 do
+        let tb1, s1, n1, w1, (l1 : Loc.t) = accs.(i) in
+        for j = i + 1 to m - 1 do
+          let tb2, s2, n2, w2, (l2 : Loc.t) = accs.(j) in
+          if
+            tb1 <> tb2 && (w1 || w2)
+            && Buffer_id.equal l1.Loc.buf l2.Loc.buf
+            && l1.Loc.index < l2.Loc.index + l2.Loc.count
+            && l2.Loc.index < l1.Loc.index + l1.Loc.count
+            && not (Hbgraph.ordered hb n1 n2)
+          then begin
+            let (tb1, s1, w1, l1), (tb2, s2, w2, l2) =
+              if (tb1, s1) <= (tb2, s2) then
+                ((tb1, s1, w1, l1), (tb2, s2, w2, l2))
+              else ((tb2, s2, w2, l2), (tb1, s1, w1, l1))
+            in
+            let hazard =
+              match (w1, w2) with
+              | true, true -> Races.Waw
+              | true, false -> Races.Raw
+              | false, true -> Races.War
+              | false, false -> assert false
+            in
+            let race =
+              {
+                Races.r_gpu = g.Ir.gpu_id;
+                r_tb1 = tb1;
+                r_step1 = s1;
+                r_tb2 = tb2;
+                r_step2 = s2;
+                r_hazard = hazard;
+                r_buf = l1.Loc.buf;
+                r_lo = max l1.Loc.index l2.Loc.index;
+                r_hi =
+                  min (l1.Loc.index + l1.Loc.count)
+                    (l2.Loc.index + l2.Loc.count)
+                  - 1;
+              }
+            in
+            let key = (tb1, s1, tb2, s2, hazard, l1.Loc.buf) in
+            match Hashtbl.find_opt seen key with
+            | Some prev -> if compare race prev < 0 then Hashtbl.replace seen key race
+            | None -> Hashtbl.replace seen key race
+          end
+        done
+      done;
+      Hashtbl.iter (fun _ r -> races := r :: !races) seen)
+    ir.Ir.gpus;
+  List.sort compare !races
+
+(* [Races.find], plain and under the orbit [Symmetry.infer] certifies,
+   lists exactly the naive reference's races. *)
+let races_agree ir =
+  let naive = naive_find ir in
+  let orbit = (Msccl_analysis.Symmetry.infer ir).Msccl_analysis.Symmetry.s_orbit in
+  Races.find ir = naive && Races.find ~orbit ir = naive
+
 let qtest ?(count = 100) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
 
