@@ -74,7 +74,8 @@ let naive_mismatches (ir : Ir.t) =
     Hashtbl.replace count key (if side then (s + 1, r) else (s, r + 1))
   in
   Ir.iter_steps ir (fun g tb st ->
-      if Instr.sends st.Ir.op then bump (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan) true;
+      if Instr.sends st.Ir.op then
+        bump (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan) true;
       if Instr.receives st.Ir.op then
         bump (tb.Ir.recv, g.Ir.gpu_id, tb.Ir.chan) false);
   Hashtbl.fold

@@ -440,6 +440,51 @@ let test_registry_sweep_clean () =
         (H.Lint_sweep.built_somewhere entries s.H.Registry.name))
     H.Registry.all
 
+(* Every [depends] edge of [ir] as (gpu, tb, step, (dep tb, dep step)). *)
+let depends_edges (ir : Ir.t) =
+  let edges = ref [] in
+  Ir.iter_steps ir (fun g t st ->
+      List.iter
+        (fun dep ->
+          edges := (g.Ir.gpu_id, t.Ir.tb_id, st.Ir.s, dep) :: !edges)
+        st.Ir.depends);
+  !edges
+
+(* [ir] without one [depends] edge. *)
+let strip (ir : Ir.t) (mg, mt, ms, dep) =
+  {
+    ir with
+    Ir.gpus =
+      Array.map
+        (fun (g : Ir.gpu) ->
+          if g.Ir.gpu_id <> mg then g
+          else
+            {
+              g with
+              Ir.tbs =
+                Array.map
+                  (fun (t : Ir.tb) ->
+                    if t.Ir.tb_id <> mt then t
+                    else
+                      {
+                        t with
+                        Ir.steps =
+                          Array.map
+                            (fun (st : Ir.step) ->
+                              if st.Ir.s <> ms then st
+                              else
+                                {
+                                  st with
+                                  Ir.depends =
+                                    List.filter (( <> ) dep) st.Ir.depends;
+                                })
+                            t.Ir.steps;
+                      })
+                  g.Ir.tbs;
+            })
+        ir.Ir.gpus;
+  }
+
 (* Strip each [depends] edge of compiled ring-allreduce in turn. Every
    mutant whose edge was load-bearing (the pair is no longer ordered)
    must either be flagged by the race detector or fail verification; at
@@ -457,59 +502,12 @@ let test_mutation_catches_stripped_depends () =
         verify = false;
       }
   in
-  let edges = ref [] in
-  Array.iter
-    (fun (g : Ir.gpu) ->
-      Array.iter
-        (fun (t : Ir.tb) ->
-          Array.iter
-            (fun (st : Ir.step) ->
-              List.iter
-                (fun dep ->
-                  edges := (g.Ir.gpu_id, t.Ir.tb_id, st.Ir.s, dep) :: !edges)
-                st.Ir.depends)
-            t.Ir.steps)
-        g.Ir.tbs)
-    ir.Ir.gpus;
-  if !edges = [] then Alcotest.fail "ring-allreduce has no depends edges";
-  let strip (mg, mt, ms, dep) =
-    {
-      ir with
-      Ir.gpus =
-        Array.map
-          (fun (g : Ir.gpu) ->
-            if g.Ir.gpu_id <> mg then g
-            else
-              {
-                g with
-                Ir.tbs =
-                  Array.map
-                    (fun (t : Ir.tb) ->
-                      if t.Ir.tb_id <> mt then t
-                      else
-                        {
-                          t with
-                          Ir.steps =
-                            Array.map
-                              (fun (st : Ir.step) ->
-                                if st.Ir.s <> ms then st
-                                else
-                                  {
-                                    st with
-                                    Ir.depends =
-                                      List.filter (( <> ) dep) st.Ir.depends;
-                                  })
-                              t.Ir.steps;
-                        })
-                    g.Ir.tbs;
-              })
-          ir.Ir.gpus;
-    }
-  in
+  let edges = depends_edges ir in
+  if edges = [] then Alcotest.fail "ring-allreduce has no depends edges";
   let caught = ref 0 in
   List.iter
     (fun ((mg, mt, ms, (dtb, dstep)) as edge) ->
-      let mutant = strip edge in
+      let mutant = strip ir edge in
       let hb =
         Hbgraph.build
           ~fifo_slots:(T.Protocol.num_slots mutant.Ir.proto)
@@ -532,7 +530,7 @@ let test_mutation_catches_stripped_depends () =
                  unnoticed"
                 dtb dstep mg mt ms
       end)
-    !edges;
+    edges;
   Alcotest.(check bool) "at least one mutant yields a race error" true
     (!caught > 0)
 
@@ -552,7 +550,8 @@ let prop_random_footprints =
     (fun seed ->
       let rng = F.Rng.create seed in
       Testutil.races_agree
-        (Testutil.gen_ir ~multi:true ~cyclic:(seed mod 2 = 1) ~footprints:true rng))
+        (Testutil.gen_ir ~multi:true ~cyclic:(seed mod 2 = 1) ~footprints:true
+           rng))
 
 (* Registry programs at 2x4 with 0-2 random [depends] edges stripped:
    compiler-shaped access patterns, clean and racy. *)
@@ -574,50 +573,6 @@ let registry_2x4 =
        H.Registry.all
      |> Array.of_list)
 
-let strip_depends rng (ir : Ir.t) k =
-  let edges = ref [] in
-  Ir.iter_steps ir (fun g tb st ->
-      List.iteri
-        (fun j _ -> edges := (g.Ir.gpu_id, tb.Ir.tb_id, st.Ir.s, j) :: !edges)
-        st.Ir.depends);
-  let edges = Array.of_list !edges in
-  let gone =
-    List.init (if edges = [||] then 0 else k) (fun _ ->
-        edges.(F.Rng.int rng (Array.length edges)))
-  in
-  {
-    ir with
-    Ir.gpus =
-      Array.map
-        (fun (g : Ir.gpu) ->
-          {
-            g with
-            Ir.tbs =
-              Array.map
-                (fun (tb : Ir.tb) ->
-                  {
-                    tb with
-                    Ir.steps =
-                      Array.map
-                        (fun (st : Ir.step) ->
-                          {
-                            st with
-                            Ir.depends =
-                              List.filteri
-                                (fun j _ ->
-                                  not
-                                    (List.mem
-                                       (g.Ir.gpu_id, tb.Ir.tb_id, st.Ir.s, j)
-                                       gone))
-                                st.Ir.depends;
-                          })
-                        tb.Ir.steps;
-                  })
-                g.Ir.tbs;
-          })
-        ir.Ir.gpus;
-  }
-
 let prop_registry_stripped =
   Testutil.qtest ~count:100 "registry 2x4, depends stripped, equals naive"
     Q.(make ~print:string_of_int Gen.(int_bound 1_000_000))
@@ -625,7 +580,15 @@ let prop_registry_stripped =
       let rng = F.Rng.create seed in
       let progs = Lazy.force registry_2x4 in
       let ir = progs.(F.Rng.int rng (Array.length progs)) in
-      Testutil.races_agree (strip_depends rng ir (F.Rng.int rng 3)))
+      let edges = Array.of_list (depends_edges ir) in
+      let mutant =
+        if edges = [||] then ir
+        else
+          List.fold_left strip ir
+            (List.init (F.Rng.int rng 3) (fun _ ->
+                 edges.(F.Rng.int rng (Array.length edges))))
+      in
+      Testutil.races_agree mutant)
 
 (* The hostile dependency chain: two blocks of [n] copies, all on i[0]
    and o[0], every step of the second waiting on the first's last. The
@@ -642,7 +605,8 @@ let test_chain_lint_bound () =
   let ds = Lint.run ir in
   let dt = Unix.gettimeofday () -. t0 in
   Alcotest.(check int) "no errors" 0 (List.length (Lint.errors ds));
-  if dt > 0.5 then Alcotest.failf "lint took %.2f s on the chain (bound 0.5 s)" dt
+  if dt > 0.5 then
+    Alcotest.failf "lint took %.2f s on the chain (bound 0.5 s)" dt
 
 let () =
   Alcotest.run "races"

@@ -266,6 +266,8 @@ module Random_routing = struct
     Program.trace collective (build_program ?channels seed)
 end
 
+module F = Msccl_fuzz
+
 (* [gen_ir rng] draws a single-GPU IR whose only edges are program order
    and depends on a strictly smaller step index: a DAG by construction.
    [~multi:true] draws 2-4 GPUs whose thread blocks also send to and
@@ -279,13 +281,13 @@ end
    makes the collective in-place half of the time, so input and output
    alias. *)
 let gen_ir ?(multi = false) ?(cyclic = false) ?(footprints = false) rng =
-  let ngpus = if multi then 2 + Msccl_fuzz.Rng.int rng 3 else 1 in
+  let ngpus = if multi then 2 + F.Rng.int rng 3 else 1 in
   let gpu g =
-    let ntbs = 1 + Msccl_fuzz.Rng.int rng 4 in
-    let steps_of = Array.init ntbs (fun _ -> 1 + Msccl_fuzz.Rng.int rng 6) in
+    let ntbs = 1 + F.Rng.int rng 4 in
+    let steps_of = Array.init ntbs (fun _ -> 1 + F.Rng.int rng 6) in
     let peer () =
-      if multi && Msccl_fuzz.Rng.int rng 4 > 0 then
-        (g + 1 + Msccl_fuzz.Rng.int rng (ngpus - 1)) mod ngpus
+      if multi && F.Rng.int rng 4 > 0 then
+        (g + 1 + F.Rng.int rng (ngpus - 1)) mod ngpus
       else -1
     in
     let deps = Hashtbl.create 16 in
@@ -308,27 +310,25 @@ let gen_ir ?(multi = false) ?(cyclic = false) ?(footprints = false) rng =
                 let depends = ref [] in
                 Array.iteri
                   (fun otb osteps ->
-                    if otb <> tb_id && (s > 0 || cyclic) && Msccl_fuzz.Rng.int rng 3 = 0
+                    if otb <> tb_id && (s > 0 || cyclic) && F.Rng.int rng 3 = 0
                     then begin
                       let target =
-                        Msccl_fuzz.Rng.int rng (if cyclic then osteps else min osteps s)
+                        F.Rng.int rng (if cyclic then osteps else min osteps s)
                       in
                       depends := (otb, target) :: !depends;
                       Hashtbl.replace deps (otb, target) ()
                     end)
                   steps_of;
-                let op = Msccl_fuzz.Rng.pick rng ops in
+                let op = F.Rng.pick rng ops in
                 let loc () =
                   if footprints && op <> Instr.Nop then
                     Some
                       (Loc.make ~rank:g
-                         ~buf:
-                           (Msccl_fuzz.Rng.pick rng
-                              [ Buffer_id.Input; Buffer_id.Output; Buffer_id.Scratch ])
+                         ~buf:(F.Rng.pick rng Buffer_id.all)
                          ~index:
-                           ((if Msccl_fuzz.Rng.int rng 8 = 0 then 1000 else 0)
-                           + Msccl_fuzz.Rng.int rng 6)
-                         ~count:(1 + Msccl_fuzz.Rng.int rng 3))
+                           ((if F.Rng.int rng 8 = 0 then 1000 else 0)
+                           + F.Rng.int rng 6)
+                         ~count:(1 + F.Rng.int rng 3))
                   else None
                 in
                 let src = loc () in
@@ -343,7 +343,7 @@ let gen_ir ?(multi = false) ?(cyclic = false) ?(footprints = false) rng =
                   has_dep = false;
                 })
           in
-          let chan = if multi then Msccl_fuzz.Rng.int rng 2 else tb_id in
+          let chan = if multi then F.Rng.int rng 2 else tb_id in
           { Ir.tb_id; send; recv; chan; steps })
     in
     (* Mark every depends target so the IR passes validation rules. *)
@@ -367,7 +367,7 @@ let gen_ir ?(multi = false) ?(cyclic = false) ?(footprints = false) rng =
     Ir.name = "hbgraph-random";
     collective =
       Collective.make Collective.Allreduce ~num_ranks:ngpus
-        ~inplace:(footprints && Msccl_fuzz.Rng.int rng 2 = 0)
+        ~inplace:(footprints && F.Rng.int rng 2 = 0)
         ();
     proto = Msccl_topology.Protocol.Simple;
     gpus = Array.init ngpus gpu;
@@ -452,7 +452,9 @@ let naive_find (ir : Ir.t) =
    lists exactly the naive reference's races. *)
 let races_agree ir =
   let naive = naive_find ir in
-  let orbit = (Msccl_analysis.Symmetry.infer ir).Msccl_analysis.Symmetry.s_orbit in
+  let orbit =
+    (Msccl_analysis.Symmetry.infer ir).Msccl_analysis.Symmetry.s_orbit
+  in
   Races.find ir = naive && Races.find ~orbit ir = naive
 
 let qtest ?(count = 100) name arb prop =
