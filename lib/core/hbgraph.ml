@@ -113,42 +113,6 @@ let group k len ~key ~value =
   done;
   (start, out)
 
-(* A walk over the nodes of some blocks, in block order: connection c's
-   blocks are blks.(start.(c)) .. blks.(start.(c + 1) - 1). *)
-type cursor = {
-  start : int array;
-  blks : int array;
-  mutable j : int;  (* index into [blks] *)
-  mutable hi : int;
-  mutable i : int;  (* next node of block blks.(j), or -1 *)
-}
-
-let cursor (start, blks) = { start; blks; j = 0; hi = 0; i = -1 }
-
-let restart cur c =
-  cur.j <- cur.start.(c);
-  cur.hi <- cur.start.(c + 1);
-  cur.i <- -1
-
-(* The walk's next node whose [kind] byte has [bit] set, or -1 once it
-   is over. *)
-let rec next_endpoint first kind bit cur =
-  if cur.j >= cur.hi then -1
-  else begin
-    if cur.i < 0 then cur.i <- first.(cur.blks.(cur.j));
-    if cur.i >= first.(cur.blks.(cur.j) + 1) then begin
-      cur.j <- cur.j + 1;
-      cur.i <- -1;
-      next_endpoint first kind bit cur
-    end
-    else begin
-      let x = cur.i in
-      cur.i <- x + 1;
-      if Char.code (Bytes.unsafe_get kind x) land bit <> 0 then x
-      else next_endpoint first kind bit cur
-    end
-  end
-
 (* Records d -> i for each of step [i]'s depends that names a step of
    gpu [gid]; dangling targets and self-loops are skipped. *)
 let rec push_depends t gid i dep_src dep_dst = function
@@ -262,7 +226,6 @@ let build ?fifo_slots (ir : Ir.t) =
   in
   let kind = Bytes.make n '\000' in
   let send_conn = Array.make nblocks (-1) and recv_conn = Array.make nblocks (-1) in
-  let nsend = Array.make nblocks 0 and nrecv = Array.make nblocks 0 in
   (* One pass over the steps collects explicit depends (dangling targets
      are skipped) and the connection endpoints. *)
   let b = ref 0 in
@@ -279,13 +242,11 @@ let build ?fifo_slots (ir : Ir.t) =
               if Instr.sends st.Ir.op then begin
                 if send_conn.(blk) < 0 then
                   send_conn.(blk) <- conn (gid, tb.Ir.send, tb.Ir.chan);
-                nsend.(blk) <- nsend.(blk) + 1;
                 Bytes.unsafe_set kind i '\001'
               end;
               if Instr.receives st.Ir.op then begin
                 if recv_conn.(blk) < 0 then
                   recv_conn.(blk) <- conn (tb.Ir.recv, gid, tb.Ir.chan);
-                nrecv.(blk) <- nrecv.(blk) + 1;
                 Bytes.unsafe_set kind i
                   (Char.unsafe_chr (Char.code (Bytes.unsafe_get kind i) lor 2))
               end)
@@ -293,25 +254,22 @@ let build ?fifo_slots (ir : Ir.t) =
           incr b)
         g.Ir.tbs)
     gpus;
-  (* Each connection's sending and receiving blocks, in IR order. *)
+  (* Each connection's sending and receiving nodes, in IR order; the
+     nodes that do not send (receive) fill a spare last bucket. *)
   let nconn = Hashtbl.length conn_ids in
-  let by_conn conn_of =
-    group (nconn + 1) nblocks
-      ~key:(fun b -> if conn_of.(b) < 0 then nconn else conn_of.(b))
+  let by_conn bit conn_of =
+    group (nconn + 1) n
+      ~key:(fun i ->
+        if Char.code (Bytes.unsafe_get kind i) land bit <> 0 then
+          conn_of.(block_of.(i))
+        else nconn)
       ~value:Fun.id
   in
-  let senders = by_conn send_conn and receivers = by_conn recv_conn in
+  let s0, ss = by_conn 1 send_conn and r0, rs = by_conn 2 recv_conn in
   let keys = Array.of_list (List.rev !conn_keys) in
-  let count (start, blks) per c =
-    let k = ref 0 in
-    for j = start.(c) to start.(c + 1) - 1 do
-      k := !k + per.(blks.(j))
-    done;
-    !k
-  in
   let mismatches = ref [] in
   for c = 0 to nconn - 1 do
-    let ns = count senders nsend c and nr = count receivers nrecv c in
+    let ns = s0.(c + 1) - s0.(c) and nr = r0.(c + 1) - r0.(c) in
     if ns <> nr then begin
       let src, dst, ch = keys.(c) in
       mismatches := (src, dst, ch, ns, nr) :: !mismatches
@@ -330,25 +288,13 @@ let build ?fifo_slots (ir : Ir.t) =
     for e = 0 to dep_src.len - 1 do
       f dep_src.a.(e) dep_dst.a.(e)
     done;
-    let send = cursor senders and recv = cursor receivers in
-    let freed = cursor receivers in
     for c = 0 to nconn - 1 do
-      restart send c;
-      restart recv c;
-      restart freed c;
-      let k = ref 0 and more = ref true in
-      while !more do
-        let s = next_endpoint first kind 1 send in
-        let r = next_endpoint first kind 2 recv in
-        if s >= 0 && r >= 0 then begin
-          edge s r;
-          (match fifo_slots with
-          | Some slots when !k >= slots ->
-              edge (next_endpoint first kind 2 freed) s
-          | Some _ | None -> ());
-          incr k
-        end
-        else more := false
+      let s = s0.(c) and r = r0.(c) in
+      for k = 0 to Int.min (s0.(c + 1) - s) (r0.(c + 1) - r) - 1 do
+        edge ss.(s + k) rs.(r + k);
+        match fifo_slots with
+        | Some slots when k >= slots -> edge rs.(r + k - slots) ss.(s + k)
+        | Some _ | None -> ()
       done
     done
   in
@@ -456,8 +402,7 @@ let longest_path t =
    1. pos(a) >= pos(b) answers "no" outright;
    2. a same-GPU pair ordered by intra-GPU edges alone (program order and
       depends, which are same-GPU by construction) is a bit test in that
-      GPU's closure — k^2 bits for k local steps, one GPU at a time, and
-      only for k up to [max_local];
+      GPU's closure — k^2 bits for k local steps, one GPU at a time;
    3. anything else (cross-GPU pairs, ordering routed through another
       GPU) is a search that never expands a node at or past pos(b).
 
@@ -564,14 +509,8 @@ let local_rows t gpu =
     t.local_stride <- stride
   end
 
-(* A GPU with more steps than this is searched instead: its closure
-   would take over 32 MiB. *)
-let max_local = 16384
-
 let local_bit t g a b =
-  t.gpu_hi.(g) - t.gpu_lo.(g) <= max_local
-  &&
-  let () = local_rows t g in
+  local_rows t g;
   let lo = t.gpu_lo.(g) in
   let byte = ((a - lo) * t.local_stride) + ((b - lo) lsr 3) in
   let bit = 1 lsl ((b - lo) land 7) in

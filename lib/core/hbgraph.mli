@@ -30,8 +30,7 @@
     order, positions, cycle size and (weighted) longest paths are all
     read off that one pass. Reachability has one path: on a DAG, a query
     is refuted by topological position, answered by the per-GPU closure
-    (a bitset per local step, built for one GPU at a time and only for
-    GPUs of at most 16384 steps), or settled by a search that never
+    (a bitset per local step, built for one GPU at a time), or settled by a search that never
     expands a node past the target's position; a graph with a cycle is
     searched by plain DFS. Searches mark visited nodes with a per-query
     stamp, so once the order and the closure exist, {!reaches} and

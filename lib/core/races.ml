@@ -88,9 +88,7 @@ let buf_ix (l : Loc.t) =
   | Buffer_id.Scratch -> 2
 
 (* The distinct segment boundaries [index] and [index + count] of the
-   accesses to buffer [b], sorted. Boundaries are chunk indices: when they
-   are dense enough, marking them in a bitmap sorts them without
-   comparisons. *)
+   accesses to buffer [b], sorted. *)
 let boundaries accs b =
   let p = ref [] in
   Array.iter
@@ -98,21 +96,7 @@ let boundaries accs b =
       if buf_ix a.loc = b then
         p := a.loc.Loc.index :: (a.loc.Loc.index + a.loc.Loc.count) :: !p)
     accs;
-  let p = Array.of_list !p in
-  let top = Array.fold_left Int.max 0 p in
-  if top <= (4 * Array.length p) + 64 then begin
-    let marked = Bytes.make (top + 1) '\000' in
-    Array.iter (fun x -> Bytes.unsafe_set marked x '\001') p;
-    let len = ref 0 in
-    for x = 0 to top do
-      if Bytes.unsafe_get marked x <> '\000' then begin
-        p.(!len) <- x;
-        incr len
-      end
-    done;
-    Array.sub p 0 !len
-  end
-  else Array.of_list (List.sort_uniq Int.compare (Array.to_list p))
+  Array.of_list (List.sort_uniq Int.compare !p)
 
 (* Race freedom of one GPU's accesses, certified in one pass over
    topological positions. Each buffer's index space is cut into

@@ -592,8 +592,11 @@ let prop_registry_stripped =
 
 (* The hostile dependency chain: two blocks of [n] copies, all on i[0]
    and o[0], every step of the second waiting on the first's last. The
-   pairwise sweep asks O(n^2) queries (about 15 s at n = 8000 on a 2.1
-   GHz Xeon); the certificate asks O(n) and must stay far below. *)
+   pairwise sweep asks O(n^2) reachability queries (lint took about 15 s
+   at n = 8000 on a 2.1 GHz Xeon); the certificate asks O(n). Lint must
+   accept the chain, and race detection on the graph lint builds must ask
+   at most four queries per step, a count that does not depend on the
+   machine. *)
 let test_chain_lint_bound () =
   let doc = Hostile_docs.dependency_chain ~n:8000 () in
   let ir =
@@ -601,12 +604,17 @@ let test_chain_lint_bound () =
     | Ok (ir, _) -> ir
     | Error _ -> Alcotest.fail "the dependency chain was rejected"
   in
-  let t0 = Unix.gettimeofday () in
-  let ds = Lint.run ir in
-  let dt = Unix.gettimeofday () -. t0 in
-  Alcotest.(check int) "no errors" 0 (List.length (Lint.errors ds));
-  if dt > 0.5 then
-    Alcotest.failf "lint took %.2f s on the chain (bound 0.5 s)" dt
+  Alcotest.(check int) "no errors" 0 (List.length (Lint.errors (Lint.run ir)));
+  let hb =
+    Hbgraph.build
+      ~fifo_slots:(T.Protocol.num_slots ir.Ir.proto)
+      ir
+  in
+  Alcotest.(check int) "no races" 0 (List.length (Races.find ~hb ir));
+  let st = Hbgraph.stats hb in
+  if st.Hbgraph.st_queries > 4 * st.Hbgraph.st_nodes then
+    Alcotest.failf "%d reachability queries on %d steps (bound 4 per step)"
+      st.Hbgraph.st_queries st.Hbgraph.st_nodes
 
 let () =
   Alcotest.run "races"
