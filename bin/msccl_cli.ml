@@ -540,7 +540,8 @@ let analyze_cmd =
   let symmetry_arg =
     let doc =
       "Infer and certify rank-permutation symmetries and report the rank \
-       orbits; race queries then run on one representative per orbit."
+       orbits; the provenance pass then interprets one representative per \
+       orbit."
     in
     Arg.(value & flag & info [ "symmetry" ] ~doc)
   in
@@ -562,16 +563,11 @@ let analyze_cmd =
     in
     if json then begin
       (* Drive the race pass explicitly so the happens-before stats are
-         real; under --symmetry it sweeps one representative per orbit. *)
+         real. *)
       let hb =
         Hbgraph.build ~fifo_slots:(T.Protocol.num_slots ir.Ir.proto) ir
       in
-      let races =
-        match sym with
-        | Some s when Msccl_analysis.Symmetry.certified s ->
-            Races.find ~hb ~orbit:s.Msccl_analysis.Symmetry.s_orbit ir
-        | _ -> Races.find ~hb ir
-      in
+      let races = Races.find ~hb ir in
       let sym_field =
         match sym with
         | None -> ""

@@ -135,7 +135,8 @@ val check : ?symmetry:Symmetry.t -> Ir.t -> (unit, diag list) result
 val lint : ?symmetry:Symmetry.t -> Ir.t -> Lint.diagnostic list
 (** Just the three dataflow lint rules, as registered {!Lint} rules
     (sorted with {!Lint.compare_diag}); quotient runs scan representative
-    ranks and suffix the folded member count like {!Lint.run}. *)
+    ranks and suffix the folded member count with
+    {!Orbit.symmetric_suffix}. *)
 
 val report_json : report -> string
 (** [{"mode", "orbits", "interpreted_ranks", "steps_interpreted",

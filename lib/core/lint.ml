@@ -184,23 +184,13 @@ let diag ?at id fmt =
 (* Rules                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let check_races hb ?orbit ~sfx (ir : Ir.t) =
-  let races =
-    match orbit with
-    | None -> Races.find ~hb ir
-    | Some orbit ->
-        (* Quotient sweep; keep only each orbit representative's races and
-           dedup the symmetric copies into the message suffix. *)
-        List.filter
-          (fun (r : Races.race) -> orbit.Orbit.rep.(r.Races.r_gpu) = r.Races.r_gpu)
-          (Races.find ~hb ~orbit ir)
-  in
+let check_races hb (ir : Ir.t) =
   List.map
     (fun (r : Races.race) ->
       diag
         ~at:{ at_gpu = r.Races.r_gpu; at_tb = r.Races.r_tb1; at_step = r.Races.r_step1 }
-        "race" "%a%s" Races.pp_race r (sfx r.Races.r_gpu))
-    races
+        "race" "%a" Races.pp_race r)
+    (Races.find ~hb ir)
 
 let check_fifo_deadlock hb slots =
   match Hbgraph.cycle_size hb with
@@ -218,17 +208,9 @@ let check_conn_mismatch hb =
         src dst ch sends recvs)
     (Hbgraph.mismatched_connections hb)
 
-(* [Ir.iter_steps] restricted to the GPUs lint actually scans (orbit
-   representatives under a certified symmetry, every GPU otherwise). *)
-let iter_sel_steps (sel : Ir.gpu array) f =
-  Array.iter
-    (fun (g : Ir.gpu) ->
-      Array.iter (fun tb -> Array.iter (fun st -> f g tb st) tb.Ir.steps) g.Ir.tbs)
-    sel
-
-let check_dangling_depends ~sel ~sfx (_ir : Ir.t) =
+let check_dangling_depends (ir : Ir.t) =
   let out = ref [] in
-  iter_sel_steps sel (fun g tb st ->
+  Ir.iter_steps ir (fun g tb st ->
       let at =
         { at_gpu = g.Ir.gpu_id; at_tb = tb.Ir.tb_id; at_step = st.Ir.s }
       in
@@ -236,28 +218,28 @@ let check_dangling_depends ~sel ~sfx (_ir : Ir.t) =
         (fun (dtb, dstep) ->
           if dtb < 0 || dtb >= Array.length g.Ir.tbs then
             out :=
-              diag ~at "dangling-depends" "depends on unknown thread block %d%s"
-                dtb (sfx g.Ir.gpu_id)
+              diag ~at "dangling-depends" "depends on unknown thread block %d"
+                dtb
               :: !out
           else if dstep < 0 || dstep >= Array.length g.Ir.tbs.(dtb).Ir.steps
           then
             out :=
-              diag ~at "dangling-depends" "depends on unknown step (%d, %d)%s"
-                dtb dstep (sfx g.Ir.gpu_id)
+              diag ~at "dangling-depends" "depends on unknown step (%d, %d)"
+                dtb dstep
               :: !out
           else if dtb = tb.Ir.tb_id then
             out :=
               diag ~at "dangling-depends"
                 "depends on its own thread block (program order already \
-                 covers step %d)%s"
-                dstep (sfx g.Ir.gpu_id)
+                 covers step %d)"
+                dstep
               :: !out
           else if not g.Ir.tbs.(dtb).Ir.steps.(dstep).Ir.has_dep then
             out :=
               diag ~at "dangling-depends"
                 "depends on (%d, %d) which is not marked has_dep: the \
-                 runtime will not post its semaphore%s"
-                dtb dstep (sfx g.Ir.gpu_id)
+                 runtime will not post its semaphore"
+                dtb dstep
               :: !out)
         st.Ir.depends)
       ;
@@ -268,9 +250,9 @@ let declared_size (g : Ir.gpu) = function
   | Buffer_id.Output -> g.Ir.output_chunks
   | Buffer_id.Scratch -> g.Ir.scratch_chunks
 
-let check_oob ~sel ~sfx (ir : Ir.t) =
+let check_oob (ir : Ir.t) =
   let out = ref [] in
-  iter_sel_steps sel (fun g tb st ->
+  Ir.iter_steps ir (fun g tb st ->
       let at =
         { at_gpu = g.Ir.gpu_id; at_tb = tb.Ir.tb_id; at_step = st.Ir.s }
       in
@@ -279,14 +261,13 @@ let check_oob ~sel ~sfx (ir : Ir.t) =
           let size = declared_size g l.Loc.buf in
           if l.Loc.index + l.Loc.count > size then
             out :=
-              diag ~at "oob-access" "%s %s[%d..%d] but gpu %d declares %d %s chunk(s)%s"
+              diag ~at "oob-access" "%s %s[%d..%d] but gpu %d declares %d %s chunk(s)"
                 (if w then "writes" else "reads")
                 (Buffer_id.long_name l.Loc.buf)
                 l.Loc.index
                 (l.Loc.index + l.Loc.count - 1)
                 g.Ir.gpu_id size
                 (Buffer_id.long_name l.Loc.buf)
-                (sfx g.Ir.gpu_id)
               :: !out)
         (Races.footprint ir st));
   !out
@@ -301,7 +282,7 @@ end)
    sorted interval boundaries, so memory is O(accesses) however many
    chunks the GPU declares. Between two consecutive boundaries every
    index has the same written/read status and the same first writer. *)
-let check_scratch ~sel ~sfx (ir : Ir.t) =
+let check_scratch (ir : Ir.t) =
   let out = ref [] in
   Array.iter
     (fun (g : Ir.gpu) ->
@@ -355,8 +336,8 @@ let check_scratch ~sel ~sfx (ir : Ir.t) =
                 diag
                   ~at:{ at_gpu = g.Ir.gpu_id; at_tb = tb; at_step = s }
                   "dead-scratch"
-                  "gpu %d scratch[%d..%d] is written but never read%s"
-                  g.Ir.gpu_id lo (here - 1) (sfx g.Ir.gpu_id)
+                  "gpu %d scratch[%d..%d] is written but never read"
+                  g.Ir.gpu_id lo (here - 1)
                 :: !out;
               dead := None
           | None when is_dead -> dead := Some (here, Writers.min_elt !writers)
@@ -368,14 +349,18 @@ let check_scratch ~sel ~sfx (ir : Ir.t) =
         if untouched > 0 then
           out :=
             diag "unused-scratch"
-              "gpu %d declares %d scratch chunk(s) but %d are never accessed%s"
-              g.Ir.gpu_id size untouched (sfx g.Ir.gpu_id)
+              "gpu %d declares %d scratch chunk(s) but %d are never accessed"
+              g.Ir.gpu_id size untouched
             :: !out
       end)
-    sel;
+    ir.Ir.gpus;
   !out
 
-let check_channel_contention ~max_tbs_per_channel ~sel ~sfx =
+(* Thread blocks with connections per (gpu, channel) above which the
+   channel-contention rule fires. *)
+let max_tbs_per_channel = 8
+
+let check_channel_contention (ir : Ir.t) =
   let out = ref [] in
   Array.iter
     (fun (g : Ir.gpu) ->
@@ -392,11 +377,11 @@ let check_channel_contention ~max_tbs_per_channel ~sel ~sfx =
             out :=
               diag "channel-contention"
                 "gpu %d channel %d is shared by %d thread blocks (threshold \
-                 %d); consider spreading connections over more channels%s"
-                g.Ir.gpu_id chan n max_tbs_per_channel (sfx g.Ir.gpu_id)
+                 %d); consider spreading connections over more channels"
+                g.Ir.gpu_id chan n max_tbs_per_channel
               :: !out)
         per_chan)
-    sel;
+    ir.Ir.gpus;
   !out
 
 (* ------------------------------------------------------------------ *)
@@ -412,39 +397,18 @@ let compare_diag a b =
     (severity_rank a.d_severity, at_key a.d_at, a.d_rule, a.d_message)
     (severity_rank b.d_severity, at_key b.d_at, b.d_rule, b.d_message)
 
-let run ?fifo_slots ?(max_tbs_per_channel = 8) ?orbit (ir : Ir.t) =
-  let slots =
-    match fifo_slots with
-    | Some s -> s
-    | None -> Msccl_topology.Protocol.num_slots ir.Ir.proto
-  in
+let run (ir : Ir.t) =
+  let slots = Msccl_topology.Protocol.num_slots ir.Ir.proto in
   let hb = Hbgraph.build ~fifo_slots:slots ir in
-  (* Under a certified symmetry, per-GPU rules scan one representative per
-     orbit and each finding stands for the whole orbit; the race pass goes
-     through the quotient [Races.find ~orbit] so its result stays
-     identical to the full sweep's before dedup. Global rules (deadlock,
-     connection mismatches) always see every rank. *)
-  let orbit =
-    match orbit with
-    | Some o when not (Orbit.is_identity o) -> Some o
-    | _ -> None
-  in
-  let sel, sfx =
-    match orbit with
-    | None -> (ir.Ir.gpus, fun _ -> "")
-    | Some o ->
-        ( Array.of_list (List.map (fun r -> ir.Ir.gpus.(r)) (Orbit.reps o)),
-          fun g -> Orbit.symmetric_suffix (Orbit.orbit_size o g - 1) )
-  in
   List.concat
     [
-      check_races hb ?orbit ~sfx ir;
+      check_races hb ir;
       check_fifo_deadlock hb slots;
       check_conn_mismatch hb;
-      check_dangling_depends ~sel ~sfx ir;
-      check_oob ~sel ~sfx ir;
-      check_scratch ~sel ~sfx ir;
-      check_channel_contention ~max_tbs_per_channel ~sel ~sfx;
+      check_dangling_depends ir;
+      check_oob ir;
+      check_scratch ir;
+      check_channel_contention ir;
     ]
   |> List.sort compare_diag
 

@@ -22,9 +22,9 @@
       input/output/scratch sizes.
     - [dead-scratch] (warning): scratch chunks written but never read —
       wasted work and usually a sign of a miscomputed index.
-    - [channel-contention] (warning): more thread blocks share one
-      (gpu, channel) than [max_tbs_per_channel] — they serialize on the
-      channel's connection resources.
+    - [channel-contention] (warning): more than 8 thread blocks share
+      one (gpu, channel) — they serialize on the channel's connection
+      resources.
     - [unused-scratch] (info): declared scratch chunks never accessed.
 
     Three {e dataflow} correctness rules are registered here but produced
@@ -109,23 +109,10 @@ val compare_diag : diagnostic -> diagnostic -> int
     rule id, message: the order {!run} reports in, exposed so other
     producers (e.g. {!Perfcheck}) sort consistently. *)
 
-val run :
-  ?fifo_slots:int ->
-  ?max_tbs_per_channel:int ->
-  ?orbit:Orbit.t ->
-  Ir.t ->
-  diagnostic list
-(** Runs every rule. [fifo_slots] defaults to the IR protocol's slot
-    count; [max_tbs_per_channel] defaults to 8. Diagnostics are sorted
-    errors-first, then by location and rule.
-
-    [orbit] must come from a sound symmetry certification
-    (e.g. [Msccl_analysis.Symmetry.infer]). When given and nontrivial,
-    per-GPU rules scan one representative rank per orbit and each finding
-    is deduplicated into a single diagnostic suffixed
-    [" (and N symmetric ranks)"]; global rules (fifo-deadlock,
-    conn-mismatch) still see every rank. With the identity orbit the
-    output is byte-identical to omitting the argument. *)
+val run : Ir.t -> diagnostic list
+(** Runs every rule over every GPU, with the IR protocol's FIFO slot
+    count and a channel-contention threshold of 8 thread blocks.
+    Diagnostics are sorted errors-first, then by location and rule. *)
 
 val errors : diagnostic list -> diagnostic list
 

@@ -496,7 +496,15 @@ let analyze ~topo ?(size_bytes = default_size_bytes) (ir : Ir.t) =
 (* Perf lint rules                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let check_bandwidth ~bw_threshold (r : t) =
+(* Bandwidth efficiency below which [below-bandwidth-optimal] fires. *)
+let bw_threshold = 0.5
+
+(* Ratios to the mean at which [link-hotspot] and [tb-imbalance] fire. *)
+let hotspot_factor = 2.0
+
+let imbalance_factor = 2.0
+
+let check_bandwidth (r : t) =
   if r.bw_efficiency < bw_threshold then
     [
       Lint.diag "below-bandwidth-optimal"
@@ -509,7 +517,7 @@ let check_bandwidth ~bw_threshold (r : t) =
     ]
   else []
 
-let check_hotspots ~hotspot_factor (r : t) =
+let check_hotspots (r : t) =
   match r.link_loads with
   | [] | [ _ ] -> []
   | loaded ->
@@ -532,7 +540,7 @@ let check_hotspots ~hotspot_factor (r : t) =
             else None)
           loaded
 
-let check_tb_imbalance ~imbalance_factor (r : t) =
+let check_tb_imbalance (r : t) =
   match r.tb_loads with
   | [] | [ _ ] -> []
   | loads ->
@@ -680,16 +688,15 @@ let check_missed_fusion (ir : Ir.t) =
     ir.Ir.gpus;
   !out
 
-let lint ~topo ?size_bytes ?(bw_threshold = 0.5) ?(hotspot_factor = 2.0)
-    ?(imbalance_factor = 2.0) ?(dataflow = true) (ir : Ir.t) =
+let lint ~topo ?size_bytes (ir : Ir.t) =
   let r = analyze ~topo ?size_bytes ir in
   let diags =
     List.concat
       [
-        check_bandwidth ~bw_threshold r;
-        check_hotspots ~hotspot_factor r;
-        check_tb_imbalance ~imbalance_factor r;
-        (if dataflow then check_redundant_sends ir else []);
+        check_bandwidth r;
+        check_hotspots r;
+        check_tb_imbalance r;
+        check_redundant_sends ir;
         check_missed_fusion ir;
       ]
     |> List.sort Lint.compare_diag

@@ -116,20 +116,14 @@ val analyze :
 val lint :
   topo:Msccl_topology.Topology.t ->
   ?size_bytes:int ->
-  ?bw_threshold:float ->
-  ?hotspot_factor:float ->
-  ?imbalance_factor:float ->
-  ?dataflow:bool ->
   Ir.t ->
   t * Lint.diagnostic list
 (** Runs {!analyze} plus every perf rule, returning the report and the
-    sorted findings. [bw_threshold] (default 0.5) gates
-    [below-bandwidth-optimal]; [hotspot_factor] and [imbalance_factor]
-    (default 2.0) are the ratios to the mean that flag [link-hotspot] and
-    [tb-imbalance]; [dataflow] (default true) enables the symbolic
-    execution behind [redundant-send] — turn it off for very large IRs.
-    Never raises on IR the correctness lint would reject: the dataflow
-    pass reports what it saw before the executor failed. *)
+    sorted findings. [below-bandwidth-optimal] fires under a bandwidth
+    efficiency of 0.5; [link-hotspot] and [tb-imbalance] fire at 2.0
+    times the mean. [redundant-send] comes from symbolic execution of
+    the IR. Never raises on IR the correctness lint would reject: the
+    dataflow pass reports what it saw before the executor failed. *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable report (times in µs). *)

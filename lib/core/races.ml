@@ -17,8 +17,8 @@ type race = {
   r_hi : int;
 }
 
-(* One local access of a step: its happens-before node (-1 where none
-   is needed), coordinates, kind and canonical location. *)
+(* One local access of a step: its happens-before node, coordinates,
+   kind and canonical location. *)
 type access = { node : int; tb : int; step : int; write : bool; loc : Loc.t }
 
 (* Calls [f is_write loc] on each local access of [st], reads first,
@@ -249,70 +249,13 @@ let find_gpu hb (ir : Ir.t) (g : Ir.gpu) =
     Hashtbl.create 1
   else sweep hb g.Ir.gpu_id accs
 
-(* Expansion of a representative's racy step pair to an orbit member:
-   the member's corresponding steps are racy iff the representative's are
-   (the certified automorphism preserves happens-before both ways and its
-   per-buffer chunk bijection preserves overlap), so no reachability
-   query is needed — only the member's own footprints, whose overlapping
-   location pairs rebuild exactly the records the direct sweep would
-   have kept. *)
-let expand_pair (ir : Ir.t) (gm : Ir.gpu) (tb1, s1) (tb2, s2) seen =
-  let accesses tb step =
-    List.map
-      (fun (write, loc) -> { node = -1; tb; step; write; loc })
-      (footprint ir gm.Ir.tbs.(tb).Ir.steps.(step))
-  in
-  let f2 = accesses tb2 s2 in
-  List.iter
-    (fun a ->
-      List.iter
-        (fun b ->
-          if
-            (a.write || b.write)
-            && Buffer_id.equal a.loc.Loc.buf b.loc.Loc.buf
-            && a.loc.Loc.index < b.loc.Loc.index + b.loc.Loc.count
-            && b.loc.Loc.index < a.loc.Loc.index + a.loc.Loc.count
-          then add_race seen gm.Ir.gpu_id a b)
-        f2)
-    (accesses tb1 s1)
-
-let find ?hb ?orbit (ir : Ir.t) =
+let find ?hb (ir : Ir.t) =
   let hb = match hb with Some h -> h | None -> build_hb ir in
   let races = ref [] in
-  let keep seen = Hashtbl.iter (fun _key r -> races := r :: !races) seen in
-  (match orbit with
-  | None -> Array.iter (fun g -> keep (find_gpu hb ir g)) ir.Ir.gpus
-  | Some (o : Orbit.t) ->
-      (* Non-representative members per representative, in one pass. *)
-      let members = Array.make (Array.length o.Orbit.rep) [] in
-      Array.iteri
-        (fun m rep -> if m <> rep then members.(rep) <- m :: members.(rep))
-        o.Orbit.rep;
-      Array.iteri
-        (fun rep ms ->
-          if o.Orbit.rep.(rep) = rep then begin
-            let seen = find_gpu hb ir ir.Ir.gpus.(rep) in
-            keep seen;
-            (* Distinct racy step pairs at the representative (a pair can
-               carry several hazard keys; expand it once). *)
-            let pairs = Hashtbl.create 16 in
-            Hashtbl.iter
-              (fun _ r ->
-                Hashtbl.replace pairs (r.r_tb1, r.r_step1, r.r_tb2, r.r_step2) ())
-              seen;
-            List.iter
-              (fun m ->
-                let tb_of = o.Orbit.tb_of_rep.(m) in
-                let mseen = Hashtbl.create 16 in
-                Hashtbl.iter
-                  (fun (tb1, s1, tb2, s2) () ->
-                    expand_pair ir ir.Ir.gpus.(m)
-                      (tb_of.(tb1), s1) (tb_of.(tb2), s2) mseen)
-                  pairs;
-                keep mseen)
-              ms
-          end)
-        members);
+  Array.iter
+    (fun g ->
+      Hashtbl.iter (fun _key r -> races := r :: !races) (find_gpu hb ir g))
+    ir.Ir.gpus;
   List.sort compare !races
 
 let pp_race fmt r =

@@ -38,7 +38,7 @@ type race = {
   r_hi : int;  (** overlapping chunk range, inclusive *)
 }
 
-val find : ?hb:Hbgraph.t -> ?orbit:Orbit.t -> Ir.t -> race list
+val find : ?hb:Hbgraph.t -> Ir.t -> race list
 (** All racy pairs, sorted by location. [hb] defaults to
     [Hbgraph.build ~fifo_slots:(Protocol.num_slots ir.proto) ir]; pass a
     prebuilt graph to share its order and closures with other analyses.
@@ -54,15 +54,7 @@ val find : ?hb:Hbgraph.t -> ?orbit:Orbit.t -> Ir.t -> race list
     (or an access has a nonpositive count), and every GPU of a cyclic
     graph, runs the pairwise sweep that builds the race records, so the
     result is the sweep's in every case. Every certificate query is one
-    the sweep would also ask.
-
-    Without [orbit] every GPU is checked directly. With a certified
-    rank-orbit partition the certificate, the sweep and their
-    happens-before queries run on one representative GPU per orbit, and each racy step pair is expanded
-    to every orbit member through the orbit's thread-block maps,
-    recomputing the witness range from the member's own footprints. With
-    an orbit produced by a sound symmetry certification the result is
-    identical to omitting it — same records, same order. *)
+    the sweep would also ask. *)
 
 val footprint : Ir.t -> Ir.step -> (bool * Loc.t) list
 (** The step's local accesses as [(is_write, loc)] with the buffer already

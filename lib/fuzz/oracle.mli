@@ -18,11 +18,10 @@ type id =
           {!Msccl_core.Lint.run} must all report clean (lint: no
           error-severity findings) on compiler output. *)
   | Symmetry
-      (** {!Msccl_core.Races.find} under inferred-and-certified rank
-          orbits must report exactly what the direct sweep reports — on the compiled IR and on a
-          {!Mutate.break_symmetry} mutant, where certification must also
-          notice the broken symmetry and fall back rather than silently
-          under-report. *)
+      (** {!Msccl_analysis.Symmetry.infer} on a {!Mutate.break_symmetry}
+          mutant of the compiled IR must not certify: certification has
+          to notice the broken symmetry rather than let orbit-quotient
+          analyses silently under-report. *)
   | Provenance
       (** The static chunk-provenance verdict
           ({!Msccl_analysis.Provenance.check}) must equal the executor's
