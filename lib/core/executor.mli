@@ -51,15 +51,21 @@ type 'v interp = {
 }
 (** The value domain: how a step at [at] reads, writes and combines. *)
 
-type 'v comm = {
-  recv_ready : Ir.gpu -> Ir.tb -> bool;
-  pop : Ir.gpu -> Ir.tb -> 'v array * at;
+type 'v port = {
+  recv_ready : unit -> bool;
+  pop : unit -> 'v array * at;
       (** The next message for the thread block, with its sending step. *)
-  send_ready : Ir.gpu -> Ir.tb -> bool;
-  push : Ir.gpu -> Ir.tb -> 'v array * at -> unit;
+  send_ready : unit -> bool;
+  push : 'v array * at -> unit;
 }
-(** A communication backend, addressed by the thread block's own
-    [recv]/[send] peers and channel. *)
+(** One thread block's end of its connections: the inbox it receives
+    from and the outbox it sends into. *)
+
+type 'v comm = Ir.gpu -> Ir.tb -> 'v port
+(** A communication backend: connects a thread block, addressed by its
+    own [recv]/[send] peers and channel, to its port. {!schedule} connects
+    every block once, before the first step, so a backend resolves its
+    queues (and any re-addressing) there rather than per step. *)
 
 type wait =
   | Semaphore of (int * int)  (** [(tb, step)] of an unmet [depends]. *)
