@@ -45,15 +45,28 @@ let rel_peer ~rank ~num_ranks p =
   else if p >= num_ranks then num_ranks + p (* malformed: verbatim *)
   else (p - rank + num_ranks) mod num_ranks
 
+(* [depends] entries (block, step) in lexicographic order. *)
+let compare_dep (t1, s1) (t2, s2) =
+  match Int.compare t1 t2 with 0 -> Int.compare s1 s2 | c -> c
+
 let canon_order (g : Ir.gpu) ~num_ranks =
   let nt = Array.length g.Ir.tbs in
   let rel = rel_peer ~rank:g.Ir.gpu_id ~num_ranks in
   let idx = Array.init nt (fun i -> i) in
-  let key i =
-    let tb = g.Ir.tbs.(i) in
-    (tb.Ir.chan, rel tb.Ir.send, rel tb.Ir.recv, i)
+  (* (channel, relative send, relative recv, block index) *)
+  let compare_tb a b =
+    let ta = g.Ir.tbs.(a) and tb = g.Ir.tbs.(b) in
+    match Int.compare ta.Ir.chan tb.Ir.chan with
+    | 0 -> (
+        match Int.compare (rel ta.Ir.send) (rel tb.Ir.send) with
+        | 0 -> (
+            match Int.compare (rel ta.Ir.recv) (rel tb.Ir.recv) with
+            | 0 -> Int.compare a b
+            | c -> c)
+        | c -> c)
+    | c -> c
   in
-  Array.sort (fun a b -> compare (key a) (key b)) idx;
+  Array.sort compare_tb idx;
   idx
 
 let fingerprint (ir : Ir.t) (g : Ir.gpu) =
@@ -64,32 +77,38 @@ let fingerprint (ir : Ir.t) (g : Ir.gpu) =
   let pos = Array.make nt 0 in
   Array.iteri (fun p i -> pos.(i) <- p) order;
   let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "i%d o%d s%d t%d;" g.Ir.input_chunks g.Ir.output_chunks
-       g.Ir.scratch_chunks nt);
+  (* [tag] followed by [n] in decimal. *)
+  let add_int tag n =
+    Buffer.add_string b tag;
+    Buffer.add_string b (string_of_int n)
+  in
+  add_int "i" g.Ir.input_chunks;
+  add_int " o" g.Ir.output_chunks;
+  add_int " s" g.Ir.scratch_chunks;
+  add_int " t" nt;
+  Buffer.add_char b ';';
   let add_loc = function
     | None -> Buffer.add_string b "-"
     | Some (l : Loc.t) ->
         Buffer.add_string b (Buffer_id.name l.Loc.buf);
-        Buffer.add_char b '+';
-        Buffer.add_string b (string_of_int l.Loc.count)
+        add_int "+" l.Loc.count
   in
   Array.iter
     (fun i ->
       let tb = g.Ir.tbs.(i) in
-      Buffer.add_string b
-        (Printf.sprintf "T%d,%d,%d:" tb.Ir.chan (rel tb.Ir.send)
-           (rel tb.Ir.recv));
+      add_int "T" tb.Ir.chan;
+      add_int "," (rel tb.Ir.send);
+      add_int "," (rel tb.Ir.recv);
+      Buffer.add_char b ':';
       Array.iter
         (fun (st : Ir.step) ->
           Buffer.add_string b (Instr.opcode_name st.Ir.op);
-          Buffer.add_char b ' ';
-          Buffer.add_string b (string_of_int st.Ir.count);
+          add_int " " st.Ir.count;
           add_loc st.Ir.src;
           add_loc st.Ir.dst;
           if st.Ir.has_dep then Buffer.add_char b '!';
           let deps =
-            List.sort compare
+            List.sort compare_dep
               (List.map
                  (fun (dt, ds) ->
                    ((if dt >= 0 && dt < nt then pos.(dt) else -1 - dt), ds))
@@ -97,7 +116,8 @@ let fingerprint (ir : Ir.t) (g : Ir.gpu) =
           in
           List.iter
             (fun (dt, ds) ->
-              Buffer.add_string b (Printf.sprintf "d%d,%d" dt ds))
+              add_int "d" dt;
+              add_int "," ds)
             deps;
           Buffer.add_char b ';')
         tb.Ir.steps)
@@ -265,8 +285,11 @@ let verify_candidate (ir : Ir.t) ~name perm =
                 ((if dt >= 0 && dt < nt then sigma.(dt) else dt), ds)
               in
               if
-                List.sort compare (List.map remap st.Ir.depends)
-                <> List.sort compare su.Ir.depends
+                not
+                  (List.equal
+                     (fun x y -> compare_dep x y = 0)
+                     (List.sort compare_dep (List.map remap st.Ir.depends))
+                     (List.sort compare_dep su.Ir.depends))
               then
                 viol ~rank:r ~image:h ~tb:i ~step:si
                   "cross-block depends do not map";

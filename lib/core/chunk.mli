@@ -51,8 +51,19 @@ val allreduce_expected : num_ranks:int -> index:int -> t
 (** The reduction of input chunk [index] across all ranks — the value every
     output position of an AllReduce must hold. *)
 
+val exact_limit : int
+(** Chunks of at most this many inputs compare as exact multisets; larger
+    ones compare by a 126-bit hash pair of their multiset. *)
+
 val equal : t -> t -> bool
+(** Multiset equality (see {!exact_limit}). A successful exact comparison
+    makes the second chunk share the first one's sorted input list, so
+    comparing either again with a chunk that shares it is O(1). *)
+
 val compare : t -> t -> int
+(** A total order consistent with {!equal}: by number of inputs, then by
+    sorted input list (at most {!exact_limit} inputs) or hash pair. *)
+
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
