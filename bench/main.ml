@@ -99,11 +99,14 @@ let run_perfcheck () =
 (* ------------------------------------------------------------------ *)
 
 (* One scale row. [sp_times] holds the layers the row ran, as
-   (JSON field, calibrated seconds) in field order. *)
+   (JSON field, calibrated seconds) in field order; after [run_row], each
+   is the median over [scale_runs] runs and [sp_spread] holds its
+   (max - min) / median. *)
 type scale_point = {
   sp_algo : string;
   sp_ranks : int;
   sp_times : (string * float) list;
+  sp_spread : (string * float) list;
   sp_events : int;
   sp_orbits : int;
   (* Static chunk-provenance mode of the quotient pass ("quotient" or
@@ -230,6 +233,7 @@ let scale_point ?sym clk sp_algo sp_ranks build =
         ("provenance_quotient_s", prov_q_s);
       ]
       @ sym_times;
+    sp_spread = [];
     sp_events = r.Simulator.events;
     sp_orbits = Orbit.num_orbits inferred.Msccl_analysis.Symmetry.s_orbit;
     sp_prov_mode = Some prov_mode;
@@ -311,29 +315,65 @@ let scale_point_sym_frontier clk =
         ("total_s", compile_s +. topology_s +. simulate_s);
         ("sym_compile_s", compile_s);
       ];
+    sp_spread = [];
     sp_events = r.Simulator.events;
     sp_orbits = 1;
     sp_prov_mode = None;
     sp_sym_mode = "quotient";
   }
 
-(* Runs one row on a fresh clock and prints its calibrated times. *)
-let run_row row =
-  let clk = clock () in
-  let p = row clk in
+(* Runs per row. A single run of allpairs@256 varies by about 15% (its
+   simulation), too close to the 25% gate; the median of three does
+   not. *)
+let scale_runs = 3
+
+let print_times times =
   List.iter
     (fun (k, t) -> Printf.printf "%s %.2fs  " (Filename.chop_suffix k "_s") t)
-    p.sp_times;
+    times
+
+(* Runs one row [scale_runs] times, each on a fresh clock, printing each
+   run's calibrated times, and returns the row with every layer's median
+   and spread. *)
+let run_row row =
+  let runs =
+    List.init scale_runs (fun _ ->
+        let clk = clock () in
+        let p = row clk in
+        print_times p.sp_times;
+        Printf.printf "calib %.1f ms\n%!"
+          (1e3 *. List.fold_left ( +. ) 0. clk.kernels
+          /. float_of_int (List.length clk.kernels));
+        p)
+  in
+  let p = List.hd runs in
+  let samples k = List.map (fun r -> time r k) runs in
+  let med k = Perfbench.Stats.median (samples k) in
+  let spread k =
+    let xs = samples k in
+    let m = med k in
+    let hi = List.fold_left Float.max neg_infinity xs
+    and lo = List.fold_left Float.min infinity xs in
+    if m = 0. then 0. else (hi -. lo) /. m
+  in
+  let p =
+    {
+      p with
+      sp_times = List.map (fun (k, _) -> (k, med k)) p.sp_times;
+      sp_spread = List.map (fun (k, _) -> (k, spread k)) p.sp_times;
+    }
+  in
+  Printf.printf "       median of %d: " scale_runs;
+  print_times p.sp_times;
   Printf.printf
-    "\n       %d events (%.0f/s), %d orbit(s), provenance %s, sym %s, \
-     calib %.1f ms\n%!"
+    "\n       total spread %.0f%%, %d events (%.0f/s), %d orbit(s), \
+     provenance %s, sym %s\n%!"
+    (100. *. List.assoc "total_s" p.sp_spread)
     p.sp_events
     (float_of_int p.sp_events /. time p "simulate_s")
     p.sp_orbits
     (Option.value ~default:"not run" p.sp_prov_mode)
-    p.sp_sym_mode
-    (1e3 *. List.fold_left ( +. ) 0. clk.kernels
-    /. float_of_int (List.length clk.kernels));
+    p.sp_sym_mode;
   p
 
 (* Three decimals: milliseconds for times. *)
@@ -346,6 +386,10 @@ let point_json p =
     ([ ("algo", J.Str p.sp_algo); ("ranks", int_json p.sp_ranks) ]
     @ List.map (fun (k, t) -> (k, round3 t)) p.sp_times
     @ [
+        ("runs", int_json scale_runs);
+        ("spread", J.Obj (List.map (fun (k, x) -> (k, round3 x)) p.sp_spread));
+      ]
+    @ [
         ("events", int_json p.sp_events);
         ( "events_per_s",
           J.Num (Float.round (float_of_int p.sp_events /. time p "simulate_s"))
@@ -357,9 +401,9 @@ let point_json p =
       | None -> [])
     @ [ ("sym_mode", J.Str p.sp_sym_mode) ])
 
-(* The committed baseline's total_s per (algo, ranks). Raises [Sys_error]
-   or [J.Error] when the file is missing, does not parse or was not
-   measured in calibrated seconds. *)
+(* The committed baseline's median total_s per (algo, ranks). Raises
+   [Sys_error] or [J.Error] when the file is missing, does not parse or
+   was not measured in calibrated seconds. *)
 let baseline_totals path =
   let j = J.parse (In_channel.with_open_bin path In_channel.input_all) in
   if J.member "time_basis" j <> J.Str "calibrated" then

@@ -1,6 +1,7 @@
 (* The committed BENCH_scale.json must be a baseline `bench scale --check`
-   can use: measured in calibrated seconds, with a total for every row the
-   quick run measures. *)
+   can use: measured in calibrated seconds, with a median total over at
+   least three runs, and its spread, for every row the quick run
+   measures. *)
 
 module J = Perfbench.Json
 
@@ -32,9 +33,15 @@ let test_quick_rows () =
       match row with
       | None -> Alcotest.failf "no %s@%d row" algo ranks
       | Some p -> (
-          match J.member "total_s" p with
+          (match J.member "total_s" p with
           | J.Num t when Float.is_finite t && t >= 0. -> ()
-          | _ -> Alcotest.failf "%s@%d: total_s is not a number" algo ranks))
+          | _ -> Alcotest.failf "%s@%d: total_s is not a number" algo ranks);
+          (match J.member "runs" p with
+          | J.Num r when r >= 3. -> ()
+          | _ -> Alcotest.failf "%s@%d: fewer than 3 runs" algo ranks);
+          match J.member "total_s" (J.member "spread" p) with
+          | J.Num x when Float.is_finite x && x >= 0. -> ()
+          | _ -> Alcotest.failf "%s@%d: no total_s spread" algo ranks))
     quick_rows
 
 let () =
