@@ -1128,12 +1128,15 @@ let run_quotient eng plan ~slots =
     in
     ({ g with Ir.gpu_id = image_dst }, { tb with Ir.recv = srep })
   in
+  (* [analyze] found every connection balanced, so a block whose receive
+     peer is no rank has no receiving step: it reads nothing. *)
+  let reads (tb : Ir.tb) = tb.Ir.recv >= 0 && tb.Ir.recv < Ir.num_ranks ir in
   let read_conns = Hashtbl.create 32 in
   Array.iter
     (fun (g : Ir.gpu) ->
       Array.iter
         (fun (tb : Ir.tb) ->
-          if tb.Ir.recv >= 0 then begin
+          if reads tb then begin
             let ig, itb = image g tb in
             let key = (itb.Ir.recv, ig.Ir.gpu_id, tb.Ir.chan) in
             if Hashtbl.mem read_conns key then raise Fallback;
@@ -1151,7 +1154,7 @@ let run_quotient eng plan ~slots =
       else (* a connection no representative reads never blocks *)
         fun () -> true
     in
-    if tb.Ir.recv < 0 then
+    if not (reads tb) then
       { own with Executor.recv_ready = (fun () -> false); send_ready }
     else
       let ig, itb = image g tb in
@@ -1204,7 +1207,29 @@ let conn_count_tb (tb : Ir.tb) =
     tb.Ir.steps;
   (!s, !r)
 
-let conn_mismatches ~members counts =
+(* Per-connection send/receive balance over every rank. [analyze] runs
+   it before choosing a mode: under a certified generator every
+   connection's counts equal those of its image, so the quotient needs
+   no scan of its own. *)
+let connection_diags (ir : Ir.t) =
+  let counts : (int * int * int, int ref * int ref) Hashtbl.t =
+    Hashtbl.create 32
+  in
+  Array.iteri
+    (fun rank (g : Ir.gpu) ->
+      Array.iter
+        (fun (tb : Ir.tb) ->
+          let s, r = conn_count_tb tb in
+          if s > 0 then begin
+            let ns, _ = conn_get counts (rank, tb.Ir.send, tb.Ir.chan) in
+            ns := !ns + s
+          end;
+          if r > 0 then begin
+            let _, nr = conn_get counts (tb.Ir.recv, rank, tb.Ir.chan) in
+            nr := !nr + r
+          end)
+        g.Ir.tbs)
+    ir.Ir.gpus;
   Hashtbl.fold
     (fun (s, d, c) (ns, nr) acc ->
       if !ns <> !nr then
@@ -1215,62 +1240,12 @@ let conn_mismatches ~members counts =
           dg_rank = s;
           dg_loc = None;
           dg_site = None;
-          dg_members = members s;
+          dg_members = 1;
         }
         :: acc
       else acc)
     counts []
   |> List.sort compare
-
-(* Per-connection send/receive balance. In full mode every rank is
-   scanned. Through the quotient only representative ranks are, each
-   connection translated to its canonical image — the orbit member whose
-   source is a representative (receives through [canonical_recv], as the
-   receive resolution in [run_quotient] does). Certified symmetry makes
-   every connection's counts equal to its canonical image's, so this
-   detects exactly the imbalances the full scan would; a canonical-key
-   collision between distinct sources could skew the aggregation, so it
-   falls back to the full pass instead. *)
-let connection_diags ?plan (ir : Ir.t) =
-  let ranks, canonical, members =
-    match plan with
-    | None ->
-        ( List.init (Ir.num_ranks ir) Fun.id,
-          (fun ~src ~dst -> (src, dst)),
-          fun _ -> 1 )
-    | Some plan ->
-        ( Orbit.reps plan.q_orbit,
-          canonical_recv plan,
-          Orbit.orbit_size plan.q_orbit )
-  in
-  let counts : (int * int * int, int ref * int ref) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  let recv_src : (int * int * int, int) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun rank ->
-      let g = ir.Ir.gpus.(rank) in
-      Array.iter
-        (fun (tb : Ir.tb) ->
-          let s, r = conn_count_tb tb in
-          if s > 0 then begin
-            let ns, _ = conn_get counts (rank, tb.Ir.send, tb.Ir.chan) in
-            ns := !ns + s
-          end;
-          if r > 0 then begin
-            let p = tb.Ir.recv in
-            let srep, dst = canonical ~src:p ~dst:rank in
-            let key = (srep, dst, tb.Ir.chan) in
-            (match Hashtbl.find_opt recv_src key with
-            | Some p' when p' <> p -> raise Fallback
-            | Some _ -> ()
-            | None -> Hashtbl.add recv_src key p);
-            let _, nr = conn_get counts key in
-            nr := !nr + r
-          end)
-        g.Ir.tbs)
-    ranks;
-  conn_mismatches ~members counts
 
 let compare_outputs ?post eng ~checked ~members =
   let coll = eng.e_ir.Ir.collective in
@@ -1532,8 +1507,8 @@ let analyze ?symmetry ?(lints = true) (ir : Ir.t) =
   in
   let stride = stride_of ir in
   let all_ranks = List.init (Ir.num_ranks ir) (fun r -> r) in
+  let conn = connection_diags ir in
   let run_full_mode () =
-    let conn = connection_diags ir in
     let eng = make_engine ~events:lints ir ~stride in
     let (slot_diags, slots_checked), lint_diags =
       if run_full eng ~slots then
@@ -1572,21 +1547,15 @@ let analyze ?symmetry ?(lints = true) (ir : Ir.t) =
       r_slots_checked = slots_checked;
     }
   in
+  (* An unbalanced connection is reported by the full pass, which also
+     re-derives every other diagnostic verbatim. *)
   match symmetry with
-  | Some sym -> (
+  | Some sym when conn = [] -> (
       match plan_of ir sym with
       | None -> run_full_mode ()
       | Some plan -> (
-          try
-            (* The certified symmetry maps every connection onto a
-               canonical representative with equal send/recv counts, so
-               scanning representative ranks only is sound here; any
-               mismatch (or a canonical-key collision) falls back to the
-               full scan, which re-derives the diagnostics verbatim. *)
-            if connection_diags ~plan ir <> [] then run_full_mode ()
-            else quotient_mode sym plan
-          with Fallback -> run_full_mode ()))
-  | None -> run_full_mode ()
+          try quotient_mode sym plan with Fallback -> run_full_mode ()))
+  | _ -> run_full_mode ()
 
 let check ?symmetry ir =
   let r = analyze ?symmetry ~lints:false ir in

@@ -34,9 +34,11 @@
     are recovered by translating the representative sender's recorded
     stream through cached powers of the automorphism, and the spec itself
     is checked to be orbit-symmetric (so representative verdicts cover
-    every member). Any gate failure — asymmetric spec, rank-dependent
-    bijection, a translation dependency cycle — silently falls back to
-    the full interpretation: the quotient can be slower, never wrong. *)
+    every member). Connection balance is checked over every rank first;
+    an unbalanced connection, like any other gate failure — asymmetric
+    spec, rank-dependent bijection, a translation dependency cycle —
+    silently falls back to the full interpretation: the quotient can be
+    slower, never wrong. *)
 
 open Msccl_core
 

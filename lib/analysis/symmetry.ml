@@ -13,7 +13,6 @@ type violation = {
 type generator = {
   g_name : string;
   g_perm : int array;
-  g_tb : int array array;
   g_psi : int array option array;
 }
 
@@ -172,7 +171,6 @@ let verify_candidate (ir : Ir.t) ~name perm =
              }))
       fmt
   in
-  let g_tb = Array.make (max p 1) [||] in
   (* Merged-over-ranks chunk bijection per buffer tag. Certification only
      needs the per-rank tables below; quotient passes additionally want to
      know when the bijection is the SAME map at every rank (it is for the
@@ -327,14 +325,12 @@ let verify_candidate (ir : Ir.t) ~name perm =
                   done)
                 f1 f2)
             tb.Ir.steps)
-        gr.Ir.tbs;
-      g_tb.(r) <- sigma
+        gr.Ir.tbs
     done;
     Ok
       {
         g_name = name;
         g_perm = Array.copy perm;
-        g_tb;
         g_psi =
           Array.init 3 (fun tag ->
               if uni_ok.(tag) then Some uni.(tag) else None);
@@ -366,57 +362,14 @@ let intra_perm p g =
 
 let orbit_of_generators (ir : Ir.t) gens =
   let p = Array.length ir.Ir.gpus in
-  match gens with
-  | [] -> Orbit.identity ir
-  | _ ->
-      let parent = Array.init p (fun r -> r) in
-      let rec find x = if parent.(x) = x then x else find parent.(x) in
-      let union a b =
-        let ra = find a and rb = find b in
-        if ra <> rb then
-          if ra < rb then parent.(rb) <- ra else parent.(ra) <- rb
-      in
-      List.iter
-        (fun gen -> Array.iteri (fun r h -> union r h) gen.g_perm)
-        gens;
-      let rep = Array.init p find in
-      (* Compose thread-block maps from each representative outward along
-         the generators (the group is finite, so forward applications
-         reach the whole orbit). *)
-      let tb_of_rep = Array.make p [||] in
-      let built = Array.make p false in
-      List.iter
-        (fun r ->
-          tb_of_rep.(r) <-
-            Array.init (Array.length ir.Ir.gpus.(r).Ir.tbs) (fun i -> i);
-          built.(r) <- true)
-        (List.filter (fun r -> rep.(r) = r) (List.init p (fun r -> r)));
-      let queue = Queue.create () in
-      List.iter
-        (fun r -> if rep.(r) = r then Queue.add r queue)
-        (List.init p (fun r -> r));
-      while not (Queue.is_empty queue) do
-        let x = Queue.pop queue in
-        List.iter
-          (fun gen ->
-            let y = gen.g_perm.(x) in
-            if not built.(y) then begin
-              tb_of_rep.(y) <-
-                Array.map (fun t -> gen.g_tb.(x).(t)) tb_of_rep.(x);
-              built.(y) <- true;
-              Queue.add y queue
-            end)
-          gens
-      done;
-      let tb_to_rep =
-        Array.map
-          (fun m ->
-            let inv = Array.make (Array.length m) 0 in
-            Array.iteri (fun i j -> inv.(j) <- i) m;
-            inv)
-          tb_of_rep
-      in
-      { Orbit.rep; tb_of_rep; tb_to_rep }
+  let parent = Array.init p (fun r -> r) in
+  let rec find x = if parent.(x) = x then x else find parent.(x) in
+  let union a b =
+    let ra = find a and rb = find b in
+    if ra <> rb then if ra < rb then parent.(rb) <- ra else parent.(ra) <- rb
+  in
+  List.iter (fun gen -> Array.iteri (fun r h -> union r h) gen.g_perm) gens;
+  { Orbit.rep = Array.init p find }
 
 let infer (ir : Ir.t) =
   let p = Array.length ir.Ir.gpus in

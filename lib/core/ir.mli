@@ -53,8 +53,6 @@ val num_thread_blocks : t -> int
 val num_steps : t -> int
 (** Total instruction count. *)
 
-val max_thread_blocks_per_gpu : t -> int
-
 val num_channels : t -> int
 (** 1 + the highest channel id used. *)
 

@@ -24,35 +24,35 @@ type fault =
 type t = { pname : string; pfaults : fault list }
 
 let pp_target ppf = function
-  | Resource rid -> Fmt.pf ppf "resource %d" rid
-  | Resource_named n -> Fmt.pf ppf "resource %S" n
-  | Route { src; dst } -> Fmt.pf ppf "route %d->%d" src dst
+  | Resource rid -> Format.fprintf ppf "resource %d" rid
+  | Resource_named n -> Format.fprintf ppf "resource %S" n
+  | Route { src; dst } -> Format.fprintf ppf "route %d->%d" src dst
 
 let pp_until ppf = function
-  | None -> Fmt.string ppf "forever"
-  | Some u -> Fmt.pf ppf "until %gs" u
+  | None -> Format.pp_print_string ppf "forever"
+  | Some u -> Format.fprintf ppf "until %gs" u
 
 let pp_fault ppf = function
   | Degrade { target; factor; from_s; until_s } ->
-      Fmt.pf ppf "degrade %a x%g from %gs %a" pp_target target factor from_s
+      Format.fprintf ppf "degrade %a x%g from %gs %a" pp_target target factor from_s
         pp_until until_s
   | Straggler { rank; alpha; beta; gamma } ->
-      Fmt.pf ppf "straggler rank %d (alpha x%g, beta /%g, gamma x%g)" rank
+      Format.fprintf ppf "straggler rank %d (alpha x%g, beta /%g, gamma x%g)" rank
         alpha beta gamma
   | Slot_stall { src; dst; chan; delay_s } ->
-      Fmt.pf ppf "slot-stall %d->%d%a +%gs" src dst
+      Format.fprintf ppf "slot-stall %d->%d%a +%gs" src dst
         (fun ppf -> function
           | None -> ()
-          | Some c -> Fmt.pf ppf " ch%d" c)
+          | Some c -> Format.fprintf ppf " ch%d" c)
         chan delay_s
   | Sem_delay { rank; tb; delay_s } ->
-      Fmt.pf ppf "sem-delay rank %d%a +%gs" rank
-        (fun ppf -> function None -> () | Some tb -> Fmt.pf ppf " tb%d" tb)
+      Format.fprintf ppf "sem-delay rank %d%a +%gs" rank
+        (fun ppf -> function None -> () | Some tb -> Format.fprintf ppf " tb%d" tb)
         tb delay_s
 
 let pp ppf t =
-  Fmt.pf ppf "@[<v>plan %S:%a@]" t.pname
-    (fun ppf fs -> List.iter (Fmt.pf ppf "@,  %a" pp_fault) fs)
+  Format.fprintf ppf "@[<v>plan %S:%a@]" t.pname
+    (fun ppf fs -> List.iter (Format.fprintf ppf "@,  %a" pp_fault) fs)
     t.pfaults
 
 let bad fault fmt =

@@ -146,7 +146,7 @@ let unexpected_hangs entries =
     entries
 
 let pp ppf entries =
-  Fmt.pf ppf "@[<v>%-28s %-8s %-10s %s@," "algorithm" "topology" "severity"
+  Format.fprintf ppf "@[<v>%-28s %-8s %-10s %s@," "algorithm" "topology" "severity"
     "verdict";
   List.iter
     (fun e ->
@@ -163,10 +163,10 @@ let pp ppf entries =
               v_detail
         | Skipped m -> "skipped: " ^ m
       in
-      Fmt.pf ppf "%-28s %-8s %-10g %s@," e.x_algo e.x_topology e.x_severity
+      Format.fprintf ppf "%-28s %-8s %-10g %s@," e.x_algo e.x_topology e.x_severity
         verdict)
     entries;
-  Fmt.pf ppf "@]"
+  Format.fprintf ppf "@]"
 
 let to_json ~seed entries =
   let b = Buffer.create 1024 in

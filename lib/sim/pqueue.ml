@@ -118,5 +118,3 @@ let pop t =
     Some (p, pop_min t)
 
 let peek t = if t.size = 0 then None else Some (t.prio.(0), t.values.(0))
-
-let clear t = t.size <- 0

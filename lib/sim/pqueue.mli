@@ -28,5 +28,3 @@ val pop_min : 'a t -> 'a
     @raise Invalid_argument on an empty queue. *)
 
 val peek : 'a t -> (float * 'a) option
-
-val clear : 'a t -> unit

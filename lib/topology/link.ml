@@ -12,8 +12,6 @@ let kind_name = function
   | Infiniband -> "InfiniBand"
   | Host -> "Host"
 
-let pp_kind fmt k = Format.pp_print_string fmt (kind_name k)
-
 type t = {
   kind : kind;
   bandwidth : float;
@@ -34,6 +32,3 @@ let ib_hdr =
 
 let pcie_gen4 =
   { kind = Pcie; bandwidth = 26. *. gb; alpha = 6.0e-6; tb_cap = 15. *. gb }
-
-let host_shm =
-  { kind = Host; bandwidth = 12. *. gb; alpha = 9.0e-6; tb_cap = 10. *. gb }

@@ -15,8 +15,6 @@ type kind =
 
 val kind_name : kind -> string
 
-val pp_kind : Format.formatter -> kind -> unit
-
 type t = {
   kind : kind;
   bandwidth : float;  (** Raw unidirectional bandwidth in bytes/second. *)
@@ -43,5 +41,3 @@ val ib_hdr : t
 (** One HDR InfiniBand NIC at 25 GB/s (paper §7). *)
 
 val pcie_gen4 : t
-
-val host_shm : t

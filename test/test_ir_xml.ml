@@ -122,6 +122,150 @@ let test_validate_connection_exclusivity () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "duplicate sender accepted"
 
+(* The one-owner-per-connection-side texts, and the block they stop at:
+   ring AllReduce@4 on three channels, with gpu 2's blocks 1 and 2 moved
+   onto channel 0 (block 1 also loses its send peer). Block 1 is the
+   first second owner, of the receiving side of 1->2 ch0. *)
+let test_validate_connection_texts () =
+  let ir = A.Ring_allreduce.ir ~channels:3 ~num_ranks:4 () in
+  let with_gpu2 f =
+    {
+      ir with
+      Ir.gpus =
+        Array.map
+          (fun (g : Ir.gpu) ->
+            if g.Ir.gpu_id <> 2 then g
+            else { g with Ir.tbs = Array.map f g.Ir.tbs })
+          ir.Ir.gpus;
+    }
+  in
+  let rejects what expected bad =
+    match Ir.validate bad with
+    | exception Invalid_argument m -> Alcotest.(check string) what expected m
+    | () -> Alcotest.failf "%s accepted" what
+  in
+  Array.iter
+    (fun (tb : Ir.tb) ->
+      Alcotest.(check (pair int int))
+        "gpu 2 block peers" (3, 1) (tb.Ir.send, tb.Ir.recv))
+    ir.Ir.gpus.(2).Ir.tbs;
+  Ir.validate ir;
+  rejects "second sender"
+    "Ir: two thread blocks send on connection 2->3 ch0"
+    (with_gpu2 (fun tb ->
+         if tb.Ir.tb_id = 1 then { tb with Ir.chan = 0 } else tb));
+  rejects "second receiver, first in block order"
+    "Ir: two thread blocks receive on connection 2<-1 ch0"
+    (with_gpu2 (fun tb ->
+         match tb.Ir.tb_id with
+         | 1 -> { tb with Ir.chan = 0; send = -1 }
+         | 2 -> { tb with Ir.chan = 0 }
+         | _ -> tb))
+
+(* Whether every (src, dst, channel) connection has as many receiving as
+   sending steps, by per-connection totals in a hash table. *)
+let reference_balanced (ir : Ir.t) =
+  let totals = Hashtbl.create 32 in
+  let add key n =
+    Hashtbl.replace totals key
+      (n + Option.value ~default:0 (Hashtbl.find_opt totals key))
+  in
+  Array.iter
+    (fun (g : Ir.gpu) ->
+      Array.iter
+        (fun (tb : Ir.tb) ->
+          Array.iter
+            (fun (st : Ir.step) ->
+              if Instr.sends st.Ir.op then
+                add (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan) 1;
+              if Instr.receives st.Ir.op then
+                add (tb.Ir.recv, g.Ir.gpu_id, tb.Ir.chan) (-1))
+            tb.Ir.steps)
+        g.Ir.tbs)
+    ir.Ir.gpus;
+  Hashtbl.fold (fun _ n ok -> ok && n = 0) totals true
+
+(* Registry programs with a few steps given another opcode that their
+   block's peers allow, and maybe one block stripped of every send or of
+   every receive (a connection then carries only receives, or only
+   sends): [Ir.validate] rejects exactly the unbalanced ones, with a
+   connection message. *)
+let qcheck_validate_balance =
+  let bases =
+    [|
+      A.Ring_allreduce.ir ~channels:2 ~num_ranks:4 ();
+      A.Allpairs_allreduce.ir ~num_ranks:4 ();
+      A.Hierarchical_allreduce.ir ~nodes:2 ~gpus_per_node:3 ();
+    |]
+  in
+  let ops =
+    Instr.
+      [|
+        Send; Recv; Copy; Reduce; Recv_reduce_copy; Recv_copy_send;
+        Recv_reduce_send; Recv_reduce_copy_send; Nop;
+      |]
+  in
+  let mutate (base, seed) =
+    let ir = bases.(base) in
+    let rng = Random.State.make [| seed |] in
+    let gpus = Array.map (fun (g : Ir.gpu) -> { g with Ir.tbs = Array.copy g.Ir.tbs }) ir.Ir.gpus in
+    for _ = 1 to Random.State.int rng 4 do
+      let g = gpus.(Random.State.int rng (Array.length gpus)) in
+      let ti = Random.State.int rng (Array.length g.Ir.tbs) in
+      let tb = g.Ir.tbs.(ti) in
+      if tb.Ir.steps <> [||] then begin
+        let si = Random.State.int rng (Array.length tb.Ir.steps) in
+        let op = ops.(Random.State.int rng (Array.length ops)) in
+        if (tb.Ir.send >= 0 || not (Instr.sends op))
+           && (tb.Ir.recv >= 0 || not (Instr.receives op))
+        then begin
+          let steps = Array.copy tb.Ir.steps in
+          steps.(si) <- { steps.(si) with Ir.op };
+          g.Ir.tbs.(ti) <- { tb with Ir.steps }
+        end
+      end
+    done;
+    if Random.State.bool rng then begin
+      let g = gpus.(Random.State.int rng (Array.length gpus)) in
+      let ti = Random.State.int rng (Array.length g.Ir.tbs) in
+      let strip =
+        if Random.State.bool rng then function
+          | Instr.Send -> Instr.Nop
+          | Instr.Recv_copy_send -> Instr.Recv
+          | Instr.Recv_reduce_send | Instr.Recv_reduce_copy_send ->
+              Instr.Recv_reduce_copy
+          | op -> op
+        else function
+          | Instr.Recv -> Instr.Nop
+          | Instr.Recv_copy_send | Instr.Recv_reduce_send
+          | Instr.Recv_reduce_copy_send ->
+              Instr.Send
+          | Instr.Recv_reduce_copy -> Instr.Reduce
+          | op -> op
+      in
+      let tb = g.Ir.tbs.(ti) in
+      g.Ir.tbs.(ti) <-
+        {
+          tb with
+          Ir.steps =
+            Array.map
+              (fun (st : Ir.step) -> { st with Ir.op = strip st.Ir.op })
+              tb.Ir.steps;
+        }
+    end;
+    { ir with Ir.gpus }
+  in
+  Testutil.qtest ~count:300 "validate rejects exactly unbalanced connections"
+    QCheck.(pair (int_bound (Array.length bases - 1)) int)
+    (fun case ->
+      let ir = mutate case in
+      match Ir.validate ir with
+      | () -> reference_balanced ir
+      | exception Invalid_argument m ->
+          (not (reference_balanced ir))
+          && String.length m > 15
+          && String.sub m 0 15 = "Ir: connection ")
+
 let test_summary_counts () =
   let ir = A.Ring_allreduce.ir ~num_ranks:4 () in
   Alcotest.(check int) "ranks" 4 (Ir.num_ranks ir);
@@ -255,6 +399,8 @@ let () =
           Testutil.tc "rejects bad peers" test_validate_rejects;
           Testutil.tc "connection exclusivity"
             test_validate_connection_exclusivity;
+          Testutil.tc "connection owner texts" test_validate_connection_texts;
+          qcheck_validate_balance;
           Testutil.tc "summary counts" test_summary_counts;
         ] );
     ]

@@ -475,55 +475,36 @@ let test_registry_lint_clean () =
 (* Quotient = full, including on symmetric mutants                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Downgrade the reducing receive at one orbit-mapped coordinate on every
-   rank: a symmetry-preserving missing-reduce, so certification holds and
-   the quotient must reproduce the full verdict. *)
-let symmetric_break_fusion (ir : Ir.t) (orbit : Orbit.t) =
+(* First (tb, step) of rank 0 whose opcode [pick] maps to a replacement. *)
+let first_site (ir : Ir.t) pick =
   let site = ref None in
   Array.iter
     (fun (t : Ir.tb) ->
       Array.iter
         (fun (st : Ir.step) ->
           if !site = None then
-            match st.Ir.op with
-            | Instr.Recv_reduce_copy_send | Instr.Recv_reduce_copy ->
-                site := Some (t.Ir.tb_id, st.Ir.s, st.Ir.op)
-            | _ -> ())
+            match pick st.Ir.op with
+            | Some op -> site := Some (t.Ir.tb_id, st.Ir.s, op)
+            | None -> ())
         t.Ir.steps)
     ir.Ir.gpus.(0).Ir.tbs;
-  match !site with
-  | None -> None
-  | Some (tb, step, op) ->
-      let down =
-        match op with
-        | Instr.Recv_reduce_copy_send -> Instr.Recv_copy_send
-        | _ -> Instr.Recv
-      in
-      let gpus =
-        Array.mapi
-          (fun m (g : Ir.gpu) ->
-            let mtb = orbit.Orbit.tb_of_rep.(m).(tb) in
-            {
-              g with
-              Ir.tbs =
-                Array.map
-                  (fun (t : Ir.tb) ->
-                    if t.Ir.tb_id <> mtb then t
-                    else
-                      {
-                        t with
-                        Ir.steps =
-                          Array.map
-                            (fun (st : Ir.step) ->
-                              if st.Ir.s = step then { st with Ir.op = down }
-                              else st)
-                            t.Ir.steps;
-                      })
-                  g.Ir.tbs;
-            })
-          ir.Ir.gpus
-      in
-      Some { ir with Ir.gpus }
+  !site
+
+let downgrade_along_orbit ir sym pick =
+  Option.map
+    (fun (tb, step, op) ->
+      Testutil.rewrite_along_orbit ir sym ~tb ~step (fun st ->
+          { st with Ir.op }))
+    (first_site ir pick)
+
+(* Downgrade the reducing receive at one orbit-mapped coordinate on every
+   rank: a symmetry-preserving missing-reduce, so certification holds and
+   the quotient must reproduce the full verdict. *)
+let symmetric_break_fusion ir sym =
+  downgrade_along_orbit ir sym (function
+    | Instr.Recv_reduce_copy_send -> Some Instr.Recv_copy_send
+    | Instr.Recv_reduce_copy -> Some Instr.Recv
+    | _ -> None)
 
 let test_quotient_equals_full_on_symmetric_mutant () =
   List.iter
@@ -531,7 +512,7 @@ let test_quotient_equals_full_on_symmetric_mutant () =
       let ir = build ~nodes ~gpus name in
       let s0 = A.Symmetry.infer ir in
       Alcotest.(check bool) (name ^ " certified") true (A.Symmetry.certified s0);
-      match symmetric_break_fusion ir s0.A.Symmetry.s_orbit with
+      match symmetric_break_fusion ir s0 with
       | None -> Alcotest.failf "%s: no reducing receive to downgrade" name
       | Some bad ->
           let s = A.Symmetry.infer bad in
@@ -556,6 +537,75 @@ let test_quotient_equals_full_on_symmetric_mutant () =
             (name ^ " quotient = full on representatives") fullpos qpos)
     [ ("ring-allreduce", 1, 8); ("hierarchical-allreduce", 2, 4) ]
 
+let contains hay needle =
+  let n = String.length needle and m = String.length hay in
+  let rec go i = i + n <= m && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+(* A certified mutant whose connections do not balance gets the same
+   report with its symmetry as without: the full pass, which names every
+   unbalanced connection. *)
+let check_same_report name ir =
+  let s = A.Symmetry.infer ir in
+  Alcotest.(check bool) (name ^ " certified") true (A.Symmetry.certified s);
+  let full = A.Provenance.report_json (A.Provenance.analyze ir) in
+  Alcotest.(check bool)
+    (name ^ " connection mismatch reported") true
+    (contains full "conn-mismatch");
+  Alcotest.(check string)
+    (name ^ " report with symmetry = without")
+    full
+    (A.Provenance.report_json (A.Provenance.analyze ~symmetry:s ir))
+
+(* Every rank's receiving block detached from its peer ([recv = -1]):
+   shift+1 still certifies, and each receive now comes from no rank. *)
+let test_detached_receivers () =
+  let ir = build "ring-allreduce" in
+  let detach (g : Ir.gpu) =
+    {
+      g with
+      Ir.tbs =
+        Array.map
+          (fun (tb : Ir.tb) ->
+            if tb.Ir.recv >= 0 then { tb with Ir.recv = -1 } else tb)
+          g.Ir.tbs;
+    }
+  in
+  check_same_report "ring detached receivers"
+    { ir with Ir.gpus = Array.map detach ir.Ir.gpus }
+
+(* One forwarding receive downgraded to a plain receive on every rank
+   along the orbit: each connection carries one send fewer than it has
+   receives, so the connection scan must decide before any quotient run. *)
+let test_dropped_send () =
+  let ir = build "ring-allreduce" in
+  match
+    downgrade_along_orbit ir (A.Symmetry.infer ir) (function
+      | Instr.Recv_copy_send -> Some Instr.Recv
+      | _ -> None)
+  with
+  | None -> Alcotest.fail "ring has no forwarding receive"
+  | Some bad -> check_same_report "ring dropped send" bad
+
+(* Every rank gains a block with no steps whose receive peer is no rank:
+   shift+1 still certifies, no connection is unbalanced, and the quotient
+   runs with that block reading nothing. *)
+let test_peerless_empty_block () =
+  let ir = build "ring-allreduce" in
+  let add (g : Ir.gpu) =
+    let tb_id = Array.length g.Ir.tbs in
+    let extra = { Ir.tb_id; send = -1; recv = 100; chan = 0; steps = [||] } in
+    { g with Ir.tbs = Array.append g.Ir.tbs [| extra |] }
+  in
+  let ir = { ir with Ir.gpus = Array.map add ir.Ir.gpus } in
+  let s = A.Symmetry.infer ir in
+  Alcotest.(check bool) "certified" true (A.Symmetry.certified s);
+  let r = A.Provenance.analyze ~symmetry:s ir in
+  (match r.A.Provenance.r_mode with
+  | A.Provenance.Quotient _ -> ()
+  | A.Provenance.Full -> Alcotest.fail "quotient did not engage");
+  Alcotest.(check bool) "clean" true (r.A.Provenance.r_diags = [])
+
 let qcheck_static_equals_dynamic =
   let algos =
     [|
@@ -579,11 +629,6 @@ let qcheck_static_equals_dynamic =
 (* ------------------------------------------------------------------ *)
 (* Reports                                                             *)
 (* ------------------------------------------------------------------ *)
-
-let contains hay needle =
-  let n = String.length needle and m = String.length hay in
-  let rec go i = i + n <= m && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
 
 let test_report_json () =
   let ir = build ~gpus:4 "ring-allreduce" in
@@ -634,6 +679,11 @@ let () =
         [
           Testutil.tc "symmetric mutant: quotient = full"
             test_quotient_equals_full_on_symmetric_mutant;
+          Testutil.tc "detached receivers: same report"
+            test_detached_receivers;
+          Testutil.tc "dropped send: same report" test_dropped_send;
+          Testutil.tc "step-less block, receive peer out of range"
+            test_peerless_empty_block;
         ] );
       ("reports", [ Testutil.tc "json" test_report_json ]);
     ]

@@ -42,12 +42,26 @@ let test_registry_inference () =
       Alcotest.(check bool)
         (name ^ " certified") certified
         (A.Symmetry.certified s);
+      let o = s.A.Symmetry.s_orbit in
+      Alcotest.(check int) (name ^ " orbits") orbits (Orbit.num_orbits o);
+      (* [rep] sends every rank to its orbit's minimum, and [members] and
+         [orbit_size] describe the same classes *)
       Alcotest.(check int)
-        (name ^ " orbits") orbits
-        (Orbit.num_orbits s.A.Symmetry.s_orbit);
-      match Orbit.check_shape (build ~nodes ~gpus name) s.A.Symmetry.s_orbit with
-      | Ok () -> ()
-      | Error m -> Alcotest.failf "%s: malformed orbit: %s" name m)
+        (name ^ " rep covers the ranks") (nodes * gpus)
+        (Array.length o.Orbit.rep);
+      Array.iteri
+        (fun r v ->
+          let ms = Orbit.members o v in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: rank %d in the orbit of %d" name r v)
+            true (List.mem r ms);
+          Alcotest.(check int)
+            (Printf.sprintf "%s: rank %d maps to its orbit's minimum" name r)
+            (List.hd ms) v;
+          Alcotest.(check int)
+            (Printf.sprintf "%s: orbit size of rank %d" name r)
+            (List.length ms) (Orbit.orbit_size o r))
+        o.Orbit.rep)
     expect
 
 let test_asymmetric_has_witness () =
@@ -140,32 +154,9 @@ let test_report_json_parses () =
 
 (* Clear the [depends] list at one orbit-mapped coordinate on every rank:
    a symmetry-preserving corruption, so certification still succeeds. *)
-let drop_dep_along_orbit (ir : Ir.t) (orbit : Orbit.t) ~tb ~step =
-  let gpus =
-    Array.mapi
-      (fun m (g : Ir.gpu) ->
-        let mtb = orbit.Orbit.tb_of_rep.(m).(tb) in
-        {
-          g with
-          Ir.tbs =
-            Array.map
-              (fun (t : Ir.tb) ->
-                if t.Ir.tb_id <> mtb then t
-                else
-                  {
-                    t with
-                    Ir.steps =
-                      Array.map
-                        (fun (st : Ir.step) ->
-                          if st.Ir.s = step then { st with Ir.depends = [] }
-                          else st)
-                        t.Ir.steps;
-                  })
-              g.Ir.tbs;
-        })
-      ir.Ir.gpus
-  in
-  { ir with Ir.gpus }
+let drop_dep_along_orbit ir sym ~tb ~step =
+  Testutil.rewrite_along_orbit ir sym ~tb ~step (fun st ->
+      { st with Ir.depends = [] })
 
 (* First (tb, step) of rank 0 carrying a cross-thread-block dependency. *)
 let first_dep_site (ir : Ir.t) =
@@ -187,7 +178,7 @@ let test_quotient_with_races () =
   match first_dep_site ir with
   | None -> Alcotest.fail "allpairs has no dependency to drop"
   | Some (tb, step) ->
-      let racy = drop_dep_along_orbit ir s0.A.Symmetry.s_orbit ~tb ~step in
+      let racy = drop_dep_along_orbit ir s0 ~tb ~step in
       let s = A.Symmetry.infer racy in
       Alcotest.(check bool)
         "still certified" true (A.Symmetry.certified s);
@@ -233,7 +224,7 @@ let qcheck_broken_mutants =
         if Array.length dep_sites = 0 || not (A.Symmetry.certified s0) then ir
         else
           let tb, step = dep_sites.(site mod Array.length dep_sites) in
-          drop_dep_along_orbit ir s0.A.Symmetry.s_orbit ~tb ~step
+          drop_dep_along_orbit ir s0 ~tb ~step
       in
       let ir = if break_rank then F.Mutate.break_symmetry ir else ir in
       let s = A.Symmetry.infer ir in
@@ -254,7 +245,7 @@ let test_lint_races_orbit_invariant () =
   let ir = build "allpairs-allreduce" in
   let s0 = A.Symmetry.infer ir in
   let tb, step = Option.get (first_dep_site ir) in
-  let racy = drop_dep_along_orbit ir s0.A.Symmetry.s_orbit ~tb ~step in
+  let racy = drop_dep_along_orbit ir s0 ~tb ~step in
   let s = A.Symmetry.infer racy in
   Alcotest.(check bool) "certified" true (A.Symmetry.certified s);
   let per_rank = Array.make (Ir.num_ranks racy) 0 in

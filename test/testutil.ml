@@ -448,6 +448,91 @@ let naive_find (ir : Ir.t) =
     ir.Ir.gpus;
   List.sort compare !races
 
+(* [orbit_blocks ir sym] maps each rank [m] and block [t] of [m]'s orbit
+   representative to the block of [m] that [t] corresponds to, following
+   the certified generators outward from each representative. One
+   generator step pairs blocks by (channel, π send, π recv), equal
+   triples in block order, as [Symmetry.verify_candidate] matches them. *)
+let orbit_blocks (ir : Ir.t) (sym : Msccl_analysis.Symmetry.t) =
+  let module S = Msccl_analysis.Symmetry in
+  let p = Ir.num_ranks ir in
+  (* block index at rank [r] -> block index at rank [perm.(r)] *)
+  let image perm r =
+    let pi q = if q >= 0 && q < p then perm.(q) else q in
+    let moved (tb : Ir.tb) = (tb.Ir.chan, pi tb.Ir.send, pi tb.Ir.recv) in
+    let src = ir.Ir.gpus.(r).Ir.tbs and dst = ir.Ir.gpus.(perm.(r)).Ir.tbs in
+    Array.mapi
+      (fun i tb ->
+        let want = moved tb in
+        let nth = ref 0 in
+        for j = 0 to i - 1 do
+          if moved src.(j) = want then incr nth
+        done;
+        let found = ref (-1) and seen = ref 0 in
+        Array.iteri
+          (fun j (u : Ir.tb) ->
+            if !found < 0 && (u.Ir.chan, u.Ir.send, u.Ir.recv) = want then begin
+              if !seen = !nth then found := j;
+              incr seen
+            end)
+          dst;
+        !found)
+      src
+  in
+  let blocks = Array.make p [||] and built = Array.make p false in
+  let queue = Queue.create () in
+  Array.iteri
+    (fun r v ->
+      if v = r then begin
+        blocks.(r) <- Array.init (Array.length ir.Ir.gpus.(r).Ir.tbs) Fun.id;
+        built.(r) <- true;
+        Queue.add r queue
+      end)
+    sym.S.s_orbit.Orbit.rep;
+  while not (Queue.is_empty queue) do
+    let x = Queue.pop queue in
+    List.iter
+      (fun (g : S.generator) ->
+        let y = g.S.g_perm.(x) in
+        if not built.(y) then begin
+          let step = image g.S.g_perm x in
+          blocks.(y) <- Array.map (fun t -> step.(t)) blocks.(x);
+          built.(y) <- true;
+          Queue.add y queue
+        end)
+      sym.S.s_generators
+  done;
+  blocks
+
+(* Rewrite step [step] of block [tb] of each representative, and of the
+   block it corresponds to on every member of its orbit, with [f]. *)
+let rewrite_along_orbit (ir : Ir.t) sym ~tb ~step f =
+  let blocks = orbit_blocks ir sym in
+  let gpus =
+    Array.mapi
+      (fun m (g : Ir.gpu) ->
+        let mtb = blocks.(m).(tb) in
+        {
+          g with
+          Ir.tbs =
+            Array.map
+              (fun (t : Ir.tb) ->
+                if t.Ir.tb_id <> mtb then t
+                else
+                  {
+                    t with
+                    Ir.steps =
+                      Array.map
+                        (fun (st : Ir.step) ->
+                          if st.Ir.s = step then f st else st)
+                        t.Ir.steps;
+                  })
+              g.Ir.tbs;
+        })
+      ir.Ir.gpus
+  in
+  { ir with Ir.gpus }
+
 (* [Races.find] lists exactly the naive reference's races. *)
 let races_agree ir = Races.find ir = naive_find ir
 
