@@ -191,32 +191,11 @@ let test_deterministic () =
   let a = ring_ir () and b = ring_ir () in
   Alcotest.(check bool) "same schedule twice" true (Testutil.ir_equal a b)
 
-(* Compile output for the whole registry, pinned by the MD5 of the
-   printed XML. Any change to scheduling (thread-block formation, the
-   placement order, FIFO back-pressure, emission) shows up here; a
-   scheduler rewrite that keeps its decisions leaves every digest as
-   it is. Each shape is "-n N -g G [-c C] [-r R] [-p PROTO]". *)
-let registry_shapes =
-  let names =
-    List.map (fun (s : Msccl_harness.Registry.spec) -> s.name)
-      Msccl_harness.Registry.all
-  in
-  List.concat_map
-    (fun name ->
-      if name = "sccl-allgather" then [ (name, 1, 1, 1, "Simple") ]
-      else List.map (fun n -> (name, n, 1, 1, "Simple")) [ 1; 2; 8 ])
-    names
-  @ [
-      ("ring-allreduce", 1, 2, 2, "Simple");
-      ("ring-allreduce", 2, 2, 1, "LL128");
-      ("allpairs-allreduce", 1, 1, 1, "LL128");
-      ("hierarchical-allreduce", 2, 1, 1, "LL");
-    ]
-
-let shape_label (name, nodes, channels, instances, proto) =
-  Printf.sprintf "%s -n %d -g 8 -c %d -r %d -p %s" name nodes channels
-    instances proto
-
+(* Compile output for the whole registry ([Testutil.registry_shapes]),
+   pinned by the MD5 of the printed XML. Any change to scheduling
+   (thread-block formation, the placement order, FIFO back-pressure,
+   emission) shows up here; a scheduler rewrite that keeps its decisions
+   leaves every digest as it is. *)
 let registry_digests =
   [
     ("ring-allreduce -n 1 -g 8 -c 1 -r 1 -p Simple",
@@ -322,27 +301,15 @@ let registry_digests =
   ]
 
 let test_registry_digests () =
-  let module R = Msccl_harness.Registry in
   List.iter
-    (fun ((name, nodes, channels, instances, proto) as shape) ->
-      let spec = Option.get (R.find name) in
-      let params =
-        {
-          R.default_params with
-          nodes;
-          channels;
-          instances;
-          proto = Option.get (T.Protocol.of_string proto);
-          verify = false;
-        }
-      in
-      let xml = Xml.to_string (spec.build params) in
+    (fun shape ->
+      let xml = Xml.to_string (Testutil.registry_ir shape) in
       let digest = Digest.to_hex (Digest.string xml) in
-      let label = shape_label shape in
+      let label = Testutil.shape_label shape in
       match List.assoc_opt label registry_digests with
       | Some want -> Alcotest.(check string) label want digest
       | None -> Alcotest.failf "no pinned digest for %S (%s)" label digest)
-    registry_shapes
+    Testutil.registry_shapes
 
 (* ------------------------------------------------------------------ *)
 (* Differential: the scheduler against its reference                   *)

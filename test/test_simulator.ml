@@ -132,6 +132,100 @@ let test_algbw () =
     (1048576. /. r.Simulator.time)
     (Simulator.algbw ~buffer_bytes:1048576. r)
 
+(* ---- Simulated times, pinned ------------------------------------------ *)
+
+(* One line per run: the [%h] (exact hexadecimal) time and kernel time,
+   the engine's event count and the message count. A change to the event
+   path that keeps every push in order and at its priority leaves every
+   line, so every digest, as it is. *)
+let result_line label (r : Simulator.result) =
+  Printf.sprintf "%s %h %h %d %d\n" label r.Simulator.time
+    r.Simulator.kernel_time r.Simulator.events r.Simulator.messages
+
+let digest_of lines = Digest.to_hex (Digest.string (String.concat "" lines))
+
+(* Every registry shape, with ndv4 at one node per 8 ranks of its IR (a
+   few algorithms build a fixed rank count whatever the shape asks). *)
+let registry_runs =
+  lazy
+    (List.map
+       (fun shape ->
+         let ir = Testutil.registry_ir shape in
+         let topo = T.Presets.ndv4 ~nodes:(Ir.num_ranks ir / 8) in
+         (Testutil.shape_label shape, topo, ir))
+       Testutil.registry_shapes)
+
+let registry_lines buffer_bytes =
+  List.map
+    (fun (label, topo, ir) ->
+      result_line label
+        (Simulator.run_buffer ~topo ~buffer_bytes ~check_occupancy:false ir))
+    (Lazy.force registry_runs)
+
+let test_registry_digests () =
+  List.iter
+    (fun (bytes, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "registry at %.0f bytes" bytes)
+        want
+        (digest_of (registry_lines bytes)))
+    [
+      (1024., "a463e87a7f105fc9b1e105ad541fbfe4");
+      (1048576., "f8e90170091d23ead90efb69f5fc2a9b");
+      (268435456., "d03b75dc26aebfa17a0c6217ad45998f");
+    ]
+
+let ring16 () = A.Ring_allreduce.ir ~num_ranks:16 ~channels:2 ()
+
+let test_fault_digest () =
+  let topo = T.Presets.ndv4 ~nodes:2 in
+  let faults = Msccl_faults.Plan.random ~seed:3 ~severity:0.7 ~topo in
+  let run ?faults () =
+    Simulator.run_buffer ~topo ~buffer_bytes:4194304. ?faults (ring16 ())
+  in
+  let r = run ~faults () in
+  Alcotest.(check bool) "the plan slows the run" true
+    (r.Simulator.time > (run ()).Simulator.time);
+  Alcotest.(check string) "seeded fault plan" "ac75d6bc5aa9c29998d3504a3cce5800"
+    (digest_of [ result_line "ring@16 faults" r ])
+
+let test_timeline_digest () =
+  let topo = T.Presets.ndv4 ~nodes:2 in
+  let timeline = Timeline.create () in
+  let r =
+    Simulator.run_buffer ~topo ~buffer_bytes:1048576. ~timeline (ring16 ())
+  in
+  Alcotest.(check string) "timeline on" "accf258a09fcefbebe5b19c4b613c9cb"
+    (digest_of
+       [
+         result_line "ring@16 timeline" r;
+         Timeline.to_chrome_json timeline;
+       ])
+
+let test_cohort_digest () =
+  let p = 32 in
+  let coll =
+    Collective.make Collective.Allreduce ~num_ranks:p ~chunk_factor:p
+      ~inplace:true ()
+  in
+  let rep =
+    Replicate.run ~name:"ring"
+      ~hint:(A.Ring_allreduce.hint ~num_ranks:p ~channels:1)
+      coll
+  in
+  let r, co =
+    Simulator.run_sym ~topo:(T.Presets.ndv4 ~nodes:4) ~chunk_bytes:65536.
+      ~check_occupancy:false rep
+  in
+  Alcotest.(check (option string)) "cohort path" None co.Simulator.co_fallback;
+  Alcotest.(check string) "cohort run" "31dc0cdee42b1ded86852f220717f5ae"
+    (digest_of
+       [
+         result_line
+           (Printf.sprintf "ring@32 cohort width %d" co.Simulator.co_width)
+           r;
+       ])
+
 let () =
   Alcotest.run "simulator"
     [
@@ -152,5 +246,12 @@ let () =
           Testutil.tc "deterministic" test_deterministic;
           Testutil.tc "tile cap" test_tiles_cap;
           Testutil.tc "algbw" test_algbw;
+        ] );
+      ( "simulate digests",
+        [
+          Testutil.tc "registry" test_registry_digests;
+          Testutil.tc "fault plan" test_fault_digest;
+          Testutil.tc "timeline" test_timeline_digest;
+          Testutil.tc "cohort" test_cohort_digest;
         ] );
     ]

@@ -534,6 +534,46 @@ let rewrite_along_orbit (ir : Ir.t) sym ~tb ~step f =
   { ir with Ir.gpus }
 
 (* [Races.find] lists exactly the naive reference's races. *)
+(* Registry shapes the compile and simulate digests pin: every
+   registered algorithm at 1, 2 and 8 nodes of 8 GPUs (sccl-allgather at
+   one only), plus multi-channel, multi-instance and LL/LL128 shapes.
+   Each is (name, nodes, channels, instances, protocol). *)
+let registry_shapes =
+  let names =
+    List.map (fun (s : Msccl_harness.Registry.spec) -> s.name)
+      Msccl_harness.Registry.all
+  in
+  List.concat_map
+    (fun name ->
+      if name = "sccl-allgather" then [ (name, 1, 1, 1, "Simple") ]
+      else List.map (fun n -> (name, n, 1, 1, "Simple")) [ 1; 2; 8 ])
+    names
+  @ [
+      ("ring-allreduce", 1, 2, 2, "Simple");
+      ("ring-allreduce", 2, 2, 1, "LL128");
+      ("allpairs-allreduce", 1, 1, 1, "LL128");
+      ("hierarchical-allreduce", 2, 1, 1, "LL");
+    ]
+
+(* "name -n N -g 8 -c C -r R -p PROTO", as [msccl compile] takes it. *)
+let shape_label (name, nodes, channels, instances, proto) =
+  Printf.sprintf "%s -n %d -g 8 -c %d -r %d -p %s" name nodes channels
+    instances proto
+
+(* The unverified IR of one registry shape. *)
+let registry_ir (name, nodes, channels, instances, proto) =
+  let module R = Msccl_harness.Registry in
+  let spec = Option.get (R.find name) in
+  spec.build
+    {
+      R.default_params with
+      nodes;
+      channels;
+      instances;
+      proto = Option.get (Msccl_topology.Protocol.of_string proto);
+      verify = false;
+    }
+
 let races_agree ir = Races.find ir = naive_find ir
 
 let qtest ?(count = 100) name arb prop =
