@@ -84,23 +84,36 @@ type result = {
   events : int;
 }
 
+(* What a thread block is parked on. Its peer and channel are the
+   block's own; a semaphore wait keeps its dependency in the block's
+   [ts_sem_*] fields. *)
+type parked = Not_parked | Sem | Fifo_slot | Arrival | Transfer
+
+(* A thread block's state. Its float fields (span, transfer and park
+   start times) live in per-run float arrays indexed by [ts_idx], so
+   writing them boxes nothing. *)
 type tb_state = {
+  ts_idx : int;  (* position in the run's flat thread-block array *)
   ts_rank : int;
   ts_tb : Ir.tb;
   ts_nsteps : int;
   mutable ts_tile : int;
   mutable ts_pc : int;
   mutable ts_completed : int;  (* total steps completed over all tiles *)
-  ts_waiters : (int, (unit -> unit) list) Hashtbl.t;
-      (* threshold -> continuations, newest first. Thresholds are always
-         registered above the current semaphore value and the semaphore
-         advances by one per completion, so each wakeup pops exactly the
-         new value's bucket instead of re-partitioning every waiter. *)
+  mutable ts_waiters : int;
+      (* head of the blocks waiting on this block's semaphore, newest
+         first, linked through [ts_next_waiter]; -1 when none. Thresholds
+         are always registered above the current semaphore value and the
+         semaphore advances by one per completion, so each wakeup takes
+         exactly the waiters on the new value. *)
+  mutable ts_next_waiter : int;
   mutable ts_finished : bool;
-  mutable ts_span_start : float;  (* for timeline capture *)
-  mutable ts_wait : (wait * float) option;
-      (* what this tb is parked on right now, and since when — the raw
-         material of the watchdog's hang diagnosis *)
+  mutable ts_parked : parked;
+      (* what this tb is parked on right now (since [wait_since]) — the
+         raw material of the watchdog's hang diagnosis *)
+  mutable ts_sem_tb : int;
+  mutable ts_sem_step : int;
+  mutable ts_sem_threshold : int;
   mutable ts_recv_conn : conn option;
   mutable ts_send_conn : conn option;
       (* a tb's peers and channel are fixed, so each of its connections is
@@ -111,15 +124,32 @@ and conn = {
   c_route : T.Topology.route;
   mutable c_in_flight : int;
   mutable c_arrived : int;
-  mutable c_waiting_recv : (unit -> unit) option;
-  mutable c_waiting_send : (unit -> unit) option;
+  mutable c_recv_waiter : int;  (* tb index, or -1 *)
+  mutable c_send_waiter : int;
   c_free_delay : float;  (* injected FIFO-slot stall (faults) *)
   (* InfiniBand sends are staged: the proxy thread serializes the wire
      transfers of one connection (one queue pair), so a later message waits
-     for the one in flight even though the thread block already moved on. *)
-  mutable c_proxy_busy : bool;
-  c_proxy_queue : (float * (unit -> unit)) Queue.t;  (* wire bytes, arrival *)
+     for the one in flight even though the thread block already moved on.
+     The proxy's messages, the one on the wire first, sit in a ring of
+     wire bytes, staging times and sending blocks. Every one holds a FIFO
+     slot until it arrives, so the ring never holds more than [slots]. *)
+  c_ring_wire : float array;
+  c_ring_start : float array;
+  c_ring_tb : int array;
+  mutable c_ring_head : int;
+  mutable c_ring_len : int;
 }
+
+(* A thread block's pending continuation is (tb, phase): its step is
+   always [steps.(ts_pc)], so the phase alone says where to resume. The
+   engine carries it as one int wake, [index lsl 3 lor phase]. *)
+let ph_advance = 0  (* launch: start the first step *)
+let ph_recv = 1  (* instruction overhead paid: receive *)
+let ph_recv_done = 2  (* copied out of the FIFO slot: free it, then send *)
+let ph_send = 3  (* α paid: put the message on the wire *)
+let ph_complete = 4  (* local work done: retire the step *)
+let ph_flow_done = 5  (* the block's own transfer landed *)
+let ph_proxy_done = 6  (* a message this block staged left the proxy *)
 
 (* Cohort (quotient) simulation view: only ranks [0, q_stride) are
    simulated; every simulated thread block stands for the [q_width]
@@ -185,15 +215,14 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
   let local_bw = T.Topology.local_bandwidth topo in
   let gamma = T.Topology.reduce_gamma topo in
   let instr_overhead = T.Topology.instr_overhead topo in
-  (* Per-rank straggler multipliers (identity without a fault plan). *)
-  let alpha_mult r =
-    match resolved with None -> 1.0 | Some rv -> rv.Plan.r_alpha.(r)
-  in
-  let beta_mult r =
-    match resolved with None -> 1.0 | Some rv -> rv.Plan.r_beta.(r)
-  in
-  let gamma_mult r =
-    match resolved with None -> 1.0 | Some rv -> rv.Plan.r_gamma.(r)
+  (* Per-rank straggler multipliers (identity without a fault plan), in
+     float arrays so that reading one boxes nothing. *)
+  let alpha_mult, beta_mult, gamma_mult =
+    match resolved with
+    | None ->
+        let ones = Array.make p_full 1.0 in
+        (ones, ones, ones)
+    | Some rv -> (rv.Plan.r_alpha, rv.Plan.r_beta, rv.Plan.r_gamma)
   in
   (* Connections, keyed by (src, dst, ch). In cohort mode the key is the
      orbit-canonical endpoint pair — the representative sender's sends and
@@ -225,19 +254,27 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
                   List.map (fun h -> q.q_hop.(h)) r.T.Topology.hops;
               }
         in
+        let ring =
+          match route.T.Topology.kind with
+          | T.Link.Infiniband -> slots
+          | T.Link.Nvlink | T.Link.Nvswitch | T.Link.Pcie | T.Link.Host -> 0
+        in
         let c =
           {
             c_route = route;
             c_in_flight = 0;
             c_arrived = 0;
-            c_waiting_recv = None;
-            c_waiting_send = None;
+            c_recv_waiter = -1;
+            c_send_waiter = -1;
             c_free_delay =
               (match resolved with
               | None -> 0.
               | Some rv -> Plan.slot_stall rv ~src ~dst ~chan:ch);
-            c_proxy_busy = false;
-            c_proxy_queue = Queue.create ();
+            c_ring_wire = Array.make ring 0.;
+            c_ring_start = Array.make ring 0.;
+            c_ring_tb = Array.make ring 0;
+            c_ring_head = 0;
+            c_ring_len = 0;
           }
         in
         Hashtbl.add conns key c;
@@ -263,37 +300,46 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
         st.ts_send_conn <- Some c;
         c
   in
+  let next_idx = ref 0 in
   let states =
     Array.map
       (fun (g : Ir.gpu) ->
         Array.map
           (fun (tb : Ir.tb) ->
+            let ts_idx = !next_idx in
+            incr next_idx;
             {
+              ts_idx;
               ts_rank = g.Ir.gpu_id;
               ts_tb = tb;
               ts_nsteps = Array.length tb.Ir.steps;
               ts_tile = 0;
               ts_pc = 0;
               ts_completed = 0;
-              ts_waiters = Hashtbl.create 8;
+              ts_waiters = -1;
+              ts_next_waiter = -1;
               ts_finished = false;
-              ts_span_start = 0.;
-              ts_wait = None;
+              ts_parked = Not_parked;
+              ts_sem_tb = 0;
+              ts_sem_step = 0;
+              ts_sem_threshold = 0;
               ts_recv_conn = None;
               ts_send_conn = None;
             })
           g.Ir.tbs)
       gpus
   in
+  let tbs = Array.concat (Array.to_list states) in
   (* [total_tbs] drives progress/hang accounting over the simulated thread
      blocks; the kernel launch pays for every thread block of the full
      machine. *)
-  let total_tbs =
-    Array.fold_left (fun acc (g : Ir.gpu) -> acc + Array.length g.Ir.tbs) 0 gpus
-  in
+  let total_tbs = Array.length tbs in
   let launch_tbs =
     match quot with Some q -> q.q_total_tbs | None -> total_tbs
   in
+  let span_start = Array.make total_tbs 0. in  (* for timeline capture *)
+  let xfer_start = Array.make total_tbs 0. in
+  let wait_since = Array.make total_tbs 0. in
   let finished = ref 0 in
   let finish_time = ref 0. in
   let messages = ref 0 in
@@ -304,10 +350,13 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
      declare a hang. *)
   let pending_timed = ref 0 in
   let hang_info = ref None in
-  let busy t k = Msccl_sim.Engine.after eng t k in
+  let now () = Msccl_sim.Engine.now eng in
+  let busy t st phase =
+    Msccl_sim.Engine.wake_after eng t ((st.ts_idx lsl 3) lor phase)
+  in
   let delayed d k =
     incr pending_timed;
-    busy d (fun () ->
+    Msccl_sim.Engine.after eng d (fun () ->
         decr pending_timed;
         k ())
   in
@@ -316,49 +365,36 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
     | None -> 0.
     | Some rv -> Plan.sem_delay rv ~rank:st.ts_rank ~tb:st.ts_tb.Ir.tb_id
   in
-  let park st w =
-    st.ts_wait <- Some (w, Msccl_sim.Engine.now eng)
+  let park st p =
+    st.ts_parked <- p;
+    wait_since.(st.ts_idx) <- now ()
   in
-  let unpark st k () =
-    st.ts_wait <- None;
-    k ()
-  in
-  (* Wake whoever waits on [st]'s semaphore reaching its new value. *)
-  let wake_sem st =
-    match Hashtbl.find_opt st.ts_waiters st.ts_completed with
-    | None -> ()
-    | Some ready ->
-        Hashtbl.remove st.ts_waiters st.ts_completed;
-        List.iter (fun k -> k ()) ready
-  in
-  let free_slot c =
-    let release () =
-      c.c_in_flight <- c.c_in_flight - 1;
-      match c.c_waiting_send with
-      | Some k ->
-          c.c_waiting_send <- None;
-          k ()
-      | None -> ()
-    in
-    if c.c_free_delay > 0. then delayed c.c_free_delay release else release ()
-  in
-  let arrival c =
-    c.c_arrived <- c.c_arrived + 1;
-    match c.c_waiting_recv with
-    | Some k ->
-        c.c_waiting_recv <- None;
-        k ()
-    | None -> ()
+  let unpark st = st.ts_parked <- Not_parked in
+  let wait_of st =
+    let chan = st.ts_tb.Ir.chan in
+    match st.ts_parked with
+    | Not_parked -> None
+    | Sem ->
+        Some
+          (On_semaphore
+             {
+               sem_tb = st.ts_sem_tb;
+               sem_step = st.ts_sem_step;
+               threshold = st.ts_sem_threshold;
+             })
+    | Fifo_slot -> Some (On_fifo_slot { peer = st.ts_tb.Ir.send; chan })
+    | Arrival -> Some (On_arrival { peer = st.ts_tb.Ir.recv; chan })
+    | Transfer -> Some (On_transfer { peer = st.ts_tb.Ir.send; chan })
   in
   let record_instr st =
     match timeline with
     | None -> ()
     | Some tl ->
-        let now = Msccl_sim.Engine.now eng in
+        let start = span_start.(st.ts_idx) in
         Timeline.add tl
           ~name:(Instr.opcode_name st.ts_tb.Ir.steps.(st.ts_pc).Ir.op)
-          ~cat:"instr" ~pid:st.ts_rank ~tid:st.ts_tb.Ir.tb_id
-          ~ts:st.ts_span_start ~dur:(now -. st.ts_span_start)
+          ~cat:"instr" ~pid:st.ts_rank ~tid:st.ts_tb.Ir.tb_id ~ts:start
+          ~dur:(now () -. start)
   in
   let net_pid = p_full in
   let fault_pid = net_pid + 1 in
@@ -366,71 +402,112 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
     match timeline with
     | None -> ()
     | Some tl ->
-        let now = Msccl_sim.Engine.now eng in
         Timeline.add tl
           ~name:(Printf.sprintf "%d->%d" src dst)
           ~cat:"transfer" ~pid:net_pid
           ~tid:((src * 1024) + dst)
-          ~ts:start ~dur:(now -. start)
+          ~ts:start ~dur:(now () -. start)
   in
-  (* Serialized IB transfers per connection (one RDMA queue pair). *)
-  let rec proxy_send c wire on_arrival =
-    if c.c_proxy_busy then Queue.add (wire, on_arrival) c.c_proxy_queue
-    else begin
-      c.c_proxy_busy <- true;
-      Msccl_sim.Engine.start_flow eng ~bytes:wire
-        ~hops:c.c_route.T.Topology.hops ~cap:c.c_route.T.Topology.tb_cap
-        (fun () ->
-          c.c_proxy_busy <- false;
-          (if not (Queue.is_empty c.c_proxy_queue) then
-             let wire', k' = Queue.pop c.c_proxy_queue in
-             proxy_send c wire' k');
-          on_arrival ())
-    end
+  (* Serialized IB transfers per connection (one RDMA queue pair): the
+     ring's head is on the wire, and its arrival wakes the block that
+     staged it. *)
+  let proxy_start c =
+    let h = c.c_ring_head in
+    Msccl_sim.Engine.start_flow_wake eng ~bytes:c.c_ring_wire.(h)
+      ~hops:c.c_route.T.Topology.hops ~cap:c.c_route.T.Topology.tb_cap
+      ((c.c_ring_tb.(h) lsl 3) lor ph_proxy_done)
   in
-  let rec advance st () =
+  let proxy_send st c wire =
+    let n = Array.length c.c_ring_wire in
+    assert (c.c_ring_len < n);
+    let i = (c.c_ring_head + c.c_ring_len) mod n in
+    c.c_ring_wire.(i) <- wire;
+    c.c_ring_start.(i) <- now ();
+    c.c_ring_tb.(i) <- st.ts_idx;
+    c.c_ring_len <- c.c_ring_len + 1;
+    if c.c_ring_len = 1 then proxy_start c
+  in
+  let rec advance st =
     if st.ts_pc >= st.ts_nsteps then begin
       st.ts_tile <- st.ts_tile + 1;
       st.ts_pc <- 0;
       if st.ts_tile >= ntiles || st.ts_nsteps = 0 then begin
         st.ts_finished <- true;
         incr finished;
-        if Msccl_sim.Engine.now eng > !finish_time then
-          finish_time := Msccl_sim.Engine.now eng
+        if now () > !finish_time then finish_time := now ()
       end
-      else advance st ()
+      else advance st
     end
-    else begin
-      let step = st.ts_tb.Ir.steps.(st.ts_pc) in
-      check_deps st step
-    end
-  and check_deps st step =
-    (* A dependency (tb, s) is satisfied for the current tile when that tb
-       completed step s in the same tile (semaphores are monotonic in
-       tile * nsteps + step). *)
-    let blocking =
-      List.find_opt
-        (fun (dtb, dstep) ->
-          let target = states.(st.ts_rank).(dtb) in
-          let threshold = (st.ts_tile * target.ts_nsteps) + dstep + 1 in
-          target.ts_completed < threshold)
-        step.Ir.depends
-    in
-    match blocking with
-    | Some (dtb, dstep) ->
+    else check_deps st
+  and check_deps st = wait_deps st st.ts_tb.Ir.steps.(st.ts_pc).Ir.depends
+  (* A dependency (tb, s) is satisfied for the current tile when that tb
+     completed step s in the same tile (semaphores are monotonic in
+     tile * nsteps + step). The first unsatisfied one in list order parks
+     the block on its semaphore. *)
+  and wait_deps st = function
+    | [] ->
+        span_start.(st.ts_idx) <- now ();
+        busy (instr_overhead *. alpha_mult.(st.ts_rank)) st ph_recv
+    | (dtb, dstep) :: rest ->
         let target = states.(st.ts_rank).(dtb) in
         let threshold = (st.ts_tile * target.ts_nsteps) + dstep + 1 in
-        let bucket =
-          Option.value ~default:[] (Hashtbl.find_opt target.ts_waiters threshold)
-        in
-        park st (On_semaphore { sem_tb = dtb; sem_step = dstep; threshold });
-        Hashtbl.replace target.ts_waiters threshold
-          (unpark st (fun () -> check_deps st step) :: bucket)
-    | None ->
-        st.ts_span_start <- Msccl_sim.Engine.now eng;
-        busy (instr_overhead *. alpha_mult st.ts_rank) (fun () ->
-            recv_phase st step)
-  and recv_phase st step =
+        if target.ts_completed < threshold then begin
+          park st Sem;
+          st.ts_sem_tb <- dtb;
+          st.ts_sem_step <- dstep;
+          st.ts_sem_threshold <- threshold;
+          st.ts_next_waiter <- target.ts_waiters;
+          target.ts_waiters <- st.ts_idx
+        end
+        else wait_deps st rest
+  (* Wake whoever waits on [st]'s semaphore reaching its new value, newest
+     first: they are unlinked before any runs, as a woken block may park
+     on [st] again. *)
+  and wake_sem st =
+    let v = st.ts_completed in
+    let ready = ref (-1) and last = ref (-1) in
+    let prev = ref (-1) and cur = ref st.ts_waiters in
+    while !cur >= 0 do
+      let w = tbs.(!cur) in
+      let next = w.ts_next_waiter in
+      if w.ts_sem_threshold = v then begin
+        if !prev < 0 then st.ts_waiters <- next
+        else tbs.(!prev).ts_next_waiter <- next;
+        w.ts_next_waiter <- -1;
+        if !last < 0 then ready := !cur else tbs.(!last).ts_next_waiter <- !cur;
+        last := !cur
+      end
+      else prev := !cur;
+      cur := next
+    done;
+    let cur = ref !ready in
+    while !cur >= 0 do
+      let w = tbs.(!cur) in
+      cur := w.ts_next_waiter;
+      unpark w;
+      check_deps w
+    done
+  and free_slot c =
+    let release () =
+      c.c_in_flight <- c.c_in_flight - 1;
+      let w = c.c_send_waiter in
+      if w >= 0 then begin
+        c.c_send_waiter <- -1;
+        unpark tbs.(w);
+        send_phase tbs.(w)
+      end
+    in
+    if c.c_free_delay > 0. then delayed c.c_free_delay release else release ()
+  and arrival c =
+    c.c_arrived <- c.c_arrived + 1;
+    let w = c.c_recv_waiter in
+    if w >= 0 then begin
+      c.c_recv_waiter <- -1;
+      unpark tbs.(w);
+      recv_phase tbs.(w)
+    end
+  and recv_phase st =
+    let step = st.ts_tb.Ir.steps.(st.ts_pc) in
     if Instr.receives step.Ir.op then begin
       let c = recv_conn st in
       if c.c_arrived > 0 then begin
@@ -440,7 +517,7 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
           match step.Ir.op with
           | Instr.Recv_reduce_copy | Instr.Recv_reduce_send
           | Instr.Recv_reduce_copy_send ->
-              gamma *. gamma_mult st.ts_rank *. bytes
+              gamma *. gamma_mult.(st.ts_rank) *. bytes
           | Instr.Recv | Instr.Recv_copy_send | Instr.Send | Instr.Copy
           | Instr.Reduce | Instr.Nop ->
               0.
@@ -449,84 +526,74 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
            into the destination buffer), then free it. *)
         let copy_cost =
           if T.Protocol.receiver_copies proto then
-            bytes /. local_bw *. beta_mult st.ts_rank
+            bytes /. local_bw *. beta_mult.(st.ts_rank)
           else 0.
         in
-        busy
-          (copy_cost +. reduce_cost)
-          (fun () ->
-            free_slot c;
-            send_phase st step)
+        busy (copy_cost +. reduce_cost) st ph_recv_done
       end
       else begin
-        park st (On_arrival { peer = st.ts_tb.Ir.recv; chan = st.ts_tb.Ir.chan });
-        c.c_waiting_recv <- Some (unpark st (fun () -> recv_phase st step))
+        park st Arrival;
+        c.c_recv_waiter <- st.ts_idx
       end
     end
-    else send_phase st step
-  and send_phase st step =
+    else send_phase st
+  and send_phase st =
+    let step = st.ts_tb.Ir.steps.(st.ts_pc) in
     if Instr.sends step.Ir.op then begin
       let c = send_conn st in
       if c.c_in_flight < slots then begin
         c.c_in_flight <- c.c_in_flight + 1;
-        let bytes = float_of_int step.Ir.count *. tile_bytes in
-        let wire = bytes /. eff in
+        let wire = float_of_int step.Ir.count *. tile_bytes /. eff in
         let alpha =
           c.c_route.T.Topology.base_alpha *. alpha_scale
-          *. alpha_mult st.ts_rank
+          *. alpha_mult.(st.ts_rank)
         in
         incr messages;
         wire_bytes := !wire_bytes +. wire;
-        busy alpha (fun () ->
-            match c.c_route.T.Topology.kind with
-            | T.Link.Infiniband ->
-                (* Staged: the thread block copies into the proxy buffer and
-                   moves on; the NIC transfer proceeds asynchronously, one
-                   message at a time per connection. *)
-                let src = st.ts_rank and dst = st.ts_tb.Ir.send in
-                let start = Msccl_sim.Engine.now eng in
-                proxy_send c wire (fun () ->
-                    record_transfer ~src ~dst ~start;
-                    arrival c);
-                busy
-                  (bytes /. local_bw *. beta_mult st.ts_rank)
-                  (fun () -> complete_step st)
-            | T.Link.Nvlink | T.Link.Nvswitch | T.Link.Pcie | T.Link.Host ->
-                (* The thread block drives the copy over the link; until the
-                   last byte lands the tb is committed to this transfer, so
-                   a dead link parks it here. *)
-                let src = st.ts_rank and dst = st.ts_tb.Ir.send in
-                let start = Msccl_sim.Engine.now eng in
-                park st (On_transfer { peer = dst; chan = st.ts_tb.Ir.chan });
-                Msccl_sim.Engine.start_flow eng ~bytes:wire
-                  ~hops:c.c_route.T.Topology.hops
-                  ~cap:(c.c_route.T.Topology.tb_cap /. beta_mult st.ts_rank)
-                  (unpark st (fun () ->
-                       record_transfer ~src ~dst ~start;
-                       arrival c;
-                       complete_step st)))
+        busy alpha st ph_send
       end
       else begin
-        park st
-          (On_fifo_slot { peer = st.ts_tb.Ir.send; chan = st.ts_tb.Ir.chan });
-        c.c_waiting_send <- Some (unpark st (fun () -> send_phase st step))
+        park st Fifo_slot;
+        c.c_send_waiter <- st.ts_idx
       end
     end
-    else local_phase st step
-  and local_phase st step =
+    else local_phase st
+  (* The message goes on the wire once its α is paid. *)
+  and transfer st =
+    let c = send_conn st in
+    let bytes =
+      float_of_int st.ts_tb.Ir.steps.(st.ts_pc).Ir.count *. tile_bytes
+    in
+    let wire = bytes /. eff in
+    match c.c_route.T.Topology.kind with
+    | T.Link.Infiniband ->
+        (* Staged: the thread block copies into the proxy buffer and
+           moves on; the NIC transfer proceeds asynchronously, one
+           message at a time per connection. *)
+        proxy_send st c wire;
+        busy (bytes /. local_bw *. beta_mult.(st.ts_rank)) st ph_complete
+    | T.Link.Nvlink | T.Link.Nvswitch | T.Link.Pcie | T.Link.Host ->
+        (* The thread block drives the copy over the link; until the
+           last byte lands the tb is committed to this transfer, so a
+           dead link parks it here. *)
+        xfer_start.(st.ts_idx) <- now ();
+        park st Transfer;
+        Msccl_sim.Engine.start_flow_wake eng ~bytes:wire
+          ~hops:c.c_route.T.Topology.hops
+          ~cap:(c.c_route.T.Topology.tb_cap /. beta_mult.(st.ts_rank))
+          ((st.ts_idx lsl 3) lor ph_flow_done)
+  and local_phase st =
+    let step = st.ts_tb.Ir.steps.(st.ts_pc) in
     let bytes = float_of_int step.Ir.count *. tile_bytes in
     match step.Ir.op with
     | Instr.Copy ->
-        busy
-          (bytes /. local_bw *. beta_mult st.ts_rank)
-          (fun () -> complete_step st)
+        busy (bytes /. local_bw *. beta_mult.(st.ts_rank)) st ph_complete
     | Instr.Reduce ->
         busy
-          ((bytes /. local_bw *. beta_mult st.ts_rank)
-          +. (gamma *. gamma_mult st.ts_rank *. bytes))
-          (fun () -> complete_step st)
-    | Instr.Recv | Instr.Recv_reduce_copy | Instr.Nop ->
-        complete_step st
+          ((bytes /. local_bw *. beta_mult.(st.ts_rank))
+          +. (gamma *. gamma_mult.(st.ts_rank) *. bytes))
+          st ph_complete
+    | Instr.Recv | Instr.Recv_reduce_copy | Instr.Nop -> complete_step st
     | Instr.Send | Instr.Recv_copy_send | Instr.Recv_reduce_send
     | Instr.Recv_reduce_copy_send ->
         (* Sends complete in [send_phase]. *)
@@ -534,17 +601,48 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
   and complete_step st =
     record_instr st;
     st.ts_pc <- st.ts_pc + 1;
-    last_progress := Msccl_sim.Engine.now eng;
+    last_progress := now ();
     (* The step retires now; its semaphore release may be delayed by a
        fault, making the new count visible to waiters only later. *)
-    let release () =
+    let d = sem_delay_of st in
+    if d > 0. then
+      delayed d (fun () ->
+          st.ts_completed <- st.ts_completed + 1;
+          wake_sem st)
+    else begin
       st.ts_completed <- st.ts_completed + 1;
       wake_sem st
-    in
-    let d = sem_delay_of st in
-    if d > 0. then delayed d release else release ();
-    advance st ()
+    end;
+    advance st
   in
+  Msccl_sim.Engine.set_wake_handler eng (fun w ->
+      let st = tbs.(w lsr 3) and phase = w land 7 in
+      if phase = ph_advance then advance st
+      else if phase = ph_recv then recv_phase st
+      else if phase = ph_recv_done then begin
+        free_slot (recv_conn st);
+        send_phase st
+      end
+      else if phase = ph_send then transfer st
+      else if phase = ph_complete then complete_step st
+      else if phase = ph_flow_done then begin
+        unpark st;
+        record_transfer ~src:st.ts_rank ~dst:st.ts_tb.Ir.send
+          ~start:xfer_start.(st.ts_idx);
+        arrival (send_conn st);
+        complete_step st
+      end
+      else begin
+        (* ph_proxy_done: the next queued message goes on the wire
+           before this one's arrival is handled. *)
+        let c = send_conn st in
+        let start = c.c_ring_start.(c.c_ring_head) in
+        c.c_ring_head <- (c.c_ring_head + 1) mod Array.length c.c_ring_wire;
+        c.c_ring_len <- c.c_ring_len - 1;
+        if c.c_ring_len > 0 then proxy_start c;
+        record_transfer ~src:st.ts_rank ~dst:st.ts_tb.Ir.send ~start;
+        arrival c
+      end);
   let launch =
     T.Topology.launch_overhead topo
     +. (T.Topology.per_tb_launch topo *. float_of_int launch_tbs)
@@ -568,12 +666,7 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
      link has rate 0 and does not count). Under those conditions the
      simulation can never advance, so this is exact, not a heuristic. *)
   let all_parked () =
-    Array.for_all
-      (fun row ->
-        Array.for_all
-          (fun st -> st.ts_finished || st.ts_wait <> None)
-          row)
-      states
+    Array.for_all (fun st -> st.ts_finished || st.ts_parked <> Not_parked) tbs
   in
   let collect_blocked () =
     let acc = ref [] in
@@ -582,9 +675,9 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
         Array.iter
           (fun st ->
             if not st.ts_finished then
-              match st.ts_wait with
+              match wait_of st with
               | None -> ()
-              | Some (w, since) ->
+              | Some w ->
                   let op =
                     if st.ts_pc < st.ts_nsteps then
                       Instr.opcode_name st.ts_tb.Ir.steps.(st.ts_pc).Ir.op
@@ -601,7 +694,7 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
                         };
                       b_tile = st.ts_tile;
                       b_wait = w;
-                      b_since = since;
+                      b_since = wait_since.(st.ts_idx);
                     }
                     :: !acc)
           row)
@@ -709,11 +802,9 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
       in
       Msccl_sim.Engine.at eng (launch +. timeout) watchdog);
   Array.iter
-    (fun row ->
-      Array.iter
-        (fun st -> Msccl_sim.Engine.at eng launch (fun () -> advance st ()))
-        row)
-    states;
+    (fun st ->
+      Msccl_sim.Engine.wake_at eng launch ((st.ts_idx lsl 3) lor ph_advance))
+    tbs;
   Msccl_sim.Engine.run eng;
   let end_time = Msccl_sim.Engine.now eng in
   (* Degradation windows as timeline spans (clipped to the simulated
@@ -765,8 +856,8 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
                 else "-"
               in
               let why =
-                match st.ts_wait with
-                | Some (w, _) -> wait_string w
+                match wait_of st with
+                | Some w -> wait_string w
                 | None -> "not parked on any wait"
               in
               Buffer.add_string stuck

@@ -20,11 +20,57 @@
    never matches a slot's later occupant, and the arrays grow with the
    number of concurrent flows, not total flows. Each resource keeps the
    slots crossing it in a dense vector in start order; a finishing flow
-   is removed by an ordered shift. *)
+   is removed by an ordered shift.
 
-type event =
-  | Callback of (unit -> unit)
-  | Flow_done of { slot : int; version : int }
+   Events. The queue holds ints, so pushing and popping one moves no
+   pointer. The low two bits tag the kind:
+   - a flow's completion packs (slot, version), the slot in the low
+     [slot_bits] of the payload;
+   - a callback from [at]/[after] (or a closure-completed flow) is an
+     index into a table of closures, recycled through a free stack; the
+     entry is cleared as it is taken, so the table holds no closure that
+     has already run;
+   - a wake is the client's own int, handed to the one wake handler.
+   A flow's completion action is itself a callback or a wake code, kept
+   in an int array. *)
+
+let tag_flow = 0
+let tag_callback = 1
+let tag_wake = 2
+let slot_bits = 24
+let max_flow_slots = 1 lsl slot_bits
+
+(* Payloads are non-negative and sit above the two tag bits, so a version
+   takes what is left of a non-negative int after the slot. *)
+let max_flow_version = (1 lsl (Sys.int_size - 3 - slot_bits)) - 1
+let max_wake = max_int lsr 2
+
+let[@inline] pack slot version =
+  ((slot lor (version lsl slot_bits)) lsl 2) lor tag_flow
+
+let pack_flow_done ~slot ~version =
+  if slot < 0 || slot >= max_flow_slots then
+    invalid_arg
+      (Printf.sprintf
+         "Engine.pack_flow_done: slot %d outside the packed-event limit of %d \
+          slots"
+         slot max_flow_slots);
+  if version < 0 || version > max_flow_version then
+    invalid_arg
+      (Printf.sprintf
+         "Engine.pack_flow_done: version %d outside the packed-event limit of \
+          %d versions"
+         version max_flow_version);
+  pack slot version
+
+let[@inline] flow_slot ev = (ev lsr 2) land (max_flow_slots - 1)
+let[@inline] flow_version ev = ev lsr (2 + slot_bits)
+
+let unpack_flow_done ev =
+  if ev < 0 || ev land 3 <> tag_flow then
+    invalid_arg
+      (Printf.sprintf "Engine.unpack_flow_done: %d is not a completion" ev);
+  (flow_slot ev, flow_version ev)
 
 (* An all-float record, so advancing the clock writes an unboxed float. *)
 type clock = { mutable now : float }
@@ -37,7 +83,12 @@ type t = {
       (* resource -> slots crossing it, in start order, one entry per hop
          listed; the used prefix is [counts] long *)
   clock : clock;
-  events : event Pqueue.t;
+  events : Pqueue.t;
+  mutable callbacks : (unit -> unit) array;
+  mutable cb_free : int array;  (* stack of recycled callback indices *)
+  mutable cb_nfree : int;
+  mutable cb_used : int;  (* indices handed out so far *)
+  mutable wake : int -> unit;
   (* Per-slot flow state. *)
   mutable remaining : float array;
   mutable rate : float array;
@@ -47,7 +98,7 @@ type t = {
   mutable version : int array;
   mutable visited : int array;  (* stamp of the last pass that visited it *)
   mutable hops : int list array;
-  mutable on_complete : (unit -> unit) array;
+  mutable on_complete : int array;  (* callback or wake code *)
   mutable free : int array;  (* stack of recycled slots *)
   mutable nfree : int;
   mutable nslots : int;  (* slots handed out so far *)
@@ -59,6 +110,8 @@ type t = {
 }
 
 let no_callback () = ()
+
+let no_wake _ = invalid_arg "Engine.run: a wake fired but no handler is set"
 
 let create ~capacities =
   Array.iteri
@@ -78,6 +131,11 @@ let create ~capacities =
     sharers = Array.make n [||];
     clock = { now = 0. };
     events = Pqueue.create ();
+    callbacks = Array.make 16 no_callback;
+    cb_free = Array.make 16 0;
+    cb_nfree = 0;
+    cb_used = 0;
+    wake = no_wake;
     remaining = Array.make slots 0.;
     rate = Array.make slots 0.;
     last_update = Array.make slots 0.;
@@ -86,7 +144,7 @@ let create ~capacities =
     version = Array.make slots 0;
     visited = Array.make slots 0;
     hops = Array.make slots [];
-    on_complete = Array.make slots no_callback;
+    on_complete = Array.make slots 0;
     free = Array.make slots 0;
     nfree = 0;
     nslots = 0;
@@ -99,23 +157,7 @@ let create ~capacities =
 
 let now t = t.clock.now
 
-let at t time f =
-  if Float.is_nan time then invalid_arg "Engine.at: time is NaN";
-  if time < t.clock.now -. 1e-12 then
-    invalid_arg
-      (Printf.sprintf "Engine.at: time %g is in the past (now = %g)" time
-         t.clock.now);
-  Pqueue.add t.events ~priority:(Float.max time t.clock.now) (Callback f)
-
-let after t delay f =
-  if Float.is_nan delay then invalid_arg "Engine.after: delay is NaN";
-  if delay < 0. then
-    invalid_arg
-      (Printf.sprintf "Engine.after: negative delay %g (now = %g)" delay
-         t.clock.now);
-  at t (t.clock.now +. delay) f
-
-(* --- Slots ------------------------------------------------------------ *)
+let set_wake_handler t f = t.wake <- f
 
 (* Doubles an array (the per-resource vectors start empty). *)
 let grow a fill =
@@ -123,12 +165,99 @@ let grow a fill =
   Array.blit a 0 a' 0 (Array.length a);
   a'
 
-let alloc_slot t =
+(* --- Callbacks and wakes ---------------------------------------------- *)
+
+(* The event code of a stored closure. *)
+let callback_code t f =
+  let i =
+    if t.cb_nfree > 0 then begin
+      t.cb_nfree <- t.cb_nfree - 1;
+      t.cb_free.(t.cb_nfree)
+    end
+    else begin
+      if t.cb_used = Array.length t.callbacks then begin
+        t.callbacks <- grow t.callbacks no_callback;
+        t.cb_free <- grow t.cb_free 0
+      end;
+      let i = t.cb_used in
+      t.cb_used <- i + 1;
+      i
+    end
+  in
+  t.callbacks.(i) <- f;
+  (i lsl 2) lor tag_callback
+
+let wake_code name w =
+  if w < 0 || w > max_wake then
+    invalid_arg
+      (Printf.sprintf "Engine.%s: wake %d outside [0, %d]" name w max_wake);
+  (w lsl 2) lor tag_wake
+
+(* Runs a callback or wake code; a callback's entry is cleared and its
+   index recycled before the closure runs. *)
+let fire t code =
+  let i = code lsr 2 in
+  if code land 3 = tag_callback then begin
+    let f = t.callbacks.(i) in
+    t.callbacks.(i) <- no_callback;
+    t.cb_free.(t.cb_nfree) <- i;
+    t.cb_nfree <- t.cb_nfree + 1;
+    f ()
+  end
+  else t.wake i
+
+let check_time name t time =
+  if Float.is_nan time then invalid_arg ("Engine." ^ name ^ ": time is NaN");
+  if time < t.clock.now -. 1e-12 then
+    invalid_arg
+      (Printf.sprintf "Engine.%s: time %g is in the past (now = %g)" name time
+         t.clock.now)
+
+let check_delay name t delay =
+  if Float.is_nan delay then invalid_arg ("Engine." ^ name ^ ": delay is NaN");
+  if delay < 0. then
+    invalid_arg
+      (Printf.sprintf "Engine.%s: negative delay %g (now = %g)" name delay
+         t.clock.now)
+
+(* A time a rounding error in the past is lifted to the clock, so the
+   clock never moves back. *)
+let[@inline] push t time code =
+  Pqueue.add t.events ~priority:(Float.max time t.clock.now) code
+
+let at t time f =
+  check_time "at" t time;
+  push t time (callback_code t f)
+
+let after t delay f =
+  check_delay "after" t delay;
+  push t (t.clock.now +. delay) (callback_code t f)
+
+let wake_at t time w =
+  check_time "wake_at" t time;
+  push t time (wake_code "wake_at" w)
+
+let wake_after t delay w =
+  check_delay "wake_after" t delay;
+  push t (t.clock.now +. delay) (wake_code "wake_after" w)
+
+(* --- Slots ------------------------------------------------------------ *)
+
+(* A recycled slot whose versions are spent is retired, never reused:
+   its next occupant could alias one of its stale completion events. *)
+let rec alloc_slot t =
   if t.nfree > 0 then begin
     t.nfree <- t.nfree - 1;
-    t.free.(t.nfree)
+    let s = t.free.(t.nfree) in
+    if t.version.(s) < max_flow_version then s else alloc_slot t
   end
   else begin
+    if t.nslots = max_flow_slots then
+      invalid_arg
+        (Printf.sprintf
+           "Engine.start_flow: more than %d concurrent flows (the \
+            packed-event slot limit)"
+           max_flow_slots);
     if t.nslots = Array.length t.remaining then begin
       t.remaining <- grow t.remaining 0.;
       t.rate <- grow t.rate 0.;
@@ -138,7 +267,7 @@ let alloc_slot t =
       t.version <- grow t.version 0;
       t.visited <- grow t.visited 0;
       t.hops <- grow t.hops [];
-      t.on_complete <- grow t.on_complete no_callback;
+      t.on_complete <- grow t.on_complete 0;
       t.free <- grow t.free 0
     end;
     let s = t.nslots in
@@ -152,7 +281,6 @@ let alloc_slot t =
    a completion under a fresh version. *)
 let free_slot t s =
   t.hops.(s) <- [];
-  t.on_complete.(s) <- no_callback;
   t.free.(t.nfree) <- s;
   t.nfree <- t.nfree + 1
 
@@ -225,11 +353,17 @@ let catch_up t s =
    revives it through [rerate]. *)
 let schedule_completion t s =
   let version = t.version.(s) + 1 in
+  if version > max_flow_version then
+    invalid_arg
+      (Printf.sprintf
+         "Engine: flow slot %d rescheduled past the packed-event limit of %d \
+          versions"
+         s max_flow_version);
   t.version.(s) <- version;
   if t.rate.(s) > 0. then begin
     let eta = t.clock.now +. (t.remaining.(s) /. t.rate.(s)) in
     t.scheduled_eta.(s) <- eta;
-    Pqueue.add t.events ~priority:eta (Flow_done { slot = s; version })
+    Pqueue.add t.events ~priority:eta (pack s version)
   end
   else t.scheduled_eta.(s) <- infinity
 
@@ -315,7 +449,9 @@ let rec check_hops t = function
              (Array.length t.capacities));
       check_hops t tl
 
-let start_flow t ~bytes ~hops ~cap on_complete =
+(* Run before a slot or a callback entry is taken, so a rejected flow
+   leaves no trace. *)
+let check_flow t ~bytes ~hops ~cap =
   if Float.is_nan bytes then invalid_arg "Engine.start_flow: bytes is NaN";
   if bytes = infinity then
     invalid_arg
@@ -323,15 +459,16 @@ let start_flow t ~bytes ~hops ~cap on_complete =
   if Float.is_nan cap then invalid_arg "Engine.start_flow: cap is NaN";
   if cap <= 0. then
     invalid_arg (Printf.sprintf "Engine.start_flow: cap %g <= 0" cap);
-  check_hops t hops;
-  let s = alloc_slot t in
+  check_hops t hops
+
+let launch t ~bytes ~hops ~cap s code =
   t.remaining.(s) <- (if bytes > 0. then bytes else 0.);
   t.rate.(s) <- 0.;
   t.last_update.(s) <- t.clock.now;
   t.scheduled_eta.(s) <- infinity;
   t.cap.(s) <- cap;
   t.hops.(s) <- hops;
-  t.on_complete.(s) <- on_complete;
+  t.on_complete.(s) <- code;
   t.active <- t.active + 1;
   enter t s hops;
   (* The new flow takes its final rate before the pass and is marked
@@ -343,27 +480,36 @@ let start_flow t ~bytes ~hops ~cap on_complete =
   visit_hops t pass hops;
   schedule_completion t s
 
+let start_flow t ~bytes ~hops ~cap on_complete =
+  check_flow t ~bytes ~hops ~cap;
+  let s = alloc_slot t in
+  launch t ~bytes ~hops ~cap s (callback_code t on_complete)
+
+let start_flow_wake t ~bytes ~hops ~cap w =
+  check_flow t ~bytes ~hops ~cap;
+  let code = wake_code "start_flow_wake" w in
+  launch t ~bytes ~hops ~cap (alloc_slot t) code
+
 let finish_flow t s =
-  let hops = t.hops.(s) and on_complete = t.on_complete.(s) in
+  let hops = t.hops.(s) and code = t.on_complete.(s) in
   leave t s hops;
   t.active <- t.active - 1;
   if t.rate.(s) > 0. then t.progressing <- t.progressing - 1;
   free_slot t s;
   visit_hops t (new_pass t) hops;
-  on_complete ()
+  fire t code
 
 (* Completion times are computed as remaining/rate, so a tiny float residue
    can survive; anything below one byte is considered delivered. *)
 let residue = 1.0
 
-let handle t = function
-  | Callback f -> f ()
-  | Flow_done { slot; version } ->
-      if t.version.(slot) = version then begin
-        catch_up t slot;
-        if t.remaining.(slot) <= residue then finish_flow t slot
-        else schedule_completion t slot
-      end
+let flow_done t ev =
+  let slot = flow_slot ev in
+  if t.version.(slot) = flow_version ev then begin
+    catch_up t slot;
+    if t.remaining.(slot) <= residue then finish_flow t slot
+    else schedule_completion t slot
+  end
 
 let stop t = t.stopped <- true
 
@@ -374,7 +520,7 @@ let run t =
     let ev = Pqueue.pop_min t.events in
     if time > t.clock.now then t.clock.now <- time;
     t.processed <- t.processed + 1;
-    handle t ev
+    if ev land 3 = tag_flow then flow_done t ev else fire t ev
   done
 
 let events_processed t = t.processed

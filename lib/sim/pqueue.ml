@@ -1,14 +1,13 @@
-(* Array-based binary min-heap in structure-of-arrays form: priorities
-   live in a flat float array (unboxed), so sift comparisons touch no
-   pointers and pushes allocate nothing. The heap sits on the hot path of
-   both the discrete-event engine (every event) and the scheduler (every
-   instruction), where the previous one-record-per-entry layout cost an
-   allocation per push and a pointer chase per comparison. *)
+(* Array-based binary min-heap in structure-of-arrays form. Every array
+   holds unboxed floats or immediate ints, so a move is a plain store:
+   no [caml_modify], however large the heap grows. Sifts carry the moving
+   element in registers and shift parents or children into the hole, one
+   move per level instead of a three-array swap. *)
 
-type 'a t = {
+type t = {
   mutable prio : float array;
   mutable seq : int array;
-  mutable values : 'a array;
+  mutable values : int array;
   mutable size : int;
   mutable next_seq : int;
 }
@@ -19,7 +18,7 @@ let create () =
   {
     prio = Array.make initial_capacity 0.;
     seq = Array.make initial_capacity 0;
-    values = [||];  (* allocated lazily: we need a dummy 'a to fill with *)
+    values = Array.make initial_capacity 0;
     size = 0;
     next_seq = 0;
   }
@@ -28,93 +27,82 @@ let length t = t.size
 
 let is_empty t = t.size = 0
 
-let lt t i j =
-  t.prio.(i) < t.prio.(j)
-  || (t.prio.(i) = t.prio.(j) && t.seq.(i) < t.seq.(j))
+let grow t =
+  let cap = 2 * Array.length t.prio in
+  let prio = Array.make cap 0. and seq = Array.make cap 0 in
+  let values = Array.make cap 0 in
+  Array.blit t.prio 0 prio 0 t.size;
+  Array.blit t.seq 0 seq 0 t.size;
+  Array.blit t.values 0 values 0 t.size;
+  t.prio <- prio;
+  t.seq <- seq;
+  t.values <- values
 
-let swap t i j =
-  let p = t.prio.(i) in
-  t.prio.(i) <- t.prio.(j);
-  t.prio.(j) <- p;
-  let s = t.seq.(i) in
-  t.seq.(i) <- t.seq.(j);
-  t.seq.(j) <- s;
-  let v = t.values.(i) in
-  t.values.(i) <- t.values.(j);
-  t.values.(j) <- v
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if lt t i parent then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && lt t l !smallest then smallest := l;
-  if r < t.size && lt t r !smallest then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
-
-let ensure_room t value =
-  let cap = Array.length t.prio in
-  if t.size = cap then begin
-    let cap' = 2 * cap in
-    let prio = Array.make cap' 0. in
-    Array.blit t.prio 0 prio 0 t.size;
-    t.prio <- prio;
-    let seq = Array.make cap' 0 in
-    Array.blit t.seq 0 seq 0 t.size;
-    t.seq <- seq;
-    let values = Array.make cap' value in
-    Array.blit t.values 0 values 0 t.size;
-    t.values <- values
-  end
-  else if Array.length t.values < cap then begin
-    (* First push: materialize the value array with a real element. *)
-    let values = Array.make cap value in
-    Array.blit t.values 0 values 0 t.size;
-    t.values <- values
-  end
-
+(* The new element carries the largest sequence number so far, so it
+   rises past a parent only on a strictly smaller priority. *)
 let add t ~priority value =
-  ensure_room t value;
-  let i = t.size in
-  t.prio.(i) <- priority;
-  t.seq.(i) <- t.next_seq;
-  t.next_seq <- t.next_seq + 1;
-  t.values.(i) <- value;
+  if t.size = Array.length t.prio then grow t;
+  let prio = t.prio and seq = t.seq and values = t.values in
+  let s = t.next_seq in
+  t.next_seq <- s + 1;
+  let i = ref t.size in
   t.size <- t.size + 1;
-  sift_up t i
+  let rising = ref true in
+  while !rising && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    if priority < prio.(parent) then begin
+      prio.(!i) <- prio.(parent);
+      seq.(!i) <- seq.(parent);
+      values.(!i) <- values.(parent);
+      i := parent
+    end
+    else rising := false
+  done;
+  prio.(!i) <- priority;
+  seq.(!i) <- s;
+  values.(!i) <- value
 
 let min_priority t =
   if t.size = 0 then invalid_arg "Pqueue.min_priority: empty queue";
   t.prio.(0)
 
+(* Moves the last element into the root's hole and sifts it down: at
+   each level the smaller child (by priority, then sequence number)
+   moves up while it is smaller than the element. *)
 let pop_min t =
   if t.size = 0 then invalid_arg "Pqueue.pop_min: empty queue";
-  let v = t.values.(0) in
-  let last = t.size - 1 in
-  t.size <- last;
-  if last > 0 then begin
-    t.prio.(0) <- t.prio.(last);
-    t.seq.(0) <- t.seq.(last);
-    t.values.(0) <- t.values.(last);
-    t.values.(last) <- v;  (* keep the slot occupied, drop nothing live *)
-    sift_down t 0
+  let prio = t.prio and seq = t.seq and values = t.values in
+  let top = values.(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then begin
+    let p = prio.(n) and s = seq.(n) and v = values.(n) in
+    let i = ref 0 in
+    let sinking = ref true in
+    while !sinking do
+      let l = (2 * !i) + 1 in
+      if l >= n then sinking := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if
+            r < n
+            && (prio.(r) < prio.(l) || (prio.(r) = prio.(l) && seq.(r) < seq.(l)))
+          then r
+          else l
+        in
+        let pc = prio.(c) in
+        if pc < p || (pc = p && seq.(c) < s) then begin
+          prio.(!i) <- pc;
+          seq.(!i) <- seq.(c);
+          values.(!i) <- values.(c);
+          i := c
+        end
+        else sinking := false
+      end
+    done;
+    prio.(!i) <- p;
+    seq.(!i) <- s;
+    values.(!i) <- v
   end;
-  v
-
-let pop t =
-  if t.size = 0 then None
-  else
-    let p = t.prio.(0) in
-    Some (p, pop_min t)
-
-let peek t = if t.size = 0 then None else Some (t.prio.(0), t.values.(0))
+  top

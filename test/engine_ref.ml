@@ -16,7 +16,7 @@
    add a stale event and move a later completion by an ulp — so the
    reference must break them the same way. *)
 
-module Pqueue = Msccl_sim.Pqueue
+module Pqueue = Pqueue_ref
 
 (* Fluid-flow discrete-event engine. Each active flow progresses at
    min(cap, min_r capacity(r)/nflows(r)); whenever a flow starts or

@@ -335,11 +335,11 @@ let rank_tbs ~slots ~conn (dag : Instr_dag.t) =
         List.length i.Instr.deps
         + match i.Instr.comm_pred with Some _ -> 1 | None -> 0)
     instrs;
-  let heap = Msccl_sim.Pqueue.create () in
+  let heap = Pqueue_ref.create () in
   Array.iter
     (fun (i : Instr.t) ->
       if indeg.(i.Instr.id) = 0 then
-        Msccl_sim.Pqueue.add heap ~priority:(priority i.Instr.id) i)
+        Pqueue_ref.add heap ~priority:(priority i.Instr.id) i)
     instrs;
   let conns = Hashtbl.create 32 in
   let conn_of key =
@@ -490,7 +490,7 @@ let rank_tbs ~slots ~conn (dag : Instr_dag.t) =
         let s = succ_tgt.(k) in
         indeg.(s) <- indeg.(s) - 1;
         if indeg.(s) = 0 then
-          Msccl_sim.Pqueue.add heap ~priority:(priority s) instrs.(s)
+          Pqueue_ref.add heap ~priority:(priority s) instrs.(s)
       done
     end
   in
@@ -500,7 +500,7 @@ let rank_tbs ~slots ~conn (dag : Instr_dag.t) =
       drive ()
     end
     else
-      match Msccl_sim.Pqueue.pop heap with
+      match Pqueue_ref.pop heap with
       | Some (_, i) ->
           try_assign i;
           drive ()
