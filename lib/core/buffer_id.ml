@@ -15,8 +15,13 @@ let long_name = function
   | Output -> "output"
   | Scratch -> "scratch"
 
+let rec has_upper s i =
+  i < String.length s
+  && match String.unsafe_get s i with 'A' .. 'Z' -> true | _ -> has_upper s (i + 1)
+
 let of_name s =
-  match String.lowercase_ascii s with
+  (* a lowercase name, the usual case, is matched without a copy *)
+  match if has_upper s 0 then String.lowercase_ascii s else s with
   | "i" | "in" | "input" -> Some Input
   | "o" | "out" | "output" -> Some Output
   | "s" | "sc" | "scratch" -> Some Scratch

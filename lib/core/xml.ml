@@ -1,15 +1,16 @@
-(* Offset-positioned XML subset parser and MSCCL-IR printer.
+(* Offset-positioned XML subset lexer, tree parser and MSCCL-IR printer.
 
-   The parser is one index scan over the source string. Every parsed
-   element and attribute records the byte offset where it starts; offsets
-   become 1-based line:col positions only when something asks (a
-   diagnostic, {!nth_attr_pos}, a {!Parse_error}), through a line-start index
-   built on first use. Every parse failure raises a structured
-   {!Parse_error} carrying the message, the file label, the position and
-   the stack of open elements rendered "<tag> at FILE:LINE:COL" — the
-   ingestion layer (lib/interop) and the golden bad-XML corpus depend on
-   those positions being exact. Decoding a tree back into an [Ir.t] is the
-   ingestion layer's job; this module only parses and prints. *)
+   The lexer is one index scan over the source string that emits start
+   tag, attribute and end tag events. Every element and attribute carries
+   the byte offset where it starts; offsets become 1-based line:col
+   positions only when something asks (a diagnostic, {!nth_attr_pos}, a
+   {!Parse_error}), through a line-start index built on first use. Every
+   parse failure raises a structured {!Parse_error} carrying the message,
+   the file label, the position and the stack of open elements rendered
+   "<tag> at FILE:LINE:COL" — the ingestion layer (lib/interop) and the
+   golden bad-XML corpus depend on those positions being exact.
+   [parse_tree] is one consumer of the events; the ingestion layer, which
+   decodes them into an [Ir.t], is the other. *)
 
 type pos = { line : int; col : int }
 
@@ -83,21 +84,21 @@ let pos t = resolve t.t_src t.t_off
 (* [t_attr_offs] lines up with [t_parsed]. When [attrs] is no longer that
    list (a caller rewrote the tree), the [i]-th attribute is found among
    the parsed ones by name. *)
-let rec parsed_pos t k j = function
-  | [] -> pos t
+let rec parsed_off t k j = function
+  | [] -> t.t_off
   | (k', _) :: rest ->
-      if String.equal k k' then resolve t.t_src t.t_attr_offs.(j)
-      else parsed_pos t k (j + 1) rest
+      if String.equal k k' then t.t_attr_offs.(j) else parsed_off t k (j + 1) rest
 
-let nth_attr_pos t i =
-  if i < 0 then pos t
+let nth_attr_off t i =
+  if i < 0 then t.t_off
   else if t.attrs == t.t_parsed then
-    if i < Array.length t.t_attr_offs then resolve t.t_src t.t_attr_offs.(i)
-    else pos t
+    if i < Array.length t.t_attr_offs then t.t_attr_offs.(i) else t.t_off
   else
     match List.nth_opt t.attrs i with
-    | Some (k, _) -> parsed_pos t k 0 t.t_parsed
-    | None -> pos t
+    | Some (k, _) -> parsed_off t k 0 t.t_parsed
+    | None -> t.t_off
+
+let nth_attr_pos t i = resolve t.t_src (nth_attr_off t i)
 
 type error = {
   e_message : string;
@@ -215,66 +216,105 @@ let slice_equal s i n w =
   done;
   !k = n
 
-(* An element whose open tag has been read and whose close tag has not. *)
-type open_el = {
-  f_tag : string;
-  f_off : int;
-  mutable f_attrs : (string * string) list;
-  mutable f_attr_offs : int array;
-  mutable f_kids : tree list;  (* reversed *)
+type event = Start_tag | Attribute | Start_tag_end | End_tag | End_of_input
+
+(* Where the scan stands between two events. *)
+type phase =
+  | Prolog  (* nothing read yet *)
+  | In_start_tag  (* after "<tag" or an attribute *)
+  | Empty  (* after the "/>" of an element, which closes next *)
+  | Content  (* inside an element, after its start tag or a child *)
+  | Epilog  (* after the root's close *)
+  | Done
+
+(* The current event: a tag and the offset of its '<', or an attribute
+   name and its offset and its value: the source range between the
+   quotes, decoded into [decoded] when it holds an entity reference. *)
+type token = {
+  mutable name : string;
+  mutable off : int;
+  mutable v_start : int;
+  mutable v_stop : int;
+  mutable escaped : bool;
 }
 
-type parser = {
+type lexer = {
   src : string;
   len : int;
   file : string;
   doc : source;
   mutable i : int;
-  mutable stack : open_el list;  (* open elements, innermost first *)
-  (* the attributes of the element being read, in document order *)
-  mutable a_pairs : (string * string) array;
+  mutable phase : phase;
+  (* open elements, the innermost at [depth - 1] *)
+  mutable tags : string array;
+  mutable offs : int array;
+  mutable depth : int;
+  tok : token;
+  mutable hash : int;  (* of the name last scanned *)
+  decoded : Buffer.t;
+  (* the attributes of the start tag being read, in document order *)
+  mutable a_names : string array;
   mutable a_hashes : int array;  (* of each name, to skip most comparisons *)
   mutable a_offs : int array;
   mutable na : int;
   (* attribute name -> index, once an element has more than [linear_attrs] *)
   seen : (string, int) Hashtbl.t;
-  (* Direct-mapped by the hash of the source slice, so that a repeat
-     shares the first copy: the names read so far, and recent short
-     name="value" pairs. Of a printed IR file's names 100% hit and of its
-     attributes 88%; of the msccl-tools dialect files' 87% and 65%. *)
+  (* The names read so far, direct-mapped by the hash of the source slice,
+     so that a repeat shares the first copy. *)
   names : string array;
-  pairs : (string * string) array;
 }
 
 let linear_attrs = 32
 
 let names_mask = 255
 
-let short_value = 8
-
-let pairs_mask = 1023
-
-let parser ?(file = "<string>") s =
+let lexer ?(file = "<string>") s =
   {
     src = s;
     len = String.length s;
     file;
     doc = { text = s; line_starts = [||] };
     i = 0;
-    stack = [];
-    a_pairs = Array.make 16 ("", "");
+    phase = Prolog;
+    tags = Array.make 16 "";
+    offs = Array.make 16 0;
+    depth = 0;
+    tok = { name = ""; off = -1; v_start = 0; v_stop = 0; escaped = false };
+    hash = 0;
+    decoded = Buffer.create 16;
+    a_names = Array.make 16 "";
     a_hashes = Array.make 16 0;
     a_offs = Array.make 16 0;
     na = 0;
     seen = Hashtbl.create 16;
     names = Array.make (names_mask + 1) "";
-    pairs = Array.make (pairs_mask + 1) ("", "");
   }
 
+let token p = p.tok
+
+let value p =
+  let t = p.tok in
+  if t.escaped then Buffer.contents p.decoded
+  else String.sub p.src t.v_start (t.v_stop - t.v_start)
+
+let source p = p.doc
+
+let max_context = 32
+
+(* The open elements, innermost first. Past [max_context] of them: the
+   innermost [max_context - 2], one frame counting those left out, and
+   the outermost, so a deeply nested document gets a short report. *)
+let context p =
+  let frame_at k = frame ~file:p.file p.tags.(k) (resolve p.doc p.offs.(k)) in
+  let d = p.depth in
+  if d <= max_context then List.init d (fun j -> frame_at (d - 1 - j))
+  else
+    let kept = max_context - 2 in
+    List.init kept (fun j -> frame_at (d - 1 - j))
+    @ [ Printf.sprintf "(%d more enclosing elements)" (d - kept - 1); frame_at 0 ]
+
 let raise_at p off fmt =
-  let context =
-    List.map (fun f -> frame ~file:p.file f.f_tag (resolve p.doc f.f_off)) p.stack
-  in
+  let context = context p in
   Format.kasprintf
     (fun m ->
       raise
@@ -308,15 +348,20 @@ let is_name_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | ':' | '.' -> true
   | _ -> false
 
+(* The scanning loops keep the cursor in a local, which stays in a
+   register, and store it back once. *)
 let skip_ws p =
+  let s = p.src and len = p.len in
+  let j = ref p.i in
   while
-    p.i < p.len
-    && match String.unsafe_get p.src p.i with
+    !j < len
+    && match String.unsafe_get s !j with
        | ' ' | '\t' | '\n' | '\r' -> true
        | _ -> false
   do
-    p.i <- p.i + 1
-  done
+    incr j
+  done;
+  p.i <- !j
 
 (* Advances past the first [close] at or after [from]; [msg] positioned at
    [opened] when there is none. *)
@@ -337,18 +382,23 @@ let rec skip_ws_and_comments p =
     skip_ws_and_comments p
   end
 
-(* The name under the cursor as a slice [start, p.i). *)
+(* The name under the cursor as a slice [start, p.i); its hash goes to
+   [p.hash]. *)
 let scan_name p =
-  let start = p.i in
-  while p.i < p.len && is_name_char (String.unsafe_get p.src p.i) do
-    p.i <- p.i + 1
+  let s = p.src and len = p.len and start = p.i in
+  let j = ref start and h = ref 0 in
+  while !j < len && is_name_char (String.unsafe_get s !j) do
+    h := (!h * 31) + Char.code (String.unsafe_get s !j);
+    incr j
   done;
-  if p.i = start then
-    if p.i >= p.len then fail p "expected a name but reached end of input"
-    else fail p "expected a name, found %C" p.src.[p.i];
+  p.i <- !j;
+  p.hash <- !h;
+  if !j = start then
+    if !j >= p.len then fail p "expected a name but reached end of input"
+    else fail p "expected a name, found %C" s.[!j];
   start
 
-(* The name [p.src.[start .. start + n)], whose [hash_slice] is [hash]. *)
+(* The name [p.src.[start .. start + n)], whose hash is [hash]. *)
 let name_at p start n ~hash =
   let slot = hash land names_mask in
   let w = p.names.(slot) in
@@ -361,8 +411,7 @@ let name_at p start n ~hash =
 
 let read_name p =
   let start = scan_name p in
-  let n = p.i - start in
-  name_at p start n ~hash:(hash_slice p.src start n)
+  name_at p start (p.i - start) ~hash:p.hash
 
 (* [expect] of the one-character string [c], without the call *)
 let expect_char p c =
@@ -466,68 +515,60 @@ let decode_into p b ~quote =
   go ()
 
 let unescape s =
-  let p = parser ~file:"<fragment>" s in
+  let p = lexer ~file:"<fragment>" s in
   let b = Buffer.create (String.length s) in
   decode_into p b ~quote:(-1);
   Buffer.contents b
 
-(* The attribute [k]="value" under the cursor: one String.sub per value,
-   or none for a short pair in [p.pairs]; only values holding a '&' are
-   decoded. *)
-let read_attr p k ~hash =
+(* The value whose '"' is under the cursor: its range, and only when it
+   holds a '&', its decoding. *)
+let read_value p =
   let quote = p.i in
   expect_char p '"';
-  let start = p.i in
+  let s = p.src and len = p.len and start = p.i in
   let j = ref start in
   while
-    !j < p.len
-    && match String.unsafe_get p.src !j with '"' | '&' -> false | _ -> true
+    !j < len && match String.unsafe_get s !j with '"' | '&' -> false | _ -> true
   do
     incr j
   done;
   if !j >= p.len then
-    raise_at p quote "unterminated attribute value (quote opened here)"
-  else if p.src.[!j] = '"' then begin
-    let n = !j - start in
-    p.i <- !j + 1;
-    if n > short_value then (k, String.sub p.src start n)
-    else begin
-      let h = ((hash * 31) + hash_slice p.src start n) land pairs_mask in
-      let ((k', v') as cached) = p.pairs.(h) in
-      (* [k] comes from [p.names]: a name evicted there and read again
-         is a new copy, which only costs a miss here *)
-      if k' == k && slice_equal p.src start n v' then cached
-      else begin
-        let kv = (k, String.sub p.src start n) in
-        p.pairs.(h) <- kv;
-        kv
-      end
-    end
+    raise_at p quote "unterminated attribute value (quote opened here)";
+  let t = p.tok in
+  t.v_start <- start;
+  if String.unsafe_get p.src !j = '"' then begin
+    t.escaped <- false;
+    t.v_stop <- !j;
+    p.i <- !j + 1
   end
   else begin
-    let b = Buffer.create (!j - start + 16) in
+    let b = p.decoded in
+    Buffer.clear b;
     Buffer.add_substring b p.src start (!j - start);
     p.i <- !j;
     decode_into p b ~quote;
-    (k, Buffer.contents b)
+    t.escaped <- true;
+    t.v_stop <- p.i - 1
   end
 
 (* ------------------------------------------------------------------ *)
-(* Elements                                                            *)
+(* Events                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let push_attr p kv ~hash off =
-  if p.na = Array.length p.a_pairs then begin
+let push_attr p k ~hash off =
+  if p.na = Array.length p.a_names then begin
     let grow a fill =
       let a' = Array.make (2 * p.na) fill in
       Array.blit a 0 a' 0 p.na;
       a'
     in
-    p.a_pairs <- grow p.a_pairs ("", "");
+    p.a_names <- grow p.a_names "";
     p.a_hashes <- grow p.a_hashes 0;
     p.a_offs <- grow p.a_offs 0
   end;
-  p.a_pairs.(p.na) <- kv;
+  (* the names are shared: mostly the one already there, stored without
+     a write barrier *)
+  if p.a_names.(p.na) != k then p.a_names.(p.na) <- k;
   p.a_hashes.(p.na) <- hash;
   p.a_offs.(p.na) <- off;
   p.na <- p.na + 1
@@ -535,90 +576,50 @@ let push_attr p kv ~hash off =
 (* Index of an earlier attribute named [k] of the element being read, or
    -1: a scan for the usual few attributes, a table past [linear_attrs]. *)
 let earlier_attr p k ~hash =
-  if p.na < linear_attrs then begin
-    let j = ref 0 in
+  let n = p.na in
+  if n < linear_attrs then begin
+    let hashes = p.a_hashes and j = ref 0 in
     while
-      !j < p.na
-      && not (p.a_hashes.(!j) = hash && String.equal (fst p.a_pairs.(!j)) k)
+      !j < n
+      && not (Array.unsafe_get hashes !j = hash && String.equal p.a_names.(!j) k)
     do
       incr j
     done;
-    if !j = p.na then -1 else !j
+    if !j = n then -1 else !j
   end
   else begin
     if Hashtbl.length p.seen = 0 then
       for j = 0 to p.na - 1 do
-        Hashtbl.replace p.seen (fst p.a_pairs.(j)) j
+        Hashtbl.replace p.seen p.a_names.(j) j
       done;
     match Hashtbl.find_opt p.seen k with Some j -> j | None -> -1
   end
 
-let rec collect_attrs p j acc =
-  if j < 0 then acc
-  else collect_attrs p (j - 1) (p.a_pairs.(j) :: acc)
+(* The attribute k="value" whose name starts under the cursor. *)
+let read_attr p =
+  let k_off = p.i in
+  let start = scan_name p in
+  let n = p.i - start in
+  let hash = p.hash in
+  let k = name_at p start n ~hash in
+  let first = earlier_attr p k ~hash in
+  if first >= 0 then begin
+    let fp = resolve p.doc p.a_offs.(first) in
+    raise_at p k_off
+      "duplicate attribute %s on <%s> (first occurrence at %s:%d:%d)" k
+      p.tags.(p.depth - 1) p.file fp.line fp.col
+  end;
+  skip_ws p;
+  expect_char p '=';
+  skip_ws p;
+  read_value p;
+  if Hashtbl.length p.seen > 0 then Hashtbl.replace p.seen k p.na;
+  push_attr p k ~hash k_off;
+  p.tok.name <- k;
+  p.tok.off <- k_off;
+  Attribute
 
-let read_attrs p (f : open_el) =
-  p.na <- 0;
-  if Hashtbl.length p.seen > 0 then Hashtbl.reset p.seen;
-  let more = ref true in
-  while !more do
-    skip_ws p;
-    if p.i >= p.len then
-      raise_at p f.f_off "unterminated element <%s> (opened here)" f.f_tag
-    else
-      match p.src.[p.i] with
-      | '/' | '>' -> more := false
-      | ch when is_name_char ch ->
-          let k_off = p.i in
-          let start = scan_name p in
-          let n = p.i - start in
-          let hash = hash_slice p.src start n in
-          let k = name_at p start n ~hash in
-          let first = earlier_attr p k ~hash in
-          if first >= 0 then begin
-            let fp = resolve p.doc p.a_offs.(first) in
-            raise_at p k_off
-              "duplicate attribute %s on <%s> (first occurrence at %s:%d:%d)" k
-              f.f_tag p.file fp.line fp.col
-          end;
-          skip_ws p;
-          expect_char p '=';
-          skip_ws p;
-          let kv = read_attr p k ~hash in
-          if Hashtbl.length p.seen > 0 then Hashtbl.replace p.seen k p.na;
-          push_attr p kv ~hash k_off
-      | ch ->
-          fail p "unexpected %C in <%s> (expected an attribute name, '>' or '/>')"
-            ch f.f_tag
-  done;
-  f.f_attrs <- collect_attrs p (p.na - 1) [];
-  if p.na > 0 then f.f_attr_offs <- Array.sub p.a_offs 0 p.na
-
-let tree_of p f children =
-  {
-    tag = f.f_tag;
-    attrs = f.f_attrs;
-    children;
-    t_src = p.doc;
-    t_off = f.f_off;
-    t_parsed = f.f_attrs;
-    t_attr_offs = f.f_attr_offs;
-  }
-
-(* Pops the innermost open element as a tree with [children]; returns it
-   when it was the root. *)
-let close p f children =
-  let t = tree_of p f children in
-  match p.stack with
-  | _ :: (parent :: _ as rest) ->
-      p.stack <- rest;
-      parent.f_kids <- t :: parent.f_kids;
-      None
-  | _ ->
-      p.stack <- [];
-      Some t
-
-(* Reads an open tag; returns the tree when it closed the root. *)
+(* Reads "<tag" and opens the element. *)
 let open_element p =
   skip_ws_and_comments p;
   let start = p.i in
@@ -629,65 +630,212 @@ let open_element p =
   | ch -> fail p "expected an element, found %C (text content is not supported)" ch);
   p.i <- p.i + 1;
   let tag = read_name p in
-  let f = { f_tag = tag; f_off = start; f_attrs = []; f_attr_offs = [||]; f_kids = [] } in
-  p.stack <- f :: p.stack;
-  read_attrs p f;
+  if p.depth = Array.length p.tags then begin
+    let grow a fill =
+      let a' = Array.make (2 * p.depth) fill in
+      Array.blit a 0 a' 0 p.depth;
+      a'
+    in
+    p.tags <- grow p.tags "";
+    p.offs <- grow p.offs 0
+  end;
+  if p.tags.(p.depth) != tag then p.tags.(p.depth) <- tag;
+  p.offs.(p.depth) <- start;
+  p.depth <- p.depth + 1;
+  p.na <- 0;
+  if Hashtbl.length p.seen > 0 then Hashtbl.reset p.seen;
+  p.tok.name <- tag;
+  p.tok.off <- start;
+  p.phase <- In_start_tag;
+  Start_tag
+
+let unterminated p =
+  let d = p.depth - 1 in
+  raise_at p p.offs.(d) "unterminated element <%s> (opened here)" p.tags.(d)
+
+(* An attribute, or the '>' or "/>" that ends the start tag. *)
+let in_start_tag p =
   skip_ws p;
-  if at2 p '/' '>' then begin
-    p.i <- p.i + 2;
-    close p f []
-  end
-  else begin
-    expect_char p '>';
-    None
-  end
+  if p.i >= p.len then unterminated p
+  else
+    match String.unsafe_get p.src p.i with
+    | '/' | '>' ->
+        if at2 p '/' '>' then begin
+          p.i <- p.i + 2;
+          p.phase <- Empty
+        end
+        else begin
+          expect_char p '>';
+          p.phase <- Content
+        end;
+        Start_tag_end
+    | ch when is_name_char ch -> read_attr p
+    | ch ->
+        fail p "unexpected %C in <%s> (expected an attribute name, '>' or '/>')"
+          ch p.tags.(p.depth - 1)
+
+(* Closes the innermost open element. *)
+let pop p =
+  let d = p.depth - 1 in
+  p.tok.name <- p.tags.(d);
+  p.tok.off <- p.offs.(d);
+  p.depth <- d;
+  p.phase <- (if d = 0 then Epilog else Content);
+  End_tag
 
 (* Reads the close tag of the innermost open element, whose "</" sits
    under the cursor. *)
-let close_element p f =
+let close_element p =
   let close_off = p.i in
   p.i <- p.i + 2;
   let start = scan_name p in
   let n = p.i - start in
-  if not (slice_equal p.src start n f.f_tag) then begin
-    let op = resolve p.doc f.f_off in
+  let d = p.depth - 1 in
+  if not (slice_equal p.src start n p.tags.(d)) then begin
+    let op = resolve p.doc p.offs.(d) in
     raise_at p close_off "mismatched closing tag </%s> for <%s> (opened at %s:%d:%d)"
-      (String.sub p.src start n) f.f_tag p.file op.line op.col
+      (String.sub p.src start n) p.tags.(d) p.file op.line op.col
   end;
   skip_ws p;
   expect_char p '>';
-  close p f (List.rev f.f_kids)
+  pop p
 
-(* Elements nest through [p.stack], not the OCaml stack, so nesting depth
+(* Elements nest through [p.tags], not the OCaml stack, so nesting depth
    costs heap, not native stack the GC rescans. *)
-let parse_root p =
-  let rec children () =
-    match p.stack with
-    | [] -> assert false
-    | f :: _ -> (
-        skip_ws_and_comments p;
-        let closed =
-          if at2 p '<' '/' then close_element p f
-          else if p.i >= p.len then
-            raise_at p f.f_off "unterminated element <%s> (opened here)" f.f_tag
-          else open_element p
-        in
-        match closed with Some t -> t | None -> children ())
-  in
-  match open_element p with Some t -> t | None -> children ()
+let next p =
+  match p.phase with
+  | In_start_tag -> in_start_tag p
+  | Content ->
+      skip_ws_and_comments p;
+      if at2 p '<' '/' then close_element p
+      else if p.i >= p.len then unterminated p
+      else open_element p
+  | Empty -> pop p
+  | Prolog ->
+      if looking_at p "\xef\xbb\xbf" then p.i <- 3;
+      skip_ws_and_comments p;
+      if looking_at p "<?" then
+        skip_past p ~from:p.i ~close:"?>" ~opened:p.i
+          "unterminated XML declaration (opened here)";
+      open_element p
+  | Epilog ->
+      skip_ws_and_comments p;
+      if p.i < p.len then
+        fail p "trailing content after the root element (found %C)" p.src.[p.i];
+      p.phase <- Done;
+      End_of_input
+  | Done -> End_of_input
+
+(* ------------------------------------------------------------------ *)
+(* Trees                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The tree consumer of the events. The elements open at depth [k] (1 for
+   the root) keep their attributes and the offsets of their names at
+   [k], and their children, reversed, at [k]; the root ends up alone at
+   0. *)
+type builder = {
+  lx : lexer;
+  (* recent short name="value" pairs, direct-mapped by the hash of the
+     source slice, so that a repeat shares the first copy *)
+  pairs : (string * string) array;
+  mutable kv : (string * string) array;  (* of the start tag being read *)
+  mutable b_attrs : (string * string) list array;
+  mutable b_offs : int array array;
+  mutable b_kids : tree list array;
+}
+
+let short_value = 8
+
+let pairs_mask = 1023
+
+(* The current attribute: one String.sub per value, or none for a short
+   pair in [b.pairs]. *)
+let attr_pair b =
+  let p = b.lx in
+  let t = p.tok in
+  if t.escaped then (t.name, Buffer.contents p.decoded)
+  else begin
+    let start = t.v_start and n = t.v_stop - t.v_start in
+    if n > short_value then (t.name, String.sub p.src start n)
+    else begin
+      let h = ((p.hash * 31) + hash_slice p.src start n) land pairs_mask in
+      let ((k', v') as cached) = b.pairs.(h) in
+      (* the name comes from [p.names]: a name evicted there and read
+         again is a new copy, which only costs a miss here *)
+      if k' == t.name && slice_equal p.src start n v' then cached
+      else begin
+        let kv = (t.name, String.sub p.src start n) in
+        b.pairs.(h) <- kv;
+        kv
+      end
+    end
+  end
+
+let rec collect_attrs b j acc =
+  if j < 0 then acc else collect_attrs b (j - 1) (b.kv.(j) :: acc)
+
+let grow_levels b k =
+  if k = Array.length b.b_kids then begin
+    let grow a fill =
+      let a' = Array.make (2 * k) fill in
+      Array.blit a 0 a' 0 k;
+      a'
+    in
+    b.b_attrs <- grow b.b_attrs [];
+    b.b_offs <- grow b.b_offs [||];
+    b.b_kids <- grow b.b_kids []
+  end
+
+let rec build b =
+  let p = b.lx in
+  match next p with
+  | Start_tag ->
+      grow_levels b p.depth;
+      b.b_kids.(p.depth) <- [];
+      build b
+  | Attribute ->
+      let j = p.na - 1 in
+      if j = Array.length b.kv then begin
+        let kv = Array.make (2 * j) ("", "") in
+        Array.blit b.kv 0 kv 0 j;
+        b.kv <- kv
+      end;
+      b.kv.(j) <- attr_pair b;
+      build b
+  | Start_tag_end ->
+      b.b_attrs.(p.depth) <- collect_attrs b (p.na - 1) [];
+      b.b_offs.(p.depth) <- (if p.na > 0 then Array.sub p.a_offs 0 p.na else [||]);
+      build b
+  | End_tag ->
+      let k = p.depth + 1 in
+      let attrs = b.b_attrs.(k) in
+      let t =
+        {
+          tag = p.tok.name;
+          attrs;
+          children = List.rev b.b_kids.(k);
+          t_src = p.doc;
+          t_off = p.tok.off;
+          t_parsed = attrs;
+          t_attr_offs = b.b_offs.(k);
+        }
+      in
+      b.b_kids.(k - 1) <- t :: b.b_kids.(k - 1);
+      build b
+  | End_of_input -> (
+      match b.b_kids.(0) with [ t ] -> t | _ -> assert false)
 
 let parse_tree ?file s =
-  let p = parser ?file s in
-  if looking_at p "\xef\xbb\xbf" then p.i <- 3;
-  skip_ws_and_comments p;
-  if looking_at p "<?" then
-    skip_past p ~from:p.i ~close:"?>" ~opened:p.i
-      "unterminated XML declaration (opened here)";
-  let t = parse_root p in
-  skip_ws_and_comments p;
-  if p.i < p.len then
-    fail p "trailing content after the root element (found %C)" p.src.[p.i];
-  t
+  build
+    {
+      lx = lexer ?file s;
+      pairs = Array.make (pairs_mask + 1) ("", "");
+      kv = Array.make 16 ("", "");
+      b_attrs = Array.make 16 [];
+      b_offs = Array.make 16 [||];
+      b_kids = Array.make 16 [];
+    }
 
 (* ------------------------------------------------------------------ *)
 (* IR -> text                                                          *)

@@ -577,6 +577,23 @@ let check_ingest (c : Case.t) (ir : Ir.t) =
             (List.length r.P.r_diags)
       | _ -> Ok ()
   in
+  (* [of_string] decodes the lexer's events, [of_tree] a replay of the
+     parsed tree's into the same decoder: both give an equal program and
+     the same diagnostics. *)
+  let same_as_replay tag doc streamed =
+    match
+      match Xml.parse_tree ~file:"<mangled>" doc with
+      | t -> I.of_tree ~file:"<mangled>" t
+      | exception Xml.Parse_error e -> Error [ I.parse_diag e ]
+    with
+    | exception e ->
+        fail Ingest "%s: the tree replay raised: %s" tag (Printexc.to_string e)
+    | replayed -> (
+        match (streamed, replayed) with
+        | Ok (a, da), Ok (b, db) when Ir.equal a b && da = db -> Ok ()
+        | Error da, Error db when da = db -> Ok ()
+        | _ -> fail Ingest "%s: of_string and the tree replay disagree" tag)
+  in
   (* Hostile sweep: every corruption must either be accepted (and then
      round-trip stably and get verdicts) or rejected with positioned
      structured diagnostics. Unstructured exceptions never escape. *)
@@ -593,31 +610,34 @@ let check_ingest (c : Case.t) (ir : Ir.t) =
       | exception e ->
           fail Ingest "%s: unstructured exception escaped ingestion: %s" tag
             (Printexc.to_string e)
-      | Error [] -> fail Ingest "%s: rejected with no diagnostics" tag
-      | Error ds -> (
-          match
-            List.find_opt
-              (fun d -> d.I.d_severity = I.Error && d.I.d_pos.Xml.line < 1)
-              ds
-          with
-          | Some d ->
-              fail Ingest "%s: rejection without a position: %s" tag
-                (I.diag_to_string d)
-          | None -> sweep (i + 1))
-      | Ok (ir', _) -> (
-          let doc2 = Xml.to_string ir' in
-          match I.of_string ~file:"<reprint>" doc2 with
-          | Ok (ir2, _) when Ir.equal ir' ir2 ->
-              Result.bind (verdicts tag ir') (fun () -> sweep (i + 1))
-          | Ok _ -> fail Ingest "%s: accepted repair does not round-trip" tag
-          | Error ds ->
-              fail Ingest "%s: accepted repair rejected on reprint: %s" tag
-                (match I.errors ds with
-                | d :: _ -> I.diag_to_string d
-                | [] -> "(no diagnostics)")
-          | exception e ->
-              fail Ingest "%s: reprint ingestion raised: %s" tag
-                (Printexc.to_string e))
+      | streamed -> (
+          let* () = same_as_replay tag mangled streamed in
+          match streamed with
+          | Error [] -> fail Ingest "%s: rejected with no diagnostics" tag
+          | Error ds -> (
+              match
+                List.find_opt
+                  (fun d -> d.I.d_severity = I.Error && d.I.d_pos.Xml.line < 1)
+                  ds
+              with
+              | Some d ->
+                  fail Ingest "%s: rejection without a position: %s" tag
+                    (I.diag_to_string d)
+              | None -> sweep (i + 1))
+          | Ok (ir', _) -> (
+              let doc2 = Xml.to_string ir' in
+              match I.of_string ~file:"<reprint>" doc2 with
+              | Ok (ir2, _) when Ir.equal ir' ir2 ->
+                  Result.bind (verdicts tag ir') (fun () -> sweep (i + 1))
+              | Ok _ -> fail Ingest "%s: accepted repair does not round-trip" tag
+              | Error ds ->
+                  fail Ingest "%s: accepted repair rejected on reprint: %s" tag
+                    (match I.errors ds with
+                    | d :: _ -> I.diag_to_string d
+                    | [] -> "(no diagnostics)")
+              | exception e ->
+                  fail Ingest "%s: reprint ingestion raised: %s" tag
+                    (Printexc.to_string e)))
   in
   sweep 0
 

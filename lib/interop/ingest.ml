@@ -48,18 +48,27 @@ let diags_json ds =
 (* Diagnostic accumulation                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The elements enclosing a diagnostic's cause, innermost first, each
+   with the document and offset of its '<'; rendered into frames only
+   when a diagnostic is emitted. *)
+type ctx = Top | In of { tag : string; src : Xml.source; off : int; up : ctx }
+
+let rec frames ~file = function
+  | Top -> []
+  | In f -> Xml.frame ~file f.tag (Xml.resolve f.src f.off) :: frames ~file f.up
+
 type st = {
   s_file : string;
   mutable s_diags : diag list; (* reversed *)
   mutable s_errors : int;
   s_bytes : int;  (* document size *)
   mutable s_chunks_left : int;  (* of the chunk budget; -1 once exceeded *)
+  (* short attribute values read so far, direct-mapped by the hash of
+     their text, so that a repeat (an opcode, a buffer name, a flag) is
+     the first copy *)
+  s_words : string array;
 }
 
-let where ~file (t : Xml.tree) = Xml.frame ~file t.Xml.tag (Xml.pos t)
-
-(* [ctx] is the list of enclosing elements, innermost first, rendered
-   into frames only here, when a diagnostic is emitted. *)
 let add st sev rule ~pos ~ctx fmt =
   Format.kasprintf
     (fun m ->
@@ -71,7 +80,7 @@ let add st sev rule ~pos ~ctx fmt =
           d_message = m;
           d_file = st.s_file;
           d_pos = pos;
-          d_context = List.map (where ~file:st.s_file) ctx;
+          d_context = frames ~file:st.s_file ctx;
         }
         :: st.s_diags)
     fmt
@@ -106,63 +115,96 @@ let charge st ~pos ~ctx what n =
   else st.s_chunks_left <- st.s_chunks_left - n
 
 (* ------------------------------------------------------------------ *)
-(* Attribute access with aliases                                       *)
+(* Attributes, per element kind                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The attributes an element kind knows: [slot] maps each name to its
-   slot in [0, nslots), or to [unknown] or [ignored]. *)
-type schema = { slot : string -> int; nslots : int }
-
+(* [slot] maps each attribute name an element kind knows to its slot in
+   [0, nslots), or to [unknown] or [ignored]. *)
 let unknown = -1
 
 let ignored = -2
 
-(* One element's attributes, indexed in one pass: per slot, the first
-   attribute of that name and its document index (-1: absent). *)
-type attrs = {
-  a_tree : Xml.tree;
-  a_kv : (string * string) array;
-  a_at : int array;
+(* The element of one kind being decoded, reused for every element of
+   that kind: its document, the offset of its '<' and the kind it nests
+   in, and per slot the first attribute of that name: the name as
+   written, where it starts, and its value as the range
+   [starts, stops) of [bases] (the document, or the decoded value when
+   it held an entity). [starts] is -1 for an absent attribute. *)
+type slots = {
+  tag : string;
+  slot : string -> int;
+  up : slots option;
+  keys : string array;
+  bases : string array;
+  starts : int array;
+  stops : int array;
+  offs : int array;
+  mutable src : Xml.source;
+  mutable off : int;
 }
 
-let rec index_from st ~ctx sc a i = function
-  | [] -> ()
-  | ((k, _) as kv) :: rest ->
-      let slot = sc.slot k in
-      if slot >= 0 then begin
-        if a.a_at.(slot) < 0 then begin
-          a.a_kv.(slot) <- kv;
-          a.a_at.(slot) <- i
-        end
-      end
-      else if slot = unknown then begin
-        let t = a.a_tree in
-        warn st "unknown-attribute" ~pos:(Xml.nth_attr_pos t i) ~ctx
-          "<%s> has unknown attribute %s (ignored)" t.Xml.tag k
-      end;
-      index_from st ~ctx sc a (i + 1) rest
+let slots ~src ?up tag nslots slot =
+  {
+    tag;
+    slot;
+    up;
+    keys = Array.make nslots "";
+    bases = Array.make nslots "";
+    starts = Array.make nslots (-1);
+    stops = Array.make nslots 0;
+    offs = Array.make nslots 0;
+    src;
+    off = -1;
+  }
 
-let index st ~ctx sc (t : Xml.tree) =
-  let a =
+let rec ctx_of sl =
+  In
     {
-      a_tree = t;
-      a_kv = Array.make sc.nslots ("", "");
-      a_at = Array.make sc.nslots (-1);
+      tag = sl.tag;
+      src = sl.src;
+      off = sl.off;
+      up = (match sl.up with None -> Top | Some u -> ctx_of u);
     }
-  in
-  index_from st ~ctx sc a 0 t.Xml.attrs;
-  a
+
+(* The element's position. *)
+let epos sl = Xml.resolve sl.src sl.off
 
 (* [slot] when present, or -1; [get2] prefers [s1] to its alias [s2]. *)
-let get a slot = if a.a_at.(slot) >= 0 then slot else -1
+let get sl slot = if sl.starts.(slot) >= 0 then slot else -1
 
-let get2 a s1 s2 = if a.a_at.(s1) >= 0 then s1 else get a s2
+let get2 sl s1 s2 = if sl.starts.(s1) >= 0 then s1 else get sl s2
 
-let key a slot = fst a.a_kv.(slot)
+let key sl slot = sl.keys.(slot)
 
-let value a slot = snd a.a_kv.(slot)
+let apos sl slot = Xml.resolve sl.src sl.offs.(slot)
 
-let apos a slot = Xml.nth_attr_pos a.a_tree a.a_at.(slot)
+let words_mask = 63
+
+(* The value of [slot] as a string: one String.sub, or none for a short
+   value in [st.s_words]. *)
+let value st sl slot =
+  let b = sl.bases.(slot) and i = sl.starts.(slot) in
+  let n = sl.stops.(slot) - i in
+  if n > 8 then String.sub b i n
+  else begin
+    let h = ref n in
+    for k = i to i + n - 1 do
+      h := (!h * 31) + Char.code (String.unsafe_get b k)
+    done;
+    let h = !h land words_mask in
+    let w = st.s_words.(h) in
+    let k = ref 0 in
+    if String.length w = n then
+      while !k < n && String.unsafe_get w !k = String.unsafe_get b (i + !k) do
+        incr k
+      done;
+    if String.length w = n && !k = n then w
+    else begin
+      let w = String.sub b i n in
+      st.s_words.(h) <- w;
+      w
+    end
+  end
 
 (* The value of a plain decimal [-?[0-9]{1,18}] in [v.[i..j)], or
    [not_decimal]; eighteen digits cannot overflow. *)
@@ -183,11 +225,22 @@ let decimal v i j =
     if !k < j then not_decimal else if neg then - !n else !n
   end
 
-(* [int_of_string_opt (String.trim v)], read straight from [v] when it is
-   a plain decimal. *)
-let int_value v =
-  let n = decimal v 0 (String.length v) in
-  if n <> not_decimal then Some n else int_of_string_opt (String.trim v)
+(* [Some n] for the ids, offsets and counts most attributes hold, shared
+   rather than allocated per value. Filled by the first [decoder]: a
+   table built as the program starts moves the GC's heap growth in runs
+   that never ingest (perfbench's sym-frontier peak heap, 12.25 -> 14.85
+   MiB). *)
+let small_ints = ref [||]
+
+(* [int_of_string_opt (String.trim v)] of [v.[i..j)], read in place when
+   it is a plain decimal. *)
+let int_in v i j =
+  let n = decimal v i j and shared = !small_ints in
+  if n >= -1 && n + 1 < Array.length shared then Array.unsafe_get shared (n + 1)
+  else if n <> not_decimal then Some n
+  else int_of_string_opt (String.trim (String.sub v i (j - i)))
+
+let int_value v = int_in v 0 (String.length v)
 
 (* [String.lowercase_ascii (String.trim v)], without the copies when
    [v] is already in that form. *)
@@ -201,37 +254,36 @@ let canonical v =
   if !i = n && (n = 0 || not (is_space v.[0] || is_space v.[n - 1])) then v
   else String.lowercase_ascii (String.trim v)
 
-let int_of st ~ctx a slot =
-  let v = value a slot in
-  match int_value v with
+let int_of st sl slot =
+  match int_in sl.bases.(slot) sl.starts.(slot) sl.stops.(slot) with
   | Some n -> Some n
   | None ->
-      err st "schema" ~pos:(apos a slot) ~ctx
-        "<%s> attribute %s: %S is not an integer" a.a_tree.Xml.tag
-        (key a slot) v;
+      err st "schema" ~pos:(apos sl slot) ~ctx:(ctx_of sl)
+        "<%s> attribute %s: %S is not an integer" sl.tag (key sl slot)
+        (value st sl slot);
       None
 
-let req_int st ~ctx a slot name =
-  match get a slot with
+let req_int st sl slot name =
+  match get sl slot with
   | -1 ->
-      err st "schema" ~pos:(Xml.pos a.a_tree) ~ctx
-        "<%s> is missing the required attribute %s" a.a_tree.Xml.tag name;
+      err st "schema" ~pos:(epos sl) ~ctx:(ctx_of sl)
+        "<%s> is missing the required attribute %s" sl.tag name;
       None
-  | s -> int_of st ~ctx a s
+  | s -> int_of st sl s
 
 (* [found] is a slot from {!get}/{!get2}. *)
-let opt_int st ~ctx a found ~default =
-  match found with -1 -> Some default | s -> int_of st ~ctx a s
+let opt_int st sl found ~default =
+  match found with -1 -> Some default | s -> int_of st sl s
 
-let bool_of st ~ctx a slot =
-  let v = value a slot in
+let bool_of st sl slot =
+  let v = value st sl slot in
   match canonical v with
   | "1" | "true" -> Some true
   | "0" | "false" -> Some false
   | _ ->
-      err st "schema" ~pos:(apos a slot) ~ctx
-        "<%s> attribute %s: %S is not a boolean (want 0/1/true/false)"
-        a.a_tree.Xml.tag (key a slot) v;
+      err st "schema" ~pos:(apos sl slot) ~ctx:(ctx_of sl)
+        "<%s> attribute %s: %S is not a boolean (want 0/1/true/false)" sl.tag
+        (key sl slot) v;
       None
 
 (* ------------------------------------------------------------------ *)
@@ -271,23 +323,39 @@ let with_root kind r =
   | Collective.Scatter _ -> Collective.Scatter r
   | k -> k
 
+(* Elements decoded so far at one level, in document order. *)
+type 'a acc = { mutable items : 'a array; mutable n : int }
+
+let push acc x =
+  if acc.n = Array.length acc.items then begin
+    let items = Array.make (max 16 (2 * acc.n)) x in
+    Array.blit acc.items 0 items 0 acc.n;
+    acc.items <- items
+  end;
+  acc.items.(acc.n) <- x;
+  acc.n <- acc.n + 1
+
+let take acc =
+  let a = Array.sub acc.items 0 acc.n in
+  acc.n <- 0;
+  a
+
 (* ------------------------------------------------------------------ *)
-(* Decoded intermediates (trees kept for positioned semantic diags)    *)
+(* Decoded intermediates (offsets kept for positioned semantic diags)  *)
 (* ------------------------------------------------------------------ *)
 
+(* A step is decoded straight into the IR's form; only a repair of its
+   [has_dep] copies it again. *)
 type dstep = {
-  ds_tree : Xml.tree;
-  ds_s : int;
-  ds_op : Instr.opcode;
-  ds_src : (Buffer_id.t * int) option;
-  ds_dst : (Buffer_id.t * int) option;
-  ds_count : int;
-  ds_depends : (int * int) list;
+  ds_doc : Xml.source;
+  ds_off : int;
+  ds : Ir.step;
   mutable ds_has_dep : bool;
 }
 
 type dtb = {
-  dt_tree : Xml.tree;
+  dt_doc : Xml.source;
+  dt_off : int;
   dt_id : int;
   dt_send : int;
   dt_recv : int;
@@ -296,13 +364,26 @@ type dtb = {
 }
 
 type dgpu = {
-  dg_tree : Xml.tree;
+  dg_doc : Xml.source;
+  dg_off : int;
   dg_id : int;
   dg_in : int;  (* -1 = undeclared *)
   dg_out : int;  (* -1 = undeclared *)
   dg_scratch : int;
   dg_tbs : dtb array;
 }
+
+let step_pos ds = Xml.resolve ds.ds_doc ds.ds_off
+
+let tb_pos tb = Xml.resolve tb.dt_doc tb.dt_off
+
+let gpu_pos g = Xml.resolve g.dg_doc g.dg_off
+
+let gpu_ctx g up = In { tag = "gpu"; src = g.dg_doc; off = g.dg_off; up }
+
+let tb_ctx tb up = In { tag = "tb"; src = tb.dt_doc; off = tb.dt_off; up }
+
+let step_ctx ds up = In { tag = "step"; src = ds.ds_doc; off = ds.ds_off; up }
 
 (* ------------------------------------------------------------------ *)
 (* Step / tb / gpu decoding                                            *)
@@ -312,41 +393,26 @@ let st_s = 0 and st_type = 1 and st_srcbuf = 2 and st_srcoff = 3
 and st_dstbuf = 4 and st_dstoff = 5 and st_cnt = 6 and st_count = 7
 and st_depid = 8 and st_deps = 9 and st_hasdep = 10
 
-let step_schema =
-  {
-    nslots = 11;
-    slot =
-      (function
-      | "s" -> st_s | "type" -> st_type | "srcbuf" -> st_srcbuf
-      | "srcoff" -> st_srcoff | "dstbuf" -> st_dstbuf | "dstoff" -> st_dstoff
-      | "cnt" -> st_cnt | "count" -> st_count | "depid" -> st_depid
-      | "deps" -> st_deps | "hasdep" -> st_hasdep | _ -> unknown);
-  }
+let step_slot = function
+  | "s" -> st_s | "type" -> st_type | "srcbuf" -> st_srcbuf
+  | "srcoff" -> st_srcoff | "dstbuf" -> st_dstbuf | "dstoff" -> st_dstoff
+  | "cnt" -> st_cnt | "count" -> st_count | "depid" -> st_depid
+  | "deps" -> st_deps | "hasdep" -> st_hasdep | _ -> unknown
 
 let tb_id = 0 and tb_send = 1 and tb_recv = 2 and tb_chan = 3
 
-let tb_schema =
-  {
-    nslots = 4;
-    slot =
-      (function
-      | "id" -> tb_id | "send" -> tb_send | "recv" -> tb_recv
-      | "chan" -> tb_chan | _ -> unknown);
-  }
+let tb_slot = function
+  | "id" -> tb_id | "send" -> tb_send | "recv" -> tb_recv
+  | "chan" -> tb_chan | _ -> unknown
 
 let gpu_id = 0 and gpu_i = 1 and gpu_o = 2 and gpu_s = 3 and gpu_input = 4
 and gpu_output = 5 and gpu_scratch = 6
 
-let gpu_schema =
-  {
-    nslots = 7;
-    slot =
-      (function
-      | "id" -> gpu_id | "i_chunks" -> gpu_i | "o_chunks" -> gpu_o
-      | "s_chunks" -> gpu_s | "input_chunks" -> gpu_input
-      | "output_chunks" -> gpu_output | "scratch_chunks" -> gpu_scratch
-      | _ -> unknown);
-  }
+let gpu_slot = function
+  | "id" -> gpu_id | "i_chunks" -> gpu_i | "o_chunks" -> gpu_o
+  | "s_chunks" -> gpu_s | "input_chunks" -> gpu_input
+  | "output_chunks" -> gpu_output | "scratch_chunks" -> gpu_scratch
+  | _ -> unknown
 
 let al_name = 0 and al_proto = 1 and al_protocol = 2 and al_nranks = 3
 and al_ngpus = 4 and al_chunk_factor = 5 and al_nchunksperloop = 6
@@ -354,236 +420,160 @@ and al_inplace = 7 and al_outofplace = 8 and al_coll = 9
 and al_collective = 10 and al_root = 11 and al_cname = 12
 and al_in_chunks = 13 and al_out_chunks = 14
 
-let algo_schema =
-  {
-    nslots = 15;
-    slot =
-      (function
-      | "name" -> al_name | "proto" -> al_proto | "protocol" -> al_protocol
-      | "nranks" -> al_nranks | "ngpus" -> al_ngpus
-      | "chunk_factor" -> al_chunk_factor
-      | "nchunksperloop" -> al_nchunksperloop | "inplace" -> al_inplace
-      | "outofplace" -> al_outofplace | "coll" -> al_coll
-      | "collective" -> al_collective | "root" -> al_root
-      | "cname" -> al_cname | "in_chunks" -> al_in_chunks
-      | "out_chunks" -> al_out_chunks
-      | "nchannels" | "minBytes" | "maxBytes" | "redop" | "version" -> ignored
-      | _ -> unknown);
-  }
+let algo_slot = function
+  | "name" -> al_name | "proto" -> al_proto | "protocol" -> al_protocol
+  | "nranks" -> al_nranks | "ngpus" -> al_ngpus
+  | "chunk_factor" -> al_chunk_factor
+  | "nchunksperloop" -> al_nchunksperloop | "inplace" -> al_inplace
+  | "outofplace" -> al_outofplace | "coll" -> al_coll
+  | "collective" -> al_collective | "root" -> al_root
+  | "cname" -> al_cname | "in_chunks" -> al_in_chunks
+  | "out_chunks" -> al_out_chunks
+  | "nchannels" | "minBytes" | "maxBytes" | "redop" | "version" -> ignored
+  | _ -> unknown
 
-let decode_loc st ~ctx a prefix ~buf ~off =
-  (* [None] = hard failure (diag recorded); [Some None] = no location. *)
-  let t = a.a_tree in
-  match get a buf with
-  | -1 -> Some None
+(* [decode_loc]'s result when its diagnostic is recorded; told apart by
+   physical equality. *)
+let bad_loc = Some { Loc.rank = -1; buf = Buffer_id.Input; index = -1; count = 0 }
+
+(* The location of a step of gpu [rank] moving [count] chunks, [None]
+   when it has none. Loc.make's checks hold for any program that gets
+   this far: the offset was just checked, a nonpositive count and gpu
+   ids other than 0, 1, ... are errors. *)
+let decode_loc st sl prefix ~buf ~off ~rank ~count =
+  match get sl buf with
+  | -1 -> None
   | bs -> (
-      let v = value a bs in
+      let v = value st sl bs in
       match canonical v with
-      | "n" | "none" | "" -> Some None
+      | "n" | "none" | "" -> None
       | b -> (
           match Buffer_id.of_name b with
           | None ->
-              err st "schema" ~pos:(apos a bs) ~ctx
-                "<%s> attribute %s: unknown buffer %S (want i/o/s)" t.Xml.tag
-                (key a bs) v;
-              None
+              err st "schema" ~pos:(apos sl bs) ~ctx:(ctx_of sl)
+                "<%s> attribute %s: unknown buffer %S (want i/o/s)" sl.tag
+                (key sl bs) v;
+              bad_loc
           | Some buffer -> (
-              match get a off with
+              match get sl off with
               | -1 ->
-                  err st "schema" ~pos:(Xml.pos t) ~ctx
-                    "<%s> has %sbuf=%S but no %soff" t.Xml.tag prefix v prefix;
-                  None
+                  err st "schema" ~pos:(epos sl) ~ctx:(ctx_of sl)
+                    "<%s> has %sbuf=%S but no %soff" sl.tag prefix v prefix;
+                  bad_loc
               | os -> (
-                  match int_of st ~ctx a os with
-                  | None -> None
+                  match int_of st sl os with
+                  | None -> bad_loc
                   | Some o when o < 0 ->
-                      err st "range" ~pos:(apos a os) ~ctx
-                        "<%s> attribute %soff: negative offset %d" t.Xml.tag
+                      err st "range" ~pos:(apos sl os) ~ctx:(ctx_of sl)
+                        "<%s> attribute %soff: negative offset %d" sl.tag
                         prefix o;
-                      None
-                  | Some o -> Some (Some (buffer, o))))))
+                      bad_loc
+                  | Some index -> Some { Loc.rank; buf = buffer; index; count }))))
 
-(* The comma-separated integers of [v], each read as {!int_value} reads
-   one; [None] when any is not an integer. *)
-let rec id_list_from v i acc =
-  let n = String.length v in
+(* The list of an absent depid or deps, and of most present ones. *)
+let no_ids = Some [ -1 ]
+
+(* The comma-separated integers of [v.[i..stop)], each read as
+   {!int_value} reads one; [None] when any is not an integer. *)
+let rec id_list v i stop acc =
   let j = ref i in
-  while !j < n && String.unsafe_get v !j <> ',' do
+  while !j < stop && String.unsafe_get v !j <> ',' do
     incr j
   done;
   let j = !j in
-  let id =
-    match decimal v i j with
-    | x when x <> not_decimal -> Some x
-    | _ -> int_of_string_opt (String.trim (String.sub v i (j - i)))
-  in
-  match id with
-  | None -> None
-  | Some x when j = n -> Some (List.rev (x :: acc))
-  | Some x -> id_list_from v (j + 1) (x :: acc)
+  let x = decimal v i j in
+  if x <> not_decimal then more_ids v j stop acc x
+  else
+    match int_of_string_opt (String.trim (String.sub v i (j - i))) with
+    | Some x -> more_ids v j stop acc x
+    | None -> None
 
-let id_list v = id_list_from v 0 []
+and more_ids v j stop acc x =
+  if j < stop then id_list v (j + 1) stop (x :: acc)
+  else if acc <> [] then Some (List.rev (x :: acc))
+  else if x = -1 then no_ids
+  else Some [ x ]
 
-let decode_ids st ~ctx a slot ~default =
-  match get a slot with
-  | -1 -> Some default
+let decode_ids st sl slot =
+  match get sl slot with
+  | -1 -> no_ids
   | s -> (
-      let v = value a s in
-      match id_list v with
+      match id_list sl.bases.(s) sl.starts.(s) sl.stops.(s) [] with
       | Some ids -> Some ids
       | None ->
-          err st "schema" ~pos:(apos a s) ~ctx
-            "<%s> attribute %s: bad id list %S" a.a_tree.Xml.tag
-            (key a slot) v;
+          err st "schema" ~pos:(apos sl s) ~ctx:(ctx_of sl)
+            "<%s> attribute %s: bad id list %S" sl.tag (key sl slot)
+            (value st sl s);
           None)
 
-let decode_step st ~ctx (t : Xml.tree) =
-  let ctx = t :: ctx in
-  let a = index st ~ctx step_schema t in
-  let s = req_int st ~ctx a st_s "s" in
+(* Decodes the step whose start tag has ended into [steps]; a step with
+   an error is dropped, its diagnostics recorded. *)
+let decode_step st sl ~rank steps =
+  let s = req_int st sl st_s "s" in
   let op =
-    match get a st_type with
+    match get sl st_type with
     | -1 ->
-        err st "schema" ~pos:(Xml.pos t) ~ctx
+        err st "schema" ~pos:(epos sl) ~ctx:(ctx_of sl)
           "<step> is missing the required attribute type";
         None
     | k -> (
-        let v = value a k in
+        let v = value st sl k in
         match opcode_of_dialect v with
         | Some op -> Some op
         | None ->
-            err st "schema" ~pos:(apos a k) ~ctx "<step> has unknown opcode %S" v;
+            err st "schema" ~pos:(apos sl k) ~ctx:(ctx_of sl)
+              "<step> has unknown opcode %S" v;
             None)
   in
   let count =
-    match opt_int st ~ctx a (get2 a st_cnt st_count) ~default:1 with
+    match opt_int st sl (get2 sl st_cnt st_count) ~default:1 with
     | Some n when n <= 0 ->
         let pos =
-          match get2 a st_cnt st_count with
-          | -1 -> Xml.pos t
-          | k -> apos a k
+          match get2 sl st_cnt st_count with -1 -> epos sl | k -> apos sl k
         in
-        err st "range" ~pos ~ctx "<step> attribute cnt: nonpositive count %d"
-          n;
+        err st "range" ~pos ~ctx:(ctx_of sl)
+          "<step> attribute cnt: nonpositive count %d" n;
         None
     | x -> x
   in
-  let src = decode_loc st ~ctx a "src" ~buf:st_srcbuf ~off:st_srcoff in
-  let dst = decode_loc st ~ctx a "dst" ~buf:st_dstbuf ~off:st_dstoff in
+  let loc_count = Option.value count ~default:1 in
+  let src =
+    decode_loc st sl "src" ~buf:st_srcbuf ~off:st_srcoff ~rank ~count:loc_count
+  in
+  let dst =
+    decode_loc st sl "dst" ~buf:st_dstbuf ~off:st_dstoff ~rank ~count:loc_count
+  in
   let depends =
-    match
-      ( decode_ids st ~ctx a st_depid ~default:[ -1 ],
-        decode_ids st ~ctx a st_deps ~default:[ -1 ] )
-    with
+    match (decode_ids st sl st_depid, decode_ids st sl st_deps) with
     | Some [ -1 ], Some [ -1 ] -> Some []
     | Some tbs, Some steps when List.length tbs = List.length steps ->
         Some (List.combine tbs steps)
     | Some _, Some _ ->
-        err st "schema" ~pos:(Xml.pos t) ~ctx
+        err st "schema" ~pos:(epos sl) ~ctx:(ctx_of sl)
           "<step> depid/deps length mismatch";
         None
     | _ -> None
   in
   let has_dep =
-    match get a st_hasdep with
-    | -1 -> Some false
-    | k -> bool_of st ~ctx a k
+    match get sl st_hasdep with -1 -> Some false | k -> bool_of st sl k
   in
-  match (s, op, count, src, dst, depends, has_dep) with
-  | ( Some s,
-      Some op,
-      Some count,
-      Some src,
-      Some dst,
-      Some depends,
-      Some has_dep ) ->
-      Some
+  match (s, op, count, depends, has_dep) with
+  | Some s, Some op, Some count, Some depends, Some has_dep
+    when src != bad_loc && dst != bad_loc ->
+      push steps
         {
-          ds_tree = t;
-          ds_s = s;
-          ds_op = op;
-          ds_src = src;
-          ds_dst = dst;
-          ds_count = count;
-          ds_depends = depends;
+          ds_doc = sl.src;
+          ds_off = sl.off;
+          ds = { Ir.s; op; src; dst; count; depends; has_dep };
           ds_has_dep = has_dep;
         }
-  | _ -> None (* diagnostics already recorded; drop the step *)
-
-(* The decoded [want] children of [t]; any other child draws a warning. *)
-let decode_children st ~ctx (t : Xml.tree) want decode =
-  Array.of_list
-    (List.filter_map
-       (fun (c : Xml.tree) ->
-         if c.Xml.tag = want then decode st ~ctx c
-         else begin
-           warn st "unknown-element" ~pos:(Xml.pos c) ~ctx
-             "unknown element <%s> inside <%s> (ignored)" c.Xml.tag t.Xml.tag;
-           None
-         end)
-       t.Xml.children)
-
-let decode_tb st ~ctx (t : Xml.tree) =
-  let ctx' = t :: ctx in
-  let a = index st ~ctx:ctx' tb_schema t in
-  let id = req_int st ~ctx:ctx' a tb_id "id" in
-  let send = opt_int st ~ctx:ctx' a (get a tb_send) ~default:(-1) in
-  let recv = opt_int st ~ctx:ctx' a (get a tb_recv) ~default:(-1) in
-  let chan = opt_int st ~ctx:ctx' a (get a tb_chan) ~default:0 in
-  let steps = decode_children st ~ctx:ctx' t "step" decode_step in
-  match (id, send, recv, chan) with
-  | Some id, Some send, Some recv, Some chan ->
-      Some
-        {
-          dt_tree = t;
-          dt_id = id;
-          dt_send = send;
-          dt_recv = recv;
-          dt_chan = chan;
-          dt_steps = steps;
-        }
-  | _ -> None
-
-let decode_gpu st ~ctx (t : Xml.tree) =
-  let ctx' = t :: ctx in
-  let a = index st ~ctx:ctx' gpu_schema t in
-  let id = req_int st ~ctx:ctx' a gpu_id "id" in
-  let sized found what ~default =
-    match opt_int st ~ctx:ctx' a found ~default with
-    | Some n when n < default ->
-        err st "range" ~pos:(Xml.pos t) ~ctx:ctx'
-          "<gpu> declares a negative %s buffer (%d chunks)" what n;
-        None
-    | Some n as x ->
-        if found >= 0 then
-          charge st ~pos:(apos a found) ~ctx:ctx'
-            ("<gpu> attribute " ^ key a found)
-            n;
-        x
-    | None -> None
-  in
-  let i_chunks = sized (get2 a gpu_i gpu_input) "input" ~default:(-1) in
-  let o_chunks = sized (get2 a gpu_o gpu_output) "output" ~default:(-1) in
-  let s_chunks = sized (get2 a gpu_s gpu_scratch) "scratch" ~default:0 in
-  let tbs = decode_children st ~ctx:ctx' t "tb" decode_tb in
-  match (id, i_chunks, o_chunks, s_chunks) with
-  | Some id, Some i, Some o, Some s ->
-      Some
-        {
-          dg_tree = t;
-          dg_id = id;
-          dg_in = i;
-          dg_out = o;
-          dg_scratch = s;
-          dg_tbs = tbs;
-        }
-  | _ -> None
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Ordering tolerance: sort by declared id, reject duplicates and gaps *)
 (* ------------------------------------------------------------------ *)
 
-let order st ~ctx ~what ~id ~tree items =
+let order st ~ctx ~what ~id ~pos items =
   let in_order = ref true in
   Array.iteri (fun i x -> if id x <> i then in_order := false) items;
   if !in_order then items
@@ -595,8 +585,8 @@ let order st ~ctx ~what ~id ~tree items =
       let a = sorted.(k - 1) and b = sorted.(k) in
       if id a = id b then begin
         dup := true;
-        let first = Xml.pos (tree a) in
-        err st "schema" ~pos:(Xml.pos (tree b)) ~ctx
+        let first = pos a in
+        err st "schema" ~pos:(pos b) ~ctx
           "duplicate %s id %d (first declared at %s:%d:%d)" what (id a)
           st.s_file first.Xml.line first.Xml.col
       end
@@ -607,7 +597,7 @@ let order st ~ctx ~what ~id ~tree items =
          if i < Array.length sorted then
            let x = sorted.(i) in
            if id x <> i then
-             err st "schema" ~pos:(Xml.pos (tree x)) ~ctx
+             err st "schema" ~pos:(pos x) ~ctx
                "%s ids are not contiguous: found id %d where %d was expected"
                what (id x) i
            else gap (i + 1)
@@ -626,147 +616,174 @@ let buffer_size (g : dgpu) = function
   | Buffer_id.Scratch -> g.dg_scratch
 
 (* Contexts and positions are built only for a diagnostic: a clean step
-   allocates nothing here. *)
-let check_bound st ~tctx g ds what = function
+   or block allocates nothing here but its claims. [gctx] is the gpu's
+   context. *)
+let check_bound st ~gctx g tb ds what = function
   | None -> ()
-  | Some (buf, off) ->
-      let size = buffer_size g buf in
-      if size >= 0 && off + ds.ds_count > size then
-        err st "range" ~pos:(Xml.pos ds.ds_tree) ~ctx:(ds.ds_tree :: tctx)
+  | Some (l : Loc.t) ->
+      let size = buffer_size g l.Loc.buf and off = l.Loc.index in
+      if size >= 0 && off + ds.ds.Ir.count > size then
+        err st "range" ~pos:(step_pos ds) ~ctx:(step_ctx ds (tb_ctx tb gctx))
           "step %d %s [%s %d..%d] beyond the %d-chunk %s buffer of gpu %d"
-          ds.ds_s what (Buffer_id.name buf) off
-          (off + ds.ds_count - 1)
-          size (Buffer_id.long_name buf) g.dg_id
+          ds.ds.Ir.s what (Buffer_id.name l.Loc.buf) off
+          (off + ds.ds.Ir.count - 1)
+          size (Buffer_id.long_name l.Loc.buf) g.dg_id
 
-let rec check_deps st ~tctx g tb ds = function
+let rec check_deps st ~gctx g tb ds = function
   | [] -> ()
   | (dtb, dstep) :: rest ->
       let ntbs = Array.length g.dg_tbs in
-      let sctx = ds.ds_tree :: tctx in
       if dtb < 0 || dtb >= ntbs then
-        err st "range" ~pos:(Xml.pos ds.ds_tree) ~ctx:sctx
-          "step %d depends on unknown thread block %d (gpu %d has %d)" ds.ds_s
+        err st "range" ~pos:(step_pos ds) ~ctx:(step_ctx ds (tb_ctx tb gctx))
+          "step %d depends on unknown thread block %d (gpu %d has %d)" ds.ds.Ir.s
           dtb g.dg_id ntbs
       else if dtb = tb.dt_id then
-        err st "range" ~pos:(Xml.pos ds.ds_tree) ~ctx:sctx
+        err st "range" ~pos:(step_pos ds) ~ctx:(step_ctx ds (tb_ctx tb gctx))
           "step %d has a same-tb dependency (ordering within a thread block \
            is implicit)"
-          ds.ds_s
+          ds.ds.Ir.s
       else begin
         let target = g.dg_tbs.(dtb) in
         let tsteps = Array.length target.dt_steps in
         if dstep < 0 || dstep >= tsteps then
-          err st "range" ~pos:(Xml.pos ds.ds_tree) ~ctx:sctx
+          err st "range" ~pos:(step_pos ds) ~ctx:(step_ctx ds (tb_ctx tb gctx))
             "step %d depends on unknown step %d of thread block %d (which has \
              %d)"
-            ds.ds_s dstep dtb tsteps
+            ds.ds.Ir.s dstep dtb tsteps
         else
           let tgt = target.dt_steps.(dstep) in
           if not tgt.ds_has_dep then begin
-            warn st "repair" ~pos:(Xml.pos tgt.ds_tree) ~ctx:sctx
+            warn st "repair" ~pos:(step_pos tgt) ~ctx:(step_ctx ds (tb_ctx tb gctx))
               "step %d of tb %d is a dependency target but not marked hasdep; \
                marking it"
               dstep dtb;
             tgt.ds_has_dep <- true
           end
       end;
-      check_deps st ~tctx g tb ds rest
+      check_deps st ~gctx g tb ds rest
 
-let check_step st ~tctx g tb (ds : dstep) =
-  if Instr.sends ds.ds_op && tb.dt_send < 0 then
-    err st "pairing" ~pos:(Xml.pos ds.ds_tree) ~ctx:(ds.ds_tree :: tctx)
-      "step %d (%s) sends but its thread block has no send peer" ds.ds_s
-      (Instr.opcode_name ds.ds_op);
-  if Instr.receives ds.ds_op && tb.dt_recv < 0 then
-    err st "pairing" ~pos:(Xml.pos ds.ds_tree) ~ctx:(ds.ds_tree :: tctx)
-      "step %d (%s) receives but its thread block has no recv peer" ds.ds_s
-      (Instr.opcode_name ds.ds_op);
-  check_bound st ~tctx g ds "reads" ds.ds_src;
-  check_bound st ~tctx g ds "writes" ds.ds_dst;
-  check_deps st ~tctx g tb ds ds.ds_depends
+let check_step st ~gctx g tb (ds : dstep) =
+  let step = ds.ds in
+  if Instr.sends step.Ir.op && tb.dt_send < 0 then
+    err st "pairing" ~pos:(step_pos ds) ~ctx:(step_ctx ds (tb_ctx tb gctx))
+      "step %d (%s) sends but its thread block has no send peer" step.Ir.s
+      (Instr.opcode_name step.Ir.op);
+  if Instr.receives step.Ir.op && tb.dt_recv < 0 then
+    err st "pairing" ~pos:(step_pos ds) ~ctx:(step_ctx ds (tb_ctx tb gctx))
+      "step %d (%s) receives but its thread block has no recv peer" step.Ir.s
+      (Instr.opcode_name step.Ir.op);
+  check_bound st ~gctx g tb ds "reads" step.Ir.src;
+  check_bound st ~gctx g tb ds "writes" step.Ir.dst;
+  check_deps st ~gctx g tb ds step.Ir.depends
 
-let semantic_checks st ~ctx ~root ~num_ranks (gpus : dgpu array) =
+let check_peer st ~gctx ~num_ranks g tb what p =
+  if p >= num_ranks then
+    err st "range" ~pos:(tb_pos tb) ~ctx:(tb_ctx tb gctx)
+      "<tb> %s peer %d is out of range (program has %d ranks)" what p
+      num_ranks
+  else if p >= 0 && p = g.dg_id then
+    err st "range" ~pos:(tb_pos tb) ~ctx:(tb_ctx tb gctx)
+      "<tb> %s peer %d is the gpu itself" what p
+  else if p < -1 then
+    err st "range" ~pos:(tb_pos tb) ~ctx:(tb_ctx tb gctx)
+      "<tb> %s peer %d is negative (use -1 for none)" what p
+
+let rec first_on ~send peer chan = function
+  | [] -> None
+  | (t : dtb) :: rest ->
+      if (if send then t.dt_send else t.dt_recv) = peer && t.dt_chan = chan then
+        Some t
+      else first_on ~send peer chan rest
+
+(* The first block of the current gpu to claim [tb]'s connection in one
+   direction, after which [tb] holds it too; [None] when [tb] is the
+   first. [chans] lists, per peer in range, the blocks seen so far on
+   it; blocks naming a peer out of range (already an error) share
+   [far]. *)
+let claim chans far ~send (tb : dtb) =
+  let peer = if send then tb.dt_send else tb.dt_recv in
+  let seen = if peer < Array.length chans then chans.(peer) else !far in
+  match first_on ~send peer tb.dt_chan seen with
+  | Some _ as first -> first
+  | None ->
+      if peer < Array.length chans then chans.(peer) <- tb :: seen
+      else far := tb :: seen;
+      None
+
+let semantic_checks st ~ctx ~root_pos ~num_ranks (gpus : dgpu array) =
+  (* Emptied again after each gpu, so the tables cost O(ranks) once
+     rather than per gpu. *)
+  let send_chans = Array.make num_ranks [] and recv_chans = Array.make num_ranks [] in
+  let send_far = ref [] and recv_far = ref [] in
+  (* Per-connection send and receive step counts, which must match.
+     Every step of a block uses the block's one connection per
+     direction, so each block adds its totals once. *)
+  let sends = Hashtbl.create 32 and recvs = Hashtbl.create 32 in
+  let add tbl key n =
+    if n > 0 then
+      Hashtbl.replace tbl key
+        (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+  in
   Array.iter
     (fun g ->
-      let gctx = g.dg_tree :: ctx in
-      let seen_send = Hashtbl.create 8 and seen_recv = Hashtbl.create 8 in
+      let gctx = gpu_ctx g ctx in
       Array.iter
         (fun tb ->
-          let tctx = tb.dt_tree :: gctx in
-          let tpos () = Xml.pos tb.dt_tree in
           if tb.dt_chan < 0 then
-            err st "range" ~pos:(tpos ()) ~ctx:tctx "<tb> has negative channel %d"
-              tb.dt_chan;
-          let peer what p =
-            if p >= num_ranks then
-              err st "range" ~pos:(tpos ()) ~ctx:tctx
-                "<tb> %s peer %d is out of range (program has %d ranks)" what
-                p num_ranks
-            else if p >= 0 && p = g.dg_id then
-              err st "range" ~pos:(tpos ()) ~ctx:tctx
-                "<tb> %s peer %d is the gpu itself" what p
-            else if p < -1 then
-              err st "range" ~pos:(tpos ()) ~ctx:tctx
-                "<tb> %s peer %d is negative (use -1 for none)" what p
-          in
-          peer "send" tb.dt_send;
-          peer "recv" tb.dt_recv;
+            err st "range" ~pos:(tb_pos tb) ~ctx:(tb_ctx tb gctx)
+              "<tb> has negative channel %d" tb.dt_chan;
+          check_peer st ~gctx ~num_ranks g tb "send" tb.dt_send;
+          check_peer st ~gctx ~num_ranks g tb "recv" tb.dt_recv;
           (if tb.dt_send >= 0 then
-             let key = (tb.dt_send, tb.dt_chan) in
-             match Hashtbl.find_opt seen_send key with
-             | Some (first : dtb) ->
-                 let fp = Xml.pos first.dt_tree in
-                 err st "pairing" ~pos:(tpos ()) ~ctx:tctx
+             match claim send_chans send_far ~send:true tb with
+             | Some first ->
+                 let fp = tb_pos first in
+                 err st "pairing" ~pos:(tb_pos tb) ~ctx:(tb_ctx tb gctx)
                    "two thread blocks send on connection %d->%d ch%d (first \
                     is tb %d at %s:%d:%d)"
                    g.dg_id tb.dt_send tb.dt_chan first.dt_id st.s_file
                    fp.Xml.line fp.Xml.col
-             | None -> Hashtbl.add seen_send key tb);
+             | None -> ());
           (if tb.dt_recv >= 0 then
-             let key = (tb.dt_recv, tb.dt_chan) in
-             match Hashtbl.find_opt seen_recv key with
-             | Some (first : dtb) ->
-                 let fp = Xml.pos first.dt_tree in
-                 err st "pairing" ~pos:(tpos ()) ~ctx:tctx
+             match claim recv_chans recv_far ~send:false tb with
+             | Some first ->
+                 let fp = tb_pos first in
+                 err st "pairing" ~pos:(tb_pos tb) ~ctx:(tb_ctx tb gctx)
                    "two thread blocks receive on connection %d<-%d ch%d \
                     (first is tb %d at %s:%d:%d)"
                    g.dg_id tb.dt_recv tb.dt_chan first.dt_id st.s_file
                    fp.Xml.line fp.Xml.col
-             | None -> Hashtbl.add seen_recv key tb);
-          Array.iter (check_step st ~tctx g tb) tb.dt_steps)
-        g.dg_tbs)
-    gpus;
-  (* Per-connection send and receive step counts must match. *)
-  let sends = Hashtbl.create 32 and recvs = Hashtbl.create 32 in
-  let bump tbl key =
-    Hashtbl.replace tbl key
-      (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-  in
-  Array.iter
-    (fun g ->
+             | None -> ());
+          let ns = ref 0 and nr = ref 0 in
+          for i = 0 to Array.length tb.dt_steps - 1 do
+            let ds = tb.dt_steps.(i) in
+            check_step st ~gctx g tb ds;
+            if Instr.sends ds.ds.Ir.op then incr ns;
+            if Instr.receives ds.ds.Ir.op then incr nr
+          done;
+          if tb.dt_send >= 0 then add sends (g.dg_id, tb.dt_send, tb.dt_chan) !ns;
+          if tb.dt_recv >= 0 then add recvs (tb.dt_recv, g.dg_id, tb.dt_chan) !nr)
+        g.dg_tbs;
       Array.iter
         (fun tb ->
-          Array.iter
-            (fun (ds : dstep) ->
-              if Instr.sends ds.ds_op && tb.dt_send >= 0 then
-                bump sends (g.dg_id, tb.dt_send, tb.dt_chan);
-              if Instr.receives ds.ds_op && tb.dt_recv >= 0 then
-                bump recvs (tb.dt_recv, g.dg_id, tb.dt_chan))
-            tb.dt_steps)
-        g.dg_tbs)
+          if tb.dt_send >= 0 && tb.dt_send < num_ranks then send_chans.(tb.dt_send) <- [];
+          if tb.dt_recv >= 0 && tb.dt_recv < num_ranks then recv_chans.(tb.dt_recv) <- [])
+        g.dg_tbs;
+      send_far := [];
+      recv_far := [])
     gpus;
   Hashtbl.iter
     (fun (src, dst, ch) n ->
       let m = Option.value ~default:0 (Hashtbl.find_opt recvs (src, dst, ch)) in
       if n <> m then
-        err st "pairing" ~pos:(Xml.pos root) ~ctx
+        err st "pairing" ~pos:(root_pos ()) ~ctx
           "connection %d->%d ch%d sends %d message(s) but receives %d" src
           dst ch n m)
     sends;
   Hashtbl.iter
     (fun (src, dst, ch) n ->
       if not (Hashtbl.mem sends (src, dst, ch)) then
-        err st "pairing" ~pos:(Xml.pos root) ~ctx
+        err st "pairing" ~pos:(root_pos ()) ~ctx
           "connection %d->%d ch%d receives %d message(s) without any sends"
           src dst ch n)
     recvs
@@ -775,30 +792,18 @@ let semantic_checks st ~ctx ~root ~num_ranks (gpus : dgpu array) =
 (* Building the certified IR                                           *)
 (* ------------------------------------------------------------------ *)
 
-let loc_of (g : dgpu) (ds : dstep) = function
-  | None -> None
-  | Some (buf, index) ->
-      Some (Loc.make ~rank:g.dg_id ~buf ~index ~count:ds.ds_count)
-
 let build_ir ~name ~collective ~proto (gpus : dgpu array) =
-  let step_of g (ds : dstep) =
-    {
-      Ir.s = ds.ds_s;
-      op = ds.ds_op;
-      src = loc_of g ds ds.ds_src;
-      dst = loc_of g ds ds.ds_dst;
-      count = ds.ds_count;
-      depends = ds.ds_depends;
-      has_dep = ds.ds_has_dep;
-    }
+  let step_of (ds : dstep) =
+    if ds.ds_has_dep = ds.ds.Ir.has_dep then ds.ds
+    else { ds.ds with Ir.has_dep = ds.ds_has_dep }
   in
-  let tb_of g tb =
+  let tb_of tb =
     {
       Ir.tb_id = tb.dt_id;
       send = tb.dt_send;
       recv = tb.dt_recv;
       chan = tb.dt_chan;
-      steps = Array.map (step_of g) tb.dt_steps;
+      steps = Array.map step_of tb.dt_steps;
     }
   in
   let gpu_of g =
@@ -807,323 +812,562 @@ let build_ir ~name ~collective ~proto (gpus : dgpu array) =
       input_chunks = g.dg_in;
       output_chunks = g.dg_out;
       scratch_chunks = g.dg_scratch;
-      tbs = Array.map (tb_of g) g.dg_tbs;
+      tbs = Array.map tb_of g.dg_tbs;
     }
   in
   { Ir.name; collective; proto; gpus = Array.map gpu_of gpus }
 
 (* ------------------------------------------------------------------ *)
-(* Root decoding                                                       *)
+(* The decoder                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let of_tree ?(file = "<string>") (t : Xml.tree) =
-  let bytes = Xml.source_length t in
-  let st =
-    {
-      s_file = file;
-      s_diags = [];
-      s_errors = 0;
-      s_bytes = bytes;
-      s_chunks_left = chunk_budget ~bytes;
-    }
-  in
-  let finish () = List.rev st.s_diags in
-  if t.Xml.tag <> "algo" then begin
-    err st "schema" ~pos:(Xml.pos t) ~ctx:[]
-      "expected <algo> root element, got <%s>" t.Xml.tag;
-    Result.Error (finish ())
-  end
+(* One document's decoding, fed one event at a time: the start of an
+   element, each of its attributes, the end of its start tag, its end.
+   <algo>, <gpu>, <tb> and <step> nest at fixed depths, so each kind has
+   one [slots], one head (decoded once its start tag ends) and one
+   accumulator of decoded children. *)
+type dec = {
+  st : st;
+  algo : slots;
+  gpu : slots;
+  tb : slots;
+  step : slots;
+  mutable level : int;  (* decoded elements open: 1 in <algo>, 4 in <step> *)
+  mutable skip : int;  (* open elements of a subtree that is not read *)
+  mutable name : string;
+  mutable proto : P.t option;
+  mutable g_id : int option;
+  mutable g_in : int option;
+  mutable g_out : int option;
+  mutable g_scratch : int option;
+  mutable t_id : int option;
+  mutable t_send : int option;
+  mutable t_recv : int option;
+  mutable t_chan : int option;
+  gpus : dgpu acc;
+  tbs : dtb acc;
+  steps : dstep acc;
+  mutable result : (Ir.t * diag list, diag list) result option;
+}
+
+let decoder ~file ~bytes ~src =
+  if Array.length !small_ints = 0 then
+    small_ints := Array.init 1025 (fun n -> Some (n - 1));
+  let algo = slots ~src "algo" 15 algo_slot in
+  let gpu = slots ~src ~up:algo "gpu" 7 gpu_slot in
+  let tb = slots ~src ~up:gpu "tb" 4 tb_slot in
+  let step = slots ~src ~up:tb "step" 11 step_slot in
+  {
+    st =
+      {
+        s_file = file;
+        s_diags = [];
+        s_errors = 0;
+        s_bytes = bytes;
+        s_chunks_left = chunk_budget ~bytes;
+        s_words = Array.make (words_mask + 1) "";
+      };
+    algo;
+    gpu;
+    tb;
+    step;
+    level = 0;
+    skip = 0;
+    name = "";
+    proto = None;
+    g_id = None;
+    g_in = None;
+    g_out = None;
+    g_scratch = None;
+    t_id = None;
+    t_send = None;
+    t_recv = None;
+    t_chan = None;
+    gpus = { items = [||]; n = 0 };
+    tbs = { items = [||]; n = 0 };
+    steps = { items = [||]; n = 0 };
+    result = None;
+  }
+
+let open_element d sl ~src ~off =
+  if sl.src != src then sl.src <- src;
+  sl.off <- off;
+  Array.fill sl.starts 0 (Array.length sl.starts) (-1);
+  d.level <- d.level + 1
+
+(* A child of [parent] is read when it is of kind [sl]; any other draws a
+   warning, and its subtree is not read. *)
+let child d parent sl ~src ~tag ~off =
+  if String.equal tag sl.tag then open_element d sl ~src ~off
   else begin
-    let ctx = [ t ] in
-    let root_pos () = Xml.pos t in
-    let a = index st ~ctx algo_schema t in
-    let name =
-      match get a al_name with
-      | -1 ->
-          warn st "default" ~pos:(root_pos ()) ~ctx
-            "<algo> has no name attribute; calling it \"imported\"";
-          "imported"
-      | k -> value a k
-    in
-    let proto =
-      match get2 a al_proto al_protocol with
-      | -1 ->
-          warn st "default" ~pos:(root_pos ()) ~ctx
-            "<algo> has no proto attribute; assuming Simple";
-          Some P.Simple
-      | k -> (
-          let v = value a k in
-          match P.of_string v with
-          | Some p -> Some p
-          | None ->
-              err st "schema" ~pos:(apos a k) ~ctx
-                "unknown protocol %S (want Simple, LL, LL128 or SCCL)" v;
-              None)
-    in
-    (* GPUs first: the rank count may have to come from them. *)
-    let gpus = decode_children st ~ctx t "gpu" decode_gpu in
-    let num_ranks =
-      match (get a al_nranks, get a al_ngpus) with
-      | -1, -1 ->
-          warn st "default" ~pos:(root_pos ()) ~ctx
-            "<algo> declares no nranks/ngpus; using the %d <gpu> element(s)"
-            (Array.length gpus);
-          Some (Array.length gpus)
-      | k, -1 | -1, k -> (
-          match int_of st ~ctx a k with
-          | Some n when n <= 0 ->
-              err st "range" ~pos:(apos a k) ~ctx "nonpositive rank count %d" n;
-              None
-          | x -> x)
-      | ka, kb -> (
-          match (int_of st ~ctx a ka, int_of st ~ctx a kb) with
-          | Some x, Some y when x <> y ->
-              err st "schema" ~pos:(apos a kb) ~ctx
-                "nranks=%d and ngpus=%d disagree" x y;
-              None
-          | x, _ -> x)
-    in
-    let kind =
-      match get2 a al_coll al_collective with
-      | -1 ->
-          err st "schema" ~pos:(root_pos ()) ~ctx
-            "<algo> is missing the required attribute coll";
-          None
-      | k when value a k = "custom" -> (
-          let cname =
-            match get a al_cname with -1 -> "custom" | c -> value a c
-          in
-          match
-            ( req_int st ~ctx a al_in_chunks "in_chunks",
-              req_int st ~ctx a al_out_chunks "out_chunks" )
-          with
-          | Some i, Some o when i > 0 && o > 0 ->
-              charge st ~pos:(apos a al_in_chunks) ~ctx
-                "<algo> attribute in_chunks" i;
-              charge st ~pos:(apos a al_out_chunks) ~ctx
-                "<algo> attribute out_chunks" o;
-              Some
-                (Collective.Custom
-                   {
-                     Collective.custom_name = cname;
-                     input_chunks = i;
-                     output_chunks = o;
-                     expected = (fun ~rank:_ ~index:_ -> None);
-                     initial = None;
-                   })
-          | Some i, Some o ->
-              err st "range" ~pos:(root_pos ()) ~ctx
-                "custom collective with empty buffers (in=%d out=%d)" i o;
-              None
-          | _ -> None)
-      | k -> (
-          let v = value a k in
-          match Collective.kind_of_name v with
-          | None ->
-              err st "schema" ~pos:(apos a k) ~ctx "unknown collective %S" v;
-              None
-          | Some kind when not (rooted kind) -> Some kind
-          | Some kind -> (
-              let root =
-                match get a al_root with
-                | -1 ->
-                    warn st "default" ~pos:(root_pos ()) ~ctx
-                      "rooted collective %S has no root attribute; assuming \
-                       root 0"
-                      v;
-                    Some 0
-                | r -> int_of st ~ctx a r
-              in
-              match root with
-              | None -> None
-              | Some r ->
-                  (match num_ranks with
-                  | Some n when r < 0 || r >= n ->
-                      err st "range" ~pos:(apos a al_root) ~ctx
-                        "root %d is out of range (%d ranks)" r n
-                  | _ -> ());
-                  Some (with_root kind r)))
-    in
-    let chunk_factor =
-      match kind with
-      | Some (Collective.Custom _) -> Some 1
-      | _ -> (
-          match (get a al_chunk_factor, get a al_nchunksperloop) with
-          | -1, -1 ->
-              warn st "default" ~pos:(root_pos ()) ~ctx
-                "<algo> declares no chunk_factor/nchunksperloop; assuming 1";
-              Some 1
-          | -1, k -> (
-              (* msccl-tools declares total chunks per loop; for
-                 collectives whose input is ranks-wide, that is
-                 chunk_factor * nranks. *)
-              match (int_of st ~ctx a k, kind, num_ranks) with
-              | Some n, _, _ when n <= 0 ->
-                  err st "range" ~pos:(apos a k) ~ctx
-                    "nonpositive nchunksperloop %d" n;
-                  None
-              | Some n, Some kd, Some ranks when ranks > 0 ->
-                  let divisor =
-                    match kd with
-                    | Collective.Reduce_scatter | Collective.Alltoall
-                    | Collective.Scatter _ ->
-                        ranks
-                    | _ -> 1
-                  in
-                  if n mod divisor <> 0 then begin
-                    err st "schema" ~pos:(apos a k) ~ctx
-                      "nchunksperloop %d is not divisible by the rank count \
-                       %d"
-                      n divisor;
-                    None
-                  end
-                  else Some (n / divisor)
-              | x, _, _ -> x)
-          | k, _ -> (
-              match int_of st ~ctx a k with
-              | Some n when n <= 0 ->
-                  err st "range" ~pos:(apos a k) ~ctx
-                    "nonpositive chunk_factor %d" n;
-                  None
-              | x -> x))
-    in
-    let inplace =
-      match (get a al_inplace, get a al_outofplace) with
-      | -1, -1 ->
-          warn st "default" ~pos:(root_pos ()) ~ctx
-            "<algo> declares neither inplace nor outofplace; assuming \
-             out-of-place";
-          Some false
-      | -1, k -> Option.map not (bool_of st ~ctx a k)
-      | k, _ -> bool_of st ~ctx a k
-    in
-    (* Ordering tolerance: match gpus/tbs/steps by declared id. *)
-    let gpus =
-      order st ~ctx ~what:"gpu"
-        ~id:(fun g -> g.dg_id)
-        ~tree:(fun g -> g.dg_tree)
-        gpus
-    in
-    let gpus =
-      Array.map
-        (fun g ->
-          let gctx = g.dg_tree :: ctx in
-          let tbs =
-            order st ~ctx:gctx ~what:"tb"
-              ~id:(fun tb -> tb.dt_id)
-              ~tree:(fun tb -> tb.dt_tree)
-              g.dg_tbs
-          in
-          let tbs =
-            Array.map
-              (fun tb ->
-                let steps =
-                  order st ~ctx:(tb.dt_tree :: gctx) ~what:"step"
-                    ~id:(fun s -> s.ds_s)
-                    ~tree:(fun s -> s.ds_tree)
-                    tb.dt_steps
-                in
-                if steps == tb.dt_steps then tb else { tb with dt_steps = steps })
-              tbs
-          in
-          if tbs == g.dg_tbs then g else { g with dg_tbs = tbs })
-        gpus
-    in
-    let ngpus = Array.length gpus in
-    (match num_ranks with
-    | Some n when ngpus > 0 && n <> ngpus ->
-        err st "schema" ~pos:(root_pos ()) ~ctx
-          "<algo> declares %d rank(s) but has %d <gpu> element(s)" n ngpus
-    | _ -> ());
-    if ngpus = 0 then
-      err st "schema" ~pos:(root_pos ()) ~ctx "<algo> has no <gpu> elements";
-    if failed st then Result.Error (finish ())
-    else
-      let num_ranks = Option.value ~default:ngpus num_ranks in
-      let collective =
-        match (kind, chunk_factor, inplace) with
-        | Some kind, Some chunk_factor, Some inplace -> (
-            try
-              Some (Collective.make kind ~num_ranks ~chunk_factor ~inplace ())
-            with Invalid_argument m ->
-              err st "validate" ~pos:(root_pos ()) ~ctx "invalid collective: %s" m;
-              None)
-        | _ -> None
-      in
-      match (collective, proto) with
-      | Some collective, Some proto -> (
-          (* Resolve undeclared buffer sizes to the collective footprint
-             and reject declared ones that cannot hold it (positioned
-             pre-check of what Ir.validate would reject blindly). *)
-          let need_in = Collective.input_buffer_size collective in
-          let need_out = Collective.output_buffer_size collective in
-          (* An undeclared buffer is charged to the attribute that sized
-             the collective. *)
-          let footprint (g : dgpu) slot what need =
-            let pos =
-              match (get a slot, get2 a al_chunk_factor al_nchunksperloop) with
-              | -1, -1 -> root_pos ()
-              | -1, k | k, _ -> apos a k
-            in
-            charge st ~pos ~ctx
-              (Printf.sprintf "gpu %d's undeclared %s buffer" g.dg_id what)
-              need
-          in
-          let gpus =
-            Array.map
-              (fun g ->
-                let gctx = g.dg_tree :: ctx in
-                if g.dg_in < 0 then footprint g al_in_chunks "input" need_in;
-                if g.dg_out < 0 then
-                  footprint g al_out_chunks "output" need_out;
-                if g.dg_in >= 0 && g.dg_in < need_in then
-                  err st "range" ~pos:(Xml.pos g.dg_tree) ~ctx:gctx
-                    "gpu %d declares %d input chunk(s) but the collective \
-                     needs %d"
-                    g.dg_id g.dg_in need_in;
-                if g.dg_out >= 0 && g.dg_out < need_out then
-                  err st "range" ~pos:(Xml.pos g.dg_tree) ~ctx:gctx
-                    "gpu %d declares %d output chunk(s) but the collective \
-                     needs %d"
-                    g.dg_id g.dg_out need_out;
-                {
-                  g with
-                  dg_in = (if g.dg_in >= 0 then g.dg_in else need_in);
-                  dg_out = (if g.dg_out >= 0 then g.dg_out else need_out);
-                })
-              gpus
-          in
-          if failed st then Result.Error (finish ())
-          else begin
-            semantic_checks st ~ctx ~root:t ~num_ranks gpus;
-            if failed st then Result.Error (finish ())
-            else
-              let ir = build_ir ~name ~collective ~proto gpus in
-              try
-                Ir.validate ir;
-                Result.Ok (ir, finish ())
-              with Invalid_argument m ->
-                err st "validate" ~pos:(root_pos ()) ~ctx "invalid program: %s" m;
-                Result.Error (finish ())
-          end)
-      | _ -> Result.Error (finish ())
+    warn d.st "unknown-element" ~pos:(Xml.resolve src off) ~ctx:(ctx_of parent)
+      "unknown element <%s> inside <%s> (ignored)" tag parent.tag;
+    d.skip <- 1
   end
 
+let start d ~src ~tag ~off =
+  if d.skip > 0 then d.skip <- d.skip + 1
+  else
+    match d.level with
+    | 0 ->
+        if String.equal tag "algo" then open_element d d.algo ~src ~off
+        else begin
+          err d.st "schema" ~pos:(Xml.resolve src off) ~ctx:Top
+            "expected <algo> root element, got <%s>" tag;
+          d.skip <- 1
+        end
+    | 1 -> child d d.algo d.gpu ~src ~tag ~off
+    | 2 -> child d d.gpu d.tb ~src ~tag ~off
+    | 3 -> child d d.tb d.step ~src ~tag ~off
+    | _ -> d.skip <- 1 (* a step's children are not read *)
+
+let current d =
+  match d.level with 1 -> d.algo | 2 -> d.gpu | 3 -> d.tb | _ -> d.step
+
+(* An attribute whose value is [base.[start..stop)], and whose name
+   starts at [off] of the element's document. *)
+let attr d ~name ~base ~start ~stop ~off =
+  if d.skip = 0 then begin
+    let sl = current d in
+    let slot = sl.slot name in
+    if slot >= 0 then begin
+      if sl.starts.(slot) < 0 then begin
+        (* names are shared per document, and most values lie in the
+           document: mostly the same strings again, stored without a
+           write barrier *)
+        if sl.keys.(slot) != name then sl.keys.(slot) <- name;
+        if sl.bases.(slot) != base then sl.bases.(slot) <- base;
+        sl.starts.(slot) <- start;
+        sl.stops.(slot) <- stop;
+        sl.offs.(slot) <- off
+      end
+    end
+    else if slot = unknown then
+      warn d.st "unknown-attribute" ~pos:(Xml.resolve sl.src off) ~ctx:(ctx_of sl)
+        "<%s> has unknown attribute %s (ignored)" sl.tag name
+  end
+
+let algo_head d =
+  let st = d.st and sl = d.algo in
+  d.name <-
+    (match get sl al_name with
+    | -1 ->
+        warn st "default" ~pos:(epos sl) ~ctx:(ctx_of sl)
+          "<algo> has no name attribute; calling it \"imported\"";
+        "imported"
+    | k -> value st sl k);
+  d.proto <-
+    (match get2 sl al_proto al_protocol with
+    | -1 ->
+        warn st "default" ~pos:(epos sl) ~ctx:(ctx_of sl)
+          "<algo> has no proto attribute; assuming Simple";
+        Some P.Simple
+    | k -> (
+        let v = value st sl k in
+        match P.of_string v with
+        | Some p -> Some p
+        | None ->
+            err st "schema" ~pos:(apos sl k) ~ctx:(ctx_of sl)
+              "unknown protocol %S (want Simple, LL, LL128 or SCCL)" v;
+            None))
+
+let gpu_head d =
+  let st = d.st and sl = d.gpu in
+  d.g_id <- req_int st sl gpu_id "id";
+  let sized found what ~default =
+    match opt_int st sl found ~default with
+    | Some n when n < default ->
+        err st "range" ~pos:(epos sl) ~ctx:(ctx_of sl)
+          "<gpu> declares a negative %s buffer (%d chunks)" what n;
+        None
+    | Some n as x ->
+        if found >= 0 then
+          charge st ~pos:(apos sl found) ~ctx:(ctx_of sl)
+            ("<gpu> attribute " ^ key sl found)
+            n;
+        x
+    | None -> None
+  in
+  d.g_in <- sized (get2 sl gpu_i gpu_input) "input" ~default:(-1);
+  d.g_out <- sized (get2 sl gpu_o gpu_output) "output" ~default:(-1);
+  d.g_scratch <- sized (get2 sl gpu_s gpu_scratch) "scratch" ~default:0
+
+let tb_head d =
+  let st = d.st and sl = d.tb in
+  d.t_id <- req_int st sl tb_id "id";
+  d.t_send <- opt_int st sl (get sl tb_send) ~default:(-1);
+  d.t_recv <- opt_int st sl (get sl tb_recv) ~default:(-1);
+  d.t_chan <- opt_int st sl (get sl tb_chan) ~default:0
+
+let start_done d =
+  if d.skip = 0 then
+    match d.level with
+    | 1 -> algo_head d
+    | 2 -> gpu_head d
+    | 3 -> tb_head d
+    | _ ->
+        let rank = match d.g_id with Some id -> id | None -> 0 in
+        decode_step d.st d.step ~rank d.steps
+
+let tb_end d =
+  let steps = take d.steps in
+  match (d.t_id, d.t_send, d.t_recv, d.t_chan) with
+  | Some id, Some send, Some recv, Some chan ->
+      push d.tbs
+        {
+          dt_doc = d.tb.src;
+          dt_off = d.tb.off;
+          dt_id = id;
+          dt_send = send;
+          dt_recv = recv;
+          dt_chan = chan;
+          dt_steps = steps;
+        }
+  | _ -> ()
+
+let gpu_end d =
+  let tbs = take d.tbs in
+  match (d.g_id, d.g_in, d.g_out, d.g_scratch) with
+  | Some id, Some i, Some o, Some s ->
+      push d.gpus
+        {
+          dg_doc = d.gpu.src;
+          dg_off = d.gpu.off;
+          dg_id = id;
+          dg_in = i;
+          dg_out = o;
+          dg_scratch = s;
+          dg_tbs = tbs;
+        }
+  | _ -> ()
+
+(* The rest of the <algo> attributes, read once its gpus are decoded
+   (the rank count may have to come from them), then the whole program:
+   ordering, footprints, semantic checks and the certified IR. *)
+let algo_end d =
+  let st = d.st and a = d.algo in
+  let finish () = List.rev st.s_diags in
+  let ctx = ctx_of a in
+  let root_pos () = epos a in
+  let name = d.name and proto = d.proto in
+  let gpus = take d.gpus in
+  let num_ranks =
+    match (get a al_nranks, get a al_ngpus) with
+    | -1, -1 ->
+        warn st "default" ~pos:(root_pos ()) ~ctx
+          "<algo> declares no nranks/ngpus; using the %d <gpu> element(s)"
+          (Array.length gpus);
+        Some (Array.length gpus)
+    | k, -1 | -1, k -> (
+        match int_of st a k with
+        | Some n when n <= 0 ->
+            err st "range" ~pos:(apos a k) ~ctx "nonpositive rank count %d" n;
+            None
+        | x -> x)
+    | ka, kb -> (
+        match (int_of st a ka, int_of st a kb) with
+        | Some x, Some y when x <> y ->
+            err st "schema" ~pos:(apos a kb) ~ctx
+              "nranks=%d and ngpus=%d disagree" x y;
+            None
+        | x, _ -> x)
+  in
+  let kind =
+    match get2 a al_coll al_collective with
+    | -1 ->
+        err st "schema" ~pos:(root_pos ()) ~ctx
+          "<algo> is missing the required attribute coll";
+        None
+    | k when value st a k = "custom" -> (
+        let cname =
+          match get a al_cname with -1 -> "custom" | c -> value st a c
+        in
+        match
+          ( req_int st a al_in_chunks "in_chunks",
+            req_int st a al_out_chunks "out_chunks" )
+        with
+        | Some i, Some o when i > 0 && o > 0 ->
+            charge st ~pos:(apos a al_in_chunks) ~ctx
+              "<algo> attribute in_chunks" i;
+            charge st ~pos:(apos a al_out_chunks) ~ctx
+              "<algo> attribute out_chunks" o;
+            Some
+              (Collective.Custom
+                 {
+                   Collective.custom_name = cname;
+                   input_chunks = i;
+                   output_chunks = o;
+                   expected = (fun ~rank:_ ~index:_ -> None);
+                   initial = None;
+                 })
+        | Some i, Some o ->
+            err st "range" ~pos:(root_pos ()) ~ctx
+              "custom collective with empty buffers (in=%d out=%d)" i o;
+            None
+        | _ -> None)
+    | k -> (
+        let v = value st a k in
+        match Collective.kind_of_name v with
+        | None ->
+            err st "schema" ~pos:(apos a k) ~ctx "unknown collective %S" v;
+            None
+        | Some kind when not (rooted kind) -> Some kind
+        | Some kind -> (
+            let root =
+              match get a al_root with
+              | -1 ->
+                  warn st "default" ~pos:(root_pos ()) ~ctx
+                    "rooted collective %S has no root attribute; assuming \
+                     root 0"
+                    v;
+                  Some 0
+              | r -> int_of st a r
+            in
+            match root with
+            | None -> None
+            | Some r ->
+                (match num_ranks with
+                | Some n when r < 0 || r >= n ->
+                    err st "range" ~pos:(apos a al_root) ~ctx
+                      "root %d is out of range (%d ranks)" r n
+                | _ -> ());
+                Some (with_root kind r)))
+  in
+  let chunk_factor =
+    match kind with
+    | Some (Collective.Custom _) -> Some 1
+    | _ -> (
+        match (get a al_chunk_factor, get a al_nchunksperloop) with
+        | -1, -1 ->
+            warn st "default" ~pos:(root_pos ()) ~ctx
+              "<algo> declares no chunk_factor/nchunksperloop; assuming 1";
+            Some 1
+        | -1, k -> (
+            (* msccl-tools declares total chunks per loop; for
+               collectives whose input is ranks-wide, that is
+               chunk_factor * nranks. *)
+            match (int_of st a k, kind, num_ranks) with
+            | Some n, _, _ when n <= 0 ->
+                err st "range" ~pos:(apos a k) ~ctx
+                  "nonpositive nchunksperloop %d" n;
+                None
+            | Some n, Some kd, Some ranks when ranks > 0 ->
+                let divisor =
+                  match kd with
+                  | Collective.Reduce_scatter | Collective.Alltoall
+                  | Collective.Scatter _ ->
+                      ranks
+                  | _ -> 1
+                in
+                if n mod divisor <> 0 then begin
+                  err st "schema" ~pos:(apos a k) ~ctx
+                    "nchunksperloop %d is not divisible by the rank count \
+                     %d"
+                    n divisor;
+                  None
+                end
+                else Some (n / divisor)
+            | x, _, _ -> x)
+        | k, _ -> (
+            match int_of st a k with
+            | Some n when n <= 0 ->
+                err st "range" ~pos:(apos a k) ~ctx
+                  "nonpositive chunk_factor %d" n;
+                None
+            | x -> x))
+  in
+  let inplace =
+    match (get a al_inplace, get a al_outofplace) with
+    | -1, -1 ->
+        warn st "default" ~pos:(root_pos ()) ~ctx
+          "<algo> declares neither inplace nor outofplace; assuming \
+           out-of-place";
+        Some false
+    | -1, k -> Option.map not (bool_of st a k)
+    | k, _ -> bool_of st a k
+  in
+  (* Ordering tolerance: match gpus/tbs/steps by declared id. *)
+  let gpus = order st ~ctx ~what:"gpu" ~id:(fun g -> g.dg_id) ~pos:gpu_pos gpus in
+  let gpus =
+    Array.map
+      (fun g ->
+        let gctx = gpu_ctx g ctx in
+        let tbs =
+          order st ~ctx:gctx ~what:"tb" ~id:(fun tb -> tb.dt_id) ~pos:tb_pos
+            g.dg_tbs
+        in
+        let tbs =
+          Array.map
+            (fun tb ->
+              let steps =
+                order st ~ctx:(tb_ctx tb gctx) ~what:"step"
+                  ~id:(fun s -> s.ds.Ir.s)
+                  ~pos:step_pos tb.dt_steps
+              in
+              if steps == tb.dt_steps then tb else { tb with dt_steps = steps })
+            tbs
+        in
+        if tbs == g.dg_tbs then g else { g with dg_tbs = tbs })
+      gpus
+  in
+  let ngpus = Array.length gpus in
+  (match num_ranks with
+  | Some n when ngpus > 0 && n <> ngpus ->
+      err st "schema" ~pos:(root_pos ()) ~ctx
+        "<algo> declares %d rank(s) but has %d <gpu> element(s)" n ngpus
+  | _ -> ());
+  if ngpus = 0 then
+    err st "schema" ~pos:(root_pos ()) ~ctx "<algo> has no <gpu> elements";
+  if failed st then Result.Error (finish ())
+  else
+    let num_ranks = Option.value ~default:ngpus num_ranks in
+    let collective =
+      match (kind, chunk_factor, inplace) with
+      | Some kind, Some chunk_factor, Some inplace -> (
+          try Some (Collective.make kind ~num_ranks ~chunk_factor ~inplace ())
+          with Invalid_argument m ->
+            err st "validate" ~pos:(root_pos ()) ~ctx "invalid collective: %s" m;
+            None)
+      | _ -> None
+    in
+    match (collective, proto) with
+    | Some collective, Some proto -> (
+        (* Resolve undeclared buffer sizes to the collective footprint
+           and reject declared ones that cannot hold it (positioned
+           pre-check of what Ir.validate would reject blindly). *)
+        let need_in = Collective.input_buffer_size collective in
+        let need_out = Collective.output_buffer_size collective in
+        (* An undeclared buffer is charged to the attribute that sized
+           the collective. *)
+        let footprint (g : dgpu) slot what need =
+          let pos =
+            match (get a slot, get2 a al_chunk_factor al_nchunksperloop) with
+            | -1, -1 -> root_pos ()
+            | -1, k | k, _ -> apos a k
+          in
+          charge st ~pos ~ctx
+            (Printf.sprintf "gpu %d's undeclared %s buffer" g.dg_id what)
+            need
+        in
+        let gpus =
+          Array.map
+            (fun g ->
+              if g.dg_in < 0 then footprint g al_in_chunks "input" need_in;
+              if g.dg_out < 0 then footprint g al_out_chunks "output" need_out;
+              if g.dg_in >= 0 && g.dg_in < need_in then
+                err st "range" ~pos:(gpu_pos g) ~ctx:(gpu_ctx g ctx)
+                  "gpu %d declares %d input chunk(s) but the collective \
+                   needs %d"
+                  g.dg_id g.dg_in need_in;
+              if g.dg_out >= 0 && g.dg_out < need_out then
+                err st "range" ~pos:(gpu_pos g) ~ctx:(gpu_ctx g ctx)
+                  "gpu %d declares %d output chunk(s) but the collective \
+                   needs %d"
+                  g.dg_id g.dg_out need_out;
+              {
+                g with
+                dg_in = (if g.dg_in >= 0 then g.dg_in else need_in);
+                dg_out = (if g.dg_out >= 0 then g.dg_out else need_out);
+              })
+            gpus
+        in
+        if failed st then Result.Error (finish ())
+        else begin
+          semantic_checks st ~ctx ~root_pos ~num_ranks gpus;
+          if failed st then Result.Error (finish ())
+          else
+            let ir = build_ir ~name ~collective ~proto gpus in
+            try
+              Ir.validate ir;
+              Result.Ok (ir, finish ())
+            with Invalid_argument m ->
+              err st "validate" ~pos:(root_pos ()) ~ctx "invalid program: %s" m;
+              Result.Error (finish ())
+        end)
+    | _ -> Result.Error (finish ())
+
+let end_ d =
+  if d.skip > 0 then d.skip <- d.skip - 1
+  else begin
+    (match d.level with
+    | 1 -> d.result <- Some (algo_end d)
+    | 2 -> gpu_end d
+    | 3 -> tb_end d
+    | _ -> ());
+    d.level <- d.level - 1
+  end
+
+(* The document has ended: a root other than <algo> is its one error. *)
+let result d =
+  match d.result with
+  | Some r -> r
+  | None -> Result.Error (List.rev d.st.s_diags)
+
+(* ------------------------------------------------------------------ *)
+(* Producers: the lexer, or a tree replayed                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The events of [t] and of the subtrees the decoder reads. *)
+let rec replay d (t : Xml.tree) =
+  start d ~src:t.Xml.t_src ~tag:t.Xml.tag ~off:t.Xml.t_off;
+  if d.skip > 0 then end_ d
+  else begin
+    List.iteri
+      (fun i (k, v) ->
+        attr d ~name:k ~base:v ~start:0 ~stop:(String.length v)
+          ~off:(Xml.nth_attr_off t i))
+      t.Xml.attrs;
+    start_done d;
+    List.iter (replay d) t.Xml.children;
+    end_ d
+  end
+
+let of_tree ?(file = "<string>") (t : Xml.tree) =
+  let d = decoder ~file ~bytes:(Xml.source_length t) ~src:t.Xml.t_src in
+  replay d t;
+  result d
+
+let rec lex d lx (tok : Xml.token) ~src s =
+  match Xml.next lx with
+  | Xml.Start_tag ->
+      start d ~src ~tag:tok.name ~off:tok.off;
+      lex d lx tok ~src s
+  | Xml.Attribute ->
+      (if not tok.escaped then
+         attr d ~name:tok.name ~base:s ~start:tok.v_start ~stop:tok.v_stop
+           ~off:tok.off
+       else if d.skip = 0 then
+         let v = Xml.value lx in
+         attr d ~name:tok.name ~base:v ~start:0 ~stop:(String.length v)
+           ~off:tok.off);
+      lex d lx tok ~src s
+  | Xml.Start_tag_end ->
+      start_done d;
+      lex d lx tok ~src s
+  | Xml.End_tag ->
+      end_ d;
+      lex d lx tok ~src s
+  | Xml.End_of_input -> ()
+
+let parse_diag (e : Xml.error) =
+  {
+    d_severity = Error;
+    d_rule = "parse";
+    d_message = e.Xml.e_message;
+    d_file = e.Xml.e_file;
+    d_pos = e.Xml.e_pos;
+    d_context = e.Xml.e_context;
+  }
+
 let of_string ?(file = "<string>") s =
-  match Xml.parse_tree ~file s with
-  | t -> of_tree ~file t
+  let lx = Xml.lexer ~file s in
+  let src = Xml.source lx in
+  let d = decoder ~file ~bytes:(String.length s) ~src in
+  match lex d lx (Xml.token lx) ~src s with
+  | () -> result d
   | exception Xml.Parse_error e ->
-      Result.Error
-        [
-          {
-            d_severity = Error;
-            d_rule = "parse";
-            d_message = e.Xml.e_message;
-            d_file = e.Xml.e_file;
-            d_pos = e.Xml.e_pos;
-            d_context = e.Xml.e_context;
-          };
-        ]
+      (* what was decoded before the error is dropped with its diagnostics *)
+      Result.Error [ parse_diag e ]
 
 let load path =
   match

@@ -1,7 +1,7 @@
 (** Tolerant, diagnostics-collecting ingestion of MSCCL XML: the repo's
     one XML→IR decoder.
 
-    {!Msccl_core.Xml} only parses trees and prints IR. Every reader of
+    {!Msccl_core.Xml} only lexes, parses trees and prints IR. Every reader of
     MSCCL-IR — the CLI, the fuzz oracles, the tests — decodes through
     this module. Real MSCCL programs come from the msccl-tools/TACCL
     toolchain in a dialect with extra attributes ([ngpus],
@@ -68,14 +68,25 @@ val diags_json : diag list -> string
     the machine-readable shape [msccl verify/lint/analyze FILE --json]
     emit on unusable input (exit 2). *)
 
-val of_tree : ?file:string -> Xml.tree -> (Ir.t * diag list, diag list) result
+val of_string : ?file:string -> string -> (Ir.t * diag list, diag list) result
 (** [Ok (ir, warnings)] on acceptance — [ir] passed semantic validation
     and {!Msccl_core.Ir.validate} — or [Error diags] with at least one
-    [Error]-severity diagnostic. *)
+    [Error]-severity diagnostic. Decodes the events of
+    {!Msccl_core.Xml.lexer} as they come, building no tree. A parse error
+    becomes the single structured ["parse"] diagnostic {!parse_diag}: the
+    diagnostics of what was decoded before it are dropped. Never raises. *)
 
-val of_string : ?file:string -> string -> (Ir.t * diag list, diag list) result
-(** {!Msccl_core.Xml.parse_tree} followed by {!of_tree}; parse errors are
-    converted into a single structured ["parse"] diagnostic. Never raises. *)
+val of_tree : ?file:string -> Xml.tree -> (Ir.t * diag list, diag list) result
+(** {!of_string} of a parsed (and possibly rewritten) tree: its elements
+    and attributes are replayed as events into the same decoder. Each
+    position resolves through its own node ({!Msccl_core.Xml.nth_attr_pos}
+    for attributes), so synthesized nodes stay unpositioned. On a tree
+    {!Msccl_core.Xml.parse_tree} returned, [of_tree ~file t] equals
+    [of_string ~file] of its text: the same program and the same
+    diagnostics. *)
+
+val parse_diag : Xml.error -> diag
+(** The ["parse"] diagnostic of a {!Msccl_core.Xml.Parse_error}. *)
 
 val int_value : string -> int option
 (** How every integer attribute value is read:

@@ -164,21 +164,27 @@ let test_parse_registry_files () =
     (fun (what, ir) -> agree ~what ~file:(what ^ ".xml") (Xml.to_string ir))
     (Lazy.force registry_irs @ Lazy.force collective_variants)
 
+(* 2,000 seeded mangles of four bases, each with its description. *)
+let mangles =
+  lazy
+    (let bases =
+       [|
+         Xml.to_string (A.Ring_allreduce.ir ~verify:false ~num_ranks:4 ());
+         Xml.to_string (A.Allpairs_allreduce.ir ~verify:false ~num_ranks:4 ());
+         read_file "corpus/xml-dialect/d1-allreduce-msccl-tools.xml";
+         read_file "corpus/xml-bad/04-bad-entity.xml";
+       |]
+     in
+     List.init 2000 (fun index ->
+         let doc, what =
+           M.mangle ~seed:1234 ~index bases.(index mod Array.length bases)
+         in
+         (Printf.sprintf "mangle %d (%s)" index what, doc)))
+
 let test_parse_mangles () =
-  let bases =
-    [|
-      Xml.to_string (A.Ring_allreduce.ir ~verify:false ~num_ranks:4 ());
-      Xml.to_string (A.Allpairs_allreduce.ir ~verify:false ~num_ranks:4 ());
-      read_file "corpus/xml-dialect/d1-allreduce-msccl-tools.xml";
-      read_file "corpus/xml-bad/04-bad-entity.xml";
-    |]
-  in
-  for index = 0 to 1999 do
-    let doc, what =
-      M.mangle ~seed:1234 ~index bases.(index mod Array.length bases)
-    in
-    agree ~what:(Printf.sprintf "mangle %d (%s)" index what) ~file:"mangled.xml" doc
-  done
+  List.iter
+    (fun (what, doc) -> agree ~what ~file:"mangled.xml" doc)
+    (Lazy.force mangles)
 
 (* Small versions of the hostile-size documents, which the quadratic
    reference can still afford. *)
@@ -192,6 +198,73 @@ let test_parse_hostile_shapes () =
     (Hostile_docs.deep_nesting ~depth:3000 ()
     ^ String.concat "" (List.init 3000 (fun _ -> "</a>")));
   agree ~what:"chain" (Hostile_docs.dependency_chain ~n:300 ())
+
+(* ------------------------------------------------------------------ *)
+(* Differential: streaming ingestion against the tree replay           *)
+(* ------------------------------------------------------------------ *)
+
+(* [Ingest.of_string] decodes the lexer's events; [parse_tree] then
+   [Ingest.of_tree] replays a tree's into the same decoder. Both must give
+   equal programs and the same diagnostics, field by field, in order. *)
+let streaming_agrees ~what ?file doc =
+  let replayed =
+    match Xml.parse_tree ?file doc with
+    | t -> I.of_tree ?file t
+    | exception Xml.Parse_error e -> Error [ I.parse_diag e ]
+  in
+  let show = function
+    | Ok (_, ds) -> "Ok with:\n" ^ I.diags_to_string ds
+    | Error ds -> "Error:\n" ^ I.diags_to_string ds
+  in
+  let streamed = I.of_string ?file doc in
+  let same =
+    match (streamed, replayed) with
+    | Ok (a, da), Ok (b, db) -> Ir.equal a b && da = db
+    | Error da, Error db -> da = db
+    | _ -> false
+  in
+  if not same then
+    Alcotest.failf "%s: of_string gives %s\nthe tree replay %s" what
+      (show streamed) (show replayed)
+
+let test_streaming_corpora () =
+  let files = corpus "corpus/xml-bad" @ corpus "corpus/xml-dialect" in
+  List.iter (fun path -> streaming_agrees ~what:path ~file:path (read_file path)) files;
+  Alcotest.(check bool) "both corpora" true (List.length files >= 31)
+
+let test_streaming_registry () =
+  List.iter
+    (fun (what, ir) -> streaming_agrees ~what ~file:(what ^ ".xml") (Xml.to_string ir))
+    (Lazy.force registry_irs @ Lazy.force collective_variants)
+
+let test_streaming_mangles () =
+  List.iter
+    (fun (what, doc) -> streaming_agrees ~what ~file:"mangled.xml" doc)
+    (Lazy.force mangles)
+
+(* Diagnostics the decoder gathered before a late syntax error are
+   dropped: the error is the one diagnostic. *)
+let test_late_parse_error () =
+  let body = "<algo xmangle=\"1\" coll=\"allreduce\">\n  <gpu id=\"0\"/>\n" in
+  List.iter
+    (fun (what, doc, want) ->
+      streaming_agrees ~what doc;
+      match I.of_string doc with
+      | Error [ d ] ->
+          Alcotest.(check string) (what ^ ": rule") "parse" d.I.d_rule;
+          Alcotest.(check string) (what ^ ": message") want d.I.d_message
+      | Error ds ->
+          Alcotest.failf "%s: %d diagnostics:\n%s" what (List.length ds)
+            (I.diags_to_string ds)
+      | Ok _ -> Alcotest.failf "%s: accepted" what)
+    [
+      ( "inside the root",
+        body ^ "  <tb id=\"0\" <step/>\n</algo>\n",
+        "unexpected '<' in <tb> (expected an attribute name, '>' or '/>')" );
+      ( "after the root",
+        body ^ "</algo>\n<algo/>\n",
+        "trailing content after the root element (found '<')" );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Differential: integer attributes                                    *)
@@ -265,10 +338,13 @@ let test_deep_nesting () =
             e.Xml.e_message;
           Alcotest.(check int) "innermost element" (3 * (depth - 1) + 1)
             e.Xml.e_pos.Xml.col;
-          Alcotest.(check int) "one frame per level" depth
-            (List.length e.Xml.e_context);
-          Alcotest.(check string) "outermost frame" "<a> at deep.xml:1:1"
-            (List.nth e.Xml.e_context (depth - 1)))
+          (* the innermost 30 levels, the count of the rest, the root *)
+          let level k = Printf.sprintf "<a> at deep.xml:1:%d" ((3 * k) + 1) in
+          Alcotest.(check (list string))
+            "bounded context"
+            (List.init 30 (fun j -> level (depth - 1 - j))
+            @ [ "(999969 more enclosing elements)"; level 0 ])
+            e.Xml.e_context)
 
 let test_dependency_chain () =
   let n = 32_000 in
@@ -355,6 +431,18 @@ let test_parse_budget () =
     (allocated (fun () -> Xml.parse_tree doc))
     (String.length doc)
 
+(* Lexer events straight into the decoder: no tree, and integers read in
+   place. The budget is about 1.5x the 4.0 bytes per input byte first
+   measured; parsing a tree and then decoding it took 14.3. *)
+let test_ingest_budget () =
+  let doc =
+    Xml.to_string
+      (A.Hierarchical_allreduce.ir ~verify:false ~nodes:8 ~gpus_per_node:8 ())
+  in
+  budget "Ingest.of_string on hierarchical@64" ~per:"input" ~limit:6.0
+    (allocated (fun () -> I.of_string doc))
+    (String.length doc)
+
 let test_print_budget () =
   let ir = A.Allpairs_allreduce.ir ~verify:false ~num_ranks:32 () in
   budget "to_string on allpairs@32" ~per:"output" ~limit:3.2
@@ -377,6 +465,16 @@ let () =
           Testutil.tc "int_value = int_of_string_opt (String.trim v)"
             test_int_value;
         ] );
+      ( "streaming",
+        [
+          Testutil.tc "of_string = tree replay on corpora" test_streaming_corpora;
+          Testutil.tc "of_string = tree replay on registry files"
+            test_streaming_registry;
+          Testutil.tc "of_string = tree replay on 2000 mangles"
+            test_streaming_mangles;
+          Testutil.tc "a late parse error is the one diagnostic"
+            test_late_parse_error;
+        ] );
       ( "hostile-size",
         [
           Testutil.tc "attribute flood" test_attribute_flood;
@@ -388,6 +486,7 @@ let () =
       ( "allocation",
         [
           Testutil.tc "parse_tree bytes per input byte" test_parse_budget;
+          Testutil.tc "Ingest.of_string bytes per input byte" test_ingest_budget;
           Testutil.tc "to_string bytes per output byte" test_print_budget;
         ] );
     ]

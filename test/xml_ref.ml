@@ -114,7 +114,15 @@ let cursor ?(file = "<string>") src =
 
 let cur_pos c = { line = c.line; col = c.col }
 
-let context_of c = List.map (fun (tag, p) -> frame ~file:c.file tag p) c.stack
+(* The open elements, innermost first; past 32 of them, the innermost
+   30, one frame counting those left out, and the outermost. *)
+let context_of c =
+  let frames = List.map (fun (tag, p) -> frame ~file:c.file tag p) c.stack in
+  let n = List.length frames in
+  if n <= 32 then frames
+  else
+    List.filteri (fun i _ -> i < 30) frames
+    @ [ Printf.sprintf "(%d more enclosing elements)" (n - 31); List.nth frames (n - 1) ]
 
 let raise_at c ?context p fmt =
   let context = match context with Some x -> x | None -> context_of c in
