@@ -23,6 +23,8 @@ let finish ?(instances = 1) ?(verify = true) ?(lint = false) report =
   { report with lint = diagnostics; ir }
 
 let compile_dag ?(fuse = true) ?proto ?instances ?verify ?lint dag =
+  (* Counted first: the Chunk DAG is garbage once lowered. *)
+  let chunk_ops = Chunk_dag.num_nodes dag in
   let idag = Instr_dag.of_chunk_dag dag in
   let before = Instr_dag.num_live idag in
   let fusion =
@@ -32,7 +34,7 @@ let compile_dag ?(fuse = true) ?proto ?instances ?verify ?lint dag =
   let ir = Schedule.run ?proto idag in
   finish ?instances ?verify ?lint
     {
-      chunk_ops = Chunk_dag.num_nodes dag;
+      chunk_ops;
       instrs_before_fusion = before;
       fusion;
       instrs_after_fusion = after;

@@ -28,13 +28,13 @@ val fuse : Instr_dag.t -> stats
 (** Applies all three rewrites in place (then callers typically
     {!Instr_dag.compact}). Returns how many of each fired. *)
 
-val fuse_rcs : ?succ:int list array -> Instr_dag.t -> int
-(** Only the recv+send rewrite; exposed for targeted tests. [succ] is a
-    current {!Instr_dag.successors} adjacency to reuse (it is kept up to
-    date as instructions fuse); omitted, it is built on entry. *)
+val fuse_rcs : Instr_dag.t -> int
+(** Only the recv+send rewrite; exposed for targeted tests. Each of these
+    builds its own successor index on entry; {!fuse} builds one and keeps
+    it current across all three passes. *)
 
-val fuse_rrcs : ?succ:int list array -> Instr_dag.t -> int
+val fuse_rrcs : Instr_dag.t -> int
 
-val fuse_rrs : ?succ:int list array -> Instr_dag.t -> int
+val fuse_rrs : Instr_dag.t -> int
 
 val pp_stats : Format.formatter -> stats -> unit

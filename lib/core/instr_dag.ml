@@ -9,72 +9,82 @@ type t = {
 (* Lowering                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type track_cell = { mutable lw : int option; mutable readers : int list }
-
-type track = {
-  t_in : track_cell array;
-  t_out : track_cell array;  (* == t_in when in-place *)
-  t_scr : track_cell array;
+(* Last-writer/reader tracking. Every tracked cell is a slot: [lw.(slot)]
+   is its last writer (-1 for none) and [rd.(slot)] the instructions that
+   read it since. Slots are dense per-rank buffer ranges when the DAG
+   plausibly touches most of the machine, and handed out on first touch
+   through a table when it covers a vanishing fraction (the
+   symmetry-aware path lowers a single representative slice of an
+   O(ranks^2)-cell machine, which must stay O(slice)). Identical
+   semantics either way. *)
+type tracks = {
+  lw : int array;
+  rd : int list array;
+  bases : int array;
+      (* dense: slot of index 0 of buffer tag [t] on rank [r] at
+         [bases.(3 * r + t)]; empty when sparse *)
+  tbl : (int, int) Hashtbl.t;  (* sparse: (rank, tag, index) key -> slot *)
 }
 
-let fresh_track n = Array.init n (fun _ -> { lw = None; readers = [] })
+(* Output shares Input's tag when the collective is in place. *)
+let buf_tag coll = function
+  | Buffer_id.Input -> 0
+  | Buffer_id.Output -> if coll.Collective.inplace then 0 else 1
+  | Buffer_id.Scratch -> 2
 
-(* Last-writer/reader tracking cells: dense per-rank arrays when the DAG
-   plausibly touches most of the machine, an on-demand table when it
-   covers a vanishing fraction (the symmetry-aware path lowers a single
-   representative slice of an O(ranks^2)-cell machine). Identical
-   semantics either way. *)
-type tracks =
-  | Dense_tracks of track array
-  | Sparse_tracks of (int, track_cell) Hashtbl.t  (* (rank,buf,idx) key *)
-
-let make_tracks coll scratch_sizes =
+let dense_tracks coll scratch_sizes =
+  let ranks = coll.Collective.num_ranks in
   let in_size = Collective.input_buffer_size coll in
-  let out_size = Collective.output_buffer_size coll in
-  Array.init coll.Collective.num_ranks (fun r ->
-      let t_in = fresh_track in_size in
-      let t_out =
-        if coll.Collective.inplace then t_in else fresh_track out_size
-      in
-      { t_in; t_out; t_scr = fresh_track scratch_sizes.(r) })
+  let out_size =
+    if coll.Collective.inplace then 0 else Collective.output_buffer_size coll
+  in
+  let bases = Array.make (3 * ranks) 0 in
+  let total = ref 0 in
+  for r = 0 to ranks - 1 do
+    bases.(3 * r) <- !total;
+    bases.((3 * r) + 1) <- !total + in_size;
+    bases.((3 * r) + 2) <- !total + in_size + out_size;
+    total := !total + in_size + out_size + scratch_sizes.(r)
+  done;
+  {
+    lw = Array.make !total (-1);
+    rd = Array.make !total [];
+    bases;
+    tbl = Hashtbl.create 1;
+  }
 
-(* Iterate the cells a location covers in place — lowering visits every
-   instruction's cells several times, so avoid an Array.sub per visit. *)
-let iter_track_cells tracks coll (l : Loc.t) f =
-  match tracks with
-  | Dense_tracks tracks ->
-      let tr = tracks.(l.Loc.rank) in
-      let arr =
-        match l.Loc.buf with
-        | Buffer_id.Input -> tr.t_in
-        | Buffer_id.Output ->
-            if coll.Collective.inplace then tr.t_in else tr.t_out
-        | Buffer_id.Scratch -> tr.t_scr
-      in
-      for k = l.Loc.index to l.Loc.index + l.Loc.count - 1 do
-        f arr.(k)
-      done
-  | Sparse_tracks tbl ->
-      let tag =
-        match l.Loc.buf with
-        | Buffer_id.Input -> 0
-        | Buffer_id.Output -> if coll.Collective.inplace then 0 else 1
-        | Buffer_id.Scratch -> 2
-      in
-      let base = ((l.Loc.rank * 3) + tag) lsl 31 in
-      for k = l.Loc.index to l.Loc.index + l.Loc.count - 1 do
-        let key = base lor k in
-        match Hashtbl.find_opt tbl key with
-        | Some c -> f c
-        | None ->
-            let c = { lw = None; readers = [] } in
-            Hashtbl.add tbl key c;
-            f c
-      done
+(* [footprint] (the cells all locations cover, with repeats) bounds the
+   distinct cells, so the slot arrays never grow. *)
+let sparse_tracks footprint =
+  {
+    lw = Array.make footprint (-1);
+    rd = Array.make footprint [];
+    bases = [||];
+    tbl = Hashtbl.create (2 * footprint);
+  }
+
+(* The slot of index [k] of buffer tag [tag] on [rank]. *)
+let slot tr ~rank ~tag k =
+  if Array.length tr.bases > 0 then tr.bases.((3 * rank) + tag) + k
+  else
+    let key = (((rank * 3) + tag) lsl 31) lor k in
+    match Hashtbl.find tr.tbl key with
+    | s -> s
+    | exception Not_found ->
+        let s = Hashtbl.length tr.tbl in
+        Hashtbl.add tr.tbl key s;
+        s
 
 let of_chunk_dag (dag : Chunk_dag.t) =
   let coll = dag.Chunk_dag.collective in
-  let tracks =
+  let nodes = dag.Chunk_dag.nodes in
+  let footprint =
+    Array.fold_left
+      (fun acc (n : Chunk_dag.node) ->
+        acc + n.Chunk_dag.src.Loc.count + n.Chunk_dag.dst.Loc.count)
+      0 nodes
+  in
+  let tr =
     let dense_cells =
       coll.Collective.num_ranks
       * (Collective.input_buffer_size coll
@@ -82,54 +92,95 @@ let of_chunk_dag (dag : Chunk_dag.t) =
            else Collective.output_buffer_size coll))
       + Array.fold_left ( + ) 0 dag.Chunk_dag.scratch_sizes
     in
-    let footprint =
-      Array.fold_left
-        (fun acc (n : Chunk_dag.node) ->
-          acc + n.Chunk_dag.src.Loc.count + n.Chunk_dag.dst.Loc.count)
-        0 dag.Chunk_dag.nodes
-    in
-    if dense_cells > (4 * footprint) + 4096 then
-      Sparse_tracks (Hashtbl.create (2 * footprint))
-    else Dense_tracks (make_tracks coll dag.Chunk_dag.scratch_sizes)
+    if dense_cells > (4 * footprint) + 4096 then sparse_tracks footprint
+    else dense_tracks coll dag.Chunk_dag.scratch_sizes
   in
-  let acc = ref [] in
+  let n =
+    Array.fold_left
+      (fun acc n -> acc + if Chunk_dag.is_remote n then 2 else 1)
+      0 nodes
+  in
+  let some_rank = Array.init coll.Collective.num_ranks Option.some in
+  let dummy =
+    {
+      Instr.id = -1; rank = 0; op = Instr.Nop; src = None; dst = None;
+      send_peer = None; recv_peer = None; ch = None; count = 0; deps = [];
+      comm_pred = None; alive = false;
+    }
+  in
+  let instrs = Array.make n dummy in
+  (* [stamp.(d) = id] once [d] is among [id]'s dependencies. *)
+  let stamp = Array.make n (-1) in
+  let dep_buf = ref (Array.make 8 0) and ndeps = ref 0 in
+  let dep id d =
+    if d >= 0 && stamp.(d) <> id then begin
+      stamp.(d) <- id;
+      if !ndeps = Array.length !dep_buf then begin
+        let bigger = Array.make (2 * !ndeps) 0 in
+        Array.blit !dep_buf 0 bigger 0 !ndeps;
+        dep_buf := bigger
+      end;
+      !dep_buf.(!ndeps) <- d;
+      incr ndeps
+    end
+  in
+  (* Reads first (true dependencies; the reader joins the cell), then
+     writes (output and anti dependencies; the writer clears the cell's
+     readers). An instruction's own id never enters its set, so a cell
+     both read and written ends up as if the reads came first. *)
+  let read id (l : Loc.t) =
+    let rank = l.Loc.rank and tag = buf_tag coll l.Loc.buf in
+    for k = l.Loc.index to l.Loc.index + l.Loc.count - 1 do
+      let s = slot tr ~rank ~tag k in
+      dep id tr.lw.(s);
+      tr.rd.(s) <- id :: tr.rd.(s)
+    done
+  in
+  let rec readers id = function
+    | [] -> ()
+    | r :: rest ->
+        dep id r;
+        readers id rest
+  in
+  let write id (l : Loc.t) =
+    let rank = l.Loc.rank and tag = buf_tag coll l.Loc.buf in
+    for k = l.Loc.index to l.Loc.index + l.Loc.count - 1 do
+      let s = slot tr ~rank ~tag k in
+      dep id tr.lw.(s);
+      readers id tr.rd.(s);
+      tr.lw.(s) <- id;
+      tr.rd.(s) <- []
+    done
+  in
+  (* The collected set as a sorted list (insertion sort: a handful). *)
+  let sorted_deps () =
+    let buf = !dep_buf and m = !ndeps in
+    for i = 1 to m - 1 do
+      let x = buf.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && buf.(!j) > x do
+        buf.(!j + 1) <- buf.(!j);
+        decr j
+      done;
+      buf.(!j + 1) <- x
+    done;
+    let l = ref [] in
+    for i = m - 1 downto 0 do
+      l := buf.(i) :: !l
+    done;
+    ndeps := 0;
+    !l
+  in
   let next = ref 0 in
-  let new_instr ~rank ~op ~src ~dst ~send_peer ~recv_peer ~ch ~count
-      ~comm_pred =
+  let emit ~rank ~op ~src ~dst ~send_peer ~recv_peer ~ch ~count ~comm_pred
+      ~reads ~reads2 ~writes =
     let id = !next in
     incr next;
-    let deps = ref [] in
-    let dep = function
-      | Some d when d <> id ->
-          if not (List.mem d !deps) then deps := d :: !deps
-      | Some _ | None -> ()
-    in
-    let reads =
-      (if Instr.reads_local op then Option.to_list src else [])
-      @ (if op = Instr.Reduce then Option.to_list dst else [])
-    in
-    let writes = if Instr.writes_local op then Option.to_list dst else [] in
-    List.iter
-      (fun l -> iter_track_cells tracks coll l (fun c -> dep c.lw))
-      reads;
-    List.iter
-      (fun l ->
-        iter_track_cells tracks coll l (fun c ->
-            dep c.lw;
-            List.iter (fun r -> dep (Some r)) c.readers))
-      writes;
-    List.iter
-      (fun l ->
-        iter_track_cells tracks coll l (fun c -> c.readers <- id :: c.readers))
-      reads;
-    List.iter
-      (fun l ->
-        iter_track_cells tracks coll l (fun c ->
-            c.lw <- Some id;
-            c.readers <- []))
-      writes;
-    let deps = List.sort Int.compare !deps in
-    let i =
+    stamp.(id) <- id;
+    (match reads with Some l -> read id l | None -> ());
+    (match reads2 with Some l -> read id l | None -> ());
+    (match writes with Some l -> write id l | None -> ());
+    instrs.(id) <-
       {
         Instr.id;
         rank;
@@ -140,56 +191,53 @@ let of_chunk_dag (dag : Chunk_dag.t) =
         recv_peer;
         ch;
         count;
-        deps;
+        deps = sorted_deps ();
         comm_pred;
         alive = true;
-      }
-    in
-    acc := i :: !acc;
-    i
+      };
+    id
   in
-  Chunk_dag.iter dag (fun n ->
-      let src = n.Chunk_dag.src and dst = n.Chunk_dag.dst in
-      let ch = n.Chunk_dag.ch in
+  Array.iter
+    (fun (nd : Chunk_dag.node) ->
+      let src = nd.Chunk_dag.src and dst = nd.Chunk_dag.dst in
+      let ch = nd.Chunk_dag.ch in
       let count = src.Loc.count in
-      if Chunk_dag.is_remote n then begin
+      let some_src = Some src and some_dst = Some dst in
+      if Chunk_dag.is_remote nd then begin
         let send =
-          new_instr ~rank:src.Loc.rank ~op:Instr.Send ~src:(Some src)
-            ~dst:None ~send_peer:(Some dst.Loc.rank) ~recv_peer:None ~ch
-            ~count ~comm_pred:None
+          emit ~rank:src.Loc.rank ~op:Instr.Send ~src:some_src ~dst:None
+            ~send_peer:some_rank.(dst.Loc.rank) ~recv_peer:None ~ch ~count
+            ~comm_pred:None ~reads:some_src ~reads2:None ~writes:None
         in
-        let recv_op =
-          match n.Chunk_dag.op with
-          | Chunk_dag.Copy_op -> Instr.Recv
-          | Chunk_dag.Reduce_op -> Instr.Recv_reduce_copy
-        in
-        (* An rrc reads its own destination as the accumuland. *)
-        let recv_src =
-          match recv_op with
-          | Instr.Recv_reduce_copy -> Some dst
-          | Instr.Recv | Instr.Send | Instr.Copy | Instr.Reduce
-          | Instr.Recv_copy_send | Instr.Recv_reduce_send
-          | Instr.Recv_reduce_copy_send | Instr.Nop ->
-              None
+        (* A receive writes its destination; an rrc also reads it as the
+           accumuland. *)
+        let op, recv_src =
+          match nd.Chunk_dag.op with
+          | Chunk_dag.Copy_op -> (Instr.Recv, None)
+          | Chunk_dag.Reduce_op -> (Instr.Recv_reduce_copy, some_dst)
         in
         ignore
-          (new_instr ~rank:dst.Loc.rank ~op:recv_op ~src:recv_src
-             ~dst:(Some dst) ~send_peer:None ~recv_peer:(Some src.Loc.rank)
-             ~ch ~count ~comm_pred:(Some send.Instr.id))
+          (emit ~rank:dst.Loc.rank ~op ~src:recv_src ~dst:some_dst
+             ~send_peer:None ~recv_peer:some_rank.(src.Loc.rank) ~ch ~count
+             ~comm_pred:(Some send) ~reads:recv_src ~reads2:None
+             ~writes:some_dst)
       end
       else
-        let op =
-          match n.Chunk_dag.op with
-          | Chunk_dag.Copy_op -> Instr.Copy
-          | Chunk_dag.Reduce_op -> Instr.Reduce
+        (* A local reduce reads its destination as the accumuland. *)
+        let op, reads2 =
+          match nd.Chunk_dag.op with
+          | Chunk_dag.Copy_op -> (Instr.Copy, None)
+          | Chunk_dag.Reduce_op -> (Instr.Reduce, some_dst)
         in
         ignore
-          (new_instr ~rank:dst.Loc.rank ~op ~src:(Some src) ~dst:(Some dst)
-             ~send_peer:None ~recv_peer:None ~ch ~count ~comm_pred:None));
+          (emit ~rank:dst.Loc.rank ~op ~src:some_src ~dst:some_dst
+             ~send_peer:None ~recv_peer:None ~ch ~count ~comm_pred:None
+             ~reads:some_src ~reads2 ~writes:some_dst))
+    nodes;
   {
     name = dag.Chunk_dag.name;
     collective = coll;
-    instrs = Array.of_list (List.rev !acc);
+    instrs;
     scratch_sizes = dag.Chunk_dag.scratch_sizes;
   }
 
@@ -203,30 +251,11 @@ let live t =
 let num_live t =
   Array.fold_left (fun n i -> if i.Instr.alive then n + 1 else n) 0 t.instrs
 
-let successors t =
-  let n = Array.length t.instrs in
-  let succ = Array.make n [] in
-  Array.iter
-    (fun (i : Instr.t) ->
-      if i.Instr.alive then begin
-        List.iter (fun d -> succ.(d) <- i.Instr.id :: succ.(d)) i.Instr.deps;
-        match i.Instr.comm_pred with
-        | Some s -> succ.(s) <- i.Instr.id :: succ.(s)
-        | None -> ()
-      end)
-    t.instrs;
-  succ
-
-let preds_of (i : Instr.t) =
-  match i.Instr.comm_pred with
-  | Some s -> s :: i.Instr.deps
-  | None -> i.Instr.deps
-
 (* Flat forward adjacency in compressed-sparse-row form, rebuilt from the
    current deps/comm_pred of live instructions. Everything is an int
-   array, so the topological passes below touch no pointers — at a million
-   instructions the cons-cell version was the hottest part of compilation.
-   Returns [(off, targets)]: successors of [id] are
+   array, so traversals touch no pointers — at a million instructions the
+   cons-cell version was the hottest part of compilation. Returns
+   [(off, targets)]: successors of [id] are
    [targets.(off.(id)) .. targets.(off.(id + 1) - 1)]. *)
 let successors_csr t =
   let n = Array.length t.instrs in
@@ -262,71 +291,112 @@ let successors_csr t =
     t.instrs;
   (off, targets)
 
-(* Kahn topological traversal over live instructions; returns order as an
-   array or raises if a cycle exists. *)
-let topo_order_arr t =
-  let n = Array.length t.instrs in
-  let indeg = Array.make n 0 in
-  Array.iter
-    (fun (i : Instr.t) ->
-      if i.Instr.alive then
-        indeg.(i.Instr.id) <- List.length (preds_of i))
-    t.instrs;
-  let off, targets = successors_csr t in
-  let live = num_live t in
-  let order = Array.make live 0 in
-  (* [order] doubles as the work queue: [tail] marks discovered-but-
-     unprocessed ids, [seen] the processed prefix. *)
-  let tail = ref 0 in
-  Array.iter
-    (fun (i : Instr.t) ->
-      if i.Instr.alive && indeg.(i.Instr.id) = 0 then begin
-        order.(!tail) <- i.Instr.id;
-        incr tail
+type graph = {
+  live : int array;
+  dense : int array;
+  off : int array;
+  tgt : int array;
+  indeg : int array;
+  depth : int array;
+  rdepth : int array;
+}
+
+let graph t =
+  let instrs = t.instrs in
+  let dense = Array.make (Array.length instrs) (-1) in
+  let m = ref 0 in
+  Array.iteri
+    (fun id (i : Instr.t) ->
+      if i.Instr.alive then begin
+        dense.(id) <- !m;
+        incr m
       end)
-    t.instrs;
+    instrs;
+  let m = !m in
+  let live = Array.make m 0 in
+  Array.iteri (fun id k -> if k >= 0 then live.(k) <- id) dense;
+  let dense_of d =
+    let k = dense.(d) in
+    if k < 0 then invalid_arg "Instr_dag: dep on dead" else k
+  in
+  (* Two passes over every edge p -> k: count, then place. *)
+  let off = Array.make (m + 1) 0 and indeg = Array.make m 0 in
+  let count k p =
+    off.(p) <- off.(p) + 1;
+    indeg.(k) <- indeg.(k) + 1
+  in
+  let fill = Array.make m 0 and tgt = ref [||] in
+  let place k p =
+    !tgt.(fill.(p)) <- k;
+    fill.(p) <- fill.(p) + 1
+  in
+  let edges f =
+    let rec deps k = function
+      | [] -> ()
+      | d :: rest ->
+          f k (dense_of d);
+          deps k rest
+    in
+    for k = 0 to m - 1 do
+      let i = instrs.(live.(k)) in
+      deps k i.Instr.deps;
+      match i.Instr.comm_pred with Some s -> f k (dense_of s) | None -> ()
+    done
+  in
+  edges count;
+  let total = ref 0 in
+  for k = 0 to m do
+    let c = off.(k) in
+    off.(k) <- !total;
+    total := !total + c
+  done;
+  Array.blit off 0 fill 0 m;
+  tgt := Array.make !total 0;
+  edges place;
+  let tgt = !tgt in
+  (* Kahn's algorithm; [order] doubles as the work queue, and [fill]
+     counts each instruction's predecessors still unvisited. *)
+  let left = fill in
+  Array.blit indeg 0 left 0 m;
+  let order = Array.make m 0 and tail = ref 0 in
+  for k = 0 to m - 1 do
+    if left.(k) = 0 then begin
+      order.(!tail) <- k;
+      incr tail
+    end
+  done;
+  let depth = Array.make m 0 in
   let seen = ref 0 in
   while !seen < !tail do
-    let id = order.(!seen) in
+    let k = order.(!seen) in
     incr seen;
-    for k = off.(id) to off.(id + 1) - 1 do
-      let s = targets.(k) in
-      indeg.(s) <- indeg.(s) - 1;
-      if indeg.(s) = 0 then begin
+    for e = off.(k) to off.(k + 1) - 1 do
+      let s = tgt.(e) in
+      if depth.(s) < depth.(k) + 1 then depth.(s) <- depth.(k) + 1;
+      left.(s) <- left.(s) - 1;
+      if left.(s) = 0 then begin
         order.(!tail) <- s;
         incr tail
       end
     done
   done;
-  if !seen <> live then invalid_arg "Instr_dag: dependency cycle detected";
-  order
-
-let topo_order t = Array.to_list (topo_order_arr t)
+  if !seen <> m then invalid_arg "Instr_dag: dependency cycle detected";
+  let rdepth = Array.make m 0 in
+  for j = m - 1 downto 0 do
+    let k = order.(j) in
+    for e = off.(k) to off.(k + 1) - 1 do
+      let s = tgt.(e) in
+      if rdepth.(k) < rdepth.(s) + 1 then rdepth.(k) <- rdepth.(s) + 1
+    done
+  done;
+  { live; dense; off; tgt; indeg; depth; rdepth }
 
 let depths t =
-  let n = Array.length t.instrs in
-  let depth = Array.make n 0 and rdepth = Array.make n 0 in
-  let order = topo_order_arr t in
-  let last = Array.length order - 1 in
-  for k = 0 to last do
-    let id = order.(k) in
-    let i = t.instrs.(id) in
-    let visit p =
-      if depth.(id) < depth.(p) + 1 then depth.(id) <- depth.(p) + 1
-    in
-    List.iter visit i.Instr.deps;
-    match i.Instr.comm_pred with Some s -> visit s | None -> ()
-  done;
-  for k = last downto 0 do
-    let id = order.(k) in
-    let i = t.instrs.(id) in
-    let visit p =
-      if rdepth.(p) < rdepth.(id) + 1 then rdepth.(p) <- rdepth.(id) + 1
-    in
-    List.iter visit i.Instr.deps;
-    match i.Instr.comm_pred with Some s -> visit s | None -> ()
-  done;
-  (depth, rdepth)
+  let g = graph t in
+  let by_id a =
+    Array.map (fun k -> if k < 0 then 0 else a.(k)) g.dense
+  in
+  (by_id g.depth, by_id g.rdepth)
 
 let compact t =
   let remap = Array.make (Array.length t.instrs) (-1) in
@@ -349,7 +419,7 @@ let compact t =
   in
   { t with instrs = Array.of_list instrs }
 
-let validate t =
+let checked_graph t =
   let n = Array.length t.instrs in
   Array.iteri
     (fun idx (i : Instr.t) ->
@@ -381,7 +451,9 @@ let validate t =
           invalid_arg "Instr_dag: sending instr without peer"
       end)
     t.instrs;
-  ignore (topo_order_arr t)
+  graph t
+
+let validate t = ignore (checked_graph t)
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>instr-dag %s, %d live instr(s)@," t.name

@@ -25,26 +25,44 @@ val num_live : t -> int
 
 val compact : t -> t
 (** Drops dead instructions and renumbers ids densely (dependencies and
-    communication edges are remapped). Call after fusion. *)
-
-val successors : t -> int list array
-(** Forward adjacency (processing and communication edges), indexed by id;
-    dead instructions have no edges. *)
+    communication edges are remapped). {!Replicate.run} compacts its
+    fused slice before lifting it; {!Schedule.run} reads a fused DAG in
+    place instead. *)
 
 val successors_csr : t -> int array * int array
-(** The same adjacency as flat compressed-sparse-row arrays
-    [(off, targets)]: successors of [id] are
-    [targets.(off.(id)) .. targets.(off.(id+1) - 1)]. Rebuilt from current
-    deps; preferred in hot traversals, where the list form's cons-cell
-    chasing dominates at 10^6 instructions. *)
+(** Forward adjacency (processing and communication edges of live
+    instructions) as flat compressed-sparse-row arrays [(off, targets)]:
+    successors of [id] are [targets.(off.(id)) .. targets.(off.(id+1) - 1)],
+    in ascending id order. Rebuilt from current deps; {!Fusion} builds its
+    successor index from it. *)
 
-val topo_order : t -> int list
-(** Kahn topological order over live instructions; raises on cycles. *)
+type graph = {
+  live : int array;  (** Dense id -> instruction id, ascending. *)
+  dense : int array;
+      (** Instruction id -> dense id, [-1] when dead: the ids {!compact}
+          would give. *)
+  off : int array;
+  tgt : int array;
+      (** Successors of dense id [k], ascending:
+          [tgt.(off.(k)) .. tgt.(off.(k + 1) - 1)]. *)
+  indeg : int array;  (** Predecessor count per dense id. *)
+  depth : int array;  (** Longest distance from any root, per dense id. *)
+  rdepth : int array;  (** Longest distance to any leaf, per dense id. *)
+}
+(** The live instructions under dense ids and their dependency graph. *)
+
+val graph : t -> graph
+(** Built in one pass per edge set and one Kahn pass, which also orders
+    both depth sweeps. Raises [Invalid_argument] on a cycle or an edge from
+    a dead instruction. {!Schedule} reads the DAG through it. *)
 
 val depths : t -> int array * int array
-(** [(depth, reverse_depth)]: longest distance from any root and to any
-    leaf, over live instructions. Used for scheduling priorities (§5.2) and
-    for picking which send to fuse (§4.3). *)
+(** [(depth, reverse_depth)] of {!graph}, indexed by instruction id (0 for
+    dead instructions). {!Fusion} tie-breaks candidate sends with the
+    reverse depth (§4.3). *)
+
+val checked_graph : t -> graph
+(** {!validate}'s checks, then {!graph}. *)
 
 val validate : t -> unit
 (** Structural checks: dependency ids valid, same-rank deps, matching

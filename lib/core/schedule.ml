@@ -2,6 +2,19 @@ exception Scheduling_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Scheduling_error s)) fmt
 
+(* The scheduler reads the DAG in place, through [Instr_dag.graph]: dense
+   id [k] names live instruction [g.live.(k)], and [g.dense.(id)] is
+   instruction [id]'s dense id (-1 when dead). Dense ids are the ids a
+   compacted copy would carry, so everything below (priorities,
+   tie-breaks, error texts) reads as it did on that copy, which is no
+   longer made. *)
+type view = { instrs : Instr.t array; g : Instr_dag.graph }
+
+let view_of (dag : Instr_dag.t) ~graph =
+  { instrs = dag.Instr_dag.instrs; g = graph dag }
+
+let instr v k = v.instrs.(v.g.Instr_dag.live.(k))
+
 (* ------------------------------------------------------------------ *)
 (* Channel assignment                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -11,46 +24,41 @@ let error fmt = Format.kasprintf (fun s -> raise (Scheduling_error s)) fmt
    connections, so channels are constant over connected components of the
    "comm edge" graph. User directives seed components; the rest get the
    lowest channel (0). Conflicting directives inside a component are
-   errors. *)
+   errors, naming instructions by [name k]. Returns each dense id's
+   channel. *)
+let channels v ~name =
+  let dense = v.g.Instr_dag.dense in
+  let m = Array.length v.g.Instr_dag.live in
+  let uf = Union_find.create m in
+  for k = 0 to m - 1 do
+    match (instr v k).Instr.comm_pred with
+    | Some s -> Union_find.union uf k dense.(s)
+    | None -> ()
+  done;
+  (* root -> channel and the instruction that chose it (-1: none yet) *)
+  let chosen = Array.make m 0 and witness = Array.make m (-1) in
+  for k = 0 to m - 1 do
+    match (instr v k).Instr.ch with
+    | None -> ()
+    | Some c ->
+        let root = Union_find.find uf k in
+        if witness.(root) < 0 then begin
+          chosen.(root) <- c;
+          witness.(root) <- k
+        end
+        else if c <> chosen.(root) then
+          error
+            "conflicting channel directives %d (instr %d) and %d (instr %d) \
+             on one fused/communication chain"
+            chosen.(root) (name witness.(root)) c (name k)
+  done;
+  Array.init m (fun k -> chosen.(Union_find.find uf k))
+
 let assign_channels (dag : Instr_dag.t) =
-  let n = Array.length dag.Instr_dag.instrs in
-  let uf = Union_find.create n in
-  Array.iter
-    (fun (i : Instr.t) ->
-      if i.Instr.alive then
-        match i.Instr.comm_pred with
-        | Some s -> Union_find.union uf i.Instr.id s
-        | None -> ())
-    dag.Instr_dag.instrs;
-  let chosen : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
-  (* root -> (channel, witness instr id) *)
-  Array.iter
-    (fun (i : Instr.t) ->
-      if i.Instr.alive then
-        match i.Instr.ch with
-        | None -> ()
-        | Some c -> (
-            let root = Union_find.find uf i.Instr.id in
-            match Hashtbl.find_opt chosen root with
-            | None -> Hashtbl.add chosen root (c, i.Instr.id)
-            | Some (c', w) ->
-                if c <> c' then
-                  error
-                    "conflicting channel directives %d (instr %d) and %d \
-                     (instr %d) on one fused/communication chain"
-                    c' w c i.Instr.id))
-    dag.Instr_dag.instrs;
-  Array.iter
-    (fun (i : Instr.t) ->
-      if i.Instr.alive then
-        let root = Union_find.find uf i.Instr.id in
-        let c =
-          match Hashtbl.find_opt chosen root with
-          | Some (c, _) -> c
-          | None -> 0
-        in
-        i.Instr.ch <- Some c)
-    dag.Instr_dag.instrs
+  let v = view_of dag ~graph:Instr_dag.graph in
+  let live = v.g.Instr_dag.live in
+  let chan = channels v ~name:(fun k -> live.(k)) in
+  Array.iteri (fun k id -> v.instrs.(id).Instr.ch <- Some chan.(k)) live
 
 (* ------------------------------------------------------------------ *)
 (* Thread block formation                                              *)
@@ -58,52 +66,117 @@ let assign_channels (dag : Instr_dag.t) =
 
 let tb_order keys =
   let order = Array.init (Array.length keys) Fun.id in
-  Array.stable_sort (fun a b -> compare keys.(a) keys.(b)) order;
+  Array.stable_sort
+    (fun a b ->
+      let c1, s1, r1 = keys.(a) and c2, s2, r2 = keys.(b) in
+      let c = Int.compare c1 c2 in
+      if c <> 0 then c
+      else
+        let c = Int.compare s1 s2 in
+        if c <> 0 then c else Int.compare r1 r2)
+    order;
   order
+
+(* Int-keyed table (connection lookups key on a rank pair). *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash x =
+    let h = x * 0x5bd1e995 in
+    h lxor (h lsr 24)
+end)
 
 (* Connections (src, dst, ch) get dense ids in order of first use.
    Connection [c]'s send endpoint is [2c], on rank src; its receive
    endpoint is [2c + 1], on rank dst. *)
 type conns = {
-  key : (int * int * int) array;  (* connection -> (src, dst, ch) *)
-  send_conn : int array;  (* instruction -> connection it sends on, or -1 *)
-  recv_conn : int array;  (* instruction -> connection it receives on *)
+  nconn : int;
+  c_src : int array;  (* connection -> source rank *)
+  c_dst : int array;
+  c_ch : int array;
+  send_conn : int array;  (* dense id -> connection it sends on, or -1 *)
+  recv_conn : int array;  (* dense id -> connection it receives on *)
 }
 
-let connections (instrs : Instr.t array) =
-  let n = Array.length instrs in
-  let ids = Hashtbl.create 64 and keys = ref [] in
-  let id_of ((_, _, ch) as key) =
-    match Hashtbl.find_opt ids key with
-    | Some c -> c
-    | None ->
-        if ch < 0 then error "channel %d out of range" ch;
-        let c = Hashtbl.length ids in
-        Hashtbl.add ids key c;
-        keys := key :: !keys;
-        c
+let connections v ~num_ranks ~chan =
+  let m = Array.length v.g.Instr_dag.live in
+  let cap = ref 16 in
+  let c_src = ref (Array.make !cap 0)
+  and c_dst = ref (Array.make !cap 0)
+  and c_ch = ref (Array.make !cap 0)
+  and c_next = ref (Array.make !cap (-1)) in
+  let nconn = ref 0 in
+  (* (src, dst) -> the latest connection between them; [c_next] chains
+     the earlier ones, one per channel. *)
+  let heads = Itbl.create 64 in
+  let grow () =
+    let g a fill =
+      let b = Array.make (2 * !cap) fill in
+      Array.blit !a 0 b 0 !cap;
+      a := b
+    in
+    g c_src 0;
+    g c_dst 0;
+    g c_ch 0;
+    g c_next (-1);
+    cap := 2 * !cap
   in
-  let send_conn = Array.make n (-1) and recv_conn = Array.make n (-1) in
-  Array.iter
-    (fun (i : Instr.t) ->
-      let ch = Option.get i.Instr.ch in
-      if Instr.sends i.Instr.op then
-        send_conn.(i.Instr.id) <-
-          id_of (i.Instr.rank, Option.get i.Instr.send_peer, ch);
-      if Instr.receives i.Instr.op then
-        recv_conn.(i.Instr.id) <-
-          id_of (Option.get i.Instr.recv_peer, i.Instr.rank, ch))
-    instrs;
-  { key = Array.of_list (List.rev !keys); send_conn; recv_conn }
+  let id_of src dst ch =
+    let key = (src * num_ranks) + dst in
+    let head =
+      match Itbl.find heads key with h -> h | exception Not_found -> -1
+    in
+    let c = ref head in
+    while
+      !c >= 0
+      && not (!c_ch.(!c) = ch && !c_src.(!c) = src && !c_dst.(!c) = dst)
+    do
+      c := !c_next.(!c)
+    done;
+    if !c >= 0 then !c
+    else begin
+      if ch < 0 then error "channel %d out of range" ch;
+      let c = !nconn in
+      if c = !cap then grow ();
+      !c_src.(c) <- src;
+      !c_dst.(c) <- dst;
+      !c_ch.(c) <- ch;
+      !c_next.(c) <- head;
+      Itbl.replace heads key c;
+      nconn := c + 1;
+      c
+    end
+  in
+  let send_conn = Array.make m (-1) and recv_conn = Array.make m (-1) in
+  for k = 0 to m - 1 do
+    let i = instr v k and ch = chan.(k) in
+    if Instr.sends i.Instr.op then
+      send_conn.(k) <- id_of i.Instr.rank (Option.get i.Instr.send_peer) ch;
+    if Instr.receives i.Instr.op then
+      recv_conn.(k) <- id_of (Option.get i.Instr.recv_peer) i.Instr.rank ch
+  done;
+  {
+    nconn = !nconn;
+    c_src = !c_src;
+    c_dst = !c_dst;
+    c_ch = !c_ch;
+    send_conn;
+    recv_conn;
+  }
 
 (* Thread blocks of all ranks, numbered globally: rank [r] owns blocks
    [first.(r)] to [first.(r + 1) - 1], in MSCCL-IR order, and block [b]
-   has [tb_key.(b)] = (chan, send peer, recv peer). *)
+   has channel [tb_chan.(b)], send peer [tb_send.(b)] and receive peer
+   [tb_recv.(b)] (-1 when absent). *)
 type blocks = {
   first : int array;
-  tb_key : (int * int * int) array;
+  tb_chan : int array;
+  tb_send : int array;
+  tb_recv : int array;
   instr_block : int array;
-      (* instruction -> block; -1 for local instructions until placed *)
+      (* dense id -> block; -1 for local instructions until placed *)
 }
 
 (* Group connection endpoints with union-find: a fused instruction joins
@@ -113,24 +186,21 @@ type blocks = {
    connection (paper §5, step 2's (send-peer, receive-peer, channel)
    tuples), which halves the thread-block count and the SM footprint. The
    pairing is deterministic (sorted by peer). *)
-let form_blocks ~num_ranks (instrs : Instr.t array) cs =
-  let ne = 2 * Array.length cs.key in
+let form_blocks ~num_ranks v cs =
+  let m = Array.length v.g.Instr_dag.live in
+  let ne = 2 * cs.nconn in
   let uf = Union_find.create ne in
   let used = Array.make ne false in
-  Array.iteri
-    (fun id _ ->
-      let s = cs.send_conn.(id) and r = cs.recv_conn.(id) in
-      if s >= 0 then used.(2 * s) <- true;
-      if r >= 0 then used.((2 * r) + 1) <- true;
-      if s >= 0 && r >= 0 then Union_find.union uf (2 * s) ((2 * r) + 1))
-    instrs;
-  let rank_of e =
-    let src, dst, _ = cs.key.(e / 2) in
-    if e land 1 = 0 then src else dst
-  in
+  for k = 0 to m - 1 do
+    let s = cs.send_conn.(k) and r = cs.recv_conn.(k) in
+    if s >= 0 then used.(2 * s) <- true;
+    if r >= 0 then used.((2 * r) + 1) <- true;
+    if s >= 0 && r >= 0 then Union_find.union uf (2 * s) ((2 * r) + 1)
+  done;
+  let rank_of e = if e land 1 = 0 then cs.c_src.(e / 2) else cs.c_dst.(e / 2) in
   (* An endpoint's peer is the rank of the connection's other endpoint. *)
   let peer_of e = rank_of (e lxor 1) in
-  let chan_of e = let _, _, ch = cs.key.(e / 2) in ch in
+  let chan_of e = cs.c_ch.(e / 2) in
   (* Each group's send and receive peer, indexed by its root endpoint. The
      first conflict in endpoint order is reported. *)
   let send = Array.make ne (-1) and recv = Array.make ne (-1) in
@@ -148,146 +218,181 @@ let form_blocks ~num_ranks (instrs : Instr.t array) cs =
       side.(root) <- peer_of e
     end
   done;
-  let roots =
-    List.filter
-      (fun e -> used.(e) && Union_find.find uf e = e)
-      (List.init ne Fun.id)
-  in
-  (* Lone groups as ((rank, chan), peer, root), sorted. *)
+  let is_root e = used.(e) && Union_find.find uf e = e in
+  (* Lone groups (one side only), sorted by (rank, chan, peer). No two
+     share all three: the peer and channel name the connection. *)
   let lone side other =
-    List.filter (fun e -> side.(e) >= 0 && other.(e) < 0) roots
-    |> List.map (fun e -> ((rank_of e, chan_of e), side.(e), e))
-    |> List.sort compare
+    let l = ref [] in
+    for e = ne - 1 downto 0 do
+      if is_root e && side.(e) >= 0 && other.(e) < 0 then l := e :: !l
+    done;
+    let a = Array.of_list !l in
+    Array.stable_sort
+      (fun x y ->
+        let c = Int.compare (rank_of x) (rank_of y) in
+        if c <> 0 then c
+        else
+          let c = Int.compare (chan_of x) (chan_of y) in
+          if c <> 0 then c else Int.compare side.(x) side.(y))
+      a;
+    a
   in
+  let ss = lone send recv and rs = lone recv send in
   let absorbed_by = Array.make ne (-1) in
-  let rec pair ss rs =
-    match (ss, rs) with
-    | (sk, _, s) :: ss', (rk, _, r) :: rs' ->
-        let c = compare sk rk in
-        if c < 0 then pair ss' rs
-        else if c > 0 then pair ss rs'
-        else begin
-          send.(r) <- send.(s);
-          absorbed_by.(s) <- r;
-          pair ss' rs'
-        end
-    | [], _ | _, [] -> ()
-  in
-  pair (lone send recv) (lone recv send);
+  let i = ref 0 and j = ref 0 in
+  while !i < Array.length ss && !j < Array.length rs do
+    let s = ss.(!i) and r = rs.(!j) in
+    let c = Int.compare (rank_of s) (rank_of r) in
+    let c = if c <> 0 then c else Int.compare (chan_of s) (chan_of r) in
+    if c < 0 then incr i
+    else if c > 0 then incr j
+    else begin
+      send.(r) <- send.(s);
+      absorbed_by.(s) <- r;
+      incr i;
+      incr j
+    end
+  done;
   (* Number the remaining groups rank by rank in MSCCL-IR order. A rank
-     with instructions but no connection gets one block for them, listed
-     under root -1. *)
-  let by_rank = Array.make num_ranks [] in
-  List.iter
-    (fun e ->
-      let r = rank_of e in
-      if absorbed_by.(e) < 0 then by_rank.(r) <- e :: by_rank.(r))
-    (List.rev roots);
-  Array.iter
-    (fun (i : Instr.t) ->
-      if by_rank.(i.Instr.rank) = [] then by_rank.(i.Instr.rank) <- [ -1 ])
-    instrs;
-  let rank_roots = Array.map Array.of_list by_rank in
+     with instructions but no connection gets one block for them, with no
+     root (-1). *)
+  let kept e = is_root e && absorbed_by.(e) < 0 in
+  let groups = Array.make num_ranks 0
+  and has_instr = Array.make num_ranks false in
+  for e = 0 to ne - 1 do
+    if kept e then groups.(rank_of e) <- groups.(rank_of e) + 1
+  done;
+  for k = 0 to m - 1 do
+    has_instr.((instr v k).Instr.rank) <- true
+  done;
   let first = Array.make (num_ranks + 1) 0 in
-  Array.iteri
-    (fun r roots -> first.(r + 1) <- first.(r) + Array.length roots)
-    rank_roots;
-  let tb_key = Array.make first.(num_ranks) (0, -1, -1) in
+  for r = 0 to num_ranks - 1 do
+    let blocks = if groups.(r) = 0 && has_instr.(r) then 1 else groups.(r) in
+    first.(r + 1) <- first.(r) + blocks
+  done;
+  let nblocks = first.(num_ranks) in
+  let root = Array.make nblocks (-1) and fill = Array.sub first 0 num_ranks in
+  for e = 0 to ne - 1 do
+    if kept e then begin
+      let r = rank_of e in
+      root.(fill.(r)) <- e;
+      fill.(r) <- fill.(r) + 1
+    end
+  done;
+  let tb_chan = Array.make nblocks 0
+  and tb_send = Array.make nblocks (-1)
+  and tb_recv = Array.make nblocks (-1) in
   let block_of_root = Array.make ne (-1) in
+  for r = 0 to num_ranks - 1 do
+    let lo = first.(r) in
+    let order =
+      tb_order
+        (Array.init (first.(r + 1) - lo) (fun j ->
+             let e = root.(lo + j) in
+             if e < 0 then (0, -1, -1) else (chan_of e, send.(e), recv.(e))))
+    in
+    Array.iteri
+      (fun k j ->
+        let b = lo + k and e = root.(lo + j) in
+        if e >= 0 then begin
+          tb_chan.(b) <- chan_of e;
+          tb_send.(b) <- send.(e);
+          tb_recv.(b) <- recv.(e);
+          block_of_root.(e) <- b
+        end)
+      order
+  done;
   Array.iteri
-    (fun r roots ->
-      let keys =
-        Array.map
-          (fun e ->
-            if e < 0 then (0, -1, -1) else (chan_of e, send.(e), recv.(e)))
-          roots
-      in
-      Array.iteri
-        (fun k j ->
-          let b = first.(r) + k in
-          tb_key.(b) <- keys.(j);
-          if roots.(j) >= 0 then block_of_root.(roots.(j)) <- b)
-        (tb_order keys))
-    rank_roots;
-  Array.iteri
-    (fun root r -> if r >= 0 then block_of_root.(root) <- block_of_root.(r))
+    (fun e r -> if r >= 0 then block_of_root.(e) <- block_of_root.(r))
     absorbed_by;
   let instr_block =
-    Array.init (Array.length instrs) (fun id ->
-        let s = cs.send_conn.(id) and r = cs.recv_conn.(id) in
+    Array.init m (fun k ->
+        let s = cs.send_conn.(k) and r = cs.recv_conn.(k) in
         let e = if s >= 0 then 2 * s else if r >= 0 then (2 * r) + 1 else -1 in
         if e < 0 then -1 else block_of_root.(Union_find.find uf e))
   in
-  { first; tb_key; instr_block }
+  { first; tb_chan; tb_send; tb_recv; instr_block }
 
 (* ------------------------------------------------------------------ *)
 (* Global topological assignment                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The FIFO state [conn] names for a connection. *)
-type fifo = {
-  unreceived : int Queue.t;  (* placed sends not yet received, in order *)
-  blocked : int Queue.t;
-      (* sends waiting for FIFO slots: placing a send while [slots]
-         sends are already unmatched by receives could deadlock the
-         runtime (§6.1), so the scheduler back-pressures here. *)
+(* Queues of dense ids as linked lists in int arrays: queue [q]'s ids run
+   from [head.(q)] along [next] to [tail.(q)] (-1 when empty). An id is in
+   at most one queue of a family at a time, so one [next] array serves
+   them all. *)
+type queues = {
+  head : int array;
+  tail : int array;
+  len : int array;
+  next : int array;
 }
 
-let rank_tbs ~slots ~conn (dag : Instr_dag.t) =
+let queues ~count ~ids =
+  {
+    head = Array.make count (-1);
+    tail = Array.make count (-1);
+    len = Array.make count 0;
+    next = Array.make ids (-1);
+  }
+
+let q_add qs q k =
+  qs.next.(k) <- -1;
+  if qs.tail.(q) < 0 then qs.head.(q) <- k else qs.next.(qs.tail.(q)) <- k;
+  qs.tail.(q) <- k;
+  qs.len.(q) <- qs.len.(q) + 1
+
+let q_pop qs q =
+  let k = qs.head.(q) in
+  qs.head.(q) <- qs.next.(k);
+  if qs.head.(q) < 0 then qs.tail.(q) <- -1;
+  qs.len.(q) <- qs.len.(q) - 1;
+  k
+
+(* The scheduling core over dense ids. [chan] is each instruction's
+   channel; [fifo_ids cs] numbers the FIFO state of each connection and
+   says how many there are. Placement counts the graph's [indeg] down. *)
+let place ~slots ~num_ranks ~fifo_ids v chan =
   if slots < 1 then error "need at least one FIFO slot";
-  let num_ranks = dag.Instr_dag.collective.Collective.num_ranks in
-  let instrs = dag.Instr_dag.instrs in
-  let n = Array.length instrs in
-  let cs = connections instrs in
-  let { first; tb_key; instr_block } = form_blocks ~num_ranks instrs cs in
-  let nblocks = Array.length tb_key in
+  let { Instr_dag.live; dense; off = succ_off; tgt = succ_tgt; indeg; depth;
+        rdepth } =
+    v.g
+  in
+  let n = Array.length live in
+  let cs = connections v ~num_ranks ~chan in
+  let { first; tb_chan; tb_send; tb_recv; instr_block } =
+    form_blocks ~num_ranks v cs
+  in
+  let nblocks = Array.length tb_chan in
   let block_rank = Array.make nblocks 0 in
   for r = 0 to num_ranks - 1 do
     Array.fill block_rank first.(r) (first.(r + 1) - first.(r)) r
   done;
-  (* Resolve every instruction's FIFO state through [conn] once. *)
-  let fifo_ids = Hashtbl.create 64 in
-  let fifo_of_conn =
-    Array.map
-      (fun (src, dst, ch) ->
-        let k = conn ~src ~dst ~ch in
-        match Hashtbl.find_opt fifo_ids k with
-        | Some f -> f
-        | None ->
-            let f = Hashtbl.length fifo_ids in
-            Hashtbl.add fifo_ids k f;
-            f)
-      cs.key
-  in
-  let fifos =
-    Array.init (Hashtbl.length fifo_ids) (fun _ ->
-        { unreceived = Queue.create (); blocked = Queue.create () })
-  in
-  let fifo_of c = if c < 0 then None else Some fifos.(fifo_of_conn.(c)) in
+  (* Every instruction's FIFO states, resolved once: -1 for none. *)
+  let fifo_of_conn, nfifos = fifo_ids cs in
+  let fifo c = if c < 0 then -1 else fifo_of_conn.(c) in
+  (* Per FIFO state: placed sends not yet received, in order, and sends
+     waiting for FIFO slots (placing a send while [slots] sends are
+     already unmatched by receives could deadlock the runtime, §6.1, so
+     the scheduler back-pressures here). *)
+  let unreceived = queues ~count:nfifos ~ids:n
+  and blocked = queues ~count:nfifos ~ids:n in
+  (* Deferred instructions ready to be retried, in order (queue 0). *)
+  let pending = queues ~count:1 ~ids:n in
   (* [waiting.(s)]: the receive deferred until send [s] heads its FIFO. *)
   let waiting = Array.make n (-1) in
-  let depth, rdepth = Instr_dag.depths dag in
-  let priority id =
+  let priority k =
     let nf = float_of_int (n + 1) in
-    (float_of_int depth.(id) *. nf) +. (nf -. float_of_int rdepth.(id))
+    (float_of_int depth.(k) *. nf) +. (nf -. float_of_int rdepth.(k))
   in
-  let succ_off, succ_tgt = Instr_dag.successors_csr dag in
-  let indeg = Array.make n 0 in
-  Array.iter
-    (fun (i : Instr.t) ->
-      indeg.(i.Instr.id) <-
-        List.length i.Instr.deps
-        + match i.Instr.comm_pred with Some _ -> 1 | None -> 0)
-    instrs;
   let heap = Msccl_sim.Pqueue.create () in
-  for id = 0 to n - 1 do
-    if indeg.(id) = 0 then Msccl_sim.Pqueue.add heap ~priority:(priority id) id
+  for k = 0 to n - 1 do
+    if indeg.(k) = 0 then Msccl_sim.Pqueue.add heap ~priority:(priority k) k
   done;
   let nsteps = Array.make nblocks 0 in
   let last_placed = Array.make nblocks (-1) in
   let instr_step = Array.make n (-1) in
   let placed = ref 0 in
-  let pending = Queue.create () in
   (* Local (no-connection) instructions go to the thread block of the
      dependency that produced their operand, preferring a receiving
      dependency: a local reduce lands in the block that received the data,
@@ -295,21 +400,26 @@ let rank_tbs ~slots ~conn (dag : Instr_dag.t) =
      rank renumbering (the symmetry pass certifies exactly this). Only
      when no same-rank dependency exists do we fall back to the
      least-recently-used block. Every dependency is placed already. *)
+  (* Whether dependency [d] beats [b]: (receives, depth, -id),
+     lexicographically. *)
+  let better d b =
+    let rd = Instr.receives (instr v d).Instr.op
+    and rb = Instr.receives (instr v b).Instr.op in
+    if rd <> rb then rd
+    else if depth.(d) <> depth.(b) then depth.(d) > depth.(b)
+    else d < b
+  in
+  let rec best_dep rank best = function
+    | [] -> best
+    | d :: rest ->
+        let d = dense.(d) in
+        if block_rank.(instr_block.(d)) = rank && (best < 0 || better d best)
+        then best_dep rank d rest
+        else best_dep rank best rest
+  in
   let pick_local_block (i : Instr.t) =
     let rank = i.Instr.rank in
-    let score d =
-      ((if Instr.receives instrs.(d).Instr.op then 1 else 0), depth.(d), -d)
-    in
-    let best =
-      List.fold_left
-        (fun best d ->
-          if
-            block_rank.(instr_block.(d)) = rank
-            && (best < 0 || score d > score best)
-          then d
-          else best)
-        (-1) i.Instr.deps
-    in
+    let best = best_dep rank (-1) i.Instr.deps in
     if best >= 0 then instr_block.(best)
     else begin
       let lru = ref first.(rank) in
@@ -320,58 +430,53 @@ let rank_tbs ~slots ~conn (dag : Instr_dag.t) =
     end
   in
   let wake_head f =
-    match Queue.peek_opt f.unreceived with
-    | Some head when waiting.(head) >= 0 ->
-        Queue.add waiting.(head) pending;
-        waiting.(head) <- -1
-    | Some _ | None -> ()
+    let head = unreceived.head.(f) in
+    if head >= 0 && waiting.(head) >= 0 then begin
+      q_add pending 0 waiting.(head);
+      waiting.(head) <- -1
+    end
   in
   (* Try to place an instruction; defers it when FIFO order on its receive
      connection or FIFO slot back-pressure on its send connection forbids
      placing it yet. *)
-  let try_assign id =
-    let i = instrs.(id) in
-    let recv_fifo = fifo_of cs.recv_conn.(id) in
-    let send_fifo = fifo_of cs.send_conn.(id) in
+  let try_assign k =
+    let i = instr v k in
+    let recv_fifo = fifo cs.recv_conn.(k) in
+    let send_fifo = fifo cs.send_conn.(k) in
     let ready =
-      (match recv_fifo with
-      | None -> true
-      | Some f ->
-          let sender = Option.get i.Instr.comm_pred in
-          Queue.peek_opt f.unreceived = Some sender
-          || (waiting.(sender) <- id; false))
-      &&
-      match send_fifo with
-      | None -> true
-      | Some f ->
-          Queue.length f.unreceived < slots || (Queue.add id f.blocked; false)
+      (recv_fifo < 0
+      ||
+      let sender = dense.(Option.get i.Instr.comm_pred) in
+      unreceived.head.(recv_fifo) = sender
+      || (waiting.(sender) <- k; false))
+      && (send_fifo < 0
+         || unreceived.len.(send_fifo) < slots
+         || (q_add blocked send_fifo k; false))
     in
     if ready then begin
       let b =
-        if instr_block.(id) >= 0 then instr_block.(id) else pick_local_block i
+        if instr_block.(k) >= 0 then instr_block.(k) else pick_local_block i
       in
-      instr_block.(id) <- b;
-      instr_step.(id) <- nsteps.(b);
+      instr_block.(k) <- b;
+      instr_step.(k) <- nsteps.(b);
       nsteps.(b) <- nsteps.(b) + 1;
       last_placed.(b) <- !placed;
       incr placed;
-      (match recv_fifo with
-      | None -> ()
-      | Some f ->
-          ignore (Queue.pop f.unreceived);
-          (* Unblock a deferred receive that is now head-of-line, and a
-             send for which a FIFO slot just opened. *)
-          wake_head f;
-          if (not (Queue.is_empty f.blocked))
-             && Queue.length f.unreceived < slots
-          then Queue.add (Queue.pop f.blocked) pending);
-      (match send_fifo with
-      | None -> ()
-      | Some f ->
-          Queue.add id f.unreceived;
-          wake_head f);
-      for k = succ_off.(id) to succ_off.(id + 1) - 1 do
-        let s = succ_tgt.(k) in
+      if recv_fifo >= 0 then begin
+        let f = recv_fifo in
+        ignore (q_pop unreceived f);
+        (* Unblock a deferred receive that is now head-of-line, and a
+           send for which a FIFO slot just opened. *)
+        wake_head f;
+        if blocked.len.(f) > 0 && unreceived.len.(f) < slots then
+          q_add pending 0 (q_pop blocked f)
+      end;
+      if send_fifo >= 0 then begin
+        q_add unreceived send_fifo k;
+        wake_head send_fifo
+      end;
+      for e = succ_off.(k) to succ_off.(k + 1) - 1 do
+        let s = succ_tgt.(e) in
         indeg.(s) <- indeg.(s) - 1;
         if indeg.(s) = 0 then
           Msccl_sim.Pqueue.add heap ~priority:(priority s) s
@@ -379,8 +484,8 @@ let rank_tbs ~slots ~conn (dag : Instr_dag.t) =
     end
   in
   let rec drive () =
-    if not (Queue.is_empty pending) then begin
-      try_assign (Queue.pop pending);
+    if pending.len.(0) > 0 then begin
+      try_assign (q_pop pending 0);
       drive ()
     end
     else if not (Msccl_sim.Pqueue.is_empty heap) then begin
@@ -400,39 +505,45 @@ let rank_tbs ~slots ~conn (dag : Instr_dag.t) =
   (* ---------------------------------------------------------------- *)
   let tb_id b = b - first.(block_rank.(b)) in
   (* Cross thread-block dependencies, deduplicated per source tb (keeping
-     the latest step, since semaphores are monotonic). Dependency lists
-     are a handful of entries, so dedup with a small assoc list. All are
-     worked out before any step is built, so each step record is built
-     once with its final [has_dep]. *)
+     the latest step, since semaphores are monotonic) and sorted by tb.
+     All are worked out before any step is built, so each step record is
+     built once with its final [has_dep]. [latest.(db)] is the latest
+     step of block [db] the current step depends on (-1: none), reached
+     through instruction [via.(db)]. *)
   let has_dep = Array.make n false in
-  let depends =
-    Array.map
-      (fun (i : Instr.t) ->
-        let b = instr_block.(i.Instr.id) in
-        let upsert per_tb d =
-          let db = instr_block.(d) in
-          if db = b then per_tb
-          else begin
-            let key = tb_id db and step = instr_step.(d) in
-            let rec go = function
-              | [] -> [ (key, step, d) ]
-              | ((k, prev_step, _) as e) :: rest ->
-                  if k = key then
-                    if step > prev_step then (k, step, d) :: rest else e :: rest
-                  else e :: go rest
-            in
-            go per_tb
-          end
-        in
-        match List.fold_left upsert [] i.Instr.deps with
-        | [] -> [] (* most steps: skip the sort's set-up *)
-        | per_tb ->
-            List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) per_tb
-            |> List.map (fun (tbid, step, d) ->
-                   has_dep.(d) <- true;
-                   (tbid, step)))
-      instrs
+  let latest = Array.make nblocks (-1) and via = Array.make nblocks 0 in
+  (* The other blocks among the dependencies, each once. *)
+  let rec note b touched = function
+    | [] -> touched
+    | d :: rest ->
+        let d = dense.(d) in
+        let db = instr_block.(d) in
+        if db = b then note b touched rest
+        else begin
+          let touched = if latest.(db) < 0 then db :: touched else touched in
+          if instr_step.(d) > latest.(db) then begin
+            latest.(db) <- instr_step.(d);
+            via.(db) <- d
+          end;
+          note b touched rest
+        end
   in
+  (* Blocks of one rank sort as their tb ids do. *)
+  let emit acc db =
+    has_dep.(via.(db)) <- true;
+    let dep = (tb_id db, latest.(db)) in
+    latest.(db) <- -1;
+    dep :: acc
+  in
+  let depends = Array.make n [] in
+  for k = 0 to n - 1 do
+    match note instr_block.(k) [] (instr v k).Instr.deps with
+    | [] -> () (* most steps *)
+    | touched ->
+        depends.(k) <-
+          List.fold_left emit []
+            (List.sort (fun a b -> Int.compare b a) touched)
+  done;
   let steps =
     Array.map
       (fun len ->
@@ -441,25 +552,55 @@ let rank_tbs ~slots ~conn (dag : Instr_dag.t) =
             depends = []; has_dep = false })
       nsteps
   in
-  Array.iter
-    (fun (i : Instr.t) ->
-      let id = i.Instr.id in
-      steps.(instr_block.(id)).(instr_step.(id)) <-
-        {
-          Ir.s = instr_step.(id);
-          op = i.Instr.op;
-          src = i.Instr.src;
-          dst = i.Instr.dst;
-          count = i.Instr.count;
-          depends = depends.(id);
-          has_dep = has_dep.(id);
-        })
-    instrs;
+  for k = 0 to n - 1 do
+    let i = instr v k in
+    steps.(instr_block.(k)).(instr_step.(k)) <-
+      {
+        Ir.s = instr_step.(k);
+        op = i.Instr.op;
+        src = i.Instr.src;
+        dst = i.Instr.dst;
+        count = i.Instr.count;
+        depends = depends.(k);
+        has_dep = has_dep.(k);
+      }
+  done;
   Array.init num_ranks (fun r ->
       Array.init (first.(r + 1) - first.(r)) (fun k ->
           let b = first.(r) + k in
-          let chan, send, recv = tb_key.(b) in
-          { Ir.tb_id = k; send; recv; chan; steps = steps.(b) }))
+          {
+            Ir.tb_id = k;
+            send = tb_send.(b);
+            recv = tb_recv.(b);
+            chan = tb_chan.(b);
+            steps = steps.(b);
+          }))
+
+let rank_tbs ~slots ~conn (dag : Instr_dag.t) =
+  if slots < 1 then error "need at least one FIFO slot";
+  let v = view_of dag ~graph:Instr_dag.graph in
+  let chan =
+    Array.map (fun id -> Option.get v.instrs.(id).Instr.ch) v.g.Instr_dag.live
+  in
+  (* FIFO states are numbered in connection order; [conn]'s results are
+     compared structurally. *)
+  let fifo_ids cs =
+    let ids = Hashtbl.create 64 in
+    let f =
+      Array.init cs.nconn (fun c ->
+          let k = conn ~src:cs.c_src.(c) ~dst:cs.c_dst.(c) ~ch:cs.c_ch.(c) in
+          match Hashtbl.find_opt ids k with
+          | Some f -> f
+          | None ->
+              let f = Hashtbl.length ids in
+              Hashtbl.add ids k f;
+              f)
+    in
+    (f, Hashtbl.length ids)
+  in
+  place ~slots
+    ~num_ranks:dag.Instr_dag.collective.Collective.num_ranks
+    ~fifo_ids v chan
 
 let run ?(proto = Msccl_topology.Protocol.Simple) ?name ?slots
     (dag : Instr_dag.t) =
@@ -468,11 +609,14 @@ let run ?(proto = Msccl_topology.Protocol.Simple) ?name ?slots
     | Some s -> s
     | None -> Msccl_topology.Protocol.num_slots proto
   in
-  let dag = Instr_dag.compact dag in
-  Instr_dag.validate dag;
-  assign_channels dag;
-  let tbs = rank_tbs ~slots ~conn:(fun ~src ~dst ~ch -> (src, dst, ch)) dag in
+  let v = view_of dag ~graph:Instr_dag.checked_graph in
+  let chan = channels v ~name:Fun.id in
+  (* Every connection is its own FIFO state. *)
+  let fifo_ids cs = (Array.init cs.nconn Fun.id, cs.nconn) in
   let coll = dag.Instr_dag.collective in
+  let tbs =
+    place ~slots ~num_ranks:coll.Collective.num_ranks ~fifo_ids v chan
+  in
   let gpus =
     Array.mapi
       (fun rank tbs ->

@@ -47,11 +47,19 @@ val run :
   ?slots:int ->
   Instr_dag.t ->
   Ir.t
-(** Schedules a (typically fused and compacted) Instruction DAG. [proto]
-    defaults to [Simple]; [name] defaults to the DAG's name; [slots]
-    defaults to the protocol's FIFO slot count (switching a scheduled IR to
-    a protocol with fewer slots requires re-checking deadlock freedom with
-    {!Verify.check_deadlock_free}). The result passes {!Ir.validate}. *)
+(** Schedules a (typically fused) Instruction DAG. [proto] defaults to
+    [Simple]; [name] defaults to the DAG's name; [slots] defaults to the
+    protocol's FIFO slot count (switching a scheduled IR to a protocol with
+    fewer slots requires re-checking deadlock freedom with
+    {!Verify.check_deadlock_free}). The result passes {!Ir.validate}.
+
+    The DAG is read in place and left as it was: dead instructions are
+    skipped through a live-id remap (no compacted copy is made), channels
+    are assigned into the scheduler's own array, not into the
+    instructions. Instructions are numbered as {!Instr_dag.compact} would
+    number them, and the DAG is checked as {!Instr_dag.validate} checks
+    a compacted one, with the same texts. One dependency graph and one
+    topological pass serve the acyclicity check and both depths. *)
 
 val rank_tbs :
   slots:int ->
@@ -59,16 +67,18 @@ val rank_tbs :
   Instr_dag.t ->
   Ir.tb array array
 (** The scheduling core behind {!run}: thread-block formation, the global
-    topological assignment and emission over a compacted DAG whose
-    channels are already assigned. Returns each rank's thread blocks,
+    topological assignment and emission over the live instructions of a
+    DAG whose channels are already assigned (as {!assign_channels}
+    leaves them). Returns each rank's thread blocks,
     indexed by rank, without validating them. [conn ~src ~dst ~ch] names
     the FIFO state a transfer from [src] to [dst] on channel [ch] uses:
     {!run} keys it by the connection itself, {!Replicate.run} by the
     connection's rank-shift orbit, so one representative rank's
     instructions match sends to receives as the whole program would.
     [conn] is called once per distinct connection, before placement; its
-    results are compared with structural equality. Every step record is
-    built once, after all dependencies are known. *)
+    results are compared with structural equality. Connections, endpoints
+    and blocks are numbered in int arrays. Every step record is built
+    once, after all dependencies are known. *)
 
 val tb_order : (int * int * int) array -> int array
 (** The MSCCL-IR order of one rank's thread blocks. Given each block's
@@ -79,6 +89,8 @@ val tb_order : (int * int * int) array -> int array
     their peers. *)
 
 val assign_channels : Instr_dag.t -> unit
-(** First phase only, exposed for tests: unifies channels along
-    communication edges and fused chains, checks directive consistency, and
-    fills every remaining [ch] with the lowest valid channel. *)
+(** First phase only: unifies channels along communication edges and
+    fused chains, checks directive consistency, and fills every remaining
+    [ch] of a live instruction with the lowest valid channel. {!run}
+    computes the same channels without writing them; {!Replicate.run}
+    (before {!rank_tbs}) and the tests call this. *)

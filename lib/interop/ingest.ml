@@ -340,19 +340,25 @@ let take acc =
   acc.n <- 0;
   a
 
+(* [push] for ints, without the write barrier a polymorphic store pays. *)
+let push_int (acc : int acc) x =
+  if acc.n = Array.length acc.items then begin
+    let items = Array.make (max 16 (2 * acc.n)) x in
+    Array.blit acc.items 0 items 0 acc.n;
+    acc.items <- items
+  end;
+  acc.items.(acc.n) <- x;
+  acc.n <- acc.n + 1
+
 (* ------------------------------------------------------------------ *)
 (* Decoded intermediates (offsets kept for positioned semantic diags)  *)
 (* ------------------------------------------------------------------ *)
 
-(* A step is decoded straight into the IR's form; only a repair of its
-   [has_dep] copies it again. *)
-type dstep = {
-  ds_doc : Xml.source;
-  ds_off : int;
-  ds : Ir.step;
-  mutable ds_has_dep : bool;
-}
-
+(* A block's steps are decoded straight into the IR's form, into the
+   array the IR keeps: a repair of a step's [has_dep] replaces its record
+   there. Each step's document offset sits beside it in [dt_offs]; its
+   document is [dt_sdocs.(i)], or [dt_doc] when [dt_sdocs] is empty (a
+   block whose steps all come from its own document). *)
 type dtb = {
   dt_doc : Xml.source;
   dt_off : int;
@@ -360,7 +366,9 @@ type dtb = {
   dt_send : int;
   dt_recv : int;
   dt_chan : int;
-  dt_steps : dstep array;
+  dt_steps : Ir.step array;
+  dt_offs : int array;
+  dt_sdocs : Xml.source array;
 }
 
 type dgpu = {
@@ -373,7 +381,11 @@ type dgpu = {
   dg_tbs : dtb array;
 }
 
-let step_pos ds = Xml.resolve ds.ds_doc ds.ds_off
+let step_doc tb i =
+  if Array.length tb.dt_sdocs = 0 then tb.dt_doc else tb.dt_sdocs.(i)
+
+(* Step [i] of [tb]'s position. *)
+let step_pos tb i = Xml.resolve (step_doc tb i) tb.dt_offs.(i)
 
 let tb_pos tb = Xml.resolve tb.dt_doc tb.dt_off
 
@@ -383,7 +395,8 @@ let gpu_ctx g up = In { tag = "gpu"; src = g.dg_doc; off = g.dg_off; up }
 
 let tb_ctx tb up = In { tag = "tb"; src = tb.dt_doc; off = tb.dt_off; up }
 
-let step_ctx ds up = In { tag = "step"; src = ds.ds_doc; off = ds.ds_off; up }
+let step_ctx tb i up =
+  In { tag = "step"; src = step_doc tb i; off = tb.dt_offs.(i); up }
 
 (* ------------------------------------------------------------------ *)
 (* Step / tb / gpu decoding                                            *)
@@ -508,7 +521,9 @@ let decode_ids st sl slot =
 
 (* Decodes the step whose start tag has ended into [steps]; a step with
    an error is dropped, its diagnostics recorded. *)
-let decode_step st sl ~rank steps =
+(* [docs] stays empty while every step's document is [tb_doc], the
+   block's own. *)
+let decode_step st sl ~rank ~tb_doc ~offs ~docs steps =
   let s = req_int st sl st_s "s" in
   let op =
     match get sl st_type with
@@ -560,13 +575,14 @@ let decode_step st sl ~rank steps =
   match (s, op, count, depends, has_dep) with
   | Some s, Some op, Some count, Some depends, Some has_dep
     when src != bad_loc && dst != bad_loc ->
-      push steps
-        {
-          ds_doc = sl.src;
-          ds_off = sl.off;
-          ds = { Ir.s; op; src; dst; count; depends; has_dep };
-          ds_has_dep = has_dep;
-        }
+      push steps { Ir.s; op; src; dst; count; depends; has_dep };
+      push_int offs sl.off;
+      if docs.n > 0 || sl.src != tb_doc then begin
+        while docs.n < steps.n - 1 do
+          push docs tb_doc
+        done;
+        push docs sl.src
+      end
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -618,63 +634,65 @@ let buffer_size (g : dgpu) = function
 (* Contexts and positions are built only for a diagnostic: a clean step
    or block allocates nothing here but its claims. [gctx] is the gpu's
    context. *)
-let check_bound st ~gctx g tb ds what = function
+let check_bound st ~gctx g tb i (step : Ir.step) what = function
   | None -> ()
   | Some (l : Loc.t) ->
       let size = buffer_size g l.Loc.buf and off = l.Loc.index in
-      if size >= 0 && off + ds.ds.Ir.count > size then
-        err st "range" ~pos:(step_pos ds) ~ctx:(step_ctx ds (tb_ctx tb gctx))
+      if size >= 0 && off + step.Ir.count > size then
+        err st "range" ~pos:(step_pos tb i) ~ctx:(step_ctx tb i (tb_ctx tb gctx))
           "step %d %s [%s %d..%d] beyond the %d-chunk %s buffer of gpu %d"
-          ds.ds.Ir.s what (Buffer_id.name l.Loc.buf) off
-          (off + ds.ds.Ir.count - 1)
+          step.Ir.s what (Buffer_id.name l.Loc.buf) off
+          (off + step.Ir.count - 1)
           size (Buffer_id.long_name l.Loc.buf) g.dg_id
 
-let rec check_deps st ~gctx g tb ds = function
+(* A dependency target not marked [has_dep] is repaired in place. *)
+let rec check_deps st ~gctx g tb i (step : Ir.step) = function
   | [] -> ()
   | (dtb, dstep) :: rest ->
       let ntbs = Array.length g.dg_tbs in
       if dtb < 0 || dtb >= ntbs then
-        err st "range" ~pos:(step_pos ds) ~ctx:(step_ctx ds (tb_ctx tb gctx))
-          "step %d depends on unknown thread block %d (gpu %d has %d)" ds.ds.Ir.s
+        err st "range" ~pos:(step_pos tb i) ~ctx:(step_ctx tb i (tb_ctx tb gctx))
+          "step %d depends on unknown thread block %d (gpu %d has %d)" step.Ir.s
           dtb g.dg_id ntbs
       else if dtb = tb.dt_id then
-        err st "range" ~pos:(step_pos ds) ~ctx:(step_ctx ds (tb_ctx tb gctx))
+        err st "range" ~pos:(step_pos tb i) ~ctx:(step_ctx tb i (tb_ctx tb gctx))
           "step %d has a same-tb dependency (ordering within a thread block \
            is implicit)"
-          ds.ds.Ir.s
+          step.Ir.s
       else begin
         let target = g.dg_tbs.(dtb) in
         let tsteps = Array.length target.dt_steps in
         if dstep < 0 || dstep >= tsteps then
-          err st "range" ~pos:(step_pos ds) ~ctx:(step_ctx ds (tb_ctx tb gctx))
+          err st "range" ~pos:(step_pos tb i) ~ctx:(step_ctx tb i (tb_ctx tb gctx))
             "step %d depends on unknown step %d of thread block %d (which has \
              %d)"
-            ds.ds.Ir.s dstep dtb tsteps
+            step.Ir.s dstep dtb tsteps
         else
           let tgt = target.dt_steps.(dstep) in
-          if not tgt.ds_has_dep then begin
-            warn st "repair" ~pos:(step_pos tgt) ~ctx:(step_ctx ds (tb_ctx tb gctx))
+          if not tgt.Ir.has_dep then begin
+            warn st "repair" ~pos:(step_pos target dstep)
+              ~ctx:(step_ctx tb i (tb_ctx tb gctx))
               "step %d of tb %d is a dependency target but not marked hasdep; \
                marking it"
               dstep dtb;
-            tgt.ds_has_dep <- true
+            target.dt_steps.(dstep) <- { tgt with Ir.has_dep = true }
           end
       end;
-      check_deps st ~gctx g tb ds rest
+      check_deps st ~gctx g tb i step rest
 
-let check_step st ~gctx g tb (ds : dstep) =
-  let step = ds.ds in
+let check_step st ~gctx g tb i =
+  let step = tb.dt_steps.(i) in
   if Instr.sends step.Ir.op && tb.dt_send < 0 then
-    err st "pairing" ~pos:(step_pos ds) ~ctx:(step_ctx ds (tb_ctx tb gctx))
+    err st "pairing" ~pos:(step_pos tb i) ~ctx:(step_ctx tb i (tb_ctx tb gctx))
       "step %d (%s) sends but its thread block has no send peer" step.Ir.s
       (Instr.opcode_name step.Ir.op);
   if Instr.receives step.Ir.op && tb.dt_recv < 0 then
-    err st "pairing" ~pos:(step_pos ds) ~ctx:(step_ctx ds (tb_ctx tb gctx))
+    err st "pairing" ~pos:(step_pos tb i) ~ctx:(step_ctx tb i (tb_ctx tb gctx))
       "step %d (%s) receives but its thread block has no recv peer" step.Ir.s
       (Instr.opcode_name step.Ir.op);
-  check_bound st ~gctx g tb ds "reads" step.Ir.src;
-  check_bound st ~gctx g tb ds "writes" step.Ir.dst;
-  check_deps st ~gctx g tb ds step.Ir.depends
+  check_bound st ~gctx g tb i step "reads" step.Ir.src;
+  check_bound st ~gctx g tb i step "writes" step.Ir.dst;
+  check_deps st ~gctx g tb i step step.Ir.depends
 
 let check_peer st ~gctx ~num_ranks g tb what p =
   if p >= num_ranks then
@@ -756,10 +774,10 @@ let semantic_checks st ~ctx ~root_pos ~num_ranks (gpus : dgpu array) =
              | None -> ());
           let ns = ref 0 and nr = ref 0 in
           for i = 0 to Array.length tb.dt_steps - 1 do
-            let ds = tb.dt_steps.(i) in
-            check_step st ~gctx g tb ds;
-            if Instr.sends ds.ds.Ir.op then incr ns;
-            if Instr.receives ds.ds.Ir.op then incr nr
+            check_step st ~gctx g tb i;
+            let op = tb.dt_steps.(i).Ir.op in
+            if Instr.sends op then incr ns;
+            if Instr.receives op then incr nr
           done;
           if tb.dt_send >= 0 then add sends (g.dg_id, tb.dt_send, tb.dt_chan) !ns;
           if tb.dt_recv >= 0 then add recvs (tb.dt_recv, g.dg_id, tb.dt_chan) !nr)
@@ -793,17 +811,13 @@ let semantic_checks st ~ctx ~root_pos ~num_ranks (gpus : dgpu array) =
 (* ------------------------------------------------------------------ *)
 
 let build_ir ~name ~collective ~proto (gpus : dgpu array) =
-  let step_of (ds : dstep) =
-    if ds.ds_has_dep = ds.ds.Ir.has_dep then ds.ds
-    else { ds.ds with Ir.has_dep = ds.ds_has_dep }
-  in
   let tb_of tb =
     {
       Ir.tb_id = tb.dt_id;
       send = tb.dt_send;
       recv = tb.dt_recv;
       chan = tb.dt_chan;
-      steps = Array.map step_of tb.dt_steps;
+      steps = tb.dt_steps;
     }
   in
   let gpu_of g =
@@ -846,7 +860,9 @@ type dec = {
   mutable t_chan : int option;
   gpus : dgpu acc;
   tbs : dtb acc;
-  steps : dstep acc;
+  steps : Ir.step acc;  (* the open block's steps so far *)
+  step_offs : int acc;
+  step_docs : Xml.source acc;
   mutable result : (Ir.t * diag list, diag list) result option;
 }
 
@@ -886,6 +902,8 @@ let decoder ~file ~bytes ~src =
     gpus = { items = [||]; n = 0 };
     tbs = { items = [||]; n = 0 };
     steps = { items = [||]; n = 0 };
+    step_offs = { items = [||]; n = 0 };
+    step_docs = { items = [||]; n = 0 };
     result = None;
   }
 
@@ -1007,10 +1025,12 @@ let start_done d =
     | 3 -> tb_head d
     | _ ->
         let rank = match d.g_id with Some id -> id | None -> 0 in
-        decode_step d.st d.step ~rank d.steps
+        decode_step d.st d.step ~rank ~tb_doc:d.tb.src ~offs:d.step_offs
+          ~docs:d.step_docs d.steps
 
 let tb_end d =
-  let steps = take d.steps in
+  let steps = take d.steps and offs = take d.step_offs in
+  let sdocs = take d.step_docs in
   match (d.t_id, d.t_send, d.t_recv, d.t_chan) with
   | Some id, Some send, Some recv, Some chan ->
       push d.tbs
@@ -1022,6 +1042,8 @@ let tb_end d =
           dt_recv = recv;
           dt_chan = chan;
           dt_steps = steps;
+          dt_offs = offs;
+          dt_sdocs = sdocs;
         }
   | _ -> ()
 
@@ -1199,12 +1221,30 @@ let algo_end d =
         let tbs =
           Array.map
             (fun tb ->
-              let steps =
-                order st ~ctx:(tb_ctx tb gctx) ~what:"step"
-                  ~id:(fun s -> s.ds.Ir.s)
-                  ~pos:step_pos tb.dt_steps
+              let steps = tb.dt_steps in
+              let rec in_order i =
+                i >= Array.length steps
+                || (steps.(i).Ir.s = i && in_order (i + 1))
               in
-              if steps == tb.dt_steps then tb else { tb with dt_steps = steps })
+              if in_order 0 then tb
+              else
+                (* Order step indices, then the steps and their offsets
+                   (and documents) alike. *)
+                let perm =
+                  order st ~ctx:(tb_ctx tb gctx) ~what:"step"
+                    ~id:(fun i -> steps.(i).Ir.s)
+                    ~pos:(step_pos tb)
+                    (Array.init (Array.length steps) Fun.id)
+                in
+                let permute a = Array.map (fun i -> a.(i)) perm in
+                {
+                  tb with
+                  dt_steps = permute steps;
+                  dt_offs = permute tb.dt_offs;
+                  dt_sdocs =
+                    (if Array.length tb.dt_sdocs = 0 then [||]
+                     else permute tb.dt_sdocs);
+                })
             tbs
         in
         if tbs == g.dg_tbs then g else { g with dg_tbs = tbs })

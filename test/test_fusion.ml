@@ -120,6 +120,97 @@ let broadcast_dag =
     (Msccl_algorithms.Broadcast_ring.program ~num_ranks:5 ~root:0
        ~chunk_factor:2 ~channels:1)
 
+(* ------------------------------------------------------------------ *)
+(* Differential: tracing, lowering and fusion against their reference  *)
+(* ------------------------------------------------------------------ *)
+
+module Q = QCheck
+
+(* [Program.trace]'s dependency sets against the reference tracer rule,
+   then lowering and fusion against [Lower_ref], field for field, with
+   equal fusion counts. *)
+let agrees_with_reference (dag : Chunk_dag.t) =
+  let deps_ok =
+    Array.for_all2
+      (fun (n : Chunk_dag.node) d -> n.Chunk_dag.deps = d)
+      dag.Chunk_dag.nodes (Lower_ref.chunk_deps dag)
+  in
+  let a = Instr_dag.of_chunk_dag dag and b = Lower_ref.of_chunk_dag dag in
+  let lowered_ok = a.Instr_dag.instrs = b.Instr_dag.instrs in
+  let sa = Fusion.fuse a and sb = Lower_ref.fuse b in
+  deps_ok && lowered_ok && sa = sb && a.Instr_dag.instrs = b.Instr_dag.instrs
+
+let prop_reference_fuzz_cases =
+  let module C = Msccl_fuzz.Case in
+  let print seed =
+    let c = Msccl_fuzz.Fuzz.generate ~seed ~index:0 in
+    Printf.sprintf "%s seed=%d" (C.describe c) seed
+  in
+  Testutil.qtest ~count:200 "fuzz cases: lowering and fusion = reference"
+    (Q.make ~print Q.Gen.(int_bound 10_000))
+    (fun seed ->
+      let c = Msccl_fuzz.Fuzz.generate ~seed ~index:0 in
+      agrees_with_reference (Program.trace (C.collective c) (C.program c)))
+
+let prop_reference_random_routing =
+  let print (seed, channels) =
+    Printf.sprintf "seed=%d channels=%d" seed channels
+  in
+  Testutil.qtest ~count:300 "random routings: lowering and fusion = reference"
+    (Q.make ~print Q.Gen.(pair (int_bound 100_000) (int_range 0 4)))
+    (fun (seed, channels) ->
+      let channels = if channels = 0 then None else Some channels in
+      agrees_with_reference (Testutil.Random_routing.dag ?channels seed))
+
+(* Every registry shape: [Testutil.registry_dag] compiles to the
+   registry's own IR, and its lowering and fusion match the reference. *)
+let test_reference_registry () =
+  List.iter
+    (fun ((_, _, _, instances, proto) as shape) ->
+      let label = Testutil.shape_label shape in
+      let dag = Testutil.registry_dag shape in
+      let ir =
+        (Compile.compile_dag ~instances
+           ~proto:(Option.get (Msccl_topology.Protocol.of_string proto))
+           ~verify:false dag)
+          .Compile.ir
+      in
+      Alcotest.(check string)
+        (label ^ ": registry_dag is the registry's program")
+        (Xml.to_string (Testutil.registry_ir shape))
+        (Xml.to_string ir);
+      Alcotest.(check bool) (label ^ " = reference") true
+        (agrees_with_reference dag))
+    Testutil.registry_shapes
+
+(* The representative slice of every hinted registry shape, traced
+   sparsely as [Replicate.run] traces it, and of each hinted algorithm at
+   16 nodes, where the slice covers few enough cells that lowering tracks
+   them in a table. *)
+let test_reference_hint_slices () =
+  let module R = Msccl_harness.Registry in
+  let at_16_nodes =
+    List.filter_map
+      (fun (s : R.spec) ->
+        Option.map (fun _ -> (s.R.name, 16, 1, 1, "Simple")) s.R.sym)
+      R.all
+  in
+  List.iter
+    (fun ((name, nodes, channels, instances, _) as shape) ->
+      match (Option.get (R.find name)).R.sym with
+      | None -> ()
+      | Some sym ->
+          let case = sym { R.default_params with nodes; channels; instances } in
+          let dag =
+            Program.trace ~sparse:true case.R.sym_coll
+              case.R.sym_hint.Sym_hint.trace_rep
+          in
+          Alcotest.(check bool)
+            (Testutil.shape_label shape ^ " slice = reference")
+            true
+            (agrees_with_reference dag))
+    (Testutil.registry_shapes @ at_16_nodes)
+
 let () =
   Alcotest.run "fusion"
     [
@@ -136,5 +227,12 @@ let () =
         [
           semantics_preserved "ring allreduce" ring_dag;
           semantics_preserved "broadcast chain" broadcast_dag;
+        ] );
+      ( "reference",
+        [
+          prop_reference_fuzz_cases;
+          prop_reference_random_routing;
+          Testutil.tc "registry shapes" test_reference_registry;
+          Testutil.tc "hint slices" test_reference_hint_slices;
         ] );
     ]

@@ -191,6 +191,36 @@ let test_deterministic () =
   let a = ring_ir () and b = ring_ir () in
   Alcotest.(check bool) "same schedule twice" true (Testutil.ir_equal a b)
 
+(* [Schedule.run] reads a fused DAG in place and leaves it as it was:
+   dead instructions, unassigned channels and all. Scheduling it again
+   gives the same IR. *)
+let test_run_leaves_dag () =
+  let dag =
+    Instr_dag.of_chunk_dag
+      (Program.trace
+         (coll ~ranks:4 ~c:4 ())
+         (fun p ->
+           let ranks = [ 0; 1; 2; 3 ] in
+           Msccl_algorithms.Patterns.ring_reduce_scatter p ~ranks ~offset:0
+             ~count:1 ();
+           Msccl_algorithms.Patterns.ring_all_gather p ~ranks ~offset:0
+             ~count:1 ()))
+  in
+  ignore (Fusion.fuse dag);
+  let snapshot () =
+    Array.map (fun (i : Instr.t) -> { i with Instr.id = i.Instr.id })
+      dag.Instr_dag.instrs
+  in
+  let before = snapshot () in
+  let a = Schedule.run dag in
+  Alcotest.(check bool) "instructions untouched" true (snapshot () = before);
+  Alcotest.(check bool) "some dead instructions" true
+    (Instr_dag.num_live dag < Array.length before);
+  Alcotest.(check bool) "channels still unassigned" true
+    (Array.for_all (fun (i : Instr.t) -> i.Instr.ch = None) before);
+  Alcotest.(check bool) "same IR again" true
+    (Testutil.ir_equal a (Schedule.run dag))
+
 (* Compile output for the whole registry ([Testutil.registry_shapes]),
    pinned by the MD5 of the printed XML. Any change to scheduling
    (thread-block formation, the placement order, FIFO back-pressure,
@@ -397,6 +427,7 @@ let () =
           Testutil.tc "slot-aware scheduling"
             test_scheduled_with_more_slots_can_deadlock_with_fewer;
           Testutil.tc "deterministic" test_deterministic;
+          Testutil.tc "run leaves its DAG as it was" test_run_leaves_dag;
         ] );
       ("registry", [ Testutil.tc "compile digests" test_registry_digests ]);
       ( "reference",

@@ -574,6 +574,85 @@ let registry_ir (name, nodes, channels, instances, proto) =
       verify = false;
     }
 
+(* The Chunk DAG behind one registry shape: the collective, program and
+   name each algorithm's [ir] compiles, at the registry's 8 GPUs per node
+   and chunk factor 1. test_fusion checks that compiling it reproduces
+   [registry_ir]. *)
+let registry_dag (name, nodes, channels, _instances, _proto) =
+  let module A = Msccl_algorithms in
+  let g = 8 in
+  let n = nodes * g in
+  let make ?chunk_factor ?inplace kind =
+    Collective.make kind ~num_ranks:n ?chunk_factor ?inplace ()
+  in
+  let allreduce = make ~chunk_factor:n ~inplace:true Collective.Allreduce in
+  let chd fmt = Printf.sprintf fmt channels in
+  let trace name coll f = Program.trace ~name coll f in
+  match name with
+  | "ring-allreduce" ->
+      trace (chd "ring-allreduce-ch%d") allreduce
+        (A.Ring_allreduce.program ~num_ranks:n ~channels)
+  | "allpairs-allreduce" ->
+      trace "allpairs-allreduce" allreduce
+        (A.Allpairs_allreduce.program ~num_ranks:n)
+  | "hierarchical-allreduce" ->
+      trace "hierarchical-allreduce" allreduce
+        (A.Hierarchical_allreduce.program ~nodes ~gpus_per_node:g
+           ~intra_parallel:nodes)
+  | "two-step-alltoall" ->
+      trace "two-step-alltoall" (make Collective.Alltoall)
+        (A.Two_step_alltoall.program ~nodes ~gpus_per_node:g)
+  | "naive-alltoall" ->
+      trace "naive-alltoall" (make Collective.Alltoall)
+        (A.Alltoall_naive.program ~num_ranks:n)
+  | "alltonext" ->
+      trace "alltonext"
+        (make ~chunk_factor:g Collective.Alltonext)
+        (A.Alltonext.program ~nodes ~gpus_per_node:g)
+  | "ring-allgather" ->
+      trace (chd "ring-allgather-ch%d") (make Collective.Allgather)
+        (A.Allgather_ring.program ~num_ranks:n ~chunk_factor:1 ~channels)
+  | "ring-reducescatter" ->
+      trace (chd "ring-reducescatter-ch%d") (make Collective.Reduce_scatter)
+        (A.Reduce_scatter_ring.program ~num_ranks:n ~chunk_factor:1 ~channels)
+  | "ring-broadcast" ->
+      trace (chd "ring-broadcast-ch%d") (make (Collective.Broadcast 0))
+        (A.Broadcast_ring.program ~num_ranks:n ~root:0 ~chunk_factor:1
+           ~channels)
+  | "tree-allreduce" ->
+      trace (chd "tree-allreduce-ch%d")
+        (make ~chunk_factor:1 ~inplace:true Collective.Allreduce)
+        (A.Tree_allreduce.program ~num_ranks:n ~chunk_factor:1 ~channels)
+  | "halving-doubling" ->
+      trace "halving-doubling-allreduce" allreduce
+        (A.Halving_doubling.program ~num_ranks:n)
+  | "recursive-doubling-allgather" ->
+      trace "recursive-doubling-allgather" (make Collective.Allgather)
+        (A.Recursive_doubling.program ~num_ranks:n)
+  | "double-binary-tree" ->
+      trace "double-binary-tree-allreduce"
+        (make ~chunk_factor:2 ~inplace:true Collective.Allreduce)
+        (A.Double_binary_tree.program ~num_ranks:n ~chunks_per_tree:1)
+  | "hierarchical-allgather" ->
+      trace "hierarchical-allgather" (make Collective.Allgather)
+        (A.Hierarchical_allgather.program ~nodes ~gpus_per_node:g)
+  | "synth-allgather" ->
+      let sched =
+        A.Synthesis.plan ~num_ranks:8
+          ~link_count:Msccl_topology.Presets.dgx1_nvlink_count
+          ~connected:Msccl_topology.Presets.dgx1_connected ()
+      in
+      trace
+        (Printf.sprintf "synth-allgather-%dr"
+           (List.length sched.A.Synthesis.rounds))
+        (Collective.make Collective.Allgather ~num_ranks:8 ())
+        (A.Synthesis.lower sched)
+  | "sccl-allgather" ->
+      trace "sccl-allgather-122"
+        (Collective.make Collective.Allgather ~num_ranks:8 ())
+        A.Allgather_sccl.program
+  | other -> invalid_arg ("Testutil.registry_dag: " ^ other)
+
 let races_agree ir = Races.find ir = naive_find ir
 
 let qtest ?(count = 100) name arb prop =
