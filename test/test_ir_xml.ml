@@ -162,6 +162,52 @@ let test_validate_connection_texts () =
          | 2 -> { tb with Ir.chan = 0 }
          | _ -> tb))
 
+(* Several unbalanced connections: ring AllReduce@4 with gpu 0's sends
+   and gpu 3's receives stripped, so 0->1 ch0 only receives and 2->3 ch0
+   only sends. [Ir.validate] names one of them. *)
+let test_validate_several_unbalanced () =
+  let ir = A.Ring_allreduce.ir ~num_ranks:4 () in
+  let strip gpu f =
+    Array.map
+      (fun (g : Ir.gpu) ->
+        if g.Ir.gpu_id <> gpu then g
+        else
+          {
+            g with
+            Ir.tbs =
+              Array.map
+                (fun (tb : Ir.tb) ->
+                  {
+                    tb with
+                    Ir.steps =
+                      Array.map
+                        (fun (st : Ir.step) -> { st with Ir.op = f st.Ir.op })
+                        tb.Ir.steps;
+                  })
+                g.Ir.tbs;
+          })
+  in
+  let no_sends = function
+    | Instr.Send -> Instr.Nop
+    | Instr.Recv_copy_send -> Instr.Recv
+    | Instr.Recv_reduce_send | Instr.Recv_reduce_copy_send ->
+        Instr.Recv_reduce_copy
+    | op -> op
+  and no_recvs = function
+    | Instr.Recv -> Instr.Nop
+    | Instr.Recv_copy_send | Instr.Recv_reduce_send
+    | Instr.Recv_reduce_copy_send ->
+        Instr.Send
+    | Instr.Recv_reduce_copy -> Instr.Reduce
+    | op -> op
+  in
+  let bad = { ir with Ir.gpus = strip 3 no_recvs (strip 0 no_sends ir.Ir.gpus) } in
+  match Ir.validate bad with
+  | exception Invalid_argument m ->
+      Alcotest.(check string) "first unbalanced connection"
+        "Ir: connection 2->3 ch0 sends 6 but receives 0" m
+  | () -> Alcotest.fail "unbalanced connections accepted"
+
 (* Whether every (src, dst, channel) connection has as many receiving as
    sending steps, by per-connection totals in a hash table. *)
 let reference_balanced (ir : Ir.t) =
@@ -400,6 +446,8 @@ let () =
           Testutil.tc "connection exclusivity"
             test_validate_connection_exclusivity;
           Testutil.tc "connection owner texts" test_validate_connection_texts;
+          Testutil.tc "several unbalanced connections"
+            test_validate_several_unbalanced;
           qcheck_validate_balance;
           Testutil.tc "summary counts" test_summary_counts;
         ] );
