@@ -780,9 +780,11 @@ let blocked_summary eng stuck =
 (* ------------------------------------------------------------------ *)
 
 (* Returns whether every step ran (no deadlock). *)
-let run_full eng ~slots =
-  let comm, in_flight = Executor.fifos ~slots in
-  let o = Executor.schedule (interp eng) comm eng.e_ir.Ir.gpus in
+let run_full eng idx ~slots =
+  let port, in_flight = Executor.fifos ~slots idx in
+  let o =
+    Executor.schedule (interp eng) (Executor.own_ports idx port) eng.e_ir.Ir.gpus
+  in
   eng.e_executed <- o.Executor.executed;
   match o.Executor.stuck with
   | [] ->
@@ -1110,57 +1112,56 @@ let canonical_recv plan ~src ~dst =
   done;
   (plan.q_orbit.Orbit.rep.(src), !d)
 
-let run_quotient eng plan ~slots =
+let run_quotient eng plan idx ~slots =
   let ir = eng.e_ir in
   let orb = plan.q_orbit in
-  let active =
-    Array.of_list (List.map (fun r -> ir.Ir.gpus.(r)) (Orbit.reps orb))
-  in
+  let reps = Array.of_list (Orbit.reps orb) in
+  let active = Array.map (fun r -> ir.Ir.gpus.(r)) reps in
   (* Representatives send into the executor's connection FIFOs as usual.
      Each representative receive reads the FIFO of its canonical image
-     (srep, image_dst, chan), i.e. the inbox of the image receiver below,
-     and translates the payload by its π-power; each FIFO has at most one
-     reader. *)
-  let fifo, _ = Executor.fifos ~slots in
-  let image (g : Ir.gpu) (tb : Ir.tb) =
-    let srep, image_dst =
-      canonical_recv plan ~src:tb.Ir.recv ~dst:g.Ir.gpu_id
-    in
-    ({ g with Ir.gpu_id = image_dst }, { tb with Ir.recv = srep })
-  in
+     (srep, image_dst, chan), i.e. the inbox of the image receiver, and
+     translates the payload by its π-power; each FIFO has at most one
+     reader. A certified symmetry maps blocks to blocks, so every image
+     is a connection of the index. *)
+  let port, _ = Executor.fifos ~slots idx in
   (* [analyze] found every connection balanced, so a block whose receive
      peer is no rank has no receiving step: it reads nothing. *)
   let reads (tb : Ir.tb) = tb.Ir.recv >= 0 && tb.Ir.recv < Ir.num_ranks ir in
-  let read_conns = Hashtbl.create 32 in
+  let image = Array.make (Ir.num_thread_blocks ir) (-1) in
+  let read = Bytes.make idx.Ir.conns '\000' in
   Array.iter
-    (fun (g : Ir.gpu) ->
-      Array.iter
-        (fun (tb : Ir.tb) ->
+    (fun r ->
+      let g = ir.Ir.gpus.(r) in
+      Array.iteri
+        (fun t (tb : Ir.tb) ->
           if reads tb then begin
-            let ig, itb = image g tb in
-            let key = (itb.Ir.recv, ig.Ir.gpu_id, tb.Ir.chan) in
-            if Hashtbl.mem read_conns key then raise Fallback;
-            Hashtbl.add read_conns key ()
+            let src, dst =
+              canonical_recv plan ~src:tb.Ir.recv ~dst:g.Ir.gpu_id
+            in
+            let c = Ir.find_conn idx ~src ~dst ~chan:tb.Ir.chan in
+            if c < 0 || Bytes.get read c <> '\000' then raise Fallback;
+            Bytes.set read c '\001';
+            image.(idx.Ir.gpu_block.(r) + t) <- c
           end)
         g.Ir.tbs)
-    active;
+    reps;
   (* The re-addressing happens here, once per block, when the scheduler
      connects it. *)
-  let comm (g : Ir.gpu) (tb : Ir.tb) =
-    let own = fifo g tb in
+  let comm i t =
+    let b = idx.Ir.gpu_block.(reps.(i)) + t in
+    let own = Executor.own_ports idx port reps.(i) t in
     let send_ready =
-      if Hashtbl.mem read_conns (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan) then
-        own.Executor.send_ready
+      let c = idx.Ir.block_send.(b) in
+      if c >= 0 && Bytes.get read c <> '\000' then own.Executor.send_ready
       else (* a connection no representative reads never blocks *)
         fun () -> true
     in
-    if not (reads tb) then
+    if image.(b) < 0 then
       { own with Executor.recv_ready = (fun () -> false); send_ready }
     else
-      let ig, itb = image g tb in
-      let inbox = fifo ig itb in
+      let inbox = port ~inbox:image.(b) ~outbox:(-1) in
       let pop =
-        match phi_apply plan plan.q_off.(tb.Ir.recv) with
+        match phi_apply plan plan.q_off.(active.(i).Ir.tbs.(t).Ir.recv) with
         | None -> inbox.Executor.pop
         | Some apply ->
             fun () ->
@@ -1188,64 +1189,29 @@ let run_quotient eng plan ~slots =
 (* Final comparison against the postcondition                          *)
 (* ------------------------------------------------------------------ *)
 
-let conn_get counts key =
-  match Hashtbl.find_opt counts key with
-  | Some c -> c
-  | None ->
-      let c = (ref 0, ref 0) in
-      Hashtbl.add counts key c;
-      c
-
-(* Per-tb send/recv step totals: every step of a tb uses the tb's single
-   connection, so one hashtable update per tb suffices. *)
-let conn_count_tb (tb : Ir.tb) =
-  let s = ref 0 and r = ref 0 in
-  Array.iter
-    (fun (st : Ir.step) ->
-      if Instr.sends st.Ir.op then incr s;
-      if Instr.receives st.Ir.op then incr r)
-    tb.Ir.steps;
-  (!s, !r)
-
 (* Per-connection send/receive balance over every rank. [analyze] runs
    it before choosing a mode: under a certified generator every
    connection's counts equal those of its image, so the quotient needs
    no scan of its own. *)
-let connection_diags (ir : Ir.t) =
-  let counts : (int * int * int, int ref * int ref) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  Array.iteri
-    (fun rank (g : Ir.gpu) ->
-      Array.iter
-        (fun (tb : Ir.tb) ->
-          let s, r = conn_count_tb tb in
-          if s > 0 then begin
-            let ns, _ = conn_get counts (rank, tb.Ir.send, tb.Ir.chan) in
-            ns := !ns + s
-          end;
-          if r > 0 then begin
-            let _, nr = conn_get counts (tb.Ir.recv, rank, tb.Ir.chan) in
-            nr := !nr + r
-          end)
-        g.Ir.tbs)
-    ir.Ir.gpus;
-  Hashtbl.fold
-    (fun (s, d, c) (ns, nr) acc ->
-      if !ns <> !nr then
+let connection_diags (idx : Ir.index) =
+  let acc = ref [] in
+  for c = idx.Ir.conns - 1 downto 0 do
+    let sends = idx.Ir.conn_sends.(c) and recvs = idx.Ir.conn_recvs.(c) in
+    if sends <> recvs then
+      let src = idx.Ir.conn_src.(c) in
+      acc :=
         {
           dg_kind =
             Connection_mismatch
-              { src = s; dst = d; chan = c; sends = !ns; recvs = !nr };
-          dg_rank = s;
+              { src; dst = idx.Ir.conn_dst.(c); chan = idx.Ir.conn_chan.(c); sends; recvs };
+          dg_rank = src;
           dg_loc = None;
           dg_site = None;
           dg_members = 1;
         }
-        :: acc
-      else acc)
-    counts []
-  |> List.sort compare
+        :: !acc
+  done;
+  !acc
 
 let compare_outputs ?post eng ~checked ~members =
   let coll = eng.e_ir.Ir.collective in
@@ -1507,11 +1473,12 @@ let analyze ?symmetry ?(lints = true) (ir : Ir.t) =
   in
   let stride = stride_of ir in
   let all_ranks = List.init (Ir.num_ranks ir) (fun r -> r) in
-  let conn = connection_diags ir in
+  let idx = Ir.index ir in
+  let conn = connection_diags idx in
   let run_full_mode () =
     let eng = make_engine ~events:lints ir ~stride in
     let (slot_diags, slots_checked), lint_diags =
-      if run_full eng ~slots then
+      if run_full eng idx ~slots then
         ( compare_outputs eng ~checked:all_ranks ~members:(fun _ -> 1),
           build_lints eng ~checked:all_ranks ~members:(fun _ -> 1) )
       else (([], 0), [])
@@ -1526,7 +1493,7 @@ let analyze ?symmetry ?(lints = true) (ir : Ir.t) =
   in
   let quotient_mode sym plan =
     let eng = make_engine ~events:lints ~only:plan.q_reps ir ~stride in
-    let active = run_quotient eng plan ~slots in
+    let active = run_quotient eng plan idx ~slots in
     let orb = sym.Symmetry.s_orbit in
     let checked = Orbit.reps orb in
     let members r = Orbit.orbit_size orb r in

@@ -37,45 +37,40 @@ type t = {
    flow). *)
 let critical_path_of (ir : Ir.t) = Hbgraph.longest_path (Hbgraph.build ir)
 
-let connections (ir : Ir.t) =
-  let conn_tbl = Hashtbl.create 32 in
+(* A view of the connection index: the connections that carry sends, in
+   id (src, dst, channel) order. *)
+let sending_connections (ir : Ir.t) =
+  let idx = Ir.index ir in
+  let chunks = Array.make idx.Ir.conns 0 and b = ref 0 in
   Array.iter
     (fun (g : Ir.gpu) ->
       Array.iter
         (fun (tb : Ir.tb) ->
-          let msgs = ref 0 and chunks = ref 0 in
+          let c = idx.Ir.block_send.(!b) in
+          incr b;
           Array.iter
             (fun (st : Ir.step) ->
-              if Instr.sends st.Ir.op then begin
-                incr msgs;
-                chunks := !chunks + st.Ir.count
-              end)
-            tb.Ir.steps;
-          if !msgs > 0 then begin
-            let key = (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan) in
-            let m, c =
-              Option.value ~default:(0, 0) (Hashtbl.find_opt conn_tbl key)
-            in
-            Hashtbl.replace conn_tbl key (m + !msgs, c + !chunks)
-          end)
+              if Instr.sends st.Ir.op then chunks.(c) <- chunks.(c) + st.Ir.count)
+            tb.Ir.steps)
         g.Ir.tbs)
     ir.Ir.gpus;
-  Hashtbl.fold
-    (fun (src, dst, chan) (msgs, chunks) acc ->
-      {
-        conn_src = src;
-        conn_dst = dst;
-        conn_chan = chan;
-        conn_messages = msgs;
-        conn_chunks = chunks;
-      }
-      :: acc)
-    conn_tbl []
-  |> List.sort (fun a b ->
-         match Int.compare b.conn_chunks a.conn_chunks with
-         | 0 -> compare (a.conn_src, a.conn_dst, a.conn_chan)
-                  (b.conn_src, b.conn_dst, b.conn_chan)
-         | c -> c)
+  List.init idx.Ir.conns Fun.id
+  |> List.filter (fun c -> idx.Ir.conn_sends.(c) > 0)
+  |> List.map (fun c ->
+         {
+           conn_src = idx.Ir.conn_src.(c);
+           conn_dst = idx.Ir.conn_dst.(c);
+           conn_chan = idx.Ir.conn_chan.(c);
+           conn_messages = idx.Ir.conn_sends.(c);
+           conn_chunks = chunks.(c);
+         })
+
+(* Busiest first; a stable sort keeps ties in their given order. *)
+let by_volume chunks l =
+  List.stable_sort (fun a b -> Int.compare (chunks b) (chunks a)) l
+
+let connections ir =
+  by_volume (fun c -> c.conn_chunks) (sending_connections ir)
 
 let analyze (ir : Ir.t) =
   let fused = ref 0 and reductions = ref 0 and locals = ref 0 in
@@ -101,36 +96,36 @@ let analyze (ir : Ir.t) =
       | Instr.Recv_reduce_copy_send | Instr.Nop ->
           ());
       ());
-  let connections = connections ir in
+  let in_order = sending_connections ir in
+  let connections = by_volume (fun c -> c.conn_chunks) in_order in
   (* The same traffic aggregated per physical (src, dst) link: many
      channels between one pair of ranks share the same wires, so
-     channel-level counts alone hide link hotspots. *)
-  let link_tbl = Hashtbl.create 16 in
-  List.iter
-    (fun c ->
-      let key = (c.conn_src, c.conn_dst) in
-      let chans, msgs, chunks =
-        Option.value ~default:(0, 0, 0) (Hashtbl.find_opt link_tbl key)
-      in
-      Hashtbl.replace link_tbl key
-        (chans + 1, msgs + c.conn_messages, chunks + c.conn_chunks))
-    connections;
+     channel-level counts alone hide link hotspots. A link's channels
+     are adjacent in id order. *)
   let links =
-    Hashtbl.fold
-      (fun (src, dst) (chans, msgs, chunks) acc ->
-        {
-          link_src = src;
-          link_dst = dst;
-          link_channels = chans;
-          link_messages = msgs;
-          link_chunks = chunks;
-        }
-        :: acc)
-      link_tbl []
-    |> List.sort (fun a b ->
-           match Int.compare b.link_chunks a.link_chunks with
-           | 0 -> compare (a.link_src, a.link_dst) (b.link_src, b.link_dst)
-           | c -> c)
+    List.fold_left
+      (fun acc c ->
+        match acc with
+        | l :: rest when l.link_src = c.conn_src && l.link_dst = c.conn_dst ->
+            {
+              l with
+              link_channels = l.link_channels + 1;
+              link_messages = l.link_messages + c.conn_messages;
+              link_chunks = l.link_chunks + c.conn_chunks;
+            }
+            :: rest
+        | _ ->
+            {
+              link_src = c.conn_src;
+              link_dst = c.conn_dst;
+              link_channels = 1;
+              link_messages = c.conn_messages;
+              link_chunks = c.conn_chunks;
+            }
+            :: acc)
+      [] in_order
+    |> List.rev
+    |> by_volume (fun l -> l.link_chunks)
   in
   let tbs = Ir.num_thread_blocks ir in
   let steps = Ir.num_steps ir in

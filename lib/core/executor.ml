@@ -27,7 +27,7 @@ type 'v port = {
   push : 'v array * at -> unit;
 }
 
-type 'v comm = Ir.gpu -> Ir.tb -> 'v port
+type 'v comm = int -> int -> 'v port
 
 type wait = Semaphore of (int * int) | Data_from of int | Slots_to of int
 type outcome = { executed : int; stuck : (at * wait) list }
@@ -104,7 +104,7 @@ let schedule it comm (gpus : Ir.gpu array) =
   in
   (* Each thread block's connections, resolved once. *)
   let ports =
-    Array.map (fun (g : Ir.gpu) -> Array.map (comm g) g.Ir.tbs) gpus
+    Array.mapi (fun i (g : Ir.gpu) -> Array.init (Array.length g.Ir.tbs) (comm i)) gpus
   in
   let executed = ref 0 in
   let try_step sem port (g : Ir.gpu) (tb : Ir.tb) =
@@ -146,22 +146,14 @@ let schedule it comm (gpus : Ir.gpu array) =
     gpus;
   { executed = !executed; stuck = List.rev !stuck }
 
-(* Connection FIFOs: (src, dst, ch) -> queued messages, each tagged with
-   the sending step. A port looks its two queues up once. Leftovers are
-   listed in ascending (src, dst, ch). *)
-let fifos ~slots =
-  let queues = Hashtbl.create 32 in
-  let queue key =
-    match Hashtbl.find_opt queues key with
-    | Some q -> q
-    | None ->
-        let q = Queue.create () in
-        Hashtbl.add queues key q;
-        q
-  in
-  let comm (g : Ir.gpu) (tb : Ir.tb) =
-    let inbox = queue (tb.Ir.recv, g.Ir.gpu_id, tb.Ir.chan) in
-    let outbox = queue (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan) in
+(* Connection FIFOs, one per id of [idx], each message tagged with the
+   sending step. Leftovers are listed in id order, ascending (src, dst,
+   ch). *)
+let fifos ~slots (idx : Ir.index) =
+  let queues = Array.init idx.Ir.conns (fun _ -> Queue.create ()) in
+  let queue c = if c < 0 then Queue.create () else queues.(c) in
+  let port ~inbox ~outbox =
+    let inbox = queue inbox and outbox = queue outbox in
     {
       recv_ready = (fun () -> not (Queue.is_empty inbox));
       pop = (fun () -> Queue.pop inbox);
@@ -170,14 +162,23 @@ let fifos ~slots =
     }
   in
   let in_flight () =
-    Hashtbl.fold
-      (fun conn q acc ->
-        if Queue.is_empty q then acc
-        else (conn, Queue.length q, snd (Queue.peek q)) :: acc)
-      queues []
-    |> List.sort compare
+    let acc = ref [] in
+    for c = idx.Ir.conns - 1 downto 0 do
+      let q = queues.(c) in
+      if not (Queue.is_empty q) then
+        acc :=
+          ( (idx.Ir.conn_src.(c), idx.Ir.conn_dst.(c), idx.Ir.conn_chan.(c)),
+            Queue.length q,
+            snd (Queue.peek q) )
+          :: !acc
+    done;
+    !acc
   in
-  (comm, in_flight)
+  (port, in_flight)
+
+let own_ports (idx : Ir.index) port i t =
+  let b = idx.Ir.gpu_block.(i) + t in
+  port ~inbox:idx.Ir.block_recv.(b) ~outbox:idx.Ir.block_send.(b)
 
 let step_op (ir : Ir.t) (r, t, s) = ir.Ir.gpus.(r).Ir.tbs.(t).Ir.steps.(s).Ir.op
 
@@ -324,10 +325,12 @@ module Make (V : VALUE) = struct
       | Some f -> f st ~src:sender ~dst:at ~op:(step_op ir at) ~payload
       | None -> ()
     in
-    let comm, in_flight = fifos ~slots in
+    let idx = Ir.index ir in
+    let port, in_flight = fifos ~slots idx in
     let o =
-      schedule { read; write; reduce = V.reduce; fault; received } comm
-        ir.Ir.gpus
+      schedule
+        { read; write; reduce = V.reduce; fault; received }
+        (own_ports idx port) ir.Ir.gpus
     in
     st.executed <- o.executed;
     if o.stuck <> [] then

@@ -61,11 +61,12 @@ type 'v port = {
 (** One thread block's end of its connections: the inbox it receives
     from and the outbox it sends into. *)
 
-type 'v comm = Ir.gpu -> Ir.tb -> 'v port
-(** A communication backend: connects a thread block, addressed by its
-    own [recv]/[send] peers and channel, to its port. {!schedule} connects
-    every block once, before the first step, so a backend resolves its
-    queues (and any re-addressing) there rather than per step. *)
+type 'v comm = int -> int -> 'v port
+(** A communication backend: connects the thread block at position [t]
+    of the [i]-th scheduled GPU ([comm i t]) to its port. {!schedule}
+    connects every block once, before the first step, so a backend
+    resolves its queues (and any re-addressing) there rather than per
+    step. *)
 
 type wait =
   | Semaphore of (int * int)  (** [(tb, step)] of an unmet [depends]. *)
@@ -86,10 +87,19 @@ val schedule : 'v interp -> 'v comm -> Ir.gpu array -> outcome
 
 val fifos :
   slots:int ->
-  'v comm * (unit -> ((int * int * int) * int * at) list)
-(** Per-connection FIFOs holding at most [slots] messages, and a listing
-    of the connections [(src, dst, chan)] with messages left in flight,
-    in ascending order: how many and the first one's sender. *)
+  Ir.index ->
+  (inbox:int -> outbox:int -> 'v port)
+  * (unit -> ((int * int * int) * int * at) list)
+(** One FIFO per connection id, holding at most [slots] messages: a port
+    receives from connection [inbox] and sends into [outbox] (-1: a FIFO
+    of its own). Also a listing of the connections [(src, dst, chan)]
+    with messages left in flight, in ascending order: how many and the
+    first one's sender. *)
+
+val own_ports :
+  Ir.index -> (inbox:int -> outbox:int -> 'v port) -> int -> int -> 'v port
+(** [own_ports idx port] connects each block of the IR [idx] indexes to
+    its own two connections; a {!comm} over that IR's [gpus]. *)
 
 val step_op : Ir.t -> at -> Instr.opcode
 (** The opcode of the step at [at]. *)

@@ -211,23 +211,10 @@ let build ?fifo_slots (ir : Ir.t) =
     }
   in
   let dep_src = ints !ndeps and dep_dst = ints !ndeps in
-  (* Connections (src, dst, chan) get dense ids; each thread block looks
-     its send and receive connection up once, at its first sending or
-     receiving step. [kind] marks a node that sends (1) or receives (2). *)
-  let conn_ids = Hashtbl.create 32 and conn_keys = ref [] in
-  let conn key =
-    match Hashtbl.find_opt conn_ids key with
-    | Some c -> c
-    | None ->
-        let c = Hashtbl.length conn_ids in
-        Hashtbl.add conn_ids key c;
-        conn_keys := key :: !conn_keys;
-        c
-  in
+  (* [kind] marks a node that sends (1) or receives (2). One pass over
+     the steps collects explicit depends (dangling targets are skipped)
+     and the kinds. *)
   let kind = Bytes.make n '\000' in
-  let send_conn = Array.make nblocks (-1) and recv_conn = Array.make nblocks (-1) in
-  (* One pass over the steps collects explicit depends (dangling targets
-     are skipped) and the connection endpoints. *)
   let b = ref 0 in
   Array.iter
     (fun (g : Ir.gpu) ->
@@ -239,41 +226,56 @@ let build ?fifo_slots (ir : Ir.t) =
             (fun si (st : Ir.step) ->
               let i = first.(blk) + si in
               push_depends t0 gid i dep_src dep_dst st.Ir.depends;
-              if Instr.sends st.Ir.op then begin
-                if send_conn.(blk) < 0 then
-                  send_conn.(blk) <- conn (gid, tb.Ir.send, tb.Ir.chan);
-                Bytes.unsafe_set kind i '\001'
-              end;
-              if Instr.receives st.Ir.op then begin
-                if recv_conn.(blk) < 0 then
-                  recv_conn.(blk) <- conn (tb.Ir.recv, gid, tb.Ir.chan);
-                Bytes.unsafe_set kind i
-                  (Char.unsafe_chr (Char.code (Bytes.unsafe_get kind i) lor 2))
-              end)
+              Bytes.unsafe_set kind i
+                (Char.unsafe_chr
+                   ((if Instr.sends st.Ir.op then 1 else 0)
+                   lor if Instr.receives st.Ir.op then 2 else 0)))
             tb.Ir.steps;
           incr b)
         g.Ir.tbs)
     gpus;
-  (* Each connection's sending and receiving nodes, in IR order; the
-     nodes that do not send (receive) fill a spare last bucket. *)
-  let nconn = Hashtbl.length conn_ids in
-  let by_conn bit conn_of =
-    group (nconn + 1) n
-      ~key:(fun i ->
-        if Char.code (Bytes.unsafe_get kind i) land bit <> 0 then
-          conn_of.(block_of.(i))
-        else nconn)
-      ~value:Fun.id
+  (* Every sending (receiving) node of every block on a connection's
+     send (receive) side, in IR order, into [buf]; returns how many. *)
+  let idx = Ir.index ir in
+  let nodes bit lo hi buf =
+    let k = ref 0 in
+    for j = lo to hi - 1 do
+      let blk = idx.Ir.ends.(j) in
+      for i = first.(blk) to first.(blk + 1) - 1 do
+        if Char.code (Bytes.unsafe_get kind i) land bit <> 0 then begin
+          buf.(!k) <- i;
+          incr k
+        end
+      done
+    done;
+    !k
   in
-  let s0, ss = by_conn 1 send_conn and r0, rs = by_conn 2 recv_conn in
-  let keys = Array.of_list (List.rev !conn_keys) in
-  let mismatches = ref [] in
-  for c = 0 to nconn - 1 do
-    let ns = s0.(c + 1) - s0.(c) and nr = r0.(c + 1) - r0.(c) in
-    if ns <> nr then begin
-      let src, dst, ch = keys.(c) in
-      mismatches := (src, dst, ch, ns, nr) :: !mismatches
+  let most a = Array.fold_left Int.max 0 a in
+  let ss = Array.make (most idx.Ir.conn_sends) 0 in
+  let rs = Array.make (most idx.Ir.conn_recvs) 0 in
+  (* Connections in order of first use, a node's send before its
+     receive: the order their matching edges are placed in. *)
+  let used = Array.make idx.Ir.conns 0 and nused = ref 0 in
+  let seen = Bytes.make idx.Ir.conns '\000' in
+  let use c =
+    if Bytes.get seen c = '\000' then begin
+      Bytes.set seen c '\001';
+      used.(!nused) <- c;
+      incr nused
     end
+  in
+  for i = 0 to n - 1 do
+    let k = Char.code (Bytes.unsafe_get kind i) in
+    if k land 1 <> 0 then use idx.Ir.block_send.(block_of.(i));
+    if k land 2 <> 0 then use idx.Ir.block_recv.(block_of.(i))
+  done;
+  let mismatches = ref [] in
+  for c = idx.Ir.conns - 1 downto 0 do
+    let ns = idx.Ir.conn_sends.(c) and nr = idx.Ir.conn_recvs.(c) in
+    if ns <> nr then
+      mismatches :=
+        (idx.Ir.conn_src.(c), idx.Ir.conn_dst.(c), idx.Ir.conn_chan.(c), ns, nr)
+        :: !mismatches
   done;
   (* Every edge, self-loops left out: program order, depends, then
      matching — the k-th send on a connection delivers the k-th receive,
@@ -288,12 +290,15 @@ let build ?fifo_slots (ir : Ir.t) =
     for e = 0 to dep_src.len - 1 do
       f dep_src.a.(e) dep_dst.a.(e)
     done;
-    for c = 0 to nconn - 1 do
-      let s = s0.(c) and r = r0.(c) in
-      for k = 0 to Int.min (s0.(c + 1) - s) (r0.(c + 1) - r) - 1 do
-        edge ss.(s + k) rs.(r + k);
+    for u = 0 to !nused - 1 do
+      let c = used.(u) in
+      let lo = idx.Ir.conn_start.(c) and mid = idx.Ir.conn_mid.(c) in
+      let ns = nodes 1 lo mid ss in
+      let nr = nodes 2 mid idx.Ir.conn_start.(c + 1) rs in
+      for k = 0 to Int.min ns nr - 1 do
+        edge ss.(k) rs.(k);
         match fifo_slots with
-        | Some slots when k >= slots -> edge rs.(r + k - slots) ss.(s + k)
+        | Some slots when k >= slots -> edge rs.(k - slots) ss.(k)
         | Some _ | None -> ()
       done
     done
@@ -314,7 +319,7 @@ let build ?fifo_slots (ir : Ir.t) =
     off.(i) <- off.(i - 1)
   done;
   off.(0) <- 0;
-  { t0 with off; tgt; mismatches = List.sort compare !mismatches }
+  { t0 with off; tgt; mismatches = !mismatches }
 
 let stats t =
   {

@@ -71,29 +71,223 @@ let rec check_depends g tb = function
         fail "Ir: dependency target not marked has_dep";
       check_depends g tb rest
 
+(* ---- The connection index ---------------------------------------- *)
+
+type index = {
+  conns : int;
+  conn_src : int array;
+  conn_dst : int array;
+  conn_chan : int array;
+  conn_sends : int array;
+  conn_recvs : int array;
+  conn_start : int array;
+  conn_mid : int array;
+  ends : int array;
+  block_send : int array;
+  block_recv : int array;
+  gpu_block : int array;
+}
+
+(* Endpoint [e] of block [e / 2]: its send side when [e] is even, its
+   receive side when odd. *)
+let set_end canon e_src e_dst e_ch e_n e ~src ~dst ~chan ~peer n =
+  if peer >= 0 || n > 0 then begin
+    (match canon with
+    | None ->
+        e_src.(e) <- src;
+        e_dst.(e) <- dst
+    | Some f ->
+        let s, d = f ~src ~dst in
+        e_src.(e) <- s;
+        e_dst.(e) <- d);
+    e_ch.(e) <- chan;
+    e_n.(e) <- n
+  end
+
+let span_of a perm =
+  let lo = ref max_int and hi = ref min_int in
+  for k = 0 to Array.length perm - 1 do
+    let v = a.(perm.(k)) in
+    if v < !lo then lo := v;
+    if v > !hi then hi := v
+  done;
+  (!lo, !hi - !lo + 1)
+
+(* One int per endpoint that orders like its (src, dst, chan), when the
+   three spans' product fits in an int. *)
+let packed e_src e_dst e_ch perm =
+  let (s0, ss), (d0, ds), (c0, cs) =
+    (span_of e_src perm, span_of e_dst perm, span_of e_ch perm)
+  in
+  if ss <= 0 || ds <= 0 || cs <= 0 || ds > max_int / cs
+     || ss > max_int / (ds * cs)
+  then None
+  else
+    let key = Array.make (Array.length e_src) 0 in
+    Array.iter
+      (fun e ->
+        key.(e) <- ((((e_src.(e) - s0) * ds) + e_dst.(e) - d0) * cs) + e_ch.(e) - c0)
+      perm;
+    Some (key, ss * ds * cs)
+
+(* [perm] stably sorted by [key.(e)] in [0, span): a counting sort when
+   the span is not much wider than [perm], a merge sort otherwise. *)
+let sort_by key span perm =
+  let n = Array.length perm in
+  if span > (4 * n) + 256 then begin
+    let out = Array.copy perm in
+    Array.stable_sort (fun a b -> Int.compare key.(a) key.(b)) out;
+    out
+  end
+  else begin
+    let start = Array.make (span + 1) 0 in
+    for k = 0 to n - 1 do
+      let j = key.(perm.(k)) + 1 in
+      start.(j) <- start.(j) + 1
+    done;
+    for j = 1 to span do
+      start.(j) <- start.(j) + start.(j - 1)
+    done;
+    let out = Array.make n 0 in
+    for k = 0 to n - 1 do
+      let e = perm.(k) in
+      let j = key.(e) in
+      out.(start.(j)) <- e;
+      start.(j) <- start.(j) + 1
+    done;
+    out
+  end
+
+let index_of_gpus ?canon gpus =
+  let ng = Array.length gpus in
+  let gpu_block = Array.make (ng + 1) 0 in
+  for gi = 0 to ng - 1 do
+    gpu_block.(gi + 1) <- gpu_block.(gi) + Array.length gpus.(gi).tbs
+  done;
+  let nb = gpu_block.(ng) in
+  (* Each block's two endpoints: key and step count, or count -1 for a
+     side whose peer the block neither names nor uses. *)
+  let e_src = Array.make (2 * nb) 0 and e_dst = Array.make (2 * nb) 0 in
+  let e_ch = Array.make (2 * nb) 0 and e_n = Array.make (2 * nb) (-1) in
+  for gi = 0 to ng - 1 do
+    let g = gpus.(gi) in
+    for ti = 0 to Array.length g.tbs - 1 do
+      let tb = g.tbs.(ti) and b = gpu_block.(gi) + ti in
+      let ns = ref 0 and nr = ref 0 in
+      for si = 0 to Array.length tb.steps - 1 do
+        let op = tb.steps.(si).op in
+        if Instr.sends op then incr ns;
+        if Instr.receives op then incr nr
+      done;
+      set_end canon e_src e_dst e_ch e_n (2 * b) ~src:g.gpu_id ~dst:tb.send
+        ~chan:tb.chan ~peer:tb.send !ns;
+      set_end canon e_src e_dst e_ch e_n ((2 * b) + 1) ~src:tb.recv
+        ~dst:g.gpu_id ~chan:tb.chan ~peer:tb.recv !nr
+    done
+  done;
+  (* Sending endpoints in block order, then receiving ones, stably
+     sorted by (src, dst, chan): each connection's senders, then its
+     receivers, each in block order. *)
+  let ne = ref 0 in
+  Array.iter (fun n -> if n >= 0 then incr ne) e_n;
+  let perm = Array.make !ne 0 and ne = !ne and k = ref 0 in
+  for side = 0 to 1 do
+    for b = 0 to nb - 1 do
+      if e_n.((2 * b) + side) >= 0 then begin
+        perm.(!k) <- (2 * b) + side;
+        incr k
+      end
+    done
+  done;
+  let perm, same =
+    match packed e_src e_dst e_ch perm with
+    | Some (key, span) -> (sort_by key span perm, fun a e -> key.(a) = key.(e))
+    | None ->
+        let cmp a e =
+          match Int.compare e_src.(a) e_src.(e) with
+          | 0 -> (
+              match Int.compare e_dst.(a) e_dst.(e) with
+              | 0 -> Int.compare e_ch.(a) e_ch.(e)
+              | c -> c)
+          | c -> c
+        in
+        Array.stable_sort cmp perm;
+        (perm, fun a e -> cmp a e = 0)
+  in
+  let conns = ref 0 in
+  for k = 0 to ne - 1 do
+    if k = 0 || not (same perm.(k - 1) perm.(k)) then incr conns
+  done;
+  let conns = !conns in
+  let idx =
+    {
+      conns;
+      conn_src = Array.make conns 0;
+      conn_dst = Array.make conns 0;
+      conn_chan = Array.make conns 0;
+      conn_sends = Array.make conns 0;
+      conn_recvs = Array.make conns 0;
+      conn_start = Array.make (conns + 1) ne;
+      conn_mid = Array.make conns 0;
+      ends = Array.make ne 0;
+      block_send = Array.make nb (-1);
+      block_recv = Array.make nb (-1);
+      gpu_block;
+    }
+  in
+  let c = ref (-1) in
+  for k = 0 to ne - 1 do
+    let e = perm.(k) in
+    if k = 0 || not (same perm.(k - 1) e) then begin
+      incr c;
+      idx.conn_src.(!c) <- e_src.(e);
+      idx.conn_dst.(!c) <- e_dst.(e);
+      idx.conn_chan.(!c) <- e_ch.(e);
+      idx.conn_start.(!c) <- k;
+      idx.conn_mid.(!c) <- k
+    end;
+    let c = !c and b = e / 2 in
+    idx.ends.(k) <- b;
+    if e land 1 = 0 then begin
+      idx.block_send.(b) <- c;
+      idx.conn_sends.(c) <- idx.conn_sends.(c) + e_n.(e);
+      idx.conn_mid.(c) <- k + 1
+    end
+    else begin
+      idx.block_recv.(b) <- c;
+      idx.conn_recvs.(c) <- idx.conn_recvs.(c) + e_n.(e)
+    end
+  done;
+  idx
+
+let index t = index_of_gpus t.gpus
+
+let find_conn idx ~src ~dst ~chan =
+  let cmp c =
+    match Int.compare src idx.conn_src.(c) with
+    | 0 -> (
+        match Int.compare dst idx.conn_dst.(c) with
+        | 0 -> Int.compare chan idx.conn_chan.(c)
+        | d -> d)
+    | d -> d
+  in
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      match cmp mid with
+      | 0 -> mid
+      | d when d < 0 -> go lo mid
+      | _ -> go (mid + 1) hi
+  in
+  go 0 idx.conns
+
 let validate t =
   let ranks = num_ranks t in
   if ranks <> t.collective.Collective.num_ranks then
     fail "Ir: %d gpus but collective wants %d" ranks
       t.collective.Collective.num_ranks;
-  (* Channels of the blocks seen so far on the current gpu, per send and
-     per receive peer; emptied again after each gpu, so the tables cost
-     O(ranks) once rather than per gpu. *)
-  let send_chans = Array.make ranks [] and recv_chans = Array.make ranks [] in
-  let claim chans peer chan =
-    let seen = chans.(peer) in
-    chans.(peer) <- chan :: seen;
-    List.exists (Int.equal chan) seen
-  in
-  (* Per-connection send and receive counts, which must match. Every step
-     of a block uses the block's one connection per direction, so each
-     block adds its totals once. *)
-  let sends = Hashtbl.create 32 and recvs = Hashtbl.create 32 in
-  let add tbl key n =
-    if n > 0 then
-      Hashtbl.replace tbl key
-        (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-  in
+  let idx = index t in
   Array.iteri
     (fun gi g ->
       if g.gpu_id <> gi then fail "Ir: gpu id mismatch";
@@ -101,36 +295,34 @@ let validate t =
         fail "Ir: gpu %d input buffer too small" gi;
       if g.output_chunks < Collective.output_buffer_size t.collective then
         fail "Ir: gpu %d output buffer too small" gi;
-      (* Each connection has exactly one owning thread block per side. *)
+      (* Each connection has exactly one owning thread block per side:
+         the first in block order. *)
       Array.iteri
         (fun ti tb ->
+          let b = idx.gpu_block.(gi) + ti in
           if tb.tb_id <> ti then fail "Ir: tb id mismatch on gpu %d" gi;
           if tb.chan < 0 then fail "Ir: negative channel";
           if tb.send >= ranks || tb.recv >= ranks then
             fail "Ir: peer out of range on gpu %d" gi;
           if tb.send = gi || tb.recv = gi then
             fail "Ir: gpu %d connected to itself" gi;
-          if tb.send >= 0 && claim send_chans tb.send tb.chan then
+          if tb.send >= 0
+             && idx.ends.(idx.conn_start.(idx.block_send.(b))) <> b
+          then
             fail "Ir: two thread blocks send on connection %d->%d ch%d" gi
               tb.send tb.chan;
-          if tb.recv >= 0 && claim recv_chans tb.recv tb.chan then
+          if tb.recv >= 0 && idx.ends.(idx.conn_mid.(idx.block_recv.(b))) <> b
+          then
             fail "Ir: two thread blocks receive on connection %d<-%d ch%d" gi
               tb.recv tb.chan;
-          let ns = ref 0 and nr = ref 0 in
           for si = 0 to Array.length tb.steps - 1 do
             let st = tb.steps.(si) in
             if st.s <> si then fail "Ir: step index mismatch";
             if st.count <= 0 then fail "Ir: nonpositive count";
-            if Instr.sends st.op then begin
-              if tb.send < 0 then
-                fail "Ir: sending step in tb without send peer (gpu %d)" gi;
-              incr ns
-            end;
-            if Instr.receives st.op then begin
-              if tb.recv < 0 then
-                fail "Ir: receiving step in tb without recv peer (gpu %d)" gi;
-              incr nr
-            end;
+            if Instr.sends st.op && tb.send < 0 then
+              fail "Ir: sending step in tb without send peer (gpu %d)" gi;
+            if Instr.receives st.op && tb.recv < 0 then
+              fail "Ir: receiving step in tb without recv peer (gpu %d)" gi;
             (match st.src with
             | Some l when l.Loc.rank <> gi ->
                 fail "Ir: step src on foreign rank"
@@ -140,28 +332,21 @@ let validate t =
                 fail "Ir: step dst on foreign rank"
             | Some _ | None -> ());
             check_depends g tb st.depends
-          done;
-          add sends (gi, tb.send, tb.chan) !ns;
-          add recvs (tb.recv, gi, tb.chan) !nr)
-        g.tbs;
-      Array.iter
-        (fun tb ->
-          if tb.send >= 0 then send_chans.(tb.send) <- [];
-          if tb.recv >= 0 then recv_chans.(tb.recv) <- [])
+          done)
         g.tbs)
     t.gpus;
-  Hashtbl.iter
-    (fun (src, dst, ch) n ->
-      let m = Option.value ~default:0 (Hashtbl.find_opt recvs (src, dst, ch)) in
-      if n <> m then
-        fail "Ir: connection %d->%d ch%d sends %d but receives %d" src dst ch
-          n m)
-    sends;
-  Hashtbl.iter
-    (fun (src, dst, ch) _ ->
-      if not (Hashtbl.mem sends (src, dst, ch)) then
-        fail "Ir: connection %d->%d ch%d receives without sends" src dst ch)
-    recvs
+  (* Per-connection send and receive counts, which must match; the lowest
+     unbalanced connection is named. *)
+  for c = 0 to idx.conns - 1 do
+    let n = idx.conn_sends.(c) and m = idx.conn_recvs.(c) in
+    if n <> m then
+      if n = 0 then
+        fail "Ir: connection %d->%d ch%d receives without sends"
+          idx.conn_src.(c) idx.conn_dst.(c) idx.conn_chan.(c)
+      else
+        fail "Ir: connection %d->%d ch%d sends %d but receives %d"
+          idx.conn_src.(c) idx.conn_dst.(c) idx.conn_chan.(c) n m
+  done
 
 let equal_step (x : step) (y : step) =
   x.s = y.s && x.op = y.op && x.count = y.count && x.depends = y.depends

@@ -51,20 +51,19 @@ let ceil_log2 n =
    Receiver-side FIFO copies are deliberately excluded: they are a
    protocol implementation detail that the lower bound cannot see either,
    so including them would make every algorithm look inefficient instead
-   of distinguishing good schedules from bad ones. *)
-let step_cost ~beta_only topo proto chunk_bytes (g : Ir.gpu) (tb : Ir.tb)
+   of distinguishing good schedules from bad ones. [wire] is the block's
+   send route's (bandwidth, α), looked up once per block. *)
+let step_cost ~beta_only topo proto chunk_bytes (tb : Ir.tb) wire
     (st : Ir.step) =
   let bytes = float_of_int st.Ir.count *. chunk_bytes in
   let cost = ref (if beta_only then 0. else Topology.instr_overhead topo) in
-  if Instr.sends st.Ir.op && tb.Ir.send >= 0 && tb.Ir.send <> g.Ir.gpu_id
-  then begin
-    let bw = Topology.route_bandwidth topo ~src:g.Ir.gpu_id ~dst:tb.Ir.send in
-    cost := !cost +. (bytes /. (Protocol.efficiency proto *. bw));
-    if not beta_only then
-      cost :=
-        !cost
-        +. Topology.route_alpha topo ~src:g.Ir.gpu_id ~dst:tb.Ir.send
-           *. Protocol.alpha_scale proto
+  if Instr.sends st.Ir.op && tb.Ir.send >= 0 then begin
+    match Lazy.force wire with
+    | None -> ()
+    | Some (bw, alpha) ->
+        cost := !cost +. (bytes /. (Protocol.efficiency proto *. bw));
+        if not beta_only then
+          cost := !cost +. (alpha *. Protocol.alpha_scale proto)
   end;
   (match st.Ir.op with
   | Instr.Copy -> cost := !cost +. (bytes /. Topology.local_bandwidth topo)
@@ -392,13 +391,22 @@ let analyze ~topo ?(size_bytes = default_size_bytes) (ir : Ir.t) =
     (fun gi (g : Ir.gpu) ->
       Array.iteri
         (fun ti (tb : Ir.tb) ->
+          let wire =
+            lazy
+              (if tb.Ir.send = g.Ir.gpu_id then None
+               else
+                 let src = g.Ir.gpu_id and dst = tb.Ir.send in
+                 Some
+                   ( Topology.route_bandwidth topo ~src ~dst,
+                     Topology.route_alpha topo ~src ~dst ))
+          in
           Array.iter
             (fun (st : Ir.step) ->
               let id =
                 Hbgraph.node hb ~gpu:g.Ir.gpu_id ~tb:tb.Ir.tb_id ~step:st.Ir.s
               in
               let cost beta_only =
-                step_cost ~beta_only topo proto chunk_bytes g tb st
+                step_cost ~beta_only topo proto chunk_bytes tb wire st
               in
               let full = cost false in
               w_full.(id) <- full;
@@ -466,7 +474,10 @@ let analyze ~topo ?(size_bytes = default_size_bytes) (ir : Ir.t) =
     |> List.concat
     |> List.sort (fun a b ->
            match Float.compare b.tl_cost a.tl_cost with
-           | 0 -> compare (a.tl_gpu, a.tl_tb) (b.tl_gpu, b.tl_tb)
+           | 0 -> (
+               match Int.compare a.tl_gpu b.tl_gpu with
+               | 0 -> Int.compare a.tl_tb b.tl_tb
+               | c -> c)
            | c -> c)
   in
   let bound = bound ~cuts:(cuts topo) ~topo ~size_bytes ir in

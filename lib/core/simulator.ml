@@ -114,10 +114,8 @@ type tb_state = {
   mutable ts_sem_tb : int;
   mutable ts_sem_step : int;
   mutable ts_sem_threshold : int;
-  mutable ts_recv_conn : conn option;
-  mutable ts_send_conn : conn option;
-      (* a tb's peers and channel are fixed, so each of its connections is
-         resolved on first use and kept *)
+  ts_recv_conn : int;
+  ts_send_conn : int;  (* the tb's connection ids, or -1 *)
 }
 
 and conn = {
@@ -224,25 +222,27 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
         (ones, ones, ones)
     | Some rv -> (rv.Plan.r_alpha, rv.Plan.r_beta, rv.Plan.r_gamma)
   in
-  (* Connections, keyed by (src, dst, ch). In cohort mode the key is the
-     orbit-canonical endpoint pair — the representative sender's sends and
-     the representative receiver's receives of the same orbit meet on one
-     shared connection, whose FIFO and proxy state tracks any one member
-     connection of the full run in lockstep. *)
-  let canon ~src ~dst =
-    match quot with
-    | None -> (src, dst)
-    | Some q ->
-        let base = src - (src mod q.q_stride) in
-        (src - base, (((dst - base) mod p_full) + p_full) mod p_full)
+  (* Connections, by id. In cohort mode the index keys on the
+     orbit-canonical endpoint pair — the representative sender's sends
+     and the representative receiver's receives of the same orbit meet
+     on one shared connection, whose FIFO and proxy state tracks any one
+     member connection of the full run in lockstep. Each connection is
+     set up on first use. *)
+  let idx =
+    Ir.index_of_gpus gpus
+      ?canon:
+        (Option.map
+           (fun q ~src ~dst ->
+             let base = src - (src mod q.q_stride) in
+             (src - base, (((dst - base) mod p_full) + p_full) mod p_full))
+           quot)
   in
-  let conns : (int * int * int, conn) Hashtbl.t = Hashtbl.create 64 in
-  let conn_of ~src ~dst ~ch =
-    let src, dst = canon ~src ~dst in
-    let key = (src, dst, ch) in
-    match Hashtbl.find_opt conns key with
-    | Some c -> c
+  let conns = Array.make idx.Ir.conns None in
+  let conn_at c =
+    match conns.(c) with
+    | Some conn -> conn
     | None ->
+        let src = idx.Ir.conn_src.(c) and dst = idx.Ir.conn_dst.(c) in
         let route =
           let r = T.Topology.route topo ~src ~dst in
           match quot with
@@ -259,7 +259,7 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
           | T.Link.Infiniband -> slots
           | T.Link.Nvlink | T.Link.Nvswitch | T.Link.Pcie | T.Link.Host -> 0
         in
-        let c =
+        let conn =
           {
             c_route = route;
             c_in_flight = 0;
@@ -269,7 +269,8 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
             c_free_delay =
               (match resolved with
               | None -> 0.
-              | Some rv -> Plan.slot_stall rv ~src ~dst ~chan:ch);
+              | Some rv ->
+                  Plan.slot_stall rv ~src ~dst ~chan:idx.Ir.conn_chan.(c));
             c_ring_wire = Array.make ring 0.;
             c_ring_start = Array.make ring 0.;
             c_ring_tb = Array.make ring 0;
@@ -277,29 +278,11 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
             c_ring_len = 0;
           }
         in
-        Hashtbl.add conns key c;
-        c
+        conns.(c) <- Some conn;
+        conn
   in
-  let recv_conn st =
-    match st.ts_recv_conn with
-    | Some c -> c
-    | None ->
-        let c =
-          conn_of ~src:st.ts_tb.Ir.recv ~dst:st.ts_rank ~ch:st.ts_tb.Ir.chan
-        in
-        st.ts_recv_conn <- Some c;
-        c
-  in
-  let send_conn st =
-    match st.ts_send_conn with
-    | Some c -> c
-    | None ->
-        let c =
-          conn_of ~src:st.ts_rank ~dst:st.ts_tb.Ir.send ~ch:st.ts_tb.Ir.chan
-        in
-        st.ts_send_conn <- Some c;
-        c
-  in
+  let recv_conn st = conn_at st.ts_recv_conn in
+  let send_conn st = conn_at st.ts_send_conn in
   let next_idx = ref 0 in
   let states =
     Array.map
@@ -323,8 +306,8 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
               ts_sem_tb = 0;
               ts_sem_step = 0;
               ts_sem_threshold = 0;
-              ts_recv_conn = None;
-              ts_send_conn = None;
+              ts_recv_conn = idx.Ir.block_recv.(ts_idx);
+              ts_send_conn = idx.Ir.block_send.(ts_idx);
             })
           g.Ir.tbs)
       gpus

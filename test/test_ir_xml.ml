@@ -164,7 +164,7 @@ let test_validate_connection_texts () =
 
 (* Several unbalanced connections: ring AllReduce@4 with gpu 0's sends
    and gpu 3's receives stripped, so 0->1 ch0 only receives and 2->3 ch0
-   only sends. [Ir.validate] names one of them. *)
+   only sends. [Ir.validate] names the lowest in (src, dst, ch) order. *)
 let test_validate_several_unbalanced () =
   let ir = A.Ring_allreduce.ir ~num_ranks:4 () in
   let strip gpu f =
@@ -205,7 +205,7 @@ let test_validate_several_unbalanced () =
   match Ir.validate bad with
   | exception Invalid_argument m ->
       Alcotest.(check string) "first unbalanced connection"
-        "Ir: connection 2->3 ch0 sends 6 but receives 0" m
+        "Ir: connection 0->1 ch0 receives without sends" m
   | () -> Alcotest.fail "unbalanced connections accepted"
 
 (* Whether every (src, dst, channel) connection has as many receiving as
