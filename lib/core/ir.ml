@@ -104,58 +104,81 @@ let set_end canon e_src e_dst e_ch e_n e ~src ~dst ~chan ~peer n =
     e_n.(e) <- n
   end
 
-let span_of a perm =
+(* The lowest value of [a] over the present endpoints and the width of
+   its range, which is not positive when it overflows. *)
+let span_of a e_n =
   let lo = ref max_int and hi = ref min_int in
-  for k = 0 to Array.length perm - 1 do
-    let v = a.(perm.(k)) in
-    if v < !lo then lo := v;
-    if v > !hi then hi := v
+  for e = 0 to Array.length a - 1 do
+    if e_n.(e) >= 0 then begin
+      let v = a.(e) in
+      if v < !lo then lo := v;
+      if v > !hi then hi := v
+    end
   done;
   (!lo, !hi - !lo + 1)
 
-(* One int per endpoint that orders like its (src, dst, chan), when the
-   three spans' product fits in an int. *)
-let packed e_src e_dst e_ch perm =
-  let (s0, ss), (d0, ds), (c0, cs) =
-    (span_of e_src perm, span_of e_dst perm, span_of e_ch perm)
+(* The present endpoints, sending sides in block order and then receiving
+   ones, stably sorted by (src, dst, chan). The key packs the three into
+   one int when their spans allow; a counting sort serves a key range not
+   much wider than the endpoints. *)
+let sorted_ends e_src e_dst e_ch e_n ne =
+  let nb = Array.length e_n / 2 in
+  let iter f =
+    for side = 0 to 1 do
+      for b = 0 to nb - 1 do
+        let e = (2 * b) + side in
+        if e_n.(e) >= 0 then f e
+      done
+    done
   in
-  if ss <= 0 || ds <= 0 || cs <= 0 || ds > max_int / cs
-     || ss > max_int / (ds * cs)
-  then None
-  else
-    let key = Array.make (Array.length e_src) 0 in
-    Array.iter
-      (fun e ->
-        key.(e) <- ((((e_src.(e) - s0) * ds) + e_dst.(e) - d0) * cs) + e_ch.(e) - c0)
+  let initial () =
+    let perm = Array.make ne 0 and k = ref 0 in
+    iter (fun e ->
+        perm.(!k) <- e;
+        incr k);
+    perm
+  in
+  let (s0, ss), (d0, ds), (c0, cs) =
+    (span_of e_src e_n, span_of e_dst e_n, span_of e_ch e_n)
+  in
+  if ne = 0 then [||]
+  else if
+    ss <= 0 || ds <= 0 || cs <= 0 || ds > max_int / cs
+    || ss > max_int / (ds * cs)
+  then begin
+    let perm = initial () in
+    Array.stable_sort
+      (fun a e ->
+        match Int.compare e_src.(a) e_src.(e) with
+        | 0 -> (
+            match Int.compare e_dst.(a) e_dst.(e) with
+            | 0 -> Int.compare e_ch.(a) e_ch.(e)
+            | c -> c)
+        | c -> c)
       perm;
-    Some (key, ss * ds * cs)
-
-(* [perm] stably sorted by [key.(e)] in [0, span): a counting sort when
-   the span is not much wider than [perm], a merge sort otherwise. *)
-let sort_by key span perm =
-  let n = Array.length perm in
-  if span > (4 * n) + 256 then begin
-    let out = Array.copy perm in
-    Array.stable_sort (fun a b -> Int.compare key.(a) key.(b)) out;
-    out
+    perm
   end
   else begin
-    let start = Array.make (span + 1) 0 in
-    for k = 0 to n - 1 do
-      let j = key.(perm.(k)) + 1 in
-      start.(j) <- start.(j) + 1
-    done;
-    for j = 1 to span do
-      start.(j) <- start.(j) + start.(j - 1)
-    done;
-    let out = Array.make n 0 in
-    for k = 0 to n - 1 do
-      let e = perm.(k) in
-      let j = key.(e) in
-      out.(start.(j)) <- e;
-      start.(j) <- start.(j) + 1
-    done;
-    out
+    let key = Array.make (Array.length e_n) 0 in
+    iter (fun e ->
+        key.(e) <- ((((e_src.(e) - s0) * ds) + e_dst.(e) - d0) * cs) + e_ch.(e) - c0);
+    let span = ss * ds * cs in
+    if span > (4 * ne) + 256 then begin
+      let perm = initial () in
+      Array.stable_sort (fun a e -> Int.compare key.(a) key.(e)) perm;
+      perm
+    end
+    else begin
+      let start = Array.make (span + 1) 0 and out = Array.make ne 0 in
+      iter (fun e -> start.(key.(e) + 1) <- start.(key.(e) + 1) + 1);
+      for j = 1 to span do
+        start.(j) <- start.(j) + start.(j - 1)
+      done;
+      iter (fun e ->
+          out.(start.(key.(e))) <- e;
+          start.(key.(e)) <- start.(key.(e)) + 1);
+      out
+    end
   end
 
 let index_of_gpus ?canon gpus =
@@ -169,54 +192,42 @@ let index_of_gpus ?canon gpus =
      side whose peer the block neither names nor uses. *)
   let e_src = Array.make (2 * nb) 0 and e_dst = Array.make (2 * nb) 0 in
   let e_ch = Array.make (2 * nb) 0 and e_n = Array.make (2 * nb) (-1) in
+  let ne = ref 0 in
   for gi = 0 to ng - 1 do
     let g = gpus.(gi) in
     for ti = 0 to Array.length g.tbs - 1 do
       let tb = g.tbs.(ti) and b = gpu_block.(gi) + ti in
+      (* [Instr.sends] and [Instr.receives] in one match: this loop runs
+         over every step of the IR. *)
       let ns = ref 0 and nr = ref 0 in
       for si = 0 to Array.length tb.steps - 1 do
-        let op = tb.steps.(si).op in
-        if Instr.sends op then incr ns;
-        if Instr.receives op then incr nr
+        match tb.steps.(si).op with
+        | Instr.Send -> incr ns
+        | Instr.Recv | Instr.Recv_reduce_copy -> incr nr
+        | Instr.Recv_copy_send | Instr.Recv_reduce_send
+        | Instr.Recv_reduce_copy_send ->
+            incr ns;
+            incr nr
+        | Instr.Copy | Instr.Reduce | Instr.Nop -> ()
       done;
       set_end canon e_src e_dst e_ch e_n (2 * b) ~src:g.gpu_id ~dst:tb.send
         ~chan:tb.chan ~peer:tb.send !ns;
       set_end canon e_src e_dst e_ch e_n ((2 * b) + 1) ~src:tb.recv
-        ~dst:g.gpu_id ~chan:tb.chan ~peer:tb.recv !nr
+        ~dst:g.gpu_id ~chan:tb.chan ~peer:tb.recv !nr;
+      if e_n.(2 * b) >= 0 then incr ne;
+      if e_n.((2 * b) + 1) >= 0 then incr ne
     done
   done;
-  (* Sending endpoints in block order, then receiving ones, stably
-     sorted by (src, dst, chan): each connection's senders, then its
-     receivers, each in block order. *)
-  let ne = ref 0 in
-  Array.iter (fun n -> if n >= 0 then incr ne) e_n;
-  let perm = Array.make !ne 0 and ne = !ne and k = ref 0 in
-  for side = 0 to 1 do
-    for b = 0 to nb - 1 do
-      if e_n.((2 * b) + side) >= 0 then begin
-        perm.(!k) <- (2 * b) + side;
-        incr k
-      end
-    done
-  done;
-  let perm, same =
-    match packed e_src e_dst e_ch perm with
-    | Some (key, span) -> (sort_by key span perm, fun a e -> key.(a) = key.(e))
-    | None ->
-        let cmp a e =
-          match Int.compare e_src.(a) e_src.(e) with
-          | 0 -> (
-              match Int.compare e_dst.(a) e_dst.(e) with
-              | 0 -> Int.compare e_ch.(a) e_ch.(e)
-              | c -> c)
-          | c -> c
-        in
-        Array.stable_sort cmp perm;
-        (perm, fun a e -> cmp a e = 0)
+  let ne = !ne in
+  (* Each connection's senders, then its receivers, each in block order;
+     [ends] becomes their blocks in place. *)
+  let ends = sorted_ends e_src e_dst e_ch e_n ne in
+  let same a e =
+    e_src.(a) = e_src.(e) && e_dst.(a) = e_dst.(e) && e_ch.(a) = e_ch.(e)
   in
   let conns = ref 0 in
   for k = 0 to ne - 1 do
-    if k = 0 || not (same perm.(k - 1) perm.(k)) then incr conns
+    if k = 0 || not (same ends.(k - 1) ends.(k)) then incr conns
   done;
   let conns = !conns in
   let idx =
@@ -229,16 +240,16 @@ let index_of_gpus ?canon gpus =
       conn_recvs = Array.make conns 0;
       conn_start = Array.make (conns + 1) ne;
       conn_mid = Array.make conns 0;
-      ends = Array.make ne 0;
+      ends;
       block_send = Array.make nb (-1);
       block_recv = Array.make nb (-1);
       gpu_block;
     }
   in
-  let c = ref (-1) in
+  let c = ref (-1) and prev = ref (-1) in
   for k = 0 to ne - 1 do
-    let e = perm.(k) in
-    if k = 0 || not (same perm.(k - 1) e) then begin
+    let e = ends.(k) in
+    if k = 0 || not (same !prev e) then begin
       incr c;
       idx.conn_src.(!c) <- e_src.(e);
       idx.conn_dst.(!c) <- e_dst.(e);
@@ -246,8 +257,9 @@ let index_of_gpus ?canon gpus =
       idx.conn_start.(!c) <- k;
       idx.conn_mid.(!c) <- k
     end;
+    prev := e;
     let c = !c and b = e / 2 in
-    idx.ends.(k) <- b;
+    ends.(k) <- b;
     if e land 1 = 0 then begin
       idx.block_send.(b) <- c;
       idx.conn_sends.(c) <- idx.conn_sends.(c) + e_n.(e);
