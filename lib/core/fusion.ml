@@ -70,8 +70,22 @@ let redirect (dag : Instr_dag.t) idx ~old_id ~fresh =
   done;
   idx.absorbed.(fresh) <- old_id
 
+(* Whether a dependency of the send [s] other than the receive [r]
+   writes part of [dst]: it wrote after the receive, so the send reads
+   its value, not the received one. *)
+let overwritten instrs (s : Instr.t) ~r dst =
+  List.exists
+    (fun j ->
+      j <> r
+      &&
+      let w = instrs.(j) in
+      Instr.writes_local w.Instr.op
+      && match w.Instr.dst with Some l -> Loc.overlaps l dst | None -> false)
+    s.Instr.deps
+
 (* Fuse receives of opcode [recv_op] with a dependent send of the same
-   chunks, rewriting the receive to [fused_op]. *)
+   chunks that nothing overwrote in between, rewriting the receive to
+   [fused_op]. *)
 let fuse_recv_send idx (dag : Instr_dag.t) ~recv_op ~fused_op =
   let fired = ref 0 in
   let instrs = dag.Instr_dag.instrs in
@@ -98,6 +112,7 @@ let fuse_recv_send idx (dag : Instr_dag.t) ~recv_op ~fused_op =
                | Some src -> Loc.equal src dst
                | None -> false)
             && ch_compatible r.Instr.ch s.Instr.ch
+            && not (overwritten instrs s ~r:id dst)
           then
             if !best < 0 then best := s.Instr.id
             else

@@ -57,9 +57,19 @@ let rec frames ~file = function
   | Top -> []
   | In f -> Xml.frame ~file f.tag (Xml.resolve f.src f.off) :: frames ~file f.up
 
+(* A warning rule's tally in one document, and where the first warning
+   past the cap arose. *)
+type held = {
+  h_rule : string;
+  mutable h_seen : int;
+  mutable h_pos : Xml.pos;
+  mutable h_ctx : ctx;
+}
+
 type st = {
   s_file : string;
   mutable s_diags : diag list; (* reversed *)
+  mutable s_held : held list; (* reversed *)
   mutable s_errors : int;
   s_bytes : int;  (* document size *)
   mutable s_chunks_left : int;  (* of the chunk budget; -1 once exceeded *)
@@ -69,21 +79,59 @@ type st = {
   s_words : string array;
 }
 
+(* Warnings reported per rule and document; one more warning at the end
+   counts the rest, so a file with thousands of unknown attributes gets
+   a short report. *)
+let max_warnings = 16
+
+let diag st sev rule ~pos ~ctx m =
+  {
+    d_severity = sev;
+    d_rule = rule;
+    d_message = m;
+    d_file = st.s_file;
+    d_pos = pos;
+    d_context = frames ~file:st.s_file ctx;
+  }
+
+(* Tallies a warning of [rule]; whether it is within the cap. *)
+let tally st rule ~pos ~ctx =
+  let h =
+    match List.find_opt (fun h -> String.equal h.h_rule rule) st.s_held with
+    | Some h -> h
+    | None ->
+        let h = { h_rule = rule; h_seen = 0; h_pos = pos; h_ctx = ctx } in
+        st.s_held <- h :: st.s_held;
+        h
+  in
+  h.h_seen <- h.h_seen + 1;
+  if h.h_seen = max_warnings + 1 then begin
+    h.h_pos <- pos;
+    h.h_ctx <- ctx
+  end;
+  h.h_seen <= max_warnings
+
 let add st sev rule ~pos ~ctx fmt =
-  Format.kasprintf
-    (fun m ->
-      if sev = Error then st.s_errors <- st.s_errors + 1;
-      st.s_diags <-
-        {
-          d_severity = sev;
-          d_rule = rule;
-          d_message = m;
-          d_file = st.s_file;
-          d_pos = pos;
-          d_context = frames ~file:st.s_file ctx;
-        }
-        :: st.s_diags)
-    fmt
+  if sev = Error || tally st rule ~pos ~ctx then
+    Format.kasprintf
+      (fun m ->
+        if sev = Error then st.s_errors <- st.s_errors + 1;
+        st.s_diags <- diag st sev rule ~pos ~ctx m :: st.s_diags)
+      fmt
+  else Format.ikfprintf ignore Format.str_formatter fmt
+
+(* The report so far, in order, then one count per capped rule. *)
+let report st =
+  List.rev st.s_diags
+  @ List.filter_map
+      (fun h ->
+        if h.h_seen <= max_warnings then None
+        else
+          Some
+            (diag st Warning h.h_rule ~pos:h.h_pos ~ctx:h.h_ctx
+               (Printf.sprintf "%d more %s warning(s) not shown"
+                  (h.h_seen - max_warnings) h.h_rule)))
+      (List.rev st.s_held)
 
 let err st = add st Error
 
@@ -878,6 +926,7 @@ let decoder ~file ~bytes ~src =
       {
         s_file = file;
         s_diags = [];
+        s_held = [];
         s_errors = 0;
         s_bytes = bytes;
         s_chunks_left = chunk_budget ~bytes;
@@ -1068,7 +1117,7 @@ let gpu_end d =
    ordering, footprints, semantic checks and the certified IR. *)
 let algo_end d =
   let st = d.st and a = d.algo in
-  let finish () = List.rev st.s_diags in
+  let finish () = report st in
   let ctx = ctx_of a in
   let root_pos () = epos a in
   let name = d.name and proto = d.proto in
@@ -1341,7 +1390,7 @@ let end_ d =
 let result d =
   match d.result with
   | Some r -> r
-  | None -> Result.Error (List.rev d.st.s_diags)
+  | None -> Result.Error (report d.st)
 
 (* ------------------------------------------------------------------ *)
 (* Producers: the lexer, or a tree replayed                            *)

@@ -11,7 +11,8 @@
     schema-validated decoder that
 
     - tolerates unknown attributes and unknown elements (warning
-      diagnostics, never failures),
+      diagnostics, never failures; at most {!max_warnings} per rule and
+      document, then a count),
     - accepts attribute aliases and element reordering ([<gpu>]/[<tb>]
       blocks and [<step>]s are matched by their declared ids, not by
       document position),
@@ -50,6 +51,11 @@ type diag = {
   d_pos : Xml.pos;
   d_context : string list;  (** enclosing elements, innermost first *)
 }
+
+val max_warnings : int
+(** The warnings of one rule reported per document (16). Past them, one
+    warning of that rule at the end of the report, placed where the first
+    unreported one arose, counts the rest. *)
 
 val errors : diag list -> diag list
 

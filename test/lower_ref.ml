@@ -324,6 +324,18 @@ let fuse_recv_send ?succ:succ0 (dag : Instr_dag.t) ~recv_op ~fused_op =
                    | Some src -> Loc.equal src dst
                    | None -> false)
                 && unify_ch r.Instr.ch s.Instr.ch <> None
+                && not
+                     (List.exists
+                        (fun j ->
+                          j <> r.Instr.id
+                          &&
+                          let w = dag.Instr_dag.instrs.(j) in
+                          Instr.writes_local w.Instr.op
+                          &&
+                          match w.Instr.dst with
+                          | Some l -> Loc.overlaps l dst
+                          | None -> false)
+                        s.Instr.deps)
               then Some s
               else None)
             succ.(r.Instr.id)

@@ -97,6 +97,35 @@ let test_longest_path_send_chosen () =
     fused.Instr.send_peer;
   Instr_dag.validate dag
 
+(* Rank 0 reduces input[0..1] into rank 1's; rank 1 then copies its
+   input[2] over input[0] and sends input[0..1] on to rank 2. The send
+   reads the copy's chunk, so it must not fuse with the receive (it once
+   did, and the merged dependencies made a cycle). *)
+let overwritten_between p =
+  let mine = Program.chunk p ~rank:1 Buffer_id.Input ~index:0 ~count:2 () in
+  let theirs = Program.chunk p ~rank:0 Buffer_id.Input ~index:0 ~count:2 () in
+  ignore (Program.reduce mine theirs ());
+  let c = Program.chunk p ~rank:1 Buffer_id.Input ~index:2 () in
+  ignore (Program.copy c ~rank:1 Buffer_id.Input ~index:0 ());
+  let c = Program.chunk p ~rank:1 Buffer_id.Input ~index:0 ~count:2 () in
+  ignore (Program.copy c ~rank:2 Buffer_id.Scratch ~index:0 ())
+
+let test_overwrite_blocks_fusion () =
+  let c = coll ~ranks:3 ~c:3 () in
+  let dag = lower ~coll:c overwritten_between in
+  Alcotest.(check int) "no rrcs" 0 (Fusion.fuse dag).Fusion.rrcs;
+  Instr_dag.validate dag;
+  let mk fuse =
+    (Compile.compile_dag ~fuse ~verify:false (Program.trace c overwritten_between))
+      .Compile.ir
+  in
+  let fused = mk true in
+  Ir.validate fused;
+  Alcotest.(check bool) "deadlock-free" true
+    (Verify.check_deadlock_free fused = Ok ());
+  Alcotest.(check bool) "same symbolic result" true
+    (Testutil.symbolic_states_equal (mk false) fused)
+
 (* Fusion must never change program semantics. *)
 let semantics_preserved name build =
   Testutil.tc name (fun () ->
@@ -222,6 +251,8 @@ let () =
           Testutil.tc "channel mismatch blocks fusion"
             test_no_fusion_across_channels;
           Testutil.tc "longest path send chosen" test_longest_path_send_chosen;
+          Testutil.tc "overwrite between receive and send blocks fusion"
+            test_overwrite_blocks_fusion;
         ] );
       ( "semantics",
         [

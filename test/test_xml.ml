@@ -309,13 +309,19 @@ let test_attribute_flood () =
         | Ok _ -> Alcotest.fail "attribute flood accepted"
         | Error ds -> ds)
   in
-  Alcotest.(check int)
-    "one warning per attribute" 16_000
-    (List.length
-       (List.filter (fun d -> d.I.d_rule = "unknown-attribute") ds));
-  let last = List.find (fun d -> d.I.d_message = "<algo> has unknown attribute a15999 (ignored)") ds in
-  Alcotest.(check int) "last attribute's column" (String.length doc - 12)
-    last.I.d_pos.Xml.col;
+  (* The first 16 unknown attributes, then one count placed at the
+     17th. *)
+  let flood = List.filter (fun d -> d.I.d_rule = "unknown-attribute") ds in
+  Alcotest.(check int) "warnings per rule, then a count"
+    (I.max_warnings + 1) (List.length flood);
+  let last = List.nth flood (I.max_warnings - 1) in
+  Alcotest.(check string) "last shown"
+    "<algo> has unknown attribute a15 (ignored)" last.I.d_message;
+  Alcotest.(check int) "its column" 117 last.I.d_pos.Xml.col;
+  let count = List.nth flood I.max_warnings in
+  Alcotest.(check string) "count"
+    "15984 more unknown-attribute warning(s) not shown" count.I.d_message;
+  Alcotest.(check int) "at the first one not shown" 125 count.I.d_pos.Xml.col;
   let dup = String.sub doc 0 (String.length doc - 3) ^ " a7=\"1\"/>" in
   within ~bound:1.0 "16,000 attributes and a duplicate" (fun () ->
       match Xml.parse_tree dup with
