@@ -312,6 +312,124 @@ let qcheck_validate_balance =
           && String.length m > 15
           && String.sub m 0 15 = "Ir: connection ")
 
+(* ------------------------------------------------------------------ *)
+(* The connection index against its tuple-table reference              *)
+(* ------------------------------------------------------------------ *)
+
+(* [Ir.index_of_gpus] and [Conn_index_ref.connections] agree: the same
+   connections in the same order, with the same blocks and step counts;
+   every block's two ids; [find_conn] on every key and on absent ones;
+   and the gpus' first blocks. *)
+let check_index ?canon what (gpus : Ir.gpu array) =
+  let idx = Ir.index_of_gpus ?canon gpus in
+  let want = Conn_index_ref.connections ?canon gpus in
+  let slice lo hi = Array.to_list (Array.sub idx.Ir.ends lo (hi - lo)) in
+  let got =
+    List.init idx.Ir.conns (fun c ->
+        {
+          Conn_index_ref.key =
+            (idx.Ir.conn_src.(c), idx.Ir.conn_dst.(c), idx.Ir.conn_chan.(c));
+          senders = slice idx.Ir.conn_start.(c) idx.Ir.conn_mid.(c);
+          receivers = slice idx.Ir.conn_mid.(c) idx.Ir.conn_start.(c + 1);
+          sends = idx.Ir.conn_sends.(c);
+          recvs = idx.Ir.conn_recvs.(c);
+        })
+  in
+  if got <> want then Alcotest.failf "%s: connections differ" what;
+  let nb = Array.fold_left (fun n (g : Ir.gpu) -> n + Array.length g.Ir.tbs) 0 gpus in
+  let id_of side b =
+    let rec go c = function
+      | [] -> -1
+      | (x : Conn_index_ref.conn) :: rest ->
+          if List.mem b (if side then x.senders else x.receivers) then c
+          else go (c + 1) rest
+    in
+    go 0 want
+  in
+  for b = 0 to nb - 1 do
+    if idx.Ir.block_send.(b) <> id_of true b || idx.Ir.block_recv.(b) <> id_of false b
+    then Alcotest.failf "%s: block %d's ids differ" what b
+  done;
+  List.iteri
+    (fun c (x : Conn_index_ref.conn) ->
+      let src, dst, chan = x.key in
+      if Ir.find_conn idx ~src ~dst ~chan <> c then
+        Alcotest.failf "%s: find_conn misses connection %d" what c;
+      if Ir.find_conn idx ~src ~dst ~chan:(chan + 1) >= 0
+         && not (List.exists (fun (y : Conn_index_ref.conn) -> y.key = (src, dst, chan + 1)) want)
+      then Alcotest.failf "%s: find_conn finds an absent key" what)
+    want;
+  Alcotest.(check int) (what ^ ": blocks") nb idx.Ir.gpu_block.(Array.length gpus)
+
+let test_index_registry () =
+  List.iter
+    (fun shape ->
+      check_index (Testutil.shape_label shape) (Testutil.registry_ir shape).Ir.gpus)
+    Testutil.registry_shapes
+
+let test_index_fuzz_corpus () =
+  let dir = if Sys.file_exists "corpus" then "corpus" else "test/corpus" in
+  let cases =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".case")
+  in
+  if List.length cases < 5 then Alcotest.fail "fuzz corpus not found";
+  List.iter
+    (fun f ->
+      match Msccl_fuzz.Case.load (Filename.concat dir f) with
+      | Error m -> Alcotest.failf "%s: %s" f m
+      | Ok case ->
+          List.iter
+            (fun fuse -> check_index f (Msccl_fuzz.Case.compile ~fuse case).Ir.gpus)
+            [ true; false ])
+    cases
+
+(* Random multi-GPU IR: peers of -1, blocks sharing a connection,
+   sends and receives in any block. *)
+let test_index_random () =
+  for seed = 1 to 300 do
+    let rng = Msccl_fuzz.Rng.create seed in
+    check_index (Printf.sprintf "gen_ir %d" seed)
+      (Testutil.gen_ir ~multi:true ~cyclic:(seed mod 2 = 1) rng).Ir.gpus
+  done
+
+(* Hand-built malformed IR on ring AllReduce@4 over two channels, and a
+   cohort's canonical pairs. *)
+let test_index_malformed () =
+  let ir = A.Ring_allreduce.ir ~channels:2 ~num_ranks:4 () in
+  let on_gpu gpu f =
+    Array.map
+      (fun (g : Ir.gpu) ->
+        if g.Ir.gpu_id <> gpu then g else { g with Ir.tbs = Array.map f g.Ir.tbs })
+      ir.Ir.gpus
+  in
+  let ops f (tb : Ir.tb) =
+    { tb with Ir.steps = Array.map (fun (st : Ir.step) -> { st with Ir.op = f st.Ir.op }) tb.Ir.steps }
+  in
+  check_index "ring" ir.Ir.gpus;
+  check_index "doubly owned"
+    (on_gpu 2 (fun tb -> { tb with Ir.chan = 0 }));
+  check_index "peerless receives"
+    (on_gpu 1 (fun tb -> if tb.Ir.tb_id = 0 then { tb with Ir.recv = -1 } else tb));
+  check_index "peerless sends, no steps"
+    (on_gpu 3 (fun tb -> { tb with Ir.send = -1; steps = [||] }));
+  check_index "unbalanced"
+    (on_gpu 0 (ops (function Instr.Send -> Instr.Nop | op -> op)));
+  check_index "wide channels: merge sort"
+    (on_gpu 1 (fun tb -> { tb with Ir.chan = 1_000_000 * (tb.Ir.tb_id + 1) }));
+  check_index "overflowing spans: three-key sort"
+    (on_gpu 1 (fun tb ->
+         { tb with Ir.chan = (if tb.Ir.tb_id = 0 then max_int else min_int) }));
+  check_index "gpu ids out of order"
+    (Array.map (fun (g : Ir.gpu) -> { g with Ir.gpu_id = 7 - g.Ir.gpu_id }) ir.Ir.gpus);
+  check_index "empty" [||];
+  let canon ~src ~dst =
+    let base = src - (src mod 2) in
+    (src - base, (((dst - base) mod 4) + 4) mod 4)
+  in
+  check_index ~canon "cohort pairs" ir.Ir.gpus;
+  check_index ~canon "cohort representatives" (Array.sub ir.Ir.gpus 0 2)
+
 let test_summary_counts () =
   let ir = A.Ring_allreduce.ir ~num_ranks:4 () in
   Alcotest.(check int) "ranks" 4 (Ir.num_ranks ir);
@@ -450,5 +568,12 @@ let () =
             test_validate_several_unbalanced;
           qcheck_validate_balance;
           Testutil.tc "summary counts" test_summary_counts;
+        ] );
+      ( "connection index",
+        [
+          Testutil.tc "registry shapes = reference" test_index_registry;
+          Testutil.tc "fuzz corpus = reference" test_index_fuzz_corpus;
+          Testutil.tc "random IR = reference" test_index_random;
+          Testutil.tc "malformed IR = reference" test_index_malformed;
         ] );
     ]

@@ -794,6 +794,36 @@ let test_cuts_match_reference () =
   if !analyzed < 30 then
     Alcotest.failf "only %d registry configurations compared" !analyzed
 
+(* Tie order on all-pairs AllReduce@16 (ndv4:2), where many thread
+   blocks cost the same and every connection carries two chunks: thread
+   blocks by descending cost, then (gpu, tb); connections by descending
+   chunks, then (src, dst, channel). The polymorphic tuple comparisons
+   the sorts once used give the reference order. *)
+let test_tie_order () =
+  let ir = Msccl_algorithms.Allpairs_allreduce.ir ~verify:false ~num_ranks:16 () in
+  let r = Perfcheck.analyze ~topo:(topo_of "ndv4:2") ir in
+  let loads = r.Perfcheck.tb_loads in
+  let key (l : Perfcheck.tb_load) = (-.l.Perfcheck.tl_cost, l.tl_gpu, l.tl_tb) in
+  Alcotest.(check bool) "thread blocks in reference order" true
+    (List.map key loads = List.sort compare (List.map key loads));
+  let top = (List.hd loads).Perfcheck.tl_cost in
+  Alcotest.(check bool) "ties at the top" true
+    (List.length (List.filter (fun (l : Perfcheck.tb_load) -> l.tl_cost = top) loads) > 8);
+  Alcotest.(check (list (pair int int))) "first four" [ (0, 7); (0, 8); (0, 9); (0, 10) ]
+    (List.filteri (fun i _ -> i < 4)
+       (List.map (fun (l : Perfcheck.tb_load) -> (l.tl_gpu, l.tl_tb)) loads));
+  let conns = Analysis.connections ir in
+  let ckey (c : Analysis.connection) =
+    (-c.Analysis.conn_chunks, (c.conn_src, c.conn_dst, c.conn_chan))
+  in
+  Alcotest.(check bool) "connections in reference order" true
+    (List.map ckey conns = List.sort compare (List.map ckey conns));
+  Alcotest.(check int) "every connection" (16 * 15) (List.length conns);
+  Alcotest.(check (list (triple int int int))) "first three"
+    [ (0, 1, 0); (0, 2, 0); (0, 3, 0) ]
+    (List.filteri (fun i _ -> i < 3)
+       (List.map (fun (c : Analysis.connection) -> (c.conn_src, c.conn_dst, c.conn_chan)) conns))
+
 let () =
   Alcotest.run "perfcheck"
     [
@@ -850,5 +880,6 @@ let () =
             test_report_json_well_formed;
           Alcotest.test_case "bound never exceeds simulation" `Quick
             test_bound_never_exceeds_simulation;
+          Alcotest.test_case "tie order on allpairs@16" `Quick test_tie_order;
         ] );
     ]

@@ -109,6 +109,23 @@ let test_compile_budget () =
     Alcotest.failf "compile allocates %.1f words per IR step (budget %.1f)"
       per_step limit
 
+(* [Ir.validate]'s allocation per call on all-pairs AllReduce@96 (9,120
+   thread blocks and connections), in minor words as above. With a
+   tuple-keyed balance table per direction and a claim list per peer it
+   allocated 3.1 MB per call; deciding ownership and balance from the
+   connection index, whose arrays go to the major heap, it allocates a
+   few KB. The budget is 0.5 MB. *)
+let test_validate_budget () =
+  let ir = Msccl_algorithms.Allpairs_allreduce.ir ~verify:false ~num_ranks:96 () in
+  Ir.validate ir;
+  let before = Gc.minor_words () in
+  Ir.validate ir;
+  let bytes = (Gc.minor_words () -. before) *. float_of_int (Sys.word_size / 8) in
+  Printf.printf "allpairs@96 Ir.validate: %.0f bytes in the minor heap\n" bytes;
+  if bytes > 500_000. then
+    Alcotest.failf "Ir.validate allocates %.0f bytes per call (budget 500000)"
+      bytes
+
 let () =
   Alcotest.run "pipeline"
     [
@@ -122,5 +139,7 @@ let () =
         [
           Alcotest.test_case "compile words per IR step" `Quick
             test_compile_budget;
+          Alcotest.test_case "Ir.validate bytes on allpairs@96" `Quick
+            test_validate_budget;
         ] );
     ]
