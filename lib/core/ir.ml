@@ -88,209 +88,149 @@ type index = {
   gpu_block : int array;
 }
 
-(* Endpoint [e] of block [e / 2]: its send side when [e] is even, its
-   receive side when odd. *)
-let set_end canon e_src e_dst e_ch e_n e ~src ~dst ~chan ~peer n =
-  if peer >= 0 || n > 0 then begin
-    (match canon with
-    | None ->
-        e_src.(e) <- src;
-        e_dst.(e) <- dst
-    | Some f ->
-        let s, d = f ~src ~dst in
-        e_src.(e) <- s;
-        e_dst.(e) <- d);
-    e_ch.(e) <- chan;
-    e_n.(e) <- n
-  end
-
-(* The lowest value of [a] over the present endpoints and the width of
-   its range, which is not positive when it overflows. *)
-let span_of a e_n =
-  let lo = ref max_int and hi = ref min_int in
-  for e = 0 to Array.length a - 1 do
-    if e_n.(e) >= 0 then begin
-      let v = a.(e) in
-      if v < !lo then lo := v;
-      if v > !hi then hi := v
-    end
-  done;
-  (!lo, !hi - !lo + 1)
-
-(* The present endpoints, sending sides in block order and then receiving
-   ones, stably sorted by (src, dst, chan). The key packs the three into
-   one int when their spans allow; a counting sort serves a key range not
-   much wider than the endpoints. *)
-let sorted_ends e_src e_dst e_ch e_n ne =
-  let nb = Array.length e_n / 2 in
-  let iter f =
-    for side = 0 to 1 do
-      for b = 0 to nb - 1 do
-        let e = (2 * b) + side in
-        if e_n.(e) >= 0 then f e
-      done
-    done
-  in
-  let initial () =
-    let perm = Array.make ne 0 and k = ref 0 in
-    iter (fun e ->
-        perm.(!k) <- e;
-        incr k);
-    perm
-  in
-  let (s0, ss), (d0, ds), (c0, cs) =
-    (span_of e_src e_n, span_of e_dst e_n, span_of e_ch e_n)
-  in
-  if ne = 0 then [||]
-  else if
-    ss <= 0 || ds <= 0 || cs <= 0 || ds > max_int / cs
-    || ss > max_int / (ds * cs)
-  then begin
-    let perm = initial () in
-    Array.stable_sort
-      (fun a e ->
-        match Int.compare e_src.(a) e_src.(e) with
-        | 0 -> (
-            match Int.compare e_dst.(a) e_dst.(e) with
-            | 0 -> Int.compare e_ch.(a) e_ch.(e)
-            | c -> c)
-        | c -> c)
+(* [perm] stably sorted by [key.(e)]: a counting sort when the keys span
+   a range not much wider than [perm], a merge sort otherwise (the span
+   of arbitrary ints may even overflow). *)
+let sort_by key perm =
+  let n = Array.length perm in
+  let lo = Array.fold_left (fun m e -> Int.min m key.(e)) max_int perm in
+  let span = Array.fold_left (fun m e -> Int.max m key.(e)) min_int perm - lo + 1 in
+  if n = 0 || span = 1 then perm
+  else if span > 0 && span <= (4 * n) + 256 then begin
+    let start = Array.make (span + 1) 0 and out = Array.make n 0 in
+    Array.iter (fun e -> start.(key.(e) - lo + 1) <- start.(key.(e) - lo + 1) + 1) perm;
+    for j = 1 to span do
+      start.(j) <- start.(j) + start.(j - 1)
+    done;
+    Array.iter
+      (fun e ->
+        out.(start.(key.(e) - lo)) <- e;
+        start.(key.(e) - lo) <- start.(key.(e) - lo) + 1)
       perm;
-    perm
+    out
   end
   else begin
-    let key = Array.make (Array.length e_n) 0 in
-    iter (fun e ->
-        key.(e) <- ((((e_src.(e) - s0) * ds) + e_dst.(e) - d0) * cs) + e_ch.(e) - c0);
-    let span = ss * ds * cs in
-    if span > (4 * ne) + 256 then begin
-      let perm = initial () in
-      Array.stable_sort (fun a e -> Int.compare key.(a) key.(e)) perm;
-      perm
-    end
-    else begin
-      let start = Array.make (span + 1) 0 and out = Array.make ne 0 in
-      iter (fun e -> start.(key.(e) + 1) <- start.(key.(e) + 1) + 1);
-      for j = 1 to span do
-        start.(j) <- start.(j) + start.(j - 1)
-      done;
-      iter (fun e ->
-          out.(start.(key.(e))) <- e;
-          start.(key.(e)) <- start.(key.(e)) + 1);
-      out
-    end
+    let out = Array.copy perm in
+    Array.stable_sort (fun a b -> Int.compare key.(a) key.(b)) out;
+    out
   end
 
 let index_of_gpus ?canon gpus =
   let ng = Array.length gpus in
   let gpu_block = Array.make (ng + 1) 0 in
-  for gi = 0 to ng - 1 do
-    gpu_block.(gi + 1) <- gpu_block.(gi) + Array.length gpus.(gi).tbs
-  done;
+  Array.iteri (fun gi g -> gpu_block.(gi + 1) <- gpu_block.(gi) + Array.length g.tbs) gpus;
   let nb = gpu_block.(ng) in
-  (* Each block's two endpoints: key and step count, or count -1 for a
-     side whose peer the block neither names nor uses. *)
+  (* Endpoint 2b is block b's send side and 2b + 1 its receive side: its
+     key and step count, the count -1 for a side whose peer the block
+     neither names nor uses. *)
   let e_src = Array.make (2 * nb) 0 and e_dst = Array.make (2 * nb) 0 in
   let e_ch = Array.make (2 * nb) 0 and e_n = Array.make (2 * nb) (-1) in
-  let ne = ref 0 in
-  for gi = 0 to ng - 1 do
-    let g = gpus.(gi) in
-    for ti = 0 to Array.length g.tbs - 1 do
-      let tb = g.tbs.(ti) and b = gpu_block.(gi) + ti in
-      (* [Instr.sends] and [Instr.receives] in one match: this loop runs
-         over every step of the IR. *)
-      let ns = ref 0 and nr = ref 0 in
-      for si = 0 to Array.length tb.steps - 1 do
-        match tb.steps.(si).op with
-        | Instr.Send -> incr ns
-        | Instr.Recv | Instr.Recv_reduce_copy -> incr nr
-        | Instr.Recv_copy_send | Instr.Recv_reduce_send
-        | Instr.Recv_reduce_copy_send ->
-            incr ns;
-            incr nr
-        | Instr.Copy | Instr.Reduce | Instr.Nop -> ()
-      done;
-      set_end canon e_src e_dst e_ch e_n (2 * b) ~src:g.gpu_id ~dst:tb.send
-        ~chan:tb.chan ~peer:tb.send !ns;
-      set_end canon e_src e_dst e_ch e_n ((2 * b) + 1) ~src:tb.recv
-        ~dst:g.gpu_id ~chan:tb.chan ~peer:tb.recv !nr;
-      if e_n.(2 * b) >= 0 then incr ne;
-      if e_n.((2 * b) + 1) >= 0 then incr ne
+  let set e ~src ~dst ~chan ~peer n =
+    if peer >= 0 || n > 0 then begin
+      (match canon with
+      | None ->
+          e_src.(e) <- src;
+          e_dst.(e) <- dst
+      | Some f ->
+          let s, d = f ~src ~dst in
+          e_src.(e) <- s;
+          e_dst.(e) <- d);
+      e_ch.(e) <- chan;
+      e_n.(e) <- n
+    end
+  in
+  Array.iteri
+    (fun gi g ->
+      Array.iteri
+        (fun ti tb ->
+          let b = gpu_block.(gi) + ti and ns = ref 0 and nr = ref 0 in
+          (* [Instr.sends] and [Instr.receives] in one match, as this
+             runs over every step. *)
+          for si = 0 to Array.length tb.steps - 1 do
+            match tb.steps.(si).op with
+            | Instr.Send -> incr ns
+            | Instr.Recv | Instr.Recv_reduce_copy -> incr nr
+            | Instr.Recv_copy_send | Instr.Recv_reduce_send
+            | Instr.Recv_reduce_copy_send ->
+                incr ns;
+                incr nr
+            | Instr.Copy | Instr.Reduce | Instr.Nop -> ()
+          done;
+          set (2 * b) ~src:g.gpu_id ~dst:tb.send ~chan:tb.chan ~peer:tb.send !ns;
+          set ((2 * b) + 1) ~src:tb.recv ~dst:g.gpu_id ~chan:tb.chan ~peer:tb.recv
+            !nr)
+        g.tbs)
+    gpus;
+  (* Sending endpoints in block order, then receiving ones, stably sorted
+     by (src, dst, chan): each connection's senders, then its receivers,
+     each in block order. *)
+  let ne = Array.fold_left (fun n c -> if c >= 0 then n + 1 else n) 0 e_n in
+  let perm = Array.make ne 0 and k = ref 0 in
+  for side = 0 to 1 do
+    for b = 0 to nb - 1 do
+      if e_n.((2 * b) + side) >= 0 then begin
+        perm.(!k) <- (2 * b) + side;
+        incr k
+      end
     done
   done;
-  let ne = !ne in
-  (* Each connection's senders, then its receivers, each in block order;
-     [ends] becomes their blocks in place. *)
-  let ends = sorted_ends e_src e_dst e_ch e_n ne in
+  let ends = sort_by e_src (sort_by e_dst (sort_by e_ch perm)) in
   let same a e =
     e_src.(a) = e_src.(e) && e_dst.(a) = e_dst.(e) && e_ch.(a) = e_ch.(e)
   in
   let conns = ref 0 in
-  for k = 0 to ne - 1 do
-    if k = 0 || not (same ends.(k - 1) ends.(k)) then incr conns
-  done;
+  Array.iteri (fun k e -> if k = 0 || not (same ends.(k - 1) e) then incr conns) ends;
   let conns = !conns in
-  let idx =
-    {
-      conns;
-      conn_src = Array.make conns 0;
-      conn_dst = Array.make conns 0;
-      conn_chan = Array.make conns 0;
-      conn_sends = Array.make conns 0;
-      conn_recvs = Array.make conns 0;
-      conn_start = Array.make (conns + 1) ne;
-      conn_mid = Array.make conns 0;
-      ends;
-      block_send = Array.make nb (-1);
-      block_recv = Array.make nb (-1);
-      gpu_block;
-    }
-  in
+  let ints () = Array.make conns 0 in
+  let conn_src = ints () and conn_dst = ints () and conn_chan = ints () in
+  let conn_sends = ints () and conn_recvs = ints () and conn_mid = ints () in
+  let conn_start = Array.make (conns + 1) ne in
+  let block_send = Array.make nb (-1) and block_recv = Array.make nb (-1) in
+  (* One walk numbers the connections; [ends] becomes their blocks in
+     place, so the previous endpoint is kept aside. *)
   let c = ref (-1) and prev = ref (-1) in
   for k = 0 to ne - 1 do
     let e = ends.(k) in
     if k = 0 || not (same !prev e) then begin
       incr c;
-      idx.conn_src.(!c) <- e_src.(e);
-      idx.conn_dst.(!c) <- e_dst.(e);
-      idx.conn_chan.(!c) <- e_ch.(e);
-      idx.conn_start.(!c) <- k;
-      idx.conn_mid.(!c) <- k
+      conn_src.(!c) <- e_src.(e);
+      conn_dst.(!c) <- e_dst.(e);
+      conn_chan.(!c) <- e_ch.(e);
+      conn_start.(!c) <- k;
+      conn_mid.(!c) <- k
     end;
     prev := e;
     let c = !c and b = e / 2 in
     ends.(k) <- b;
     if e land 1 = 0 then begin
-      idx.block_send.(b) <- c;
-      idx.conn_sends.(c) <- idx.conn_sends.(c) + e_n.(e);
-      idx.conn_mid.(c) <- k + 1
+      block_send.(b) <- c;
+      conn_sends.(c) <- conn_sends.(c) + e_n.(e);
+      conn_mid.(c) <- k + 1
     end
     else begin
-      idx.block_recv.(b) <- c;
-      idx.conn_recvs.(c) <- idx.conn_recvs.(c) + e_n.(e)
+      block_recv.(b) <- c;
+      conn_recvs.(c) <- conn_recvs.(c) + e_n.(e)
     end
   done;
-  idx
+  { conns; conn_src; conn_dst; conn_chan; conn_sends; conn_recvs; conn_start;
+    conn_mid; ends; block_send; block_recv; gpu_block }
 
 let index t = index_of_gpus t.gpus
 
 let find_conn idx ~src ~dst ~chan =
-  let cmp c =
-    match Int.compare src idx.conn_src.(c) with
-    | 0 -> (
-        match Int.compare dst idx.conn_dst.(c) with
-        | 0 -> Int.compare chan idx.conn_chan.(c)
-        | d -> d)
-    | d -> d
-  in
   let rec go lo hi =
     if lo >= hi then -1
     else
-      let mid = (lo + hi) / 2 in
-      match cmp mid with
-      | 0 -> mid
-      | d when d < 0 -> go lo mid
-      | _ -> go (mid + 1) hi
+      let c = (lo + hi) / 2 in
+      let d =
+        match Int.compare src idx.conn_src.(c) with
+        | 0 -> (
+            match Int.compare dst idx.conn_dst.(c) with
+            | 0 -> Int.compare chan idx.conn_chan.(c)
+            | d -> d)
+        | d -> d
+      in
+      if d = 0 then c else if d < 0 then go lo c else go (c + 1) hi
   in
   go 0 idx.conns
 

@@ -62,41 +62,37 @@ val with_proto : t -> Msccl_topology.Protocol.t -> t
 
 (** {1 The connection index}
 
-    A connection is [(src, dst, chan)]: the send side of a block on
-    [src] whose send peer is [dst], or the receive side of a block on
-    [dst] whose receive peer is [src]. A block has a send (receive)
-    endpoint when it names a send (receive) peer or has a sending
-    (receiving) step; the local rank is its gpu's [gpu_id]. Blocks are
-    numbered in IR order ([gpus], then [tbs]). The index is total: it is
-    built from any IR, so unbalanced, doubly-owned and peerless
-    connections appear in it as they are. Its memory is O(blocks). *)
+    A connection [(src, dst, chan)] is the send side of blocks on [src]
+    (by [gpu_id]) with send peer [dst], and the receive side of blocks on
+    [dst] with receive peer [src], on channel [chan]. A block has a side
+    when it names that peer or has a step of that direction. Blocks are
+    numbered in IR order. The index is total, built from any IR in
+    O(blocks) memory: unbalanced, doubly-owned and peerless connections
+    appear as they are. *)
 
 type index = {
-  conns : int;  (** Connection ids are [0 .. conns - 1]. *)
+  conns : int;  (** Ids [0 .. conns - 1], ascending in (src, dst, chan). *)
   conn_src : int array;
-      (** id -> src; ids ascend in (src, dst, chan) order. *)
   conn_dst : int array;
   conn_chan : int array;
-  conn_sends : int array;  (** id -> sending steps over its senders. *)
-  conn_recvs : int array;  (** id -> receiving steps over its receivers. *)
+  conn_sends : int array;  (** Sending steps of its senders. *)
+  conn_recvs : int array;  (** Receiving steps of its receivers. *)
   conn_start : int array;
-      (** id -> its sending blocks, [ends.(conn_start.(c))] ..
-          [ends.(conn_mid.(c) - 1)], then its receiving blocks, up to
-          [ends.(conn_start.(c + 1) - 1)]; each side in block order. *)
+      (** Id [c]'s sending blocks are [ends.(conn_start.(c))] ..
+          [ends.(conn_mid.(c) - 1)], its receiving blocks the rest up to
+          [conn_start.(c + 1)], each side in block order. *)
   conn_mid : int array;
   ends : int array;
-  block_send : int array;  (** block -> its send connection, or -1. *)
-  block_recv : int array;  (** block -> its receive connection, or -1. *)
-  gpu_block : int array;
-      (** gpu position -> its first block; one entry more than gpus. *)
+  block_send : int array;  (** Block -> its send connection, or -1. *)
+  block_recv : int array;
+  gpu_block : int array;  (** Gpu position -> its first block; and the total. *)
 }
 
 val index : t -> index
 
 val index_of_gpus :
   ?canon:(src:int -> dst:int -> int * int) -> gpu array -> index
-(** The index of some GPUs' blocks; [canon] maps every endpoint's
-    (src, dst) pair first (a cohort's orbit-canonical pair). *)
+(** The index of some GPUs; [canon] maps each side's (src, dst) first. *)
 
 val find_conn : index -> src:int -> dst:int -> chan:int -> int
 (** The id of [(src, dst, chan)], or -1. *)
