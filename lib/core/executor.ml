@@ -150,8 +150,17 @@ let schedule it comm (gpus : Ir.gpu array) =
    sending step. Leftovers are listed in id order, ascending (src, dst,
    ch). *)
 let fifos ~slots (idx : Ir.index) =
-  let queues = Array.init idx.Ir.conns (fun _ -> Queue.create ()) in
-  let queue c = if c < 0 then Queue.create () else queues.(c) in
+  let queues = Array.make idx.Ir.conns None in
+  let queue c =
+    if c < 0 then Queue.create ()
+    else
+      match queues.(c) with
+      | Some q -> q
+      | None ->
+          let q = Queue.create () in
+          queues.(c) <- Some q;
+          q
+  in
   let port ~inbox ~outbox =
     let inbox = queue inbox and outbox = queue outbox in
     {
@@ -164,13 +173,14 @@ let fifos ~slots (idx : Ir.index) =
   let in_flight () =
     let acc = ref [] in
     for c = idx.Ir.conns - 1 downto 0 do
-      let q = queues.(c) in
-      if not (Queue.is_empty q) then
-        acc :=
-          ( (idx.Ir.conn_src.(c), idx.Ir.conn_dst.(c), idx.Ir.conn_chan.(c)),
-            Queue.length q,
-            snd (Queue.peek q) )
-          :: !acc
+      match queues.(c) with
+      | Some q when not (Queue.is_empty q) ->
+          acc :=
+            ( (idx.Ir.conn_src.(c), idx.Ir.conn_dst.(c), idx.Ir.conn_chan.(c)),
+              Queue.length q,
+              snd (Queue.peek q) )
+            :: !acc
+      | Some _ | None -> ()
     done;
     !acc
   in

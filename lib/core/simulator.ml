@@ -237,12 +237,14 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
              (src - base, (((dst - base) mod p_full) + p_full) mod p_full))
            quot)
   in
+  (* Only the keys outlive the set-up. *)
+  let { Ir.conn_src; conn_dst; conn_chan; _ } = idx in
   let conns = Array.make idx.Ir.conns None in
   let conn_at c =
     match conns.(c) with
     | Some conn -> conn
     | None ->
-        let src = idx.Ir.conn_src.(c) and dst = idx.Ir.conn_dst.(c) in
+        let src = conn_src.(c) and dst = conn_dst.(c) in
         let route =
           let r = T.Topology.route topo ~src ~dst in
           match quot with
@@ -270,7 +272,7 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
               (match resolved with
               | None -> 0.
               | Some rv ->
-                  Plan.slot_stall rv ~src ~dst ~chan:idx.Ir.conn_chan.(c));
+                  Plan.slot_stall rv ~src ~dst ~chan:conn_chan.(c));
             c_ring_wire = Array.make ring 0.;
             c_ring_start = Array.make ring 0.;
             c_ring_tb = Array.make ring 0;
