@@ -569,7 +569,7 @@ let () =
           qcheck_validate_balance;
           Testutil.tc "summary counts" test_summary_counts;
         ] );
-      ( "connection index",
+      ( "conn index",
         [
           Testutil.tc "registry shapes = reference" test_index_registry;
           Testutil.tc "fuzz corpus = reference" test_index_fuzz_corpus;
