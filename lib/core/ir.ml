@@ -88,33 +88,6 @@ type index = {
   gpu_block : int array;
 }
 
-(* [perm] stably sorted by [key.(e)]: a counting sort when the keys span
-   a range not much wider than [perm], a merge sort otherwise (the span
-   of arbitrary ints may even overflow). *)
-let sort_by key perm =
-  let n = Array.length perm in
-  let lo = Array.fold_left (fun m e -> Int.min m key.(e)) max_int perm in
-  let span = Array.fold_left (fun m e -> Int.max m key.(e)) min_int perm - lo + 1 in
-  if n = 0 || span = 1 then perm
-  else if span > 0 && span <= (4 * n) + 256 then begin
-    let start = Array.make (span + 1) 0 and out = Array.make n 0 in
-    Array.iter (fun e -> start.(key.(e) - lo + 1) <- start.(key.(e) - lo + 1) + 1) perm;
-    for j = 1 to span do
-      start.(j) <- start.(j) + start.(j - 1)
-    done;
-    Array.iter
-      (fun e ->
-        out.(start.(key.(e) - lo)) <- e;
-        start.(key.(e) - lo) <- start.(key.(e) - lo) + 1)
-      perm;
-    out
-  end
-  else begin
-    let out = Array.copy perm in
-    Array.stable_sort (fun a b -> Int.compare key.(a) key.(b)) out;
-    out
-  end
-
 let index_of_gpus ?canon gpus =
   let ng = Array.length gpus in
   let gpu_block = Array.make (ng + 1) 0 in
@@ -144,17 +117,10 @@ let index_of_gpus ?canon gpus =
       Array.iteri
         (fun ti tb ->
           let b = gpu_block.(gi) + ti and ns = ref 0 and nr = ref 0 in
-          (* [Instr.sends] and [Instr.receives] in one match, as this
-             runs over every step. *)
           for si = 0 to Array.length tb.steps - 1 do
-            match tb.steps.(si).op with
-            | Instr.Send -> incr ns
-            | Instr.Recv | Instr.Recv_reduce_copy -> incr nr
-            | Instr.Recv_copy_send | Instr.Recv_reduce_send
-            | Instr.Recv_reduce_copy_send ->
-                incr ns;
-                incr nr
-            | Instr.Copy | Instr.Reduce | Instr.Nop -> ()
+            let op = tb.steps.(si).op in
+            if Instr.sends op then incr ns;
+            if Instr.receives op then incr nr
           done;
           set (2 * b) ~src:g.gpu_id ~dst:tb.send ~chan:tb.chan ~peer:tb.send !ns;
           set ((2 * b) + 1) ~src:tb.recv ~dst:g.gpu_id ~chan:tb.chan ~peer:tb.recv
@@ -165,16 +131,24 @@ let index_of_gpus ?canon gpus =
      by (src, dst, chan): each connection's senders, then its receivers,
      each in block order. *)
   let ne = Array.fold_left (fun n c -> if c >= 0 then n + 1 else n) 0 e_n in
-  let perm = Array.make ne 0 and k = ref 0 in
+  let ends = Array.make ne 0 and k = ref 0 in
   for side = 0 to 1 do
     for b = 0 to nb - 1 do
       if e_n.((2 * b) + side) >= 0 then begin
-        perm.(!k) <- (2 * b) + side;
+        ends.(!k) <- (2 * b) + side;
         incr k
       end
     done
   done;
-  let ends = sort_by e_src (sort_by e_dst (sort_by e_ch perm)) in
+  Array.stable_sort
+    (fun a e ->
+      match Int.compare e_src.(a) e_src.(e) with
+      | 0 -> (
+          match Int.compare e_dst.(a) e_dst.(e) with
+          | 0 -> Int.compare e_ch.(a) e_ch.(e)
+          | d -> d)
+      | d -> d)
+    ends;
   let same a e =
     e_src.(a) = e_src.(e) && e_dst.(a) = e_dst.(e) && e_ch.(a) = e_ch.(e)
   in
