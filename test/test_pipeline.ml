@@ -110,21 +110,36 @@ let test_compile_budget () =
       per_step limit
 
 (* [Ir.validate]'s allocation per call on all-pairs AllReduce@96 (9,120
-   thread blocks and connections), in minor words as above. With a
-   tuple-keyed balance table per direction and a claim list per peer it
-   allocated 3.1 MB per call; deciding ownership and balance from the
-   connection index, whose arrays go to the major heap, it allocates a
-   few KB. The budget is 0.5 MB. *)
+   thread blocks and connections). With a tuple-keyed balance table per
+   direction and a claim list per peer it allocated 3.1 MB per call in
+   the minor heap (3.6 MB in all). Deciding ownership and balance from
+   the connection index, it allocates 0.34 MB there, the closures of
+   [Array.stable_sort]'s merges, under a budget of 0.5 MB. The index's
+   arrays, about 1.4 MB (some 150 bytes per thread block), are too large
+   for the minor heap, so all allocation is gated too: [Gc.allocated_bytes]
+   (minor, plus major, less promoted) reads 1.5-2.0 MB per call, as
+   OCaml 5 updates the major counters in batches, so it is averaged over
+   10 calls, under a budget of 2.5 MB. *)
 let test_validate_budget () =
   let ir = Msccl_algorithms.Allpairs_allreduce.ir ~verify:false ~num_ranks:96 () in
   Ir.validate ir;
-  let before = Gc.minor_words () in
-  Ir.validate ir;
-  let bytes = (Gc.minor_words () -. before) *. float_of_int (Sys.word_size / 8) in
-  Printf.printf "allpairs@96 Ir.validate: %.0f bytes in the minor heap\n" bytes;
-  if bytes > 500_000. then
-    Alcotest.failf "Ir.validate allocates %.0f bytes per call (budget 500000)"
-      bytes
+  let calls = 10 in
+  let minor0 = Gc.minor_words () and all0 = Gc.allocated_bytes () in
+  for _ = 1 to calls do
+    Ir.validate ir
+  done;
+  let per_call x = x /. float_of_int calls in
+  let minor =
+    per_call ((Gc.minor_words () -. minor0) *. float_of_int (Sys.word_size / 8))
+  in
+  let all = per_call (Gc.allocated_bytes () -. all0) in
+  Printf.printf "allpairs@96 Ir.validate: %.0f bytes in the minor heap, %.0f in all\n"
+    minor all;
+  if minor > 500_000. then
+    Alcotest.failf "Ir.validate allocates %.0f minor-heap bytes per call (budget 500000)"
+      minor;
+  if all > 2_500_000. then
+    Alcotest.failf "Ir.validate allocates %.0f bytes per call (budget 2500000)" all
 
 let () =
   Alcotest.run "pipeline"

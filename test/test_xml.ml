@@ -323,6 +323,14 @@ let test_attribute_flood () =
     "15984 more unknown-attribute warning(s) not shown" count.I.d_message;
   Alcotest.(check int) "at the first one not shown" 125 count.I.d_pos.Xml.col;
   let dup = String.sub doc 0 (String.length doc - 3) ^ " a7=\"1\"/>" in
+  (* Positions stay exact 165 KB into the line: the duplicate a7, after
+     the 16,000th attribute. *)
+  (match I.of_string dup with
+  | Ok _ -> Alcotest.fail "duplicate attribute accepted"
+  | Error ds ->
+      let d = List.find (fun d -> d.I.d_rule = "parse") ds in
+      Alcotest.(check int) "duplicate's column" (String.length doc - 1)
+        d.I.d_pos.Xml.col);
   within ~bound:1.0 "16,000 attributes and a duplicate" (fun () ->
       match Xml.parse_tree dup with
       | _ -> Alcotest.fail "duplicate attribute accepted"
