@@ -88,6 +88,38 @@ type index = {
   gpu_block : int array;
 }
 
+(* [perm] stably sorted by [key.(e)]. A counting sort when the keys span
+   at most 4n + 256 values, a merge sort otherwise. The bound caps the
+   counting array at four times the endpoints plus a constant, so memory
+   stays O(blocks) whatever the keys, and it admits every well-formed IR:
+   peers are ranks, fewer than the endpoints, and channels are small.
+   Wider spans (huge channels, stray peers; a span of arbitrary ints may
+   even overflow) take the merge sort. The counting path is the faster
+   one (DESIGN.md, "The connection index"). *)
+let sort_by key perm =
+  let n = Array.length perm in
+  let lo = Array.fold_left (fun m e -> Int.min m key.(e)) max_int perm in
+  let span = Array.fold_left (fun m e -> Int.max m key.(e)) min_int perm - lo + 1 in
+  if n = 0 || span = 1 then perm
+  else if span > 0 && span <= (4 * n) + 256 then begin
+    let start = Array.make (span + 1) 0 and out = Array.make n 0 in
+    Array.iter (fun e -> start.(key.(e) - lo + 1) <- start.(key.(e) - lo + 1) + 1) perm;
+    for j = 1 to span do
+      start.(j) <- start.(j) + start.(j - 1)
+    done;
+    Array.iter
+      (fun e ->
+        out.(start.(key.(e) - lo)) <- e;
+        start.(key.(e) - lo) <- start.(key.(e) - lo) + 1)
+      perm;
+    out
+  end
+  else begin
+    let out = Array.copy perm in
+    Array.stable_sort (fun a b -> Int.compare key.(a) key.(b)) out;
+    out
+  end
+
 let index_of_gpus ?canon gpus =
   let ng = Array.length gpus in
   let gpu_block = Array.make (ng + 1) 0 in
@@ -131,24 +163,16 @@ let index_of_gpus ?canon gpus =
      by (src, dst, chan): each connection's senders, then its receivers,
      each in block order. *)
   let ne = Array.fold_left (fun n c -> if c >= 0 then n + 1 else n) 0 e_n in
-  let ends = Array.make ne 0 and k = ref 0 in
+  let perm = Array.make ne 0 and k = ref 0 in
   for side = 0 to 1 do
     for b = 0 to nb - 1 do
       if e_n.((2 * b) + side) >= 0 then begin
-        ends.(!k) <- (2 * b) + side;
+        perm.(!k) <- (2 * b) + side;
         incr k
       end
     done
   done;
-  Array.stable_sort
-    (fun a e ->
-      match Int.compare e_src.(a) e_src.(e) with
-      | 0 -> (
-          match Int.compare e_dst.(a) e_dst.(e) with
-          | 0 -> Int.compare e_ch.(a) e_ch.(e)
-          | d -> d)
-      | d -> d)
-    ends;
+  let ends = sort_by e_src (sort_by e_dst (sort_by e_ch perm)) in
   let same a e =
     e_src.(a) = e_src.(e) && e_dst.(a) = e_dst.(e) && e_ch.(a) = e_ch.(e)
   in

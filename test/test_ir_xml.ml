@@ -415,9 +415,9 @@ let test_index_malformed () =
     (on_gpu 3 (fun tb -> { tb with Ir.send = -1; steps = [||] }));
   check_index "unbalanced"
     (on_gpu 0 (ops (function Instr.Send -> Instr.Nop | op -> op)));
-  check_index "wide channels"
+  check_index "wide channels: merge sort"
     (on_gpu 1 (fun tb -> { tb with Ir.chan = 1_000_000 * (tb.Ir.tb_id + 1) }));
-  check_index "channels of max_int and min_int"
+  check_index "overflowing spans: channels of max_int and min_int"
     (on_gpu 1 (fun tb ->
          { tb with Ir.chan = (if tb.Ir.tb_id = 0 then max_int else min_int) }));
   check_index "gpu ids out of order"

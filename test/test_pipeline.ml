@@ -113,13 +113,13 @@ let test_compile_budget () =
    thread blocks and connections). With a tuple-keyed balance table per
    direction and a claim list per peer it allocated 3.1 MB per call in
    the minor heap (3.6 MB in all). Deciding ownership and balance from
-   the connection index, it allocates 0.34 MB there, the closures of
-   [Array.stable_sort]'s merges, under a budget of 0.5 MB. The index's
-   arrays, about 1.4 MB (some 150 bytes per thread block), are too large
-   for the minor heap, so all allocation is gated too: [Gc.allocated_bytes]
-   (minor, plus major, less promoted) reads 1.5-2.0 MB per call, as
-   OCaml 5 updates the major counters in batches, so it is averaged over
-   10 calls, under a budget of 2.5 MB. *)
+   the connection index, it allocates about 16 KB there, under a budget
+   of 0.5 MB. The index's arrays and its sort's scratch, about 1.7 MB
+   (some 190 bytes per thread block), are too large for the minor heap,
+   so all allocation is gated too: [Gc.allocated_bytes] (minor, plus
+   major, less promoted) varies by call, as OCaml 5 updates the major
+   counters in batches, so it is averaged over 10 calls, under a budget
+   of 2.5 MB. *)
 let test_validate_budget () =
   let ir = Msccl_algorithms.Allpairs_allreduce.ir ~verify:false ~num_ranks:96 () in
   Ir.validate ir;
