@@ -191,6 +191,51 @@ let prop_reference_random_routing =
       let channels = if channels = 0 then None else Some channels in
       agrees_with_reference (Testutil.Random_routing.dag ?channels seed))
 
+(* A dependent the rrs pass finds only in the absorbed send's row. Rank
+   1 reduces rank 0's chunk into its input (the rrc [r]), forwards the
+   sum to rank 2 (the send [s]) and then receives rank 2's input over it
+   (the receive [j]). Lowering gives [j] both [r] and [s] as
+   dependencies; dropping [r], which [s] already orders before [j], puts
+   [j] in [s]'s successor row only, as in a transitively reduced DAG.
+   Fusion turns [r] and [s] into an rrcs, and [j], now a dependent of
+   the rrcs, overwrites its whole result, which nothing reads: an rrs.
+   Two copies are lowered and edited alike, one fused by [Fusion], the
+   other by [Lower_ref]. *)
+let test_reference_absorbed_row () =
+  let c = coll ~ranks:3 ~c:1 () in
+  let build () =
+    let dag =
+      lower ~coll:c (fun p ->
+          let theirs = Program.chunk p ~rank:0 Buffer_id.Input ~index:0 () in
+          let own = Program.chunk p ~rank:1 Buffer_id.Input ~index:0 () in
+          let sum = Program.reduce own theirs () in
+          ignore (Program.copy sum ~rank:2 Buffer_id.Scratch ~index:0 ());
+          let other = Program.chunk p ~rank:2 Buffer_id.Input ~index:0 () in
+          ignore (Program.copy other ~rank:1 Buffer_id.Input ~index:0 ()))
+    in
+    let on_rank1 op =
+      List.find
+        (fun (i : Instr.t) -> i.Instr.rank = 1 && i.Instr.op = op)
+        (Instr_dag.live dag)
+    in
+    let r = on_rank1 Instr.Recv_reduce_copy
+    and s = on_rank1 Instr.Send
+    and j = on_rank1 Instr.Recv in
+    Alcotest.(check (list int)) "j depends on r and s"
+      [ r.Instr.id; s.Instr.id ] j.Instr.deps;
+    j.Instr.deps <- [ s.Instr.id ];
+    Instr_dag.validate dag;
+    dag
+  in
+  let a = build () and b = build () in
+  let sa = Fusion.fuse a and sb = Lower_ref.fuse b in
+  Alcotest.(check (list int)) "rcs, rrcs, rrs" [ 0; 1; 1 ]
+    [ sa.Fusion.rcs; sa.Fusion.rrcs; sa.Fusion.rrs ];
+  Alcotest.(check bool) "same stats as the reference" true (sa = sb);
+  Alcotest.(check bool) "same instructions as the reference" true
+    (a.Instr_dag.instrs = b.Instr_dag.instrs);
+  Instr_dag.validate a
+
 (* Every registry shape: [Testutil.registry_dag] compiles to the
    registry's own IR, and its lowering and fusion match the reference. *)
 let test_reference_registry () =
@@ -265,5 +310,7 @@ let () =
           prop_reference_random_routing;
           Testutil.tc "registry shapes" test_reference_registry;
           Testutil.tc "hint slices" test_reference_hint_slices;
+          Testutil.tc "dependent in the absorbed row"
+            test_reference_absorbed_row;
         ] );
     ]

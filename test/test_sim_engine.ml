@@ -29,49 +29,151 @@ let prop_pqueue_sorts =
       List.iter (fun (p, v) -> P.add q ~priority:p v) entries;
       List.map fst (drain q) = List.sort compare (List.map fst entries))
 
-(* The int heap against the generic swap-based heap it replaced: any
-   interleaving of pushes and pops, with priorities drawn from a handful
-   of values (equal floats, [0.] and [-0.], [infinity]) so that most
-   comparisons are ties, pops the same (priority, value) sequence. A
-   [None] step pops, a [Some p] pushes the next value at [p]. *)
+(* The int heap against the generic swap-based heap it replaced: [Pop]
+   pops both, [Push p] pushes the next value at [p] and [Push_min] pushes
+   it at the reference's current minimum (at [0.] when it is empty). At
+   the end both are drained, and the two (priority, value) sequences must
+   be equal, priorities bit for bit, as must the lengths after every
+   step. *)
+type op = Pop | Push of float | Push_min
+
+let print_ops ops =
+  String.concat " "
+    (List.map
+       (function
+         | Pop -> "pop" | Push p -> Printf.sprintf "%h" p | Push_min -> "min")
+       ops)
+
+let matches_reference ops =
+  let q = P.create () and r = Pqueue_ref.create () in
+  let popped = ref [] and popped_ref = ref [] and lengths_agree = ref true in
+  let pop () =
+    if not (P.is_empty q) then begin
+      let p = P.min_priority q in
+      popped := (p, P.pop_min q) :: !popped
+    end;
+    match Pqueue_ref.pop r with
+    | Some e -> popped_ref := e :: !popped_ref
+    | None -> ()
+  in
+  let push v p =
+    P.add q ~priority:p v;
+    Pqueue_ref.add r ~priority:p v
+  in
+  List.iteri
+    (fun v op ->
+      (match op with
+      | Pop -> pop ()
+      | Push p -> push v p
+      | Push_min ->
+          push v (match Pqueue_ref.peek r with Some (p, _) -> p | None -> 0.));
+      if P.length q <> Pqueue_ref.length r then lengths_agree := false)
+    ops;
+  while not (P.is_empty q && Pqueue_ref.is_empty r) do
+    pop ()
+  done;
+  !lengths_agree && P.length q = 0
+  && List.equal
+       (fun (p1, v1) (p2, v2) ->
+         Int64.equal (Int64.bits_of_float p1) (Int64.bits_of_float p2)
+         && v1 = v2)
+       !popped !popped_ref
+
+(* Single pushes and pops, with priorities drawn from a handful of values
+   (equal floats, [0.] and [-0.], [infinity]) so that most comparisons
+   are ties. *)
 let prop_pqueue_matches_reference =
   let prio = Q.Gen.oneofl [ 0.; -0.; 1.; 1.; 2.5; 1e-300; infinity ] in
-  let step = Q.Gen.(frequency [ (1, return None); (2, map Option.some prio) ]) in
-  let print ops =
-    String.concat " "
-      (List.map
-         (function None -> "pop" | Some p -> Printf.sprintf "%h" p)
-         ops)
+  let step =
+    Q.Gen.(frequency [ (1, return Pop); (2, map (fun p -> Push p) prio) ])
   in
   Testutil.qtest ~count:500 "int heap = reference heap on ties"
-    (Q.make ~print Q.Gen.(list_size (int_range 0 400) step))
-    (fun ops ->
-      let q = P.create () and r = Pqueue_ref.create () in
-      let popped = ref [] and popped_ref = ref [] in
-      let pop () =
-        if not (P.is_empty q) then begin
-          let p = P.min_priority q in
-          popped := (p, P.pop_min q) :: !popped
-        end;
-        match Pqueue_ref.pop r with
-        | Some e -> popped_ref := e :: !popped_ref
-        | None -> ()
-      in
-      List.iteri
-        (fun v -> function
-          | None -> pop ()
-          | Some p ->
-              P.add q ~priority:p v;
-              Pqueue_ref.add r ~priority:p v)
-        ops;
-      while not (P.is_empty q && Pqueue_ref.is_empty r) do
-        pop ()
-      done;
-      List.equal
-        (fun (p1, v1) (p2, v2) ->
-          Int64.equal (Int64.bits_of_float p1) (Int64.bits_of_float p2)
-          && v1 = v2)
-        !popped !popped_ref)
+    (Q.make ~print:print_ops Q.Gen.(list_size (int_range 0 400) step))
+    matches_reference
+
+(* Runs, as a lockstep simulation pushes them: blocks of 1-64 pushes at
+   one priority (now and then a [0.], [-0.] or [infinity] inside), blocks
+   of pops that stop mid-run, and blocks that pop and push back at the
+   new minimum, appending to the run being drained and reopening a
+   priority once its run has drained. *)
+let prop_pqueue_runs_match_reference =
+  let open Q.Gen in
+  let prio = oneofl [ 0.; -0.; 1.; 2.5; 1e-300; infinity ] in
+  let special = oneofl [ 0.; -0.; infinity ] in
+  let block =
+    int_range 1 64 >>= fun k ->
+    frequency
+      [
+        ( 3,
+          prio >>= fun p ->
+          list_repeat k
+            (frequency [ (7, return (Push p)); (1, map (fun p -> Push p) special) ])
+        );
+        (2, return (List.init k (fun _ -> Pop)));
+        (2, return (List.concat (List.init k (fun _ -> [ Pop; Push_min ]))));
+        (1, return (List.init k (fun _ -> Push_min)));
+      ]
+  in
+  Testutil.qtest ~count:300 "int heap = reference heap on runs"
+    (Q.make ~print:print_ops (map List.concat (list_size (int_range 1 24) block)))
+    matches_reference
+
+(* A fixed cycle of priorities with runs of several lengths, a repeat
+   after a drain, both zeros and [infinity]; boxed in a list so that
+   passing one allocates nothing. *)
+let cycle_prios =
+  List.concat_map
+    (fun (p, k) -> List.init k (fun _ -> p))
+    [
+      (1., 5); (2., 1); (1., 3); (0., 2); (-0., 2); (infinity, 4); (3., 17);
+      (2., 1); (0.5, 64); (4., 1); (4., 9);
+    ]
+
+(* [n] pop-then-push steps through [ps] (restarting from [all]); the sum
+   of the popped values. *)
+let rec cycle q n ps all acc =
+  if n = 0 then acc
+  else
+    match ps with
+    | [] -> cycle q n all all acc
+    | p :: rest ->
+        let v = P.pop_min q in
+        P.add q ~priority:p n;
+        cycle q (n - 1) rest all (acc + v)
+
+let rec fill q i ps =
+  if i < 256 then
+    match ps with
+    | [] -> fill q i cycle_prios
+    | p :: rest ->
+        P.add q ~priority:p i;
+        fill q (i + 1) rest
+
+let rec drain_sum q acc =
+  if P.is_empty q then acc else drain_sum q (acc + P.pop_min q)
+
+(* Fill to 256 live elements, cycle, drain. *)
+let pass q =
+  fill q 0 cycle_prios;
+  drain_sum q (cycle q 20_000 cycle_prios cycle_prios 0)
+
+(* The second pass, with every array grown by the first, allocates
+   nothing: no minor words, and no major words either, where a grown
+   array longer than the minor heap's limit would go. ([Gc.counters]
+   counts those at once; [Gc.quick_stat] counts them only at a major
+   slice.) *)
+let test_pqueue_steady_state_allocates_nothing () =
+  let q = P.create () in
+  let warm = pass q in
+  let _, _, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let again = pass q in
+  let minor = Gc.minor_words () -. minor0 in
+  let _, _, major1 = Gc.counters () in
+  let major = major1 -. major0 in
+  Alcotest.(check int) "same answers" warm again;
+  Alcotest.(check (float 0.)) "minor words after warm-up" 0. minor;
+  Alcotest.(check (float 0.)) "major words after warm-up" 0. major
 
 let test_single_flow_timing () =
   let eng = E.create ~capacities:[| 100. |] in
@@ -532,6 +634,9 @@ let () =
           Testutil.tc "order" test_pqueue_order;
           prop_pqueue_sorts;
           prop_pqueue_matches_reference;
+          prop_pqueue_runs_match_reference;
+          Testutil.tc "steady state allocates nothing"
+            test_pqueue_steady_state_allocates_nothing;
         ] );
       ( "flows",
         [

@@ -175,6 +175,35 @@ let test_registry_digests () =
       (268435456., "d03b75dc26aebfa17a0c6217ad45998f");
     ]
 
+(* Every tuner candidate on ndv4 at 1, 2 and 4 nodes, at the tune-sweep
+   grid (1 KiB times 4^i, i < 11), with the candidate's own tile cap: the
+   shapes the registry digests miss (ring r=24, hierarchical at
+   [max_tiles:16], two-step AllToAll). *)
+let test_tuner_digest () =
+  let module Tn = Msccl_harness.Tuner in
+  let sizes = List.init 11 (fun i -> 1024. *. (4. ** float_of_int i)) in
+  let lines =
+    List.concat_map
+      (fun nodes ->
+        let topo = T.Presets.ndv4 ~nodes in
+        List.concat_map
+          (fun (c : Tn.candidate) ->
+            List.map
+              (fun buffer_bytes ->
+                result_line
+                  (Printf.sprintf "ndv4:%d %s %.0f" nodes c.Tn.cand_name
+                     buffer_bytes)
+                  (Simulator.run_buffer ~topo ~buffer_bytes
+                     ~max_tiles:c.Tn.cand_max_tiles ~check_occupancy:false
+                     c.Tn.cand_ir))
+              sizes)
+          (Tn.allreduce_candidates topo @ Tn.alltoall_candidates topo))
+      [ 1; 2; 4 ]
+  in
+  Alcotest.(check int) "runs" (11 * (5 + 5 + 5)) (List.length lines);
+  Alcotest.(check string) "tuner candidates" "1ee8a6fb2105408fa875ab83b9116bb5"
+    (digest_of lines)
+
 let ring16 () = A.Ring_allreduce.ir ~num_ranks:16 ~channels:2 ()
 
 let test_fault_digest () =
@@ -250,6 +279,7 @@ let () =
       ( "simulate digests",
         [
           Testutil.tc "registry" test_registry_digests;
+          Testutil.tc "tuner candidates" test_tuner_digest;
           Testutil.tc "fault plan" test_fault_digest;
           Testutil.tc "timeline" test_timeline_digest;
           Testutil.tc "cohort" test_cohort_digest;
