@@ -39,8 +39,8 @@ let critical_path_of (ir : Ir.t) = Hbgraph.longest_path (Hbgraph.build ir)
 
 (* A view of the connection index: the connections that carry sends, in
    id (src, dst, channel) order. *)
-let sending_connections (ir : Ir.t) =
-  let idx = Ir.index ir in
+let sending_connections ?idx (ir : Ir.t) =
+  let idx = match idx with Some i -> i | None -> Ir.index ir in
   let chunks = Array.make idx.Ir.conns 0 and b = ref 0 in
   Array.iter
     (fun (g : Ir.gpu) ->
@@ -69,8 +69,8 @@ let sending_connections (ir : Ir.t) =
 let by_volume chunks l =
   List.stable_sort (fun a b -> Int.compare (chunks b) (chunks a)) l
 
-let connections ir =
-  by_volume (fun c -> c.conn_chunks) (sending_connections ir)
+let connections ?idx ir =
+  by_volume (fun c -> c.conn_chunks) (sending_connections ?idx ir)
 
 let analyze (ir : Ir.t) =
   let fused = ref 0 and reductions = ref 0 and locals = ref 0 in

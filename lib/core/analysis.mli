@@ -50,10 +50,11 @@ type t = {
 
 val analyze : Ir.t -> t
 
-val connections : Ir.t -> connection list
+val connections : ?idx:Ir.index -> Ir.t -> connection list
 (** The [connections] field of {!analyze} alone, without building the
     happens-before graph: sends and chunks per (src, dst, channel), sorted
-    by descending chunk volume, then by (src, dst, channel). *)
+    by descending chunk volume, then by (src, dst, channel). [idx] is the
+    IR's connection index, built when absent. *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable report. *)

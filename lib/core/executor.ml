@@ -206,6 +206,7 @@ module type S = sig
 
   val run :
     ?slots:int ->
+    ?idx:Ir.index ->
     ?on_deliver:
       (state ->
       src:int * int * int ->
@@ -244,7 +245,7 @@ module Make (V : VALUE) = struct
   let scratch st ~rank = st.buffers.(rank).b_scratch
   let steps_executed st = st.executed
 
-  let run ?slots ?on_deliver ?on_write ~init (ir : Ir.t) =
+  let run ?slots ?idx ?on_deliver ?on_write ~init (ir : Ir.t) =
     let slots =
       match slots with
       | Some s -> s
@@ -335,7 +336,7 @@ module Make (V : VALUE) = struct
       | Some f -> f st ~src:sender ~dst:at ~op:(step_op ir at) ~payload
       | None -> ()
     in
-    let idx = Ir.index ir in
+    let idx = match idx with Some i -> i | None -> Ir.index ir in
     let port, in_flight = fifos ~slots idx in
     let o =
       schedule
@@ -380,7 +381,7 @@ end
 module Symbolic = struct
   include Make (Chunk_value)
 
-  let run_collective ?slots ?on_deliver ?on_write (ir : Ir.t) =
+  let run_collective ?slots ?idx ?on_deliver ?on_write (ir : Ir.t) =
     let coll = ir.Ir.collective in
     let in_size = Collective.input_buffer_size coll in
     let init ~rank ~index =
@@ -389,7 +390,7 @@ module Symbolic = struct
         let c = Collective.precondition coll ~rank ~index in
         if Chunk.is_uninit c then None else Some c
     in
-    run ?slots ?on_deliver ?on_write ~init ir
+    run ?slots ?idx ?on_deliver ?on_write ~init ir
 end
 
 module Float_value = struct

@@ -123,6 +123,7 @@ module type S = sig
 
   val run :
     ?slots:int ->
+    ?idx:Ir.index ->
     ?on_deliver:
       (state ->
       src:int * int * int ->
@@ -137,7 +138,8 @@ module type S = sig
   (** Executes the program. [init] gives the initial contents of every
       rank's input buffer ([None] = uninitialized); [slots] bounds
       outstanding sends per connection (default: the IR protocol's slot
-      count). [on_deliver] is called once per message, just before the
+      count); [idx] is the IR's connection index, built when absent.
+      [on_deliver] is called once per message, just before the
       receiving step consumes it, with the sending and receiving steps'
       [(gpu, tb, step)] coordinates, the receiving opcode and the payload;
       the [state] argument reflects the buffers {e before} the receive
@@ -165,6 +167,7 @@ module Symbolic : sig
 
   val run_collective :
     ?slots:int ->
+    ?idx:Ir.index ->
     ?on_deliver:
       (state ->
       src:int * int * int ->

@@ -14,6 +14,7 @@ type t = {
   gpu_lo : int array;  (* gpu id -> [gpu_lo, gpu_hi) node id range *)
   gpu_hi : int array;
   mismatches : (int * int * int * int * int) list;
+  idx : Ir.index;  (* the IR's connection index *)
   mutable sorted : bool;  (* Kahn's algorithm has run *)
   mutable order : int array;
       (* the nodes Kahn's algorithm reaches, in pop order — every node iff
@@ -84,6 +85,8 @@ let succs t i =
 
 let mismatched_connections t = t.mismatches
 
+let index t = t.idx
+
 (* An int array filled from the front, sized up front. *)
 type ints = { a : int array; mutable len : int }
 
@@ -127,7 +130,7 @@ let rec push_depends t gid i dep_src dep_dst = function
          | _ -> ());
       push_depends t gid i dep_src dep_dst rest
 
-let build ?fifo_slots (ir : Ir.t) =
+let build ?fifo_slots ?idx (ir : Ir.t) =
   let gpus = ir.Ir.gpus in
   (* Node ids are dense over (gpu, tb, step) in IR order; a block is
      found by (gpu id, tb id), a later duplicate taking the key. *)
@@ -179,6 +182,7 @@ let build ?fifo_slots (ir : Ir.t) =
           end)
         g.Ir.tbs)
     gpus;
+  let idx = match idx with Some i -> i | None -> Ir.index ir in
   let t0 =
     {
       n;
@@ -192,6 +196,7 @@ let build ?fifo_slots (ir : Ir.t) =
       gpu_lo;
       gpu_hi;
       mismatches = [];
+      idx;
       sorted = false;
       order = [||];
       pos = [||];
@@ -236,7 +241,6 @@ let build ?fifo_slots (ir : Ir.t) =
     gpus;
   (* Every sending (receiving) node of every block on a connection's
      send (receive) side, in IR order, into [buf]; returns how many. *)
-  let idx = Ir.index ir in
   let nodes bit lo hi buf =
     let k = ref 0 in
     for j = lo to hi - 1 do

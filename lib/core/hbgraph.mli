@@ -38,11 +38,15 @@
 
 type t
 
-val build : ?fifo_slots:int -> Ir.t -> t
+val build : ?fifo_slots:int -> ?idx:Ir.index -> Ir.t -> t
 (** Builds the graph. When [fifo_slots] is given, FIFO back-pressure
     edges for that slot count are included (use the protocol's
     {!Msccl_topology.Protocol.num_slots}); when absent they are left out,
-    which is what data-flow analyses (critical path) want. *)
+    which is what data-flow analyses (critical path) want. [idx] is the
+    IR's connection index, built when absent. *)
+
+val index : t -> Ir.index
+(** The connection index the graph was built from. *)
 
 val num_nodes : t -> int
 

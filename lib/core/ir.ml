@@ -232,12 +232,12 @@ let find_conn idx ~src ~dst ~chan =
   in
   go 0 idx.conns
 
-let validate t =
+let validate ?idx t =
   let ranks = num_ranks t in
   if ranks <> t.collective.Collective.num_ranks then
     fail "Ir: %d gpus but collective wants %d" ranks
       t.collective.Collective.num_ranks;
-  let idx = index t in
+  let idx = match idx with Some i -> i | None -> index t in
   Array.iteri
     (fun gi g ->
       if g.gpu_id <> gi then fail "Ir: gpu id mismatch";

@@ -97,13 +97,14 @@ val index_of_gpus :
 val find_conn : index -> src:int -> dst:int -> chan:int -> int
 (** The id of [(src, dst, chan)], or -1. *)
 
-val validate : t -> unit
+val validate : ?idx:index -> t -> unit
 (** Structural invariants: peers in range; sending/receiving steps only in
     thread blocks with the matching connection; at most one sending and one
     receiving thread block per (gpu, peer, channel) connection; dependency
     references valid and [has_dep] consistent; send/receive counts matched
     per connection, the lowest unbalanced connection named first. Raises
-    [Invalid_argument] with a message. *)
+    [Invalid_argument] with a message. [idx] is [t]'s index, built when
+    absent. *)
 
 val equal : t -> t -> bool
 (** Structural equality: name, protocol, collective shape
