@@ -25,8 +25,9 @@ type stats = {
 val total : stats -> int
 
 val fuse : Instr_dag.t -> stats
-(** Applies all three rewrites in place (then callers typically
-    {!Instr_dag.compact}). Returns how many of each fired. *)
+(** Applies all three rewrites in place, leaving the absorbed
+    instructions dead ({!Schedule.run} skips them). Returns how many of
+    each fired. *)
 
 val fuse_rcs : Instr_dag.t -> int
 (** Only the recv+send rewrite; exposed for targeted tests. Each of these

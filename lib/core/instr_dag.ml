@@ -398,27 +398,6 @@ let depths t =
   in
   (by_id g.depth, by_id g.rdepth)
 
-let compact t =
-  let remap = Array.make (Array.length t.instrs) (-1) in
-  let live_list = live t in
-  List.iteri (fun fresh i -> remap.(i.Instr.id) <- fresh) live_list;
-  let map_id d =
-    if remap.(d) < 0 then invalid_arg "Instr_dag.compact: dep on dead instr"
-    else remap.(d)
-  in
-  let instrs =
-    List.mapi
-      (fun fresh (i : Instr.t) ->
-        {
-          i with
-          Instr.id = fresh;
-          deps = List.sort Int.compare (List.map map_id i.Instr.deps);
-          comm_pred = Option.map map_id i.Instr.comm_pred;
-        })
-      live_list
-  in
-  { t with instrs = Array.of_list instrs }
-
 let checked_graph t =
   let n = Array.length t.instrs in
   Array.iteri

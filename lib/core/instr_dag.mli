@@ -23,12 +23,6 @@ val live : t -> Instr.t list
 
 val num_live : t -> int
 
-val compact : t -> t
-(** Drops dead instructions and renumbers ids densely (dependencies and
-    communication edges are remapped). {!Replicate.run} compacts its
-    fused slice before lifting it; {!Schedule.run} reads a fused DAG in
-    place instead. *)
-
 val successors_csr : t -> int array * int array
 (** Forward adjacency (processing and communication edges of live
     instructions) as flat compressed-sparse-row arrays [(off, targets)]:
@@ -39,8 +33,8 @@ val successors_csr : t -> int array * int array
 type graph = {
   live : int array;  (** Dense id -> instruction id, ascending. *)
   dense : int array;
-      (** Instruction id -> dense id, [-1] when dead: the ids {!compact}
-          would give. *)
+      (** Instruction id -> dense id, [-1] when dead: live instructions
+          numbered in id order. *)
   off : int array;
   tgt : int array;
       (** Successors of dense id [k], ascending:
@@ -49,20 +43,20 @@ type graph = {
   depth : int array;  (** Longest distance from any root, per dense id. *)
   rdepth : int array;  (** Longest distance to any leaf, per dense id. *)
 }
-(** The live instructions under dense ids and their dependency graph. *)
-
-val graph : t -> graph
-(** Built in one pass per edge set and one Kahn pass, which also orders
-    both depth sweeps. Raises [Invalid_argument] on a cycle or an edge from
-    a dead instruction. {!Schedule} reads the DAG through it. *)
+(** The live instructions under dense ids and their dependency graph,
+    built in one pass per edge set and one Kahn pass, which also orders
+    both depth sweeps. *)
 
 val depths : t -> int array * int array
-(** [(depth, reverse_depth)] of {!graph}, indexed by instruction id (0 for
-    dead instructions). {!Fusion} tie-breaks candidate sends with the
-    reverse depth (§4.3). *)
+(** [(depth, reverse_depth)] of the {!type:graph}, indexed by instruction
+    id (0 for dead instructions). {!Fusion} tie-breaks candidate sends
+    with the reverse depth (§4.3). Raises [Invalid_argument] on a cycle or
+    an edge from a dead instruction. *)
 
 val checked_graph : t -> graph
-(** {!validate}'s checks, then {!graph}. *)
+(** {!validate}'s checks, then the {!type:graph}, raising
+    [Invalid_argument] as {!validate} does. {!Schedule} reads the DAG
+    through it. *)
 
 val validate : t -> unit
 (** Structural checks: dependency ids valid, same-rank deps, matching

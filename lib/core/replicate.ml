@@ -10,14 +10,17 @@
       instruction of rank r in slice 0 is, under pi^(-r), an instruction
       of rank 0 in slice (-r) — rank 0's full program is exactly the
       lifted multiset;
-   3. schedule the lifted instructions with Schedule's own core
-      (Schedule.rank_tbs: same thread-block formation, priorities and
+   3. schedule the lifted instructions on Schedule.run's own path
+      (Schedule.rank_tbs: the fused slice's one checked graph and its
+      channels, then the same thread-block formation, priorities and
       FIFO back-pressure), keying each connection's FIFO state by its
       *orbit* ((dst - src) mod P, channel) instead of the connection
-      itself. A lifted receive's matching send lives on a peer rank, but
-      the peer's program is a rotation of rank 0's, so the peer's k-th
-      send on the orbit is rank 0's k-th send on the same orbit — FIFO
-      matching against rank 0's own sends reproduces the global schedule;
+      itself. The slice is read in place and lifted as it is placed. A
+      lifted receive's matching send lives on a peer rank, but the
+      peer's program is a rotation of rank 0's, so the peer's k-th send
+      on the orbit is rank 0's k-th send on the same orbit — FIFO
+      matching against rank 0's own sends reproduces the global
+      schedule;
    4. instantiate gpus 1..P-1 from gpu 0 by index arithmetic (peers by
       +g mod P, chunk indices by the hint's per-slice deltas), renumbering
       each rank's thread blocks with Schedule.tb_order, the order the
@@ -73,11 +76,7 @@ let run ?(proto = Msccl_topology.Protocol.Simple) ?name
     if fuse then Fusion.fuse idag else { Fusion.rcs = 0; rrcs = 0; rrs = 0 }
   in
   let after = Instr_dag.num_live idag in
-  let b = Instr_dag.compact idag in
-  Instr_dag.validate b;
-  Schedule.assign_channels b;
-  if Array.length b.Instr_dag.instrs = 0 then
-    bail "representative slice is empty";
+  if after = 0 then bail "representative slice is empty";
   (* 2. Lift to rank 0. *)
   let m_in = Collective.input_buffer_size coll in
   let m_out = Collective.output_buffer_size coll in
@@ -112,16 +111,15 @@ let run ?(proto = Msccl_topology.Protocol.Simple) ?name
     }
   in
   (* 3. Schedule the lifted instructions with orbit-keyed connections. *)
-  let lifted =
-    { b with Instr_dag.instrs = Array.map lift b.Instr_dag.instrs }
-  in
   let gpu0_tbs =
-    try
-      (Schedule.rank_tbs
-         ~slots:(Msccl_topology.Protocol.num_slots proto)
-         ~conn:(fun ~src ~dst ~ch -> ((dst - src + p) mod p, ch))
-         lifted).(0)
-    with Schedule.Scheduling_error m -> bail "quotient schedule: %s" m
+    match
+      Schedule.rank_tbs
+        ~slots:(Msccl_topology.Protocol.num_slots proto)
+        ~conn:(fun ~src ~dst ~ch -> ((dst - src + p) mod p, ch))
+        ~lift idag
+    with
+    | Ok tbs -> tbs.(0)
+    | Error m -> bail "quotient schedule: %s" m
   in
   let gpu0 =
     {

@@ -10,8 +10,8 @@
     pipeline) and treat {!Fallback} as "use the full path". *)
 
 exception Fallback of string
-(** The hint cannot be exploited (identity or non-coprime shift,
-    wrapping chunk footprint, a {!Schedule.Scheduling_error} on the
+(** The hint cannot be exploited (identity or non-coprime shift, an
+    empty slice, wrapping chunk footprint, a placement failure on the
     representative rank, ...). Never an error: callers fall back to the
     full pipeline. *)
 
@@ -37,10 +37,12 @@ val run :
   ?fuse:bool ->
   Collective.t ->
   result
-(** Raises {!Fallback} when the fast path does not apply. The
-    representative rank is scheduled by {!Schedule.rank_tbs} with [proto]'s
-    FIFO slot count and connections keyed by their rank-shift orbit
-    ((dst - src) mod P, channel). Every other rank's thread blocks are
+(** Raises {!Fallback} when the fast path does not apply. The fused
+    slice is scheduled by {!Schedule.rank_tbs}, lifted to the
+    representative rank, with [proto]'s FIFO slot count and connections
+    keyed by their rank-shift orbit ((dst - src) mod P, channel);
+    conflicting channel directives in the slice raise
+    {!Schedule.Scheduling_error} as {!Schedule.run} would. Every other rank's thread blocks are
     the representative's with translated peers, renumbered by
     {!Schedule.tb_order} as {!Schedule.run} would number them. The
     returned IR is structurally valid on the representative gpu and

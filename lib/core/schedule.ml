@@ -2,16 +2,12 @@ exception Scheduling_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Scheduling_error s)) fmt
 
-(* The scheduler reads the DAG in place, through [Instr_dag.graph]: dense
+(* The scheduler reads the DAG in place, through its checked graph: dense
    id [k] names live instruction [g.live.(k)], and [g.dense.(id)] is
-   instruction [id]'s dense id (-1 when dead). Dense ids are the ids a
-   compacted copy would carry, so everything below (priorities,
-   tie-breaks, error texts) reads as it did on that copy, which is no
-   longer made. *)
+   instruction [id]'s dense id (-1 when dead). Dense ids number the live
+   instructions in id order, so priorities, tie-breaks and error texts
+   read the same whatever the dead instructions. *)
 type view = { instrs : Instr.t array; g : Instr_dag.graph }
-
-let view_of (dag : Instr_dag.t) ~graph =
-  { instrs = dag.Instr_dag.instrs; g = graph dag }
 
 let instr v k = v.instrs.(v.g.Instr_dag.live.(k))
 
@@ -24,9 +20,9 @@ let instr v k = v.instrs.(v.g.Instr_dag.live.(k))
    connections, so channels are constant over connected components of the
    "comm edge" graph. User directives seed components; the rest get the
    lowest channel (0). Conflicting directives inside a component are
-   errors, naming instructions by [name k]. Returns each dense id's
+   errors, naming instructions by dense id. Returns each dense id's
    channel. *)
-let channels v ~name =
+let channels v =
   let dense = v.g.Instr_dag.dense in
   let m = Array.length v.g.Instr_dag.live in
   let uf = Union_find.create m in
@@ -50,15 +46,9 @@ let channels v ~name =
           error
             "conflicting channel directives %d (instr %d) and %d (instr %d) \
              on one fused/communication chain"
-            chosen.(root) (name witness.(root)) c (name k)
+            chosen.(root) witness.(root) c k
   done;
   Array.init m (fun k -> chosen.(Union_find.find uf k))
-
-let assign_channels (dag : Instr_dag.t) =
-  let v = view_of dag ~graph:Instr_dag.graph in
-  let live = v.g.Instr_dag.live in
-  let chan = channels v ~name:(fun k -> live.(k)) in
-  Array.iteri (fun k id -> v.instrs.(id).Instr.ch <- Some chan.(k)) live
 
 (* ------------------------------------------------------------------ *)
 (* Thread block formation                                              *)
@@ -576,12 +566,30 @@ let place ~slots ~num_ranks ~fifo_ids v chan =
             steps = steps.(b);
           }))
 
-let rank_tbs ~slots ~conn (dag : Instr_dag.t) =
-  if slots < 1 then error "need at least one FIFO slot";
-  let v = view_of dag ~graph:Instr_dag.graph in
-  let chan =
-    Array.map (fun id -> Option.get v.instrs.(id).Instr.ch) v.g.Instr_dag.live
+(* The one path from a DAG to each rank's thread blocks: the checked
+   graph, the channels (malformed DAGs and conflicting directives raise
+   here), then placement of every live instruction as [lift] maps it.
+   Placement's errors come back as [Error]. *)
+let schedule ~slots ~fifo_ids ?lift (dag : Instr_dag.t) =
+  let g = Instr_dag.checked_graph dag in
+  let chan = channels { instrs = dag.Instr_dag.instrs; g } in
+  let instrs =
+    match lift with
+    | None -> dag.Instr_dag.instrs
+    | Some f ->
+        Array.map
+          (fun (i : Instr.t) -> if i.Instr.alive then f i else i)
+          dag.Instr_dag.instrs
   in
+  match
+    place ~slots
+      ~num_ranks:dag.Instr_dag.collective.Collective.num_ranks
+      ~fifo_ids { instrs; g } chan
+  with
+  | tbs -> Ok tbs
+  | exception Scheduling_error m -> Error m
+
+let rank_tbs ~slots ~conn ~lift dag =
   (* FIFO states are numbered in connection order; [conn]'s results are
      compared structurally. *)
   let fifo_ids cs =
@@ -598,9 +606,7 @@ let rank_tbs ~slots ~conn (dag : Instr_dag.t) =
     in
     (f, Hashtbl.length ids)
   in
-  place ~slots
-    ~num_ranks:dag.Instr_dag.collective.Collective.num_ranks
-    ~fifo_ids v chan
+  schedule ~slots ~fifo_ids ~lift dag
 
 let run ?(proto = Msccl_topology.Protocol.Simple) ?name ?slots
     (dag : Instr_dag.t) =
@@ -609,14 +615,14 @@ let run ?(proto = Msccl_topology.Protocol.Simple) ?name ?slots
     | Some s -> s
     | None -> Msccl_topology.Protocol.num_slots proto
   in
-  let v = view_of dag ~graph:Instr_dag.checked_graph in
-  let chan = channels v ~name:Fun.id in
   (* Every connection is its own FIFO state. *)
   let fifo_ids cs = (Array.init cs.nconn Fun.id, cs.nconn) in
-  let coll = dag.Instr_dag.collective in
   let tbs =
-    place ~slots ~num_ranks:coll.Collective.num_ranks ~fifo_ids v chan
+    match schedule ~slots ~fifo_ids dag with
+    | Ok tbs -> tbs
+    | Error m -> raise (Scheduling_error m)
   in
+  let coll = dag.Instr_dag.collective in
   let gpus =
     Array.mapi
       (fun rank tbs ->

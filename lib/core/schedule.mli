@@ -53,27 +53,32 @@ val run :
     fewer slots requires re-checking deadlock freedom with
     {!Verify.check_deadlock_free}). The result passes {!Ir.validate}.
 
-    The DAG is read in place and left as it was: dead instructions are
-    skipped through a live-id remap (no compacted copy is made), channels
-    are assigned into the scheduler's own array, not into the
-    instructions. Instructions are numbered as {!Instr_dag.compact} would
-    number them, and the DAG is checked as {!Instr_dag.validate} checks
-    a compacted one, with the same texts. One dependency graph and one
-    topological pass serve the acyclicity check and both depths. *)
+    The DAG is read in place and left as it was: one
+    {!Instr_dag.checked_graph} serves the structural checks (raising
+    [Invalid_argument]), the acyclicity check and both depths. Dead
+    instructions are skipped through its live-id remap, and instructions
+    are named by their position among the live ones. Channels are
+    assigned into the scheduler's own array, not into the
+    instructions. *)
 
 val rank_tbs :
   slots:int ->
   conn:(src:int -> dst:int -> ch:int -> 'k) ->
+  lift:(Instr.t -> Instr.t) ->
   Instr_dag.t ->
-  Ir.tb array array
-(** The scheduling core behind {!run}: thread-block formation, the global
-    topological assignment and emission over the live instructions of a
-    DAG whose channels are already assigned (as {!assign_channels}
-    leaves them). Returns each rank's thread blocks,
-    indexed by rank, without validating them. [conn ~src ~dst ~ch] names
-    the FIFO state a transfer from [src] to [dst] on channel [ch] uses:
-    {!run} keys it by the connection itself, {!Replicate.run} by the
-    connection's rank-shift orbit, so one representative rank's
+  (Ir.tb array array, string) result
+(** {!run}'s path with another FIFO key: the same checked graph and
+    channels, raising as {!run} does on a malformed DAG or conflicting
+    channel directives, then thread-block formation, the global
+    topological assignment and emission over [lift i] for every live
+    instruction [i]. [lift] must keep ids, dependencies and channel
+    directives; the graph and channels are those of the DAG as given.
+    Returns each rank's thread blocks, indexed by rank, without validating
+    them, or [Error] with the text {!run} would raise when placement
+    fails. [conn ~src ~dst ~ch] names the FIFO state a transfer from [src]
+    to [dst] on channel [ch] uses: {!run} keys it by the connection
+    itself, {!Replicate.run} by the connection's rank-shift orbit, lifting
+    every instruction to one representative rank, so that rank's
     instructions match sends to receives as the whole program would.
     [conn] is called once per distinct connection, before placement; its
     results are compared with structural equality. Connections, endpoints
@@ -87,10 +92,3 @@ val tb_order : (int * int * int) array -> int array
     [tb_id] [k]. {!run} numbers its blocks with it, and {!Replicate.run}
     renumbers each instantiated rank's blocks with it after translating
     their peers. *)
-
-val assign_channels : Instr_dag.t -> unit
-(** First phase only: unifies channels along communication edges and
-    fused chains, checks directive consistency, and fills every remaining
-    [ch] of a live instruction with the lowest valid channel. {!run}
-    computes the same channels without writing them; {!Replicate.run}
-    (before {!rank_tbs}) and the tests call this. *)

@@ -680,8 +680,8 @@ let buffer_size (g : dgpu) = function
   | Buffer_id.Scratch -> g.dg_scratch
 
 (* Contexts and positions are built only for a diagnostic: a clean step
-   or block allocates nothing here but its claims. [gctx] is the gpu's
-   context. *)
+   or block allocates nothing here but its message counts. [gctx] is the
+   gpu's context. *)
 let check_bound st ~gctx g tb i (step : Ir.step) what = function
   | None -> ()
   | Some (l : Loc.t) ->
@@ -754,33 +754,11 @@ let check_peer st ~gctx ~num_ranks g tb what p =
     err st "range" ~pos:(tb_pos tb) ~ctx:(tb_ctx tb gctx)
       "<tb> %s peer %d is negative (use -1 for none)" what p
 
-let rec first_on ~send peer chan = function
-  | [] -> None
-  | (t : dtb) :: rest ->
-      if (if send then t.dt_send else t.dt_recv) = peer && t.dt_chan = chan then
-        Some t
-      else first_on ~send peer chan rest
-
-(* The first block of the current gpu to claim [tb]'s connection in one
-   direction, after which [tb] holds it too; [None] when [tb] is the
-   first. [chans] lists, per peer in range, the blocks seen so far on
-   it; blocks naming a peer out of range (already an error) share
-   [far]. *)
-let claim chans far ~send (tb : dtb) =
-  let peer = if send then tb.dt_send else tb.dt_recv in
-  let seen = if peer < Array.length chans then chans.(peer) else !far in
-  match first_on ~send peer tb.dt_chan seen with
-  | Some _ as first -> first
-  | None ->
-      if peer < Array.length chans then chans.(peer) <- tb :: seen
-      else far := tb :: seen;
-      None
-
-let semantic_checks st ~ctx ~root_pos ~num_ranks (gpus : dgpu array) =
-  (* Emptied again after each gpu, so the tables cost O(ranks) once
-     rather than per gpu. *)
-  let send_chans = Array.make num_ranks [] and recv_chans = Array.make num_ranks [] in
-  let send_far = ref [] and recv_far = ref [] in
+(* Connection ownership is read off the connection index of the decoded
+   blocks: the first block, in block order, on a connection's side owns
+   it, and every later block there is reported against that one. *)
+let semantic_checks st ~ctx ~root_pos ~num_ranks ~(idx : Ir.index)
+    (gpus : dgpu array) =
   (* Per-connection send and receive step counts, which must match.
      Every step of a block uses the block's one connection per
      direction, so each block adds its totals once. *)
@@ -790,18 +768,27 @@ let semantic_checks st ~ctx ~root_pos ~num_ranks (gpus : dgpu array) =
       Hashtbl.replace tbl key
         (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
   in
-  Array.iter
-    (fun g ->
+  Array.iteri
+    (fun gi g ->
       let gctx = gpu_ctx g ctx in
-      Array.iter
-        (fun tb ->
+      let base = idx.Ir.gpu_block.(gi) in
+      (* The first block on block [b]'s side of its connection
+         [conn_of.(b)], whose blocks start at [start]; [None] when that is
+         [b] itself. *)
+      let owner conn_of start b =
+        let first = idx.Ir.ends.(start.(conn_of.(b))) in
+        if first = b then None else Some g.dg_tbs.(first - base)
+      in
+      Array.iteri
+        (fun ti tb ->
+          let b = base + ti in
           if tb.dt_chan < 0 then
             err st "range" ~pos:(tb_pos tb) ~ctx:(tb_ctx tb gctx)
               "<tb> has negative channel %d" tb.dt_chan;
           check_peer st ~gctx ~num_ranks g tb "send" tb.dt_send;
           check_peer st ~gctx ~num_ranks g tb "recv" tb.dt_recv;
           (if tb.dt_send >= 0 then
-             match claim send_chans send_far ~send:true tb with
+             match owner idx.Ir.block_send idx.Ir.conn_start b with
              | Some first ->
                  let fp = tb_pos first in
                  err st "pairing" ~pos:(tb_pos tb) ~ctx:(tb_ctx tb gctx)
@@ -811,7 +798,7 @@ let semantic_checks st ~ctx ~root_pos ~num_ranks (gpus : dgpu array) =
                    fp.Xml.line fp.Xml.col
              | None -> ());
           (if tb.dt_recv >= 0 then
-             match claim recv_chans recv_far ~send:false tb with
+             match owner idx.Ir.block_recv idx.Ir.conn_mid b with
              | Some first ->
                  let fp = tb_pos first in
                  err st "pairing" ~pos:(tb_pos tb) ~ctx:(tb_ctx tb gctx)
@@ -829,14 +816,7 @@ let semantic_checks st ~ctx ~root_pos ~num_ranks (gpus : dgpu array) =
           done;
           if tb.dt_send >= 0 then add sends (g.dg_id, tb.dt_send, tb.dt_chan) !ns;
           if tb.dt_recv >= 0 then add recvs (tb.dt_recv, g.dg_id, tb.dt_chan) !nr)
-        g.dg_tbs;
-      Array.iter
-        (fun tb ->
-          if tb.dt_send >= 0 && tb.dt_send < num_ranks then send_chans.(tb.dt_send) <- [];
-          if tb.dt_recv >= 0 && tb.dt_recv < num_ranks then recv_chans.(tb.dt_recv) <- [])
-        g.dg_tbs;
-      send_far := [];
-      recv_far := [])
+        g.dg_tbs)
     gpus;
   Hashtbl.iter
     (fun (src, dst, ch) n ->
@@ -1362,12 +1342,16 @@ let algo_end d =
         in
         if failed st then Result.Error (finish ())
         else begin
-          semantic_checks st ~ctx ~root_pos ~num_ranks gpus;
+          (* One connection index serves ownership here and in
+             Ir.validate; the IR shares the blocks' step arrays, so
+             repairs made by the checks reach it. *)
+          let ir = build_ir ~name ~collective ~proto gpus in
+          let idx = Ir.index ir in
+          semantic_checks st ~ctx ~root_pos ~num_ranks ~idx gpus;
           if failed st then Result.Error (finish ())
           else
-            let ir = build_ir ~name ~collective ~proto gpus in
             try
-              Ir.validate ir;
+              Ir.validate ~idx ir;
               Result.Ok (ir, finish ())
             with Invalid_argument m ->
               err st "validate" ~pos:(root_pos ()) ~ctx "invalid program: %s" m;

@@ -18,6 +18,30 @@ open Msccl_core
 let error fmt =
   Format.kasprintf (fun s -> raise (Schedule.Scheduling_error s)) fmt
 
+(* Drops dead instructions and renumbers ids densely, remapping
+   dependencies and communication edges: the copy this scheduler runs on
+   ([Schedule] reads a fused DAG in place instead). *)
+let compact t =
+  let remap = Array.make (Array.length t.Instr_dag.instrs) (-1) in
+  let live_list = Instr_dag.live t in
+  List.iteri (fun fresh i -> remap.(i.Instr.id) <- fresh) live_list;
+  let map_id d =
+    if remap.(d) < 0 then invalid_arg "Schedule_ref.compact: dep on dead instr"
+    else remap.(d)
+  in
+  let instrs =
+    List.mapi
+      (fun fresh (i : Instr.t) ->
+        {
+          i with
+          Instr.id = fresh;
+          deps = List.sort Int.compare (List.map map_id i.Instr.deps);
+          comm_pred = Option.map map_id i.Instr.comm_pred;
+        })
+      live_list
+  in
+  { t with Instr_dag.instrs = Array.of_list instrs }
+
 (* ------------------------------------------------------------------ *)
 (* Channel assignment                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -600,7 +624,7 @@ let run ?(proto = Msccl_topology.Protocol.Simple) ?name ?slots
     | Some s -> s
     | None -> Msccl_topology.Protocol.num_slots proto
   in
-  let dag = Instr_dag.compact dag in
+  let dag = compact dag in
   Instr_dag.validate dag;
   assign_channels dag;
   let tbs = rank_tbs ~slots ~conn:(fun ~src ~dst ~ch -> (src, dst, ch)) dag in

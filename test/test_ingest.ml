@@ -248,6 +248,103 @@ let test_load_missing_file () =
   | Error ds -> Alcotest.failf "expected one diag, got %d" (List.length ds)
 
 (* ------------------------------------------------------------------ *)
+(* Connection ownership and balance: full transcripts                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A two-rank allgather document from [gpus], each a list of blocks
+   [(send, recv, chan, steps)] with [steps] a list of "s" or "r". *)
+let two_rank_doc gpus =
+  let step k = function
+    | "s" -> Printf.sprintf {|<step s="%d" type="s" srcbuf="i" srcoff="0" cnt="1"/>|} k
+    | _ -> Printf.sprintf {|<step s="%d" type="r" dstbuf="o" dstoff="0" cnt="1"/>|} k
+  in
+  let tb id (send, recv, chan, steps) =
+    Printf.sprintf {|    <tb id="%d" send="%d" recv="%d" chan="%d">%s</tb>
+|} id send recv chan
+      (String.concat "" (List.mapi step steps))
+  in
+  let gpu id tbs =
+    Printf.sprintf {|  <gpu id="%d" i_chunks="1" o_chunks="2" s_chunks="0">
+%s  </gpu>
+|} id (String.concat "" (List.mapi tb tbs))
+  in
+  {|<algo name="t" coll="allgather" nranks="2" chunk_factor="1" inplace="0" proto="Simple">
+|}
+  ^ String.concat "" (List.mapi gpu gpus)
+  ^ "</algo>\n"
+
+let transcript ~file doc =
+  match I.of_string ~file doc with
+  | Ok (_, ws) -> Printf.sprintf "accepted, %d warning(s)" (List.length ws)
+  | Error ds -> I.diags_to_string ds
+
+let check_transcript what ~file doc expected =
+  Alcotest.(check string) what expected (transcript ~file doc)
+
+(* The first block on a connection's side owns it; every later block
+   there is reported against the owner. *)
+let test_ownership () =
+  let sender = [ (1, -1, 0, [ "s" ]) ] and receiver = [ (-1, 0, 0, [ "r" ]) ] in
+  check_transcript "duplicate receiver" ~file:"own.xml"
+    (two_rank_doc [ sender; receiver @ [ (-1, 0, 0, []) ] ])
+    {|own.xml:7:5: error[pairing]: two thread blocks receive on connection 1<-0 ch0 (first is tb 0 at own.xml:6:5)
+  in <tb> at own.xml:7:5
+  in <gpu> at own.xml:5:3
+  in <algo> at own.xml:1:1|};
+  check_transcript "third block names the first" ~file:"own.xml"
+    (two_rank_doc [ sender @ [ (1, -1, 0, []); (1, -1, 0, []) ]; receiver ])
+    {|own.xml:4:5: error[pairing]: two thread blocks send on connection 0->1 ch0 (first is tb 0 at own.xml:3:5)
+  in <tb> at own.xml:4:5
+  in <gpu> at own.xml:2:3
+  in <algo> at own.xml:1:1
+own.xml:5:5: error[pairing]: two thread blocks send on connection 0->1 ch0 (first is tb 0 at own.xml:3:5)
+  in <tb> at own.xml:5:5
+  in <gpu> at own.xml:2:3
+  in <algo> at own.xml:1:1|};
+  (* Blocks naming a peer out of range clash only on the same peer. *)
+  check_transcript "same out-of-range peer" ~file:"own.xml"
+    (two_rank_doc
+       [ sender @ [ (5, -1, 0, []); (6, -1, 0, []); (5, -1, 0, []) ]; receiver ])
+    {|own.xml:4:5: error[range]: <tb> send peer 5 is out of range (program has 2 ranks)
+  in <tb> at own.xml:4:5
+  in <gpu> at own.xml:2:3
+  in <algo> at own.xml:1:1
+own.xml:5:5: error[range]: <tb> send peer 6 is out of range (program has 2 ranks)
+  in <tb> at own.xml:5:5
+  in <gpu> at own.xml:2:3
+  in <algo> at own.xml:1:1
+own.xml:6:5: error[range]: <tb> send peer 5 is out of range (program has 2 ranks)
+  in <tb> at own.xml:6:5
+  in <gpu> at own.xml:2:3
+  in <algo> at own.xml:1:1
+own.xml:6:5: error[pairing]: two thread blocks send on connection 0->5 ch0 (first is tb 1 at own.xml:4:5)
+  in <tb> at own.xml:6:5
+  in <gpu> at own.xml:2:3
+  in <algo> at own.xml:1:1|};
+  check_transcript "one peer on two channels" ~file:"own.xml"
+    (two_rank_doc
+       [
+         sender @ [ (1, -1, 1, [ "s" ]) ]; receiver @ [ (-1, 0, 1, [ "r" ]) ];
+       ])
+    "accepted, 0 warning(s)"
+
+(* The unbalanced connections of ring@16's seed-2 mangle 94, in the order
+   the check reports them today (not ascending). *)
+let test_balance_order () =
+  let doc = Xml.to_string (A.Ring_allreduce.ir ~verify:false ~num_ranks:16 ()) in
+  let mangled, what = M.mangle ~seed:2 ~index:94 doc in
+  Alcotest.(check string) "mangle" "tree: swap values of chan and recv on <tb>" what;
+  check_transcript "transcript" ~file:"<mangled>" mangled
+    {|<mangled>:1:1: error[pairing]: connection 8->9 ch7 sends 30 message(s) but receives 0
+  in <algo> at <mangled>:1:1
+<mangled>:1:1: error[pairing]: connection 7->8 ch0 sends 30 message(s) but receives 0
+  in <algo> at <mangled>:1:1
+<mangled>:1:1: error[pairing]: connection 0->8 ch7 receives 30 message(s) without any sends
+  in <algo> at <mangled>:1:1
+<mangled>:1:1: error[pairing]: connection 8->9 ch0 receives 30 message(s) without any sends
+  in <algo> at <mangled>:1:1|}
+
+(* ------------------------------------------------------------------ *)
 (* Lexical gaps: numeric character references, duplicate attributes     *)
 (* ------------------------------------------------------------------ *)
 
@@ -370,6 +467,11 @@ let () =
           Testutil.tc "defaults and hasdep repair" test_defaults_and_repair;
           Testutil.tc "collects all diagnostics" test_collects_all_diagnostics;
           Testutil.tc "missing file is io diag" test_load_missing_file;
+        ] );
+      ( "connections",
+        [
+          Testutil.tc "ownership" test_ownership;
+          Testutil.tc "balance order" test_balance_order;
         ] );
       ( "lexical",
         [

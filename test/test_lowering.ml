@@ -102,7 +102,7 @@ let test_compact () =
   ignore (Fusion.fuse dag);
   Alcotest.(check bool) "fusion killed an instr" true
     (Instr_dag.num_live dag < Array.length dag.Instr_dag.instrs);
-  let compacted = Instr_dag.compact dag in
+  let compacted = Schedule_ref.compact dag in
   Alcotest.(check int) "dense ids"
     (Instr_dag.num_live dag)
     (Array.length compacted.Instr_dag.instrs);

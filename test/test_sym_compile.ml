@@ -199,6 +199,45 @@ let test_broken_hint_fallback () =
     (Sym_hint.ring_shift ~shift:1 ~d_input:1 (fun prog ->
          ignore (Program.chunk prog ~rank:0 Buffer_id.Input ~index:(2 * p) ())))
 
+(* What Replicate.run raises on slices it cannot replicate: a fault of
+   the slice itself raises as the full scheduler would, while an empty
+   slice or a placement failure of the quotient is a [Fallback]. *)
+let test_replicate_errors () =
+  let p = 4 in
+  let coll =
+    Collective.make Collective.Allreduce ~num_ranks:p ~chunk_factor:p
+      ~inplace:true ()
+  in
+  let outcome slice =
+    let hint =
+      Sym_hint.ring_shift ~shift:1 ~d_input:1 ~d_scratch:1 ~scratch_chunks:p
+        slice
+    in
+    match Replicate.run ~name:"errors" ~hint coll with
+    | _ -> "replicated"
+    | exception Replicate.Fallback m -> "Fallback: " ^ m
+    | exception Schedule.Scheduling_error m -> "Scheduling_error: " ^ m
+  in
+  (* Rank 1 forwards what it received on channel 0, rank 2 forwards
+     onto channel 1: fusion makes one communication chain of the three
+     hops, with two directives. *)
+  let hop ?ch c rank = Program.copy c ~rank Buffer_id.Scratch ~index:0 ?ch () in
+  Alcotest.(check string)
+    "conflicting directives"
+    "Scheduling_error: conflicting channel directives 0 (instr 0) and 1 \
+     (instr 2) on one fused/communication chain"
+    (outcome (fun prog ->
+         let c = Program.chunk prog ~rank:0 Buffer_id.Input ~index:0 () in
+         ignore (hop ~ch:1 (hop (hop ~ch:0 c 1) 2) 3)));
+  Alcotest.(check string)
+    "empty slice" "Fallback: representative slice is empty"
+    (outcome ignore);
+  Alcotest.(check string)
+    "negative channel" "Fallback: quotient schedule: channel -1 out of range"
+    (outcome (fun prog ->
+         let c = Program.chunk prog ~rank:0 Buffer_id.Input ~index:0 () in
+         ignore (hop ~ch:(-1) c 1)))
+
 (* ------------------------------------------------------------------ *)
 (* Cohort simulation: quotient = scalar, exactly                       *)
 (* ------------------------------------------------------------------ *)
@@ -313,7 +352,10 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_fuzzed_differential;
         ] );
       ( "fallback",
-        [ Testutil.tc "broken hints fall back" test_broken_hint_fallback ] );
+        [
+          Testutil.tc "broken hints fall back" test_broken_hint_fallback;
+          Testutil.tc "replicate error texts" test_replicate_errors;
+        ] );
       ( "cohort",
         [
           Testutil.tc "cohort = scalar" test_cohort_identity;
